@@ -13,15 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import OPTIMAL, TIMEOUT, CoverInstance, min_hitting_set
+from .cover import OPTIMAL, TIMEOUT, CoverInstance, _mask_of, _sets_of, deadline_after, min_hitting_set
 from .dims import (
+    EDGE_PAIRS,
     MIXED_PAIRS,
+    VERTEX_PAIRS,
+    GraphAnalysis,
     SolveTimeout,
-    edge_metric_dimension,
     forced_structure_lower_bound,
-    metric_dimension,
     mixed_metric_dimension,
     pair_cover_instance,
+    pair_dimension,
 )
 from .graphs import DistanceOracle, Graph, GraphError, distances
 from .lp import CoveringLP, ceil_with_tolerance, solve_covering_lp
@@ -53,12 +55,15 @@ def lb_l3(G: Graph) -> int:
 
 def lb_l4(G: Graph, oracle: DistanceOracle | None = None) -> int:
     """Ceiling of the LP relaxation of the mixed pair-cover program."""
-    oracle = _oracle(G, oracle)
-    inst = pair_cover_instance(oracle, MIXED_PAIRS)
-    rows = [s for s in inst.sets if s]
-    if len(rows) != len(inst.sets):
+    return _lp_bound(pair_cover_instance(_oracle(G, oracle), MIXED_PAIRS))
+
+
+def _lp_bound(inst: CoverInstance) -> int:
+    """L4 from the reduced mixed pair-cover instance: its rows are the
+    covering program's rows, already reduced."""
+    if inst.masks[:1] == (0,):
         raise GraphError("mixed pair instance has an undistinguished pair")
-    lp = CoveringLP.build(G.n, rows)
+    lp = CoveringLP(inst.universe_size, inst.masks, inst.masks)
     return ceil_with_tolerance(solve_covering_lp(lp))
 
 
@@ -78,6 +83,12 @@ class SideSets:
 
 
 def edge_side_sets(oracle: DistanceOracle) -> SideSets:
+    closer_u, closer_v = _side_masks(oracle)
+    return SideSets(oracle.graph.edges, _sets_of(closer_u), _sets_of(closer_v))
+
+
+def _side_masks(oracle: DistanceOracle) -> tuple[list[int], list[int]]:
+    """The side sets of every edge as bitmasks: (closer to u, closer to v)."""
     G = oracle.graph
     dv = oracle.dv
     less = []
@@ -85,21 +96,24 @@ def edge_side_sets(oracle: DistanceOracle) -> SideSets:
     for u, v in G.edges:
         du = dv[u]
         dw = dv[v]
-        less.append(frozenset(int(w) for w in (du < dw).nonzero()[0]))
-        greater.append(frozenset(int(w) for w in (du > dw).nonzero()[0]))
-    return SideSets(G.edges, tuple(less), tuple(greater))
+        less.append(_mask_of((du < dw).nonzero()[0].tolist()))
+        greater.append(_mask_of((du > dw).nonzero()[0].tolist()))
+    return less, greater
 
 
 def lb_n2(
     G: Graph,
     oracle: DistanceOracle | None = None,
     timeout: float | None = None,
+    deadline: float | None = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum hitting set over the 2m edge side sets, with witness."""
-    oracle = _oracle(G, oracle)
-    side = edge_side_sets(oracle)
-    inst = CoverInstance.build(G.n, list(side.closer_to_u) + list(side.closer_to_v))
-    res = min_hitting_set(inst, timeout=timeout)
+    """Exact minimum hitting set over the 2m edge side sets, with witness.
+
+    deadline, an absolute time.monotonic() value, replaces timeout when a
+    caller shares one budget across several solves."""
+    closer_u, closer_v = _side_masks(_oracle(G, oracle))
+    inst = CoverInstance.build(G.n, masks=closer_u + closer_v)
+    res = min_hitting_set(inst, timeout=timeout, deadline=deadline)
     if res.status == TIMEOUT:
         raise SolveTimeout("side-set hitting set timed out")
     assert res.status == OPTIMAL
@@ -158,16 +172,26 @@ def bounds_report(
     label: str = "",
     timeout: float | None = None,
 ) -> BoundsReport:
-    """Compute all seven bounds; optionally also the three exact dimensions
-    (each guarded by the same timeout)."""
-    oracle = distances(G)
-    n2_val, n2_wit = lb_n2(G, oracle, timeout=timeout)
+    """Compute all seven bounds; optionally also the three exact dimensions.
+
+    One GraphAnalysis serves every bound and solve, and timeout is one
+    deadline for the whole call.  The mixed deepening starts at the best
+    bound already proven."""
+    deadline = deadline_after(timeout)
+    a = GraphAnalysis(G)
+    oracle = a.oracle
+    n2_val, n2_wit = lb_n2(G, oracle, deadline=deadline)
+    l3 = a.forced_lower_bound
+    l4 = _lp_bound(a.mixed)
+    n1 = lb_n1(G, oracle)
     beta = beta_e = beta_m = None
     beta_m_witness = None
     if compute_exact:
-        beta, _ = metric_dimension(G, timeout=timeout)
-        beta_e, _ = edge_metric_dimension(G, timeout=timeout)
-        beta_m, beta_m_witness = mixed_metric_dimension(G, timeout=timeout, oracle=oracle)
+        beta, _ = pair_dimension(a.instance(VERTEX_PAIRS), VERTEX_PAIRS, deadline)
+        beta_e, _ = pair_dimension(a.instance(EDGE_PAIRS), EDGE_PAIRS, deadline)
+        beta_m, beta_m_witness = mixed_metric_dimension(
+            G, analysis=a, deadline=deadline, lower_bound=max(n1, l3, l4, n2_val)
+        )
         if beta_m < max(beta, beta_e):
             raise RuntimeError("internal error: mixed dimension below max(beta, beta_e)")
     return BoundsReport(
@@ -176,9 +200,9 @@ def bounds_report(
         m=G.m,
         l1=lb_l1(G, oracle),
         l2=lb_l2(G, oracle),
-        l3=lb_l3(G),
-        l4=lb_l4(G, oracle),
-        n1=lb_n1(G, oracle),
+        l3=l3,
+        l4=l4,
+        n1=n1,
         n2=n2_val,
         n3=lb_n3(G, oracle),
         n2_witness=n2_wit,

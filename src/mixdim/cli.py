@@ -184,31 +184,35 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _add_timeout(p: argparse.ArgumentParser, help: str = "seconds for each graph, one deadline for the whole call") -> None:
+    p.add_argument("--timeout", type=float, default=1800.0, help=help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="mixdim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("dims", help="exact beta, betaE, betaM for input graphs")
     _add_input_flags(d)
-    d.add_argument("--timeout", type=float, default=1800.0, help="seconds per exact solve")
+    _add_timeout(d, "seconds for each graph's betaM, one deadline for the whole call")
     d.set_defaults(fn=cmd_dims)
 
     b = sub.add_parser("bounds", help="the seven lower bounds, optionally exact betaM")
     _add_input_flags(b)
     b.add_argument("--exact", action="store_true", help="also compute exact dimensions")
-    b.add_argument("--timeout", type=float, default=1800.0)
+    _add_timeout(b)
     b.set_defaults(fn=cmd_bounds)
 
     t5 = sub.add_parser("table-order5", help="recompute the 21-graph order-5 comparison")
     t5.add_argument("--format", choices=("csv", "md"), default="csv")
-    t5.add_argument("--timeout", type=float, default=1800.0)
+    _add_timeout(t5)
     t5.set_defaults(fn=cmd_table_order5)
 
     ts = sub.add_parser("table-selected", help="recompute the selected-graphs comparison")
     ts.add_argument("--format", choices=("csv", "md"), default="csv")
     ts.add_argument("--skip-large", action="store_true", help="never solve n = 36 rows exactly")
     ts.add_argument("--exact-all", action="store_true", help="attempt exact dimensions on every row")
-    ts.add_argument("--timeout", type=float, default=1800.0)
+    _add_timeout(ts)
     ts.set_defaults(fn=cmd_table_selected)
 
     to = sub.add_parser("torus", help="verify the size-4 torus witnesses")
@@ -216,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     to.add_argument("--n", type=int)
     to.add_argument("--max", type=int, help="sweep all 3 <= m,n <= max")
     to.add_argument("--exact", action="store_true")
-    to.add_argument("--timeout", type=float, default=1800.0)
+    _add_timeout(to)
     to.add_argument("--format", choices=("csv", "md"), default="csv")
     to.set_defaults(fn=cmd_torus)
 

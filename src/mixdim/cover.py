@@ -1,7 +1,7 @@
 """Exact minimum hitting set / set cover engine.
 
-A CoverInstance is a family of subsets of a small integer universe plus
-optional forced and excluded elements.  min_hitting_set returns the exact
+A CoverInstance is a family of subsets of a small integer universe, kept
+as bitmasks, plus optional forced and excluded elements.  min_hitting_set returns the exact
 optimum together with the lexicographically smallest minimum witness, a
 "greater than cutoff" verdict, an infeasibility verdict naming a set that
 cannot be hit, or a timeout.
@@ -9,14 +9,17 @@ cannot be hit, or a timeout.
 Two interchangeable kernels do the search: a compiled extension
 (mixdim._cover_cy, universes up to 64 elements) and a pure-Python twin.
 The compiled one is picked automatically when available; results are
-identical by construction.  See benchmarks/bench_cover.py for a
-comparison.
+identical by construction.  perfbench/README.md describes the end-to-end
+benchmark that times this module as one layer of the exact solves.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 from . import _cover_py
 
@@ -67,50 +70,91 @@ def _bits_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _sets_of(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(_bits_of(m)) for m in masks)
+
+
+# below this many distinct masks the plain loop beats numpy's call overhead
+_VECTOR_REDUCE_MIN = 64
+
+
 def _reduce_family(masks: Iterable[int]) -> list[int]:
     """Deduplicate and drop supersets (hitting a subset hits its supersets).
 
-    Deterministic output order: ascending (popcount, mask value).
+    Deterministic output order: ascending (popcount, mask value).  Masks
+    must be nonnegative.
     """
-    uniq = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
+    uniq = set(masks)
+    if len(uniq) >= _VECTOR_REDUCE_MIN and max(uniq) < 1 << 64:
+        return _reduce_family_uint64(uniq)
     kept: list[int] = []
-    for m in uniq:
+    for m in sorted(uniq, key=lambda m: (m.bit_count(), m)):
         if not any(km & m == km for km in kept):
             kept.append(m)
     return kept
 
 
+def _reduce_family_uint64(uniq: set[int]) -> list[int]:
+    """_reduce_family for 64-bit masks: the front mask of the sorted array
+    is always kept (nothing before it is its subset) and drops its
+    supersets from the rest in one vector operation."""
+    arr = np.fromiter(uniq, dtype=np.uint64, count=len(uniq))
+    arr.sort()
+    arr = arr[np.argsort(np.bitwise_count(arr), kind="stable")]
+    kept = []
+    while arr.size:
+        m = arr[0]
+        kept.append(m)
+        rest = arr[1:]
+        arr = rest[(rest & m) != m]
+    return [int(m) for m in kept]
+
+
 @dataclass(frozen=True)
 class CoverInstance:
-    """Normalized hitting-set instance.
+    """Normalized hitting-set instance over bitmask sets.
 
-    sets holds the reduced family (deduplicated, no supersets); the exact
-    family handed in is kept in original_sets for post-hoc witness checks.
-    Empty input sets are legal at construction and surface as an
-    infeasibility verdict when solving.
+    masks holds the reduced family (deduplicated, no supersets, ascending
+    popcount then value, with 0 first when some input set was empty); the
+    family handed in is kept in original_masks for post-hoc witness checks.
+    The reduction ignores forced and excluded, so instances that differ only
+    in those share their family (dataclasses.replace).  Empty input sets are
+    legal at construction and surface as an infeasibility verdict when
+    solving.  sets and original_sets are the same families as frozensets.
     """
 
     universe_size: int
-    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     forced: frozenset[int] = frozenset()
     excluded: frozenset[int] = frozenset()
-    original_sets: tuple[frozenset[int], ...] = field(default=(), compare=False, repr=False)
+    original_masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @classmethod
     def build(
         cls,
         universe_size: int,
-        sets: Iterable[Iterable[int]],
+        sets: Iterable[Iterable[int]] = (),
         forced: Iterable[int] = (),
         excluded: Iterable[int] = (),
+        *,
+        masks: Iterable[int] | None = None,
     ) -> "CoverInstance":
+        """Reduce a family given as element sets or, with masks, as bitmasks
+        (bit e set for element e); give one of the two."""
         if universe_size < 0:
             raise ValueError("universe size must be nonnegative")
-        original = tuple(frozenset(s) for s in sets)
-        for s in original:
-            for e in s:
-                if not 0 <= e < universe_size:
-                    raise ValueError(f"set element {e} outside universe 0..{universe_size - 1}")
+        if masks is None:
+            original = []
+            for s in sets:
+                s = frozenset(s)
+                for e in s:
+                    if not 0 <= e < universe_size:
+                        raise ValueError(f"set element {e} outside universe 0..{universe_size - 1}")
+                original.append(_mask_of(s))
+        else:
+            original = list(masks)
+            if original and (min(original) < 0 or max(original) >> universe_size):
+                raise ValueError(f"set mask outside universe 0..{universe_size - 1}")
         fset = frozenset(forced)
         xset = frozenset(excluded)
         for e in fset | xset:
@@ -118,15 +162,22 @@ class CoverInstance:
                 raise ValueError(f"element {e} outside universe 0..{universe_size - 1}")
         if fset & xset:
             raise ValueError(f"forced and excluded overlap: {sorted(fset & xset)}")
-        masks = _reduce_family(_mask_of(s) for s in original if s)
-        reduced = tuple(frozenset(_bits_of(m)) for m in masks)
-        if any(not s for s in original):
-            reduced = (frozenset(),) + reduced
-        return cls(universe_size, reduced, fset, xset, original)
+        reduced = _reduce_family(m for m in original if m)
+        if 0 in original:
+            reduced.insert(0, 0)
+        return cls(universe_size, tuple(reduced), fset, xset, tuple(original))
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return _sets_of(self.masks)
+
+    @cached_property
+    def original_sets(self) -> tuple[frozenset[int], ...]:
+        return _sets_of(self.original_masks)
 
     @property
     def num_sets(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
 
 @dataclass(frozen=True)
@@ -141,6 +192,15 @@ class CoverResult:
         return self.status == OPTIMAL
 
 
+def deadline_after(timeout: float | None) -> float | None:
+    """Absolute time.monotonic() deadline timeout seconds from now."""
+    return None if timeout is None else time.monotonic() + timeout
+
+
+def deadline_passed(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
 def _prepare(inst: CoverInstance) -> tuple[list[int], int, int] | CoverResult:
     """Apply excluded/forced to the reduced family.
 
@@ -150,25 +210,26 @@ def _prepare(inst: CoverInstance) -> tuple[list[int], int, int] | CoverResult:
     xmask = _mask_of(inst.excluded)
     fmask = _mask_of(inst.forced)
     residual = []
-    for s in inst.sets:
-        m = _mask_of(s) & ~xmask
-        if m == 0:
-            return CoverResult(INFEASIBLE, infeasible_set=s)
-        if m & fmask:
-            continue
-        residual.append(m)
-    return _reduce_family(residual), fmask, xmask
+    for m in inst.masks:
+        r = m & ~xmask
+        if r == 0:
+            return CoverResult(INFEASIBLE, infeasible_set=frozenset(_bits_of(m)))
+        if not r & fmask:
+            residual.append(r)
+    # dropping sets keeps a reduced family reduced; trimming elements may not
+    return (_reduce_family(residual) if xmask else residual), fmask, xmask
 
 
 def _validate_witness(inst: CoverInstance, witness: tuple[int, ...]) -> None:
-    wset = set(witness)
-    if not inst.forced <= wset:
+    wmask = _mask_of(witness)
+    fmask = _mask_of(inst.forced)
+    if fmask & ~wmask:
         raise RuntimeError("internal error: witness misses forced elements")
-    if wset & inst.excluded:
+    if wmask & _mask_of(inst.excluded):
         raise RuntimeError("internal error: witness touches excluded elements")
-    for s in inst.original_sets or inst.sets:
-        if s and not (s & wset):
-            raise RuntimeError(f"internal error: witness fails to hit {sorted(s)}")
+    for m in inst.original_masks or inst.masks:
+        if m and not m & wmask:
+            raise RuntimeError(f"internal error: witness fails to hit {list(_bits_of(m))}")
 
 
 def min_hitting_set(
@@ -177,6 +238,7 @@ def min_hitting_set(
     lower_bound: int = 0,
     timeout: float | None = None,
     backend: str | None = None,
+    deadline: float | None = None,
 ) -> CoverResult:
     """Exact minimum hitting set honoring forced and excluded elements.
 
@@ -184,12 +246,18 @@ def min_hitting_set(
     solutions.  lower_bound, when given, must be a valid bound for the
     instance; the search then stops as soon as a matching solution is
     found.  With a cutoff c, an optimum above c yields CUTOFF_EXCEEDED.
+    The search and the witness share one deadline: timeout seconds from
+    now, or the absolute time.monotonic() value deadline that a caller
+    shares across several solves.
     """
+    if deadline is None:
+        deadline = deadline_after(timeout)
     prep = _prepare(inst)
     if isinstance(prep, CoverResult):
         return prep
+    if deadline_passed(deadline):
+        return CoverResult(TIMEOUT)
     masks, fmask, xmask = prep
-    deadline = time.monotonic() + timeout if timeout is not None else None
     kernel = _kernel(inst.universe_size, backend)
     base = len(inst.forced)
     if cutoff is not None and base > cutoff:
@@ -245,7 +313,7 @@ def _lex_min_witness(
             bit = 1 << v
             if banned & bit:
                 continue
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline_passed(deadline):
                 return None
             trial_banned = banned | (((bit - 1) & ~chosen) & ~banned)
             residual = [m & ~trial_banned for m in masks if not m & (chosen | bit)]
@@ -289,6 +357,6 @@ def greedy_hitting_set(inst: CoverInstance) -> CoverResult:
         witness = tuple(sorted(inst.forced))
         return CoverResult(OPTIMAL, len(witness), witness)
     size, mask = _cover_py.greedy_cover(masks)
-    witness = tuple(sorted(set(_bits_of(mask)) | inst.forced))
+    witness = _bits_of(mask | _mask_of(inst.forced))
     _validate_witness(inst, witness)
     return CoverResult(OPTIMAL, len(witness), witness)

@@ -7,16 +7,26 @@ listing the vertices that distinguish the pair.  The mixed search is
 seeded with vertices that provably belong to every mixed resolving set
 (members of true-twin pairs, simplicial vertices, hence also leaves) and
 prunes vertices whose degree is too large for the candidate set size
-(deg_v > 2^(k-1) - 1).
+(deg_v > 2^(k-1) - 1).  A GraphAnalysis holds what one graph's solves and
+bounds share, so each is computed once.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .cover import CUTOFF_EXCEEDED, INFEASIBLE, OPTIMAL, TIMEOUT, CoverInstance, min_hitting_set
+from .cover import (
+    CUTOFF_EXCEEDED,
+    INFEASIBLE,
+    OPTIMAL,
+    TIMEOUT,
+    CoverInstance,
+    deadline_after,
+    min_hitting_set,
+)
 from .graphs import DistanceOracle, Graph, GraphError, distances
 
 VERTEX_PAIRS = "vertex"
@@ -52,7 +62,7 @@ def distinguisher_masks(oracle: DistanceOracle, universe: str) -> list[int]:
         weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
         for a in range(len(cols) - 1):
             diff = dm[:, a + 1 :] != dm[:, a : a + 1]
-            masks.extend(int(v) for v in diff.astype(np.int64).T @ weights)
+            masks.extend((diff.astype(np.int64).T @ weights).tolist())
     else:
         for a in range(len(cols) - 1):
             diff = dm[:, a + 1 :] != dm[:, a : a + 1]
@@ -73,11 +83,8 @@ def pair_cover_instance(
     """Hitting-set instance whose solutions are exactly the resolving sets
     of the chosen item universe.  Pairs no vertex distinguishes become empty
     sets and surface as an infeasibility verdict when solving."""
-    from .cover import _bits_of  # local import to keep module surface tidy
-
     masks = distinguisher_masks(oracle, universe)
-    sets = [frozenset(_bits_of(m)) for m in masks]
-    return CoverInstance.build(oracle.graph.n, sets, forced=forced, excluded=excluded)
+    return CoverInstance.build(oracle.graph.n, masks=masks, forced=forced, excluded=excluded)
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,8 @@ def forced_structure_lower_bound(G: Graph, fs: ForcedStructure | None = None) ->
     """Minimum size of a vertex set containing every forced vertex and
     meeting every false-twin pair (an exact tiny hitting set)."""
     fs = fs or forced_vertices(G)
-    inst = CoverInstance.build(G.n, [set(p) for p in fs.false_twin_pairs], forced=fs.forced)
+    pairs = [1 << u | 1 << v for u, v in fs.false_twin_pairs]
+    inst = CoverInstance.build(G.n, masks=pairs, forced=fs.forced)
     res = min_hitting_set(inst)
     assert res.status == OPTIMAL
     return res.size
@@ -140,16 +148,56 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def _solve_dimension(
-    oracle: DistanceOracle,
-    universe: str,
-    timeout: float | None,
-) -> tuple[int, tuple[int, ...]]:
-    inst = pair_cover_instance(oracle, universe)
+class GraphAnalysis:
+    """What the exact solves and the bounds of one graph share, computed
+    once: the distance oracle, the distinguisher mask of every mixed item
+    pair, the forced structure and the reduced mixed pair-cover instance.
+
+    Vertex pairs and edge pairs are sub-families of the mixed pairs, so
+    their instances are cut from mixed_masks instead of recomputed.
+    """
+
+    def __init__(self, G: Graph, oracle: DistanceOracle | None = None):
+        self.graph = G
+        self.oracle = oracle or distances(G)
+        self.mixed_masks = distinguisher_masks(self.oracle, MIXED_PAIRS)
+        self.forced = forced_vertices(G)
+        # reduced without forced/excluded: the family of every deepening level
+        self.mixed = CoverInstance.build(G.n, masks=self.mixed_masks)
+
+    def pair_masks(self, universe: str) -> list[int]:
+        """distinguisher_masks(self.oracle, universe), in the same order."""
+        if universe == MIXED_PAIRS:
+            return self.mixed_masks
+        n = self.graph.n
+        items = n + self.graph.m
+        # mixed pairs (a, b), a < b, row by row: row a starts here
+        start = [a * (2 * items - a - 1) // 2 for a in range(n + 1)]
+        if universe == EDGE_PAIRS:
+            return self.mixed_masks[start[n]:]
+        if universe == VERTEX_PAIRS:
+            rows = (self.mixed_masks[start[a] : start[a] + n - 1 - a] for a in range(n - 1))
+            return list(itertools.chain.from_iterable(rows))
+        raise ValueError(f"unknown pair universe {universe!r}")
+
+    def instance(self, universe: str) -> CoverInstance:
+        """The same instance as pair_cover_instance(self.oracle, universe)."""
+        if universe == MIXED_PAIRS:
+            return self.mixed
+        return CoverInstance.build(self.graph.n, masks=self.pair_masks(universe))
+
+    @cached_property
+    def forced_lower_bound(self) -> int:
+        return forced_structure_lower_bound(self.graph, self.forced)
+
+
+def pair_dimension(inst: CoverInstance, universe: str, deadline: float | None) -> tuple[int, tuple[int, ...]]:
+    """Optimum and lex-min witness of a pair-cover instance of the universe;
+    raises SolveTimeout past the absolute time.monotonic() deadline."""
     if inst.num_sets == 0:
         # a single item resolves itself; by convention a generator is nonempty
         return 1, (0,)
-    res = min_hitting_set(inst, timeout=timeout)
+    res = min_hitting_set(inst, deadline=deadline)
     if res.status == TIMEOUT:
         raise SolveTimeout(f"{universe} dimension solve timed out")
     assert res.status == OPTIMAL
@@ -160,20 +208,24 @@ def metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple
     """Exact metric dimension and its lexicographically smallest basis."""
     if G.n < 2:
         raise GraphError("metric dimension needs at least 2 vertices")
-    return _solve_dimension(distances(G), VERTEX_PAIRS, timeout)
+    deadline = deadline_after(timeout)
+    return pair_dimension(pair_cover_instance(distances(G), VERTEX_PAIRS), VERTEX_PAIRS, deadline)
 
 
 def edge_metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact edge metric dimension and its lexicographically smallest basis."""
     if G.n < 2:
         raise GraphError("edge metric dimension needs at least 2 vertices")
-    return _solve_dimension(distances(G), EDGE_PAIRS, timeout)
+    deadline = deadline_after(timeout)
+    return pair_dimension(pair_cover_instance(distances(G), EDGE_PAIRS), EDGE_PAIRS, deadline)
 
 
 def mixed_metric_dimension(
     G: Graph,
     timeout: float | None = None,
-    oracle: DistanceOracle | None = None,
+    analysis: GraphAnalysis | None = None,
+    deadline: float | None = None,
+    lower_bound: int = 0,
 ) -> tuple[int, tuple[int, ...]]:
     """Exact mixed metric dimension and its lexicographically smallest basis.
 
@@ -181,25 +233,28 @@ def mixed_metric_dimension(
     structurally mandatory vertices, excludes vertices with
     deg_v > 2^(k-1) - 1 (sound for solutions of size <= k) and solves the
     pair-cover instance with cutoff k.  The first feasible level is the
-    optimum because exclusion thresholds only relax as k grows.
+    optimum because exclusion thresholds only relax as k grows.  The
+    reduced family is built once; levels differ only in forced/excluded.
+
+    Deepening starts at the largest of the structural bounds and
+    lower_bound, which must be a proven lower bound.  timeout is one budget
+    for the whole call; deadline, an absolute time.monotonic() value,
+    replaces it when a caller shares one budget across several solves.
+    analysis, when given, must belong to G.
     """
     if G.n < 2:
         raise GraphError("mixed metric dimension needs at least 2 vertices")
-    oracle = oracle or distances(G)
-    fs = forced_vertices(G)
-    base_masks = distinguisher_masks(oracle, MIXED_PAIRS)
-    from .cover import _bits_of
-
-    sets = [frozenset(_bits_of(m)) for m in base_masks]
-    lb = max(2, 1 + _ceil_log2(oracle.min_degree + 1), forced_structure_lower_bound(G, fs), len(fs.forced))
-    k = lb
+    deadline = deadline if deadline is not None else deadline_after(timeout)
+    a = analysis or GraphAnalysis(G)
+    fs = a.forced
+    k = max(2, 1 + _ceil_log2(a.oracle.min_degree + 1), a.forced_lower_bound, len(fs.forced), lower_bound)
     while k <= G.n:
         excl = excluded_vertices(G, k)
         if fs.forced & excl:
             k += 1
             continue
-        inst = CoverInstance.build(G.n, sets, forced=fs.forced, excluded=excl)
-        res = min_hitting_set(inst, cutoff=k, lower_bound=k, timeout=timeout)
+        inst = replace(a.mixed, forced=fs.forced, excluded=excl)
+        res = min_hitting_set(inst, cutoff=k, lower_bound=k, deadline=deadline)
         if res.status == TIMEOUT:
             raise SolveTimeout("mixed dimension solve timed out")
         if res.status == OPTIMAL:
@@ -228,10 +283,10 @@ def all_min_mixed_bases(G: Graph) -> list[tuple[int, ...]]:
         raise GraphError(
             f"exhaustive basis enumeration is limited to n <= {MAX_ENUMERATE_BASES_N}, got n={G.n}"
         )
-    oracle = distances(G)
-    size, _ = mixed_metric_dimension(G, oracle=oracle)
+    a = GraphAnalysis(G)
+    size, _ = mixed_metric_dimension(G, analysis=a)
     return [
         comb
         for comb in itertools.combinations(range(G.n), size)
-        if is_resolving(oracle, comb, MIXED_PAIRS)
+        if is_resolving(a.oracle, comb, MIXED_PAIRS)
     ]

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .cover import _bits_of, _mask_of, _reduce_family
+from .cover import _bits_of, _mask_of, _reduce_family, _sets_of
 
 ABS_TOL = 1e-7
 CEIL_TOL = 1e-6
@@ -32,37 +33,46 @@ class LPError(RuntimeError):
 
 @dataclass(frozen=True)
 class CoveringLP:
-    """Normalized covering program: rows deduplicated, dominated rows (supersets)
-    removed; every row nonempty."""
+    """Normalized covering program over bitmask rows (bit v for variable v):
+    rows deduplicated, dominated rows (supersets) removed, every row
+    nonempty.  original_masks are the rows handed in, against which the
+    solution is re-verified; rows and original_rows are the same families
+    as frozensets."""
 
     num_vars: int
-    rows: tuple[frozenset[int], ...]
-    original_rows: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
+    original_masks: tuple[int, ...]
 
     @classmethod
     def build(cls, num_vars: int, rows: Iterable[Iterable[int]]) -> "CoveringLP":
-        original = tuple(frozenset(r) for r in rows)
-        for r in original:
+        original = []
+        for r in rows:
+            r = frozenset(r)
             if not r:
                 raise LPError("covering program has an empty row (infeasible)")
             for v in r:
                 if not 0 <= v < num_vars:
                     raise LPError(f"row element {v} outside variable range 0..{num_vars - 1}")
-        reduced = _reduce_family(_mask_of(r) for r in original)
-        return cls(num_vars, tuple(frozenset(_bits_of(m)) for m in reduced), original)
+            original.append(_mask_of(r))
+        return cls(num_vars, tuple(_reduce_family(original)), tuple(original))
+
+    @cached_property
+    def rows(self) -> tuple[frozenset[int], ...]:
+        return _sets_of(self.masks)
+
+    @cached_property
+    def original_rows(self) -> tuple[frozenset[int], ...]:
+        return _sets_of(self.original_masks)
 
 
 def solve_covering_lp_primal(lp: CoveringLP) -> tuple[float, np.ndarray]:
     """Optimal objective and an optimal fractional selection vector y."""
     m = lp.num_vars
-    R = len(lp.rows)
+    R = len(lp.masks)
     if R == 0:
         return 0.0, np.zeros(m)
     # packing dual: maximize 1.x  s.t.  incidence^T x + s = 1
-    D = np.zeros((m, R))
-    for j, row in enumerate(lp.rows):
-        for v in row:
-            D[v, j] = 1.0
+    D = _incidence(lp.masks, m).T
     ncols = R + m
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :R] = D
@@ -113,10 +123,19 @@ def solve_covering_lp_primal(lp: CoveringLP) -> tuple[float, np.ndarray]:
     total = float(y.sum())
     if abs(total - value) > 1e-6 * max(1.0, abs(value)):
         raise LPError(f"primal recovery mismatch: sum(y)={total} vs optimum {value}")
-    for row in lp.original_rows:
-        if sum(y[v] for v in row) < 1.0 - ABS_TOL:
-            raise LPError(f"recovered selection violates row {sorted(row)}")
+    cover = _incidence(lp.original_masks, m) @ y
+    bad = np.nonzero(cover < 1.0 - ABS_TOL)[0]
+    if bad.size:
+        raise LPError(f"recovered selection violates row {list(_bits_of(lp.original_masks[bad[0]]))}")
     return value, y
+
+
+def _incidence(masks, num_vars: int) -> np.ndarray:
+    """0/1 float matrix with one row per mask and one column per variable."""
+    out = np.zeros((len(masks), num_vars))
+    for j, mask in enumerate(masks):
+        out[j, list(_bits_of(mask))] = 1.0
+    return out
 
 
 def solve_covering_lp(lp: CoveringLP) -> float:

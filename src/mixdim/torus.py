@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import lb_n1
-from .dims import mixed_metric_dimension
+from .dims import GraphAnalysis, mixed_metric_dimension
 from .families import generate_named
 from .graphs import (
     DistanceOracle,
@@ -128,7 +128,7 @@ def torus_theorem_check(m: int, n: int, exact: bool = False, timeout: float | No
     degree_bound = lb_n1(G, oracle)  # 4-regular, so 1 + ceil(log2(5)) = 4
     exact_val = None
     if exact:
-        exact_val, _ = mixed_metric_dimension(G, timeout=timeout, oracle=oracle)
+        exact_val, _ = mixed_metric_dimension(G, timeout=timeout, analysis=GraphAnalysis(G, oracle))
     return TorusReport(
         m=m,
         n=n,

@@ -8,6 +8,7 @@ from mixdim.cover import (
     OPTIMAL,
     TIMEOUT,
     CoverInstance,
+    _reduce_family,
     available_backends,
     greedy_hitting_set,
     min_hitting_set,
@@ -165,3 +166,46 @@ def test_python_backend_handles_wide_universe():
     res = min_hitting_set(inst)
     assert res.status == OPTIMAL
     assert (res.size, res.witness) == (10, (0, 1, 2, 3, 4, 5, 7, 8, 9, 70))
+
+
+def _reference_reduction(masks):
+    uniq = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
+    return [m for m in uniq if not any(o != m and o & m == o for o in uniq)]
+
+
+def _random_family(rng, universe, size):
+    """Nonzero masks with duplicates and nested chains mixed in."""
+    fam = []
+    while len(fam) < size:
+        kind = rng.random()
+        if kind < 0.2 and fam:
+            fam.append(rng.choice(fam))  # duplicate
+        elif kind < 0.4:
+            chain = rng.getrandbits(universe) | 1 << rng.randrange(universe)
+            while chain and len(fam) < size:
+                fam.append(chain)  # nested chain: each link a proper subset
+                chain &= chain - 1
+        else:
+            bits = rng.sample(range(universe), rng.randint(1, min(universe, 8)))
+            fam.append(sum(1 << b for b in bits))
+    rng.shuffle(fam)
+    return fam
+
+
+@pytest.mark.parametrize("universe", [5, 20, 63, 64, 65, 100])
+@pytest.mark.parametrize("size", [1, 10, 63, 64, 300])
+def test_reduce_family_matches_reference(universe, size):
+    rng = random.Random(universe * 1000 + size)
+    for _ in range(5):
+        fam = _random_family(rng, universe, size)
+        assert _reduce_family(fam) == _reference_reduction(fam)
+        assert _reduce_family(iter(fam)) == _reference_reduction(fam)
+
+
+def test_reduce_family_top_bit():
+    # bit 63 is the sign bit of int64: it must survive the 64-bit sweep
+    top = 1 << 63
+    fam = [top | 1 << i for i in range(63)] + [top]
+    assert _reduce_family(fam) == [top]
+    fam = [(top | 1 << i) for i in range(63)] + [1 << i for i in range(1, 63)]
+    assert _reduce_family(fam) == _reference_reduction(fam)

@@ -7,7 +7,9 @@ from mixdim.dims import (
     EDGE_PAIRS,
     MIXED_PAIRS,
     VERTEX_PAIRS,
+    GraphAnalysis,
     all_min_mixed_bases,
+    distinguisher_masks,
     edge_metric_dimension,
     excluded_vertices,
     forced_vertices,
@@ -149,3 +151,19 @@ def test_disconnected_rejected():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(GraphError):
         mixed_metric_dimension(g)
+
+
+def test_analysis_sub_families_match_pair_instances():
+    rng = random.Random(23)
+    graphs = [fig1(), generate_named("gen_petersen", 5, 2), generate_named("path", 2)]
+    for n in [rng.randint(2, 12) for _ in range(20)]:
+        graphs.append(build_graph(n, random_connected_graph(rng, n)))
+    for g in graphs:
+        oracle = distances(g)
+        a = GraphAnalysis(g, oracle)
+        for universe in (VERTEX_PAIRS, EDGE_PAIRS, MIXED_PAIRS):
+            assert a.pair_masks(universe) == distinguisher_masks(oracle, universe)
+            want = pair_cover_instance(oracle, universe)
+            got = a.instance(universe)
+            assert got == want
+            assert got.original_sets == want.original_sets
