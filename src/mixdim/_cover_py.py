@@ -83,7 +83,7 @@ class _Search:
             if not picks:
                 break
             chosen |= picks
-            count += bin(picks).count("1")
+            count += picks.bit_count()
             masks = [m for m in masks if not m & chosen]
             if count >= self.best_size:
                 return False
@@ -113,7 +113,7 @@ class _Search:
         pick_pc = 1 << 62
         for m in masks:
             avail = m & ~banned
-            pc = bin(avail).count("1")
+            pc = avail.bit_count()
             if pc < pick_pc or (pc == pick_pc and avail < pick):
                 pick = avail
                 pick_pc = pc

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import OPTIMAL, TIMEOUT, CoverInstance, _mask_of, _sets_of, deadline_after, min_hitting_set
+from .cover import OPTIMAL, CoverInstance, _mask_of, _sets_of, deadline_after, min_hitting_set
 from .dims import (
     EDGE_PAIRS,
     MIXED_PAIRS,
     VERTEX_PAIRS,
     GraphAnalysis,
-    SolveTimeout,
+    _ceil_log2,
     forced_structure_lower_bound,
     mixed_metric_dimension,
     pair_cover_instance,
@@ -27,10 +27,6 @@ from .dims import (
 )
 from .graphs import DistanceOracle, Graph, GraphError, distances
 from .lp import CoveringLP, ceil_with_tolerance, solve_covering_lp
-
-
-def _ceil_log2(x: int) -> int:
-    return (x - 1).bit_length()
 
 
 def _oracle(G: Graph, oracle: DistanceOracle | None) -> DistanceOracle:
@@ -104,18 +100,13 @@ def _side_masks(oracle: DistanceOracle) -> tuple[list[int], list[int]]:
 def lb_n2(
     G: Graph,
     oracle: DistanceOracle | None = None,
-    timeout: float | None = None,
     deadline: float | None = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum hitting set over the 2m edge side sets, with witness.
-
-    deadline, an absolute time.monotonic() value, replaces timeout when a
-    caller shares one budget across several solves."""
+    """Exact minimum hitting set over the 2m edge side sets, with witness;
+    raises SolveTimeout past the absolute time.monotonic() deadline."""
     closer_u, closer_v = _side_masks(_oracle(G, oracle))
     inst = CoverInstance.build(G.n, masks=closer_u + closer_v)
-    res = min_hitting_set(inst, timeout=timeout, deadline=deadline)
-    if res.status == TIMEOUT:
-        raise SolveTimeout("side-set hitting set timed out")
+    res = min_hitting_set(inst, deadline=deadline)
     assert res.status == OPTIMAL
     return res.size, res.witness
 
@@ -187,8 +178,8 @@ def bounds_report(
     beta = beta_e = beta_m = None
     beta_m_witness = None
     if compute_exact:
-        beta, _ = pair_dimension(a.instance(VERTEX_PAIRS), VERTEX_PAIRS, deadline)
-        beta_e, _ = pair_dimension(a.instance(EDGE_PAIRS), EDGE_PAIRS, deadline)
+        beta, _ = pair_dimension(a.instance(VERTEX_PAIRS), deadline)
+        beta_e, _ = pair_dimension(a.instance(EDGE_PAIRS), deadline)
         beta_m, beta_m_witness = mixed_metric_dimension(
             G, analysis=a, deadline=deadline, lower_bound=max(n1, l3, l4, n2_val)
         )

@@ -3,13 +3,13 @@
 A CoverInstance is a family of subsets of a small integer universe, kept
 as bitmasks, plus optional forced and excluded elements.  min_hitting_set returns the exact
 optimum together with the lexicographically smallest minimum witness, a
-"greater than cutoff" verdict, an infeasibility verdict naming a set that
-cannot be hit, or a timeout.
+"greater than cutoff" verdict or an infeasibility verdict naming a set
+that cannot be hit, and raises SolveTimeout once its deadline has passed.
 
 Two interchangeable kernels do the search: a compiled extension
 (mixdim._cover_cy, universes up to 64 elements) and a pure-Python twin.
-The compiled one is picked automatically when available; results are
-identical by construction.  perfbench/README.md describes the end-to-end
+The compiled one runs whenever it is built and the universe fits; results
+are identical by construction.  perfbench/README.md describes the end-to-end
 benchmark that times this module as one layer of the exact solves.
 """
 from __future__ import annotations
@@ -31,27 +31,22 @@ except ImportError:  # pragma: no cover - build without the extension
 OPTIMAL = "optimal"
 CUTOFF_EXCEEDED = "cutoff_exceeded"
 INFEASIBLE = "infeasible"
-TIMEOUT = "timeout"
 
 _COMPILED_MAX_UNIVERSE = 64
+
+
+class SolveTimeout(RuntimeError):
+    """An exact solve ran past its deadline."""
 
 
 def available_backends() -> tuple[str, ...]:
     return ("compiled", "python") if _cover_cy is not None else ("python",)
 
 
-def _kernel(universe: int, backend: str | None):
-    if backend in (None, "auto"):
-        backend = "compiled" if (_cover_cy is not None and universe <= _COMPILED_MAX_UNIVERSE) else "python"
-    if backend == "compiled":
-        if _cover_cy is None:
-            raise RuntimeError("compiled cover kernel is not available")
-        if universe > _COMPILED_MAX_UNIVERSE:
-            raise ValueError(f"compiled cover kernel supports universes up to {_COMPILED_MAX_UNIVERSE}")
+def _kernel(universe: int):
+    if _cover_cy is not None and universe <= _COMPILED_MAX_UNIVERSE:
         return _cover_cy.solve
-    if backend == "python":
-        return _cover_py.solve
-    raise ValueError(f"unknown backend {backend!r}")
+    return _cover_py.solve
 
 
 def _mask_of(elements: Iterable[int]) -> int:
@@ -197,8 +192,9 @@ def deadline_after(timeout: float | None) -> float | None:
     return None if timeout is None else time.monotonic() + timeout
 
 
-def deadline_passed(deadline: float | None) -> bool:
-    return deadline is not None and time.monotonic() > deadline
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolveTimeout("exact solve ran past its deadline")
 
 
 def _prepare(inst: CoverInstance) -> tuple[list[int], int, int] | CoverResult:
@@ -236,8 +232,6 @@ def min_hitting_set(
     inst: CoverInstance,
     cutoff: int | None = None,
     lower_bound: int = 0,
-    timeout: float | None = None,
-    backend: str | None = None,
     deadline: float | None = None,
 ) -> CoverResult:
     """Exact minimum hitting set honoring forced and excluded elements.
@@ -246,19 +240,15 @@ def min_hitting_set(
     solutions.  lower_bound, when given, must be a valid bound for the
     instance; the search then stops as soon as a matching solution is
     found.  With a cutoff c, an optimum above c yields CUTOFF_EXCEEDED.
-    The search and the witness share one deadline: timeout seconds from
-    now, or the absolute time.monotonic() value deadline that a caller
-    shares across several solves.
+    The search and the witness share deadline, an absolute
+    time.monotonic() value; past it SolveTimeout is raised.
     """
-    if deadline is None:
-        deadline = deadline_after(timeout)
     prep = _prepare(inst)
     if isinstance(prep, CoverResult):
         return prep
-    if deadline_passed(deadline):
-        return CoverResult(TIMEOUT)
+    _check_deadline(deadline)
     masks, fmask, xmask = prep
-    kernel = _kernel(inst.universe_size, backend)
+    kernel = _kernel(inst.universe_size)
     base = len(inst.forced)
     if cutoff is not None and base > cutoff:
         return CoverResult(CUTOFF_EXCEEDED)
@@ -269,14 +259,12 @@ def min_hitting_set(
     res_stop = max(lower_bound - base, 0)
     status, size, _mask = kernel(inst.universe_size, masks, res_cutoff, res_stop, deadline)
     if status == _cover_py.STATUS_TIMEOUT:
-        return CoverResult(TIMEOUT)
+        raise SolveTimeout("exact solve ran past its deadline")
     if status == _cover_py.STATUS_CUTOFF:
         return CoverResult(CUTOFF_EXCEEDED)
     total = base + size
 
     witness = _lex_min_witness(inst, masks, fmask, xmask, total, kernel, deadline)
-    if witness is None:
-        return CoverResult(TIMEOUT)
     _validate_witness(inst, witness)
     return CoverResult(OPTIMAL, total, witness)
 
@@ -289,7 +277,7 @@ def _lex_min_witness(
     total: int,
     kernel,
     deadline: float | None,
-) -> tuple[int, ...] | None:
+) -> tuple[int, ...]:
     """Build the lexicographically smallest solution of the known optimal size.
 
     Fixes members left to right: a candidate v extends the prefix iff a
@@ -313,14 +301,13 @@ def _lex_min_witness(
             bit = 1 << v
             if banned & bit:
                 continue
-            if deadline_passed(deadline):
-                return None
+            _check_deadline(deadline)
             trial_banned = banned | (((bit - 1) & ~chosen) & ~banned)
             residual = [m & ~trial_banned for m in masks if not m & (chosen | bit)]
             if any(m == 0 for m in residual):
                 banned |= bit
                 continue
-            budget = total - count - 1 - bin(forced_left & ~bit).count("1")
+            budget = total - count - 1 - (forced_left & ~bit).bit_count()
             if budget < 0:
                 banned |= bit
                 continue
@@ -330,7 +317,7 @@ def _lex_min_witness(
             fam = _reduce_family(fam)
             status, size, _m = kernel(u, fam, total - count - 1, total - count - 1, deadline)
             if status == _cover_py.STATUS_TIMEOUT:
-                return None
+                raise SolveTimeout("exact solve ran past its deadline")
             if status == _cover_py.STATUS_OPTIMAL and size <= total - count - 1:
                 found = v
                 break

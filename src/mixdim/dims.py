@@ -22,22 +22,18 @@ from .cover import (
     CUTOFF_EXCEEDED,
     INFEASIBLE,
     OPTIMAL,
-    TIMEOUT,
     CoverInstance,
+    SolveTimeout,  # noqa: F401 - re-exported: raised by every exact solve
     deadline_after,
     min_hitting_set,
 )
-from .graphs import DistanceOracle, Graph, GraphError, distances
+from .graphs import DistanceOracle, Graph, GraphError, MixedItem, distances, flat_to_item
 
 VERTEX_PAIRS = "vertex"
 EDGE_PAIRS = "edge"
 MIXED_PAIRS = "mixed"
 
 MAX_ENUMERATE_BASES_N = 10
-
-
-class SolveTimeout(RuntimeError):
-    """An exact dimension computation exceeded its time budget."""
 
 
 def _item_columns(oracle: DistanceOracle, universe: str) -> list[int]:
@@ -74,17 +70,11 @@ def distinguisher_masks(oracle: DistanceOracle, universe: str) -> list[int]:
     return masks
 
 
-def pair_cover_instance(
-    oracle: DistanceOracle,
-    universe: str = MIXED_PAIRS,
-    forced=(),
-    excluded=(),
-) -> CoverInstance:
+def pair_cover_instance(oracle: DistanceOracle, universe: str = MIXED_PAIRS) -> CoverInstance:
     """Hitting-set instance whose solutions are exactly the resolving sets
     of the chosen item universe.  Pairs no vertex distinguishes become empty
     sets and surface as an infeasibility verdict when solving."""
-    masks = distinguisher_masks(oracle, universe)
-    return CoverInstance.build(oracle.graph.n, masks=masks, forced=forced, excluded=excluded)
+    return CoverInstance.build(oracle.graph.n, masks=distinguisher_masks(oracle, universe))
 
 
 @dataclass(frozen=True)
@@ -191,15 +181,13 @@ class GraphAnalysis:
         return forced_structure_lower_bound(self.graph, self.forced)
 
 
-def pair_dimension(inst: CoverInstance, universe: str, deadline: float | None) -> tuple[int, tuple[int, ...]]:
-    """Optimum and lex-min witness of a pair-cover instance of the universe;
-    raises SolveTimeout past the absolute time.monotonic() deadline."""
+def pair_dimension(inst: CoverInstance, deadline: float | None) -> tuple[int, tuple[int, ...]]:
+    """Optimum and lex-min witness of a pair-cover instance; raises
+    SolveTimeout past the absolute time.monotonic() deadline."""
     if inst.num_sets == 0:
         # a single item resolves itself; by convention a generator is nonempty
         return 1, (0,)
     res = min_hitting_set(inst, deadline=deadline)
-    if res.status == TIMEOUT:
-        raise SolveTimeout(f"{universe} dimension solve timed out")
     assert res.status == OPTIMAL
     return res.size, res.witness
 
@@ -209,7 +197,7 @@ def metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple
     if G.n < 2:
         raise GraphError("metric dimension needs at least 2 vertices")
     deadline = deadline_after(timeout)
-    return pair_dimension(pair_cover_instance(distances(G), VERTEX_PAIRS), VERTEX_PAIRS, deadline)
+    return pair_dimension(pair_cover_instance(distances(G), VERTEX_PAIRS), deadline)
 
 
 def edge_metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple[int, ...]]:
@@ -217,7 +205,7 @@ def edge_metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, 
     if G.n < 2:
         raise GraphError("edge metric dimension needs at least 2 vertices")
     deadline = deadline_after(timeout)
-    return pair_dimension(pair_cover_instance(distances(G), EDGE_PAIRS), EDGE_PAIRS, deadline)
+    return pair_dimension(pair_cover_instance(distances(G), EDGE_PAIRS), deadline)
 
 
 def mixed_metric_dimension(
@@ -255,8 +243,6 @@ def mixed_metric_dimension(
             continue
         inst = replace(a.mixed, forced=fs.forced, excluded=excl)
         res = min_hitting_set(inst, cutoff=k, lower_bound=k, deadline=deadline)
-        if res.status == TIMEOUT:
-            raise SolveTimeout("mixed dimension solve timed out")
         if res.status == OPTIMAL:
             return res.size, res.witness
         # CUTOFF_EXCEEDED, or INFEASIBLE when the level-k exclusion swallowed
@@ -266,14 +252,24 @@ def mixed_metric_dimension(
     raise RuntimeError("internal error: no resolving set found up to n")
 
 
-def is_resolving(oracle: DistanceOracle, landmarks, universe: str = MIXED_PAIRS) -> bool:
-    """Direct check: are all item vectors over the landmarks distinct?"""
+def verify_mixed_resolving(
+    G: Graph,
+    landmarks,
+    oracle: DistanceOracle | None = None,
+) -> tuple[MixedItem, MixedItem] | None:
+    """None when every vertex and edge has a distinct distance vector over
+    the landmarks; otherwise the first colliding item pair in canonical
+    item order.  An empty landmark set is a GraphError."""
     S = list(landmarks)
     if not S:
-        return False
-    cols = _item_columns(oracle, universe)
-    vecs = {tuple(int(oracle.dmix[w, c]) for w in S) for c in cols}
-    return len(vecs) == len(cols)
+        raise GraphError("landmark set must be nonempty")
+    oracle = oracle if oracle is not None else distances(G)
+    seen: dict[tuple[int, ...], int] = {}
+    for col, vec in enumerate(map(tuple, oracle.dmix[S].T.tolist())):
+        if vec in seen:
+            return flat_to_item(G, seen[vec]), flat_to_item(G, col)
+        seen[vec] = col
+    return None
 
 
 def all_min_mixed_bases(G: Graph) -> list[tuple[int, ...]]:
@@ -288,5 +284,5 @@ def all_min_mixed_bases(G: Graph) -> list[tuple[int, ...]]:
     return [
         comb
         for comb in itertools.combinations(range(G.n), size)
-        if is_resolving(a.oracle, comb, MIXED_PAIRS)
+        if verify_mixed_resolving(G, comb, a.oracle) is None
     ]

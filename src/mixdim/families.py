@@ -160,7 +160,7 @@ def _clebsch() -> Graph:
     edges = []
     for v in range(16):
         for u in range(v + 1, 16):
-            if bin(u ^ v).count("1") in (1, 4):
+            if (u ^ v).bit_count() in (1, 4):
                 edges.append((v, u))
     return build_graph(16, edges)
 
@@ -375,11 +375,15 @@ def canonical_code_of_matrix(A: np.ndarray) -> int:
     return int((bits @ _pair_weights(n)).min())
 
 
-def canonical_code(G: Graph) -> int:
+def _adjacency(G: Graph) -> np.ndarray:
     A = np.zeros((G.n, G.n), dtype=bool)
     for u, v in G.edges:
         A[u, v] = A[v, u] = True
-    return canonical_code_of_matrix(A)
+    return A
+
+
+def canonical_code(G: Graph) -> int:
+    return canonical_code_of_matrix(_adjacency(G))
 
 
 def graph_from_code(n: int, code: int) -> Graph:
@@ -393,18 +397,6 @@ def graph_from_code(n: int, code: int) -> Graph:
                 edges.append((i, j))
             pos -= 1
     return build_graph(n, edges)
-
-
-def _matrix_from_code(n: int, code: int) -> np.ndarray:
-    A = np.zeros((n, n), dtype=bool)
-    t = n * (n - 1) // 2
-    pos = t - 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (code >> pos) & 1:
-                A[i, j] = A[j, i] = True
-            pos -= 1
-    return A
 
 
 def connected_graphs_of_order(k: int) -> list[Graph]:
@@ -422,7 +414,7 @@ def connected_graphs_of_order(k: int) -> list[Graph]:
         nxt: set[int] = set()
         for code in codes:
             A = np.zeros((order, order), dtype=bool)
-            A[: order - 1, : order - 1] = _matrix_from_code(order - 1, code)
+            A[: order - 1, : order - 1] = _adjacency(graph_from_code(order - 1, code))
             for mask in range(1 << (order - 1)):
                 nbrs = [i for i in range(order - 1) if (mask >> i) & 1]
                 A[order - 1, :] = False
@@ -431,7 +423,8 @@ def connected_graphs_of_order(k: int) -> list[Graph]:
                     A[order - 1, i] = A[i, order - 1] = True
                 nxt.add(canonical_code_of_matrix(A))
         codes = nxt
-    graphs = [graph_from_code(k, c) for c in sorted(codes)]
-    connected = [(g.m, canonical_code(g), g) for g in graphs if is_connected(g)]
-    connected.sort(key=lambda t: (t[0], t[1]))
-    return [g for _, _, g in connected]
+    # each code is the minimum of its class, so it is the canonical code of
+    # the graph it decodes to
+    graphs = [(g.m, c, g) for c in codes if is_connected(g := graph_from_code(k, c))]
+    graphs.sort(key=lambda t: t[:2])
+    return [g for _, _, g in graphs]

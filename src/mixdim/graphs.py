@@ -14,6 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# distance-table entry of a vertex that BFS has not reached
+_UNREACHED = np.iinfo(np.uint16).max
+
 
 class GraphError(ValueError):
     """Invalid graph input: bad index, self-loop, malformed encoding or parameters."""
@@ -145,17 +148,6 @@ def flat_to_item(G: Graph, idx: int) -> MixedItem:
     raise GraphError(f"flat item index {idx} out of range")
 
 
-def all_items(G: Graph) -> list[MixedItem]:
-    return [MixedItem.vertex(v) for v in range(G.n)] + [MixedItem.edge(i) for i in range(G.m)]
-
-
-def item_label(G: Graph, item: MixedItem) -> str:
-    if item.kind is ItemKind.VERTEX:
-        return f"v{item.index}"
-    u, v = G.edges[item.index]
-    return f"e({u},{v})"
-
-
 class DistanceOracle:
     """All-pairs hop distances plus derived vertex-to-item distances.
 
@@ -175,15 +167,11 @@ class DistanceOracle:
         self.min_degree = min(self.degrees)
         self.max_degree = max(self.degrees)
 
-    @property
-    def num_items(self) -> int:
-        return self.graph.n + self.graph.m
-
 
 def distances(G: Graph) -> DistanceOracle:
     """BFS from every vertex; raises DisconnectedGraphError naming an unreachable pair."""
     n = G.n
-    dv = np.full((n, n), np.iinfo(np.uint16).max, dtype=np.uint16)
+    dv = np.full((n, n), _UNREACHED, dtype=np.uint16)
     for src in range(n):
         dv[src, src] = 0
         queue = deque([src])
@@ -191,10 +179,10 @@ def distances(G: Graph) -> DistanceOracle:
             u = queue.popleft()
             du = dv[src, u]
             for w in G.adj[u]:
-                if dv[src, w] == np.iinfo(np.uint16).max:
+                if dv[src, w] == _UNREACHED:
                     dv[src, w] = du + 1
                     queue.append(w)
-        unreached = np.nonzero(dv[src] == np.iinfo(np.uint16).max)[0]
+        unreached = np.nonzero(dv[src] == _UNREACHED)[0]
         if unreached.size:
             raise DisconnectedGraphError(src, int(unreached[0]))
     dmix = np.empty((n, n + G.m), dtype=np.uint16)

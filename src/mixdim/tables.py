@@ -44,6 +44,9 @@ ORDER5_EXPECTED: tuple[tuple[int, ...], ...] = (
     (21, 10, 4, 4, 2, 3, 5, 5, 4, 5, 3, 5),
 )
 
+# largest order whose exact dimensions table-selected computes by default
+EXACT_MAX_N = 27
+
 VALUE_COLUMNS = ("E", "beta", "betaE", "L1", "L2", "L3", "L4", "N1", "N2", "N3", "betaM")
 
 
@@ -173,14 +176,13 @@ def compare_order5(rows: list[TableRow]) -> tuple[int, list[TableRow]]:
 
 
 def selected_rows(
-    exact_max_n: int = 27,
     timeout: float | None = 1800.0,
     skip_large: bool = False,
     exact_all: bool = False,
 ) -> list[TableRow]:
     """Recompute the selected-graphs comparison (Tables 8 and 9).
 
-    Exact dimensions run for graphs with n <= exact_max_n (everything when
+    Exact dimensions run for graphs with n <= EXACT_MAX_N (everything when
     exact_all is set); skip_large drops the n = 36 rows from exact solving
     no matter what.  Rows that exceed the per-graph timeout carry status
     "timeout"; the unavailable published row has no graph to compute.  A
@@ -209,7 +211,7 @@ def selected_rows(
             )
             continue
         G = generate(sel.family)
-        want_exact = exact_all or G.n <= exact_max_n
+        want_exact = exact_all or G.n <= EXACT_MAX_N
         if skip_large and G.n >= 36:
             want_exact = False
         if (G, want_exact) in done:

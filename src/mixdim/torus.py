@@ -12,17 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import lb_n1
-from .dims import GraphAnalysis, mixed_metric_dimension
+from .dims import GraphAnalysis, mixed_metric_dimension, verify_mixed_resolving
 from .families import generate_named
-from .graphs import (
-    DistanceOracle,
-    Graph,
-    GraphError,
-    MixedItem,
-    all_items,
-    distances,
-    item_to_flat,
-)
+from .graphs import GraphError, MixedItem, distances
 
 CASE_ODD_ODD = "odd-odd"
 CASE_ODD_EVEN = "odd-even"
@@ -69,28 +61,6 @@ def torus_candidate(m: int, n: int) -> TorusCase:
     if len(set(coords)) != 4:
         raise RuntimeError(f"internal error: degenerate witness pattern for ({m},{n})")
     return TorusCase(m, n, case, k, l, coords)
-
-
-def verify_mixed_resolving(
-    G: Graph,
-    landmarks,
-    oracle: DistanceOracle | None = None,
-) -> tuple[MixedItem, MixedItem] | None:
-    """None when every vertex and edge has a distinct distance vector over
-    the landmarks; otherwise the first colliding item pair in canonical
-    item order."""
-    S = list(landmarks)
-    if not S:
-        raise GraphError("landmark set must be nonempty")
-    oracle = oracle if oracle is not None else distances(G)
-    seen: dict[tuple[int, ...], MixedItem] = {}
-    for item in all_items(G):
-        col = item_to_flat(G, item)
-        vec = tuple(int(oracle.dmix[w, col]) for w in S)
-        if vec in seen:
-            return (seen[vec], item)
-        seen[vec] = item
-    return None
 
 
 @dataclass(frozen=True)

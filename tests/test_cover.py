@@ -1,13 +1,16 @@
 import random
+import time
 
 import pytest
 
+import mixdim._cover_py as _cover_py
+import mixdim.cover as cover
 from mixdim.cover import (
     CUTOFF_EXCEEDED,
     INFEASIBLE,
     OPTIMAL,
-    TIMEOUT,
     CoverInstance,
+    SolveTimeout,
     _reduce_family,
     available_backends,
     greedy_hitting_set,
@@ -16,7 +19,15 @@ from mixdim.cover import (
 
 from bruteforce import min_hitting_set as brute_hitting_set
 
-BACKENDS = available_backends()
+
+@pytest.fixture(params=available_backends())
+def backend(request, monkeypatch):
+    """Each kernel that is built: hiding the compiled one leaves cover
+    with the Python kernel."""
+    if request.param == "python":
+        monkeypatch.setattr(cover, "_cover_cy", None)
+    return request.param
+
 
 # side sets of the 5-vertex/7-edge reference graph, deduplicated by hand
 FIG1_SIDE_SETS = [
@@ -85,7 +96,6 @@ def test_cutoff_verdict():
     assert (res.size, res.witness) == (4, (0, 1, 2, 3))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_exactness_vs_enumeration(backend):
     rng = random.Random(987654)
     for _ in range(150):
@@ -97,7 +107,7 @@ def test_exactness_vs_enumeration(backend):
             frozenset(rng.sample(pool, min(len(pool), 2))) if rng.random() < 0.25 else frozenset()
         )
         inst = CoverInstance.build(u, sets, forced=forced, excluded=excluded)
-        res = min_hitting_set(inst, backend=backend)
+        res = min_hitting_set(inst)
         if any(not (s - excluded) for s in sets):
             assert res.status == INFEASIBLE
             continue
@@ -136,27 +146,65 @@ def test_witness_validated_against_original_family():
         assert set(s) & set(res.witness)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_timeout(backend):
-    # 20 disjoint pairs force a 2^20-leaf search; a zero budget must trip
     sets = [{2 * i, 2 * i + 1} for i in range(20)]
     inst = CoverInstance.build(40, sets)
-    res = min_hitting_set(inst, timeout=0.0, backend=backend)
-    assert res.status == TIMEOUT
+    with pytest.raises(SolveTimeout):
+        min_hitting_set(inst, deadline=time.monotonic() - 1.0)
 
 
-def test_backends_agree():
-    if len(BACKENDS) < 2:
+def test_python_search_raises_past_deadline(monkeypatch):
+    # the clock passes the deadline right after min_hitting_set's own check,
+    # and the kernel reads it at every node, so the search itself raises
+    monkeypatch.setattr(cover, "_cover_cy", None)
+    monkeypatch.setattr(_cover_py, "_TIME_CHECK_MASK", 0)
+    reads = [0]
+    real = time.monotonic
+
+    def clock():
+        reads[0] += 1
+        return real() + (0.0 if reads[0] == 1 else 120.0)
+
+    deadline = real() + 60.0
+    monkeypatch.setattr(time, "monotonic", clock)
+    with pytest.raises(SolveTimeout):
+        min_hitting_set(CoverInstance.build(5, FIG1_SIDE_SETS), deadline=deadline)
+    assert reads[0] == 2
+
+
+def test_witness_raises_past_deadline(backend, monkeypatch):
+    # the clock jumps past the deadline once the search has returned, so
+    # the search succeeds and the lex-min witness search must raise
+    offset = [0.0]
+    real = time.monotonic
+    monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
+    witness = cover._lex_min_witness
+    entered = []
+
+    def late_witness(*args, **kwargs):
+        entered.append(True)
+        offset[0] += 120.0
+        return witness(*args, **kwargs)
+
+    monkeypatch.setattr(cover, "_lex_min_witness", late_witness)
+    inst = CoverInstance.build(5, FIG1_SIDE_SETS)
+    with pytest.raises(SolveTimeout):
+        min_hitting_set(inst, deadline=time.monotonic() + 60.0)
+    assert entered
+
+
+def test_backends_agree(monkeypatch):
+    if cover._cover_cy is None:
         pytest.skip("compiled backend not built")
     rng = random.Random(11)
+    cases = []
     for _ in range(120):
         u = rng.randint(1, 14)
         sets = [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 18))]
-        inst = CoverInstance.build(u, sets)
-        cutoff = rng.choice([None, rng.randint(1, u)])
-        assert min_hitting_set(inst, cutoff=cutoff, backend="python") == min_hitting_set(
-            inst, cutoff=cutoff, backend="compiled"
-        )
+        cases.append((CoverInstance.build(u, sets), rng.choice([None, rng.randint(1, u)])))
+    compiled = [min_hitting_set(inst, cutoff=cutoff) for inst, cutoff in cases]
+    monkeypatch.setattr(cover, "_cover_cy", None)
+    assert [min_hitting_set(inst, cutoff=cutoff) for inst, cutoff in cases] == compiled
 
 
 def test_python_backend_handles_wide_universe():

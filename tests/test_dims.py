@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,15 +14,15 @@ from mixdim.dims import (
     edge_metric_dimension,
     excluded_vertices,
     forced_vertices,
-    is_resolving,
     metric_dimension,
     mixed_metric_dimension,
     pair_cover_instance,
+    verify_mixed_resolving,
 )
 from mixdim.families import generate_named, parse_graph6
-from mixdim.graphs import GraphError, build_graph, distances
+from mixdim.graphs import GraphError, build_graph, distances, item_to_flat
 
-from bruteforce import min_dimension, random_connected_graph
+from bruteforce import item_vectors, min_dimension, random_connected_graph
 
 FIG1_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
@@ -141,10 +142,30 @@ def test_witness_is_resolving_and_superset_closed():
         g = build_graph(n, random_connected_graph(rng, n))
         oracle = distances(g)
         size, witness = mixed_metric_dimension(g)
-        assert is_resolving(oracle, witness, MIXED_PAIRS)
+        assert verify_mixed_resolving(g, witness, oracle) is None
         extra = [v for v in range(n) if v not in witness]
         if extra:
-            assert is_resolving(oracle, list(witness) + [extra[0]], MIXED_PAIRS)
+            assert verify_mixed_resolving(g, list(witness) + [extra[0]], oracle) is None
+        # the mixed dimension is at least 2, and fewer landmarks cannot resolve
+        assert verify_mixed_resolving(g, witness[1:], oracle) is not None
+    with pytest.raises(GraphError):
+        verify_mixed_resolving(fig1(), [])
+
+
+def test_verify_mixed_resolving_matches_enumeration():
+    # the first item whose vector repeats, paired with that vector's first item
+    rng = random.Random(77)
+    for _ in range(15):
+        n = rng.randint(2, 7)
+        g = build_graph(n, random_connected_graph(rng, n))
+        oracle = distances(g)
+        for k in range(1, n + 1):
+            for comb in itertools.combinations(range(n), k):
+                vecs = item_vectors(n, g.edges, comb)
+                first = next(((vecs.index(v), j) for j, v in enumerate(vecs) if vecs.index(v) < j), None)
+                collision = verify_mixed_resolving(g, comb, oracle)
+                got = None if collision is None else tuple(item_to_flat(g, item) for item in collision)
+                assert got == first
 
 
 def test_disconnected_rejected():

@@ -11,6 +11,7 @@ from mixdim.families import (
     encode_graph6,
     generate,
     generate_named,
+    graph_from_code,
     parse_family_spec,
     parse_graph6,
     strongly_regular_params,
@@ -179,3 +180,11 @@ def test_enumeration_sorted_by_edges_then_code():
     graphs = connected_graphs_of_order(5)
     keys = [(g.m, canonical_code(g)) for g in graphs]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_enumeration_is_decoded_canonical_codes(k):
+    # each graph is the decode of its own canonical code, in (m, code) order
+    graphs = connected_graphs_of_order(k)
+    keys = sorted((g.m, canonical_code(g)) for g in graphs)
+    assert graphs == [graph_from_code(k, c) for _, c in keys]
