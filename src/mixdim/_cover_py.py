@@ -63,8 +63,13 @@ class _Search:
         self.nodes = 0
         self.timed_out = False
 
-    def run(self, masks: list[int], chosen: int, count: int, banned: int) -> bool:
-        """DFS; returns True when the search should unwind (stop or timeout)."""
+    def run(self, masks: list[int], chosen: int, count: int) -> bool:
+        """DFS; returns True when the search should unwind (stop or timeout).
+
+        masks hold only available elements: the caller strips the elements
+        banned on this path (earlier siblings of each branch taken), so a
+        set's mask is what the compiled twin computes as m & ~banned.
+        """
         self.nodes += 1
         if self.deadline is not None and not self.nodes & _TIME_CHECK_MASK:
             if time.monotonic() > self.deadline:
@@ -75,16 +80,16 @@ class _Search:
         while True:
             picks = 0
             for m in masks:
-                avail = m & ~banned
-                if avail == 0:
+                if m == 0:
                     return False  # this branch cannot hit m
-                if avail & (avail - 1) == 0:
-                    picks |= avail
+                if m & (m - 1) == 0:
+                    picks |= m
             if not picks:
                 break
             chosen |= picks
             count += picks.bit_count()
-            masks = [m for m in masks if not m & chosen]
+            # masks never meet chosen: each branch dropped the sets it hit
+            masks = [m for m in masks if not m & picks]
             if count >= self.best_size:
                 return False
             if not masks:
@@ -101,10 +106,9 @@ class _Search:
         lb = 0
         acc = 0
         for m in masks:
-            avail = m & ~banned
-            if not avail & acc:
+            if not m & acc:
                 lb += 1
-                acc |= avail
+                acc |= m
         if count + lb >= self.best_size:
             return False
 
@@ -112,20 +116,20 @@ class _Search:
         pick = -1
         pick_pc = 1 << 62
         for m in masks:
-            avail = m & ~banned
-            pc = avail.bit_count()
-            if pc < pick_pc or (pc == pick_pc and avail < pick):
-                pick = avail
+            pc = m.bit_count()
+            if pc < pick_pc or (pc == pick_pc and m < pick):
+                pick = m
                 pick_pc = pc
-        local_banned = banned
+        # keep clears the elements of earlier siblings, banned in later branches
+        keep = -1
         x = pick
         while x:
             bit = x & -x
             x ^= bit
-            child = [m for m in masks if not m & bit]
-            if self.run(child, chosen | bit, count + 1, local_banned):
+            child = [m & keep for m in masks if not m & bit]
+            if self.run(child, chosen | bit, count + 1):
                 return True
-            local_banned |= bit
+            keep ^= bit
         return False
 
 
@@ -154,7 +158,7 @@ def solve(
         search.best_mask = g_mask
         if g_size <= stop_size:
             return STATUS_OPTIMAL, g_size, g_mask
-    search.run(masks, 0, 0, 0)
+    search.run(masks, 0, 0)
     if search.timed_out:
         return STATUS_TIMEOUT, 0, 0
     if search.best_mask < 0 or (cutoff is not None and search.best_size > cutoff):

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 
 from .cover import OPTIMAL, CoverInstance, _mask_of, _sets_of, deadline_after, min_hitting_set
 from .dims import (
-    EDGE_PAIRS,
     MIXED_PAIRS,
-    VERTEX_PAIRS,
     GraphAnalysis,
     _ceil_log2,
+    exact_dimensions,
     forced_structure_lower_bound,
-    mixed_metric_dimension,
     pair_cover_instance,
-    pair_dimension,
 )
 from .graphs import DistanceOracle, Graph, GraphError, distances
 from .lp import CoveringLP, ceil_with_tolerance, solve_covering_lp
@@ -167,7 +164,7 @@ def bounds_report(
 
     One GraphAnalysis serves every bound and solve, and timeout is one
     deadline for the whole call.  The mixed deepening starts at the best
-    bound already proven."""
+    bound already proven: N1, L3, L4, N2, beta or betaE."""
     deadline = deadline_after(timeout)
     a = GraphAnalysis(G)
     oracle = a.oracle
@@ -178,13 +175,9 @@ def bounds_report(
     beta = beta_e = beta_m = None
     beta_m_witness = None
     if compute_exact:
-        beta, _ = pair_dimension(a.instance(VERTEX_PAIRS), deadline)
-        beta_e, _ = pair_dimension(a.instance(EDGE_PAIRS), deadline)
-        beta_m, beta_m_witness = mixed_metric_dimension(
+        beta, beta_e, beta_m, beta_m_witness = exact_dimensions(
             G, analysis=a, deadline=deadline, lower_bound=max(n1, l3, l4, n2_val)
         )
-        if beta_m < max(beta, beta_e):
-            raise RuntimeError("internal error: mixed dimension below max(beta, beta_e)")
     return BoundsReport(
         label=label,
         n=G.n,

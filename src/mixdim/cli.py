@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from .bounds import bounds_report
-from .dims import SolveTimeout, edge_metric_dimension, metric_dimension, mixed_metric_dimension
+from .cover import deadline_after
+from .dims import SolveTimeout, exact_dimensions
 from .families import connected_graphs_of_order, encode_graph6, generate, parse_family_spec, parse_graph6
 from .graphs import DisconnectedGraphError, Graph, GraphError
 from .tables import VALUE_COLUMNS, compare_order5, order5_rows, selected_rows
@@ -72,9 +73,7 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 def cmd_dims(args) -> int:
     rows = []
     for label, G in _input_graphs(args):
-        b, _ = metric_dimension(G)
-        be, _ = edge_metric_dimension(G)
-        bm, _ = mixed_metric_dimension(G, timeout=args.timeout)
+        b, be, bm, _ = exact_dimensions(G, deadline=deadline_after(args.timeout))
         rows.append([label, str(G.n), str(G.m), str(b), str(be), str(bm)])
     _emit_table(["graph", "n", "m", "beta", "betaE", "betaM"], rows, args.format)
     return EXIT_OK
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dims", help="exact beta, betaE, betaM for input graphs")
     _add_input_flags(d)
-    _add_timeout(d, "seconds for each graph's betaM, one deadline for the whole call")
+    _add_timeout(d, "seconds for each graph, one deadline for its beta, betaE and betaM")
     d.set_defaults(fn=cmd_dims)
 
     b = sub.add_parser("bounds", help="the seven lower bounds, optionally exact betaM")

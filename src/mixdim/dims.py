@@ -252,6 +252,32 @@ def mixed_metric_dimension(
     raise RuntimeError("internal error: no resolving set found up to n")
 
 
+def exact_dimensions(
+    G: Graph,
+    analysis: GraphAnalysis | None = None,
+    deadline: float | None = None,
+    lower_bound: int = 0,
+) -> tuple[int, int, int, tuple[int, ...]]:
+    """(beta, betaE, betaM, lex-min mixed basis) of G, all three solves
+    under one absolute time.monotonic() deadline.
+
+    Every mixed resolving set resolves the vertices and the edges, so
+    betaM >= max(beta, betaE): the mixed deepening starts there, or at
+    lower_bound (a proven bound on betaM) when that is larger.  analysis,
+    when given, must belong to G.
+    """
+    if G.n < 2:
+        raise GraphError("exact dimensions need at least 2 vertices")
+    a = analysis or GraphAnalysis(G)
+    beta, _ = pair_dimension(a.instance(VERTEX_PAIRS), deadline)
+    beta_e, _ = pair_dimension(a.instance(EDGE_PAIRS), deadline)
+    start = max(lower_bound, beta, beta_e)
+    beta_m, witness = mixed_metric_dimension(G, analysis=a, deadline=deadline, lower_bound=start)
+    if beta_m < start:
+        raise RuntimeError("internal error: mixed dimension below a proven lower bound")
+    return beta, beta_e, beta_m, witness
+
+
 def verify_mixed_resolving(
     G: Graph,
     landmarks,

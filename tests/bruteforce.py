@@ -234,3 +234,121 @@ def bounds_row(n, edges):
     while diameter ** k + k * (max(deg) + 1) < items:
         k += 1
     return (len(edges), beta, beta_e, l1, l2, l3, l4, n1, n2, k, beta_m)
+
+
+# -- reference branch-and-bound for the hitting-set kernel ------------------
+#
+# The search of mixdim._cover_py as it was when each node applied a banned
+# mask to every set, kept here so the kernel's search tree (branch order,
+# tie-breaking, bounds and node count) can be compared with it.  No
+# deadline: it always runs to the end.
+
+
+def _reference_greedy(masks):
+    remaining = list(masks)
+    chosen = 0
+    size = 0
+    while remaining:
+        counts = {}
+        for m in remaining:
+            x = m
+            while x:
+                b = x & -x
+                e = b.bit_length() - 1
+                counts[e] = counts.get(e, 0) + 1
+                x ^= b
+        best_e = -1
+        best_c = 0
+        for e in sorted(counts):
+            if counts[e] > best_c:
+                best_c = counts[e]
+                best_e = e
+        bit = 1 << best_e
+        chosen |= bit
+        size += 1
+        remaining = [m for m in remaining if not m & bit]
+    return size, chosen
+
+
+class _ReferenceSearch:
+    def __init__(self, best_size, stop_size):
+        self.best_size = best_size
+        self.best_mask = -1
+        self.stop_size = stop_size
+        self.nodes = 0
+
+    def run(self, masks, chosen, count, banned):
+        self.nodes += 1
+        while True:
+            picks = 0
+            for m in masks:
+                avail = m & ~banned
+                if avail == 0:
+                    return False
+                if avail & (avail - 1) == 0:
+                    picks |= avail
+            if not picks:
+                break
+            chosen |= picks
+            count += picks.bit_count()
+            masks = [m for m in masks if not m & chosen]
+            if count >= self.best_size:
+                return False
+            if not masks:
+                break
+
+        if count >= self.best_size:
+            return False
+        if not masks:
+            self.best_size = count
+            self.best_mask = chosen
+            return count <= self.stop_size
+
+        lb = 0
+        acc = 0
+        for m in masks:
+            avail = m & ~banned
+            if not avail & acc:
+                lb += 1
+                acc |= avail
+        if count + lb >= self.best_size:
+            return False
+
+        pick = -1
+        pick_pc = 1 << 62
+        for m in masks:
+            avail = m & ~banned
+            pc = avail.bit_count()
+            if pc < pick_pc or (pc == pick_pc and avail < pick):
+                pick = avail
+                pick_pc = pc
+        local_banned = banned
+        x = pick
+        while x:
+            bit = x & -x
+            x ^= bit
+            child = [m for m in masks if not m & bit]
+            if self.run(child, chosen | bit, count + 1, local_banned):
+                return True
+            local_banned |= bit
+        return False
+
+
+def reference_cover_search(universe, masks, cutoff, stop_size):
+    """(status, size, mask, nodes) with the kernel's status codes
+    (0 optimal, 1 above cutoff); nodes is 0 when greedy already met
+    stop_size and no search ran.  masks must be nonempty and reduced."""
+    if not masks:
+        return 0, 0, 0, 0
+    sentinel = (cutoff + 1) if cutoff is not None else universe + 1
+    g_size, g_mask = _reference_greedy(masks)
+    search = _ReferenceSearch(sentinel, stop_size)
+    if g_size < sentinel:
+        search.best_size = g_size
+        search.best_mask = g_mask
+        if g_size <= stop_size:
+            return 0, g_size, g_mask, 0
+    search.run(masks, 0, 0, 0)
+    if search.best_mask < 0 or (cutoff is not None and search.best_size > cutoff):
+        return 1, 0, 0, search.nodes
+    return 0, search.best_size, search.best_mask, search.nodes

@@ -1,5 +1,6 @@
 import random
 
+import mixdim.dims as dims
 from mixdim.bounds import (
     bounds_report,
     edge_side_sets,
@@ -151,3 +152,18 @@ def test_every_bound_below_beta_m_on_random_graphs():
         rep = bounds_report(g, compute_exact=True)
         assert all(b <= rep.beta_m for b in rep.bound_tuple())
         assert rep.beta_m >= max(rep.beta, rep.beta_e)
+
+
+def test_mixed_deepening_starts_at_edge_dimension(monkeypatch):
+    # Kneser(7,2): betaE = betaM = 12, so the mixed search needs one level
+    levels = []
+    excluded = dims.excluded_vertices
+
+    def recording(G, k):
+        levels.append(k)
+        return excluded(G, k)
+
+    monkeypatch.setattr(dims, "excluded_vertices", recording)
+    rep = bounds_report(generate_named("kneser", 7, 2), compute_exact=True)
+    assert (rep.beta_e, rep.beta_m) == (12, 12)
+    assert levels == [12]

@@ -17,7 +17,7 @@ from mixdim.cover import (
     min_hitting_set,
 )
 
-from bruteforce import min_hitting_set as brute_hitting_set
+from bruteforce import min_hitting_set as brute_hitting_set, reference_cover_search
 
 
 @pytest.fixture(params=available_backends())
@@ -214,6 +214,45 @@ def test_python_backend_handles_wide_universe():
     res = min_hitting_set(inst)
     assert res.status == OPTIMAL
     assert (res.size, res.witness) == (10, (0, 1, 2, 3, 4, 5, 7, 8, 9, 70))
+
+
+def _kernel_case(rng, universe):
+    """A reduced random family with singletons mixed in, a cutoff (or None)
+    and a stop size."""
+    sets = []
+    for _ in range(rng.randint(1, 3 * universe)):
+        k = 1 if rng.random() < 0.1 else rng.randint(2, min(universe, 6))
+        sets.append(sum(1 << b for b in rng.sample(range(universe), k)))
+    cutoff = rng.choice([None, rng.randint(1, universe)])
+    stop_size = rng.choice([0, 0, rng.randint(1, universe)])
+    return _reduce_family(sets), cutoff, stop_size
+
+
+def test_python_search_matches_reference_tree(monkeypatch):
+    # same answers and the same number of search nodes as the reference,
+    # which bans elements per node instead of stripping them from the sets
+    searches = []
+
+    class Recorded(_cover_py._Search):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    monkeypatch.setattr(_cover_py, "_Search", Recorded)
+    rng = random.Random(5)
+    universes = [rng.randint(2, 16) for _ in range(200)] + [70, 90]
+    statuses = set()
+    total_nodes = 0
+    for universe in universes:
+        masks, cutoff, stop_size = _kernel_case(rng, universe)
+        status, size, mask, nodes = reference_cover_search(universe, masks, cutoff, stop_size)
+        searches.clear()
+        assert _cover_py.solve(universe, masks, cutoff, stop_size, None) == (status, size, mask)
+        assert sum(s.nodes for s in searches) == nodes
+        statuses.add(status)
+        total_nodes += nodes
+    assert statuses == {_cover_py.STATUS_OPTIMAL, _cover_py.STATUS_CUTOFF}
+    assert total_nodes > 1000
 
 
 def _reference_reduction(masks):

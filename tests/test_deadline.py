@@ -11,6 +11,7 @@ import pytest
 import mixdim.bounds as bounds
 import mixdim.dims as dims
 from mixdim.bounds import bounds_report
+from mixdim.cli import EXIT_INVALID, main
 from mixdim.cover import min_hitting_set
 from mixdim.dims import SolveTimeout, mixed_metric_dimension
 from mixdim.families import generate_named
@@ -58,3 +59,11 @@ def test_bounds_report_solves_share_one_deadline(solves):
     with pytest.raises(SolveTimeout):
         bounds_report(petersen(), compute_exact=True, timeout=BUDGET)
     assert len(solves) <= 3  # stops at the first solve past the deadline
+
+
+def test_cli_dims_deadline_covers_beta_and_beta_e(solves, capsys):
+    # betaM of path:5 takes two solves (forced-structure bound, level 2),
+    # which fit the budget alone; after beta and betaE the level runs past it
+    assert main(["dims", "--family", "path:5", "--timeout", str(BUDGET)]) == EXIT_INVALID
+    assert "past its deadline" in capsys.readouterr().err
+    assert len(solves) == 4
