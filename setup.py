@@ -1,21 +1,6 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "mixdim._cover_cy",
-                ["src/mixdim/_cover_cy.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # No Cython at build time: install pure-Python only, the solver falls
-    # back to the interpreted kernel at import.
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled kernel is optional: without a C compiler or the Python
+# headers the build warns and the package installs with the pure-Python
+# kernel, which returns the same results more slowly.
+setup(ext_modules=[Extension("mixdim._cover_c", ["src/mixdim/_cover_c.c"], optional=True)])

@@ -1,8 +1,8 @@
 """Pure-Python branch-and-bound kernel for minimum hitting set.
 
 This is the reference implementation of the search; the compiled extension
-in _cover_cy.pyx mirrors it exactly (same branching, same tie-breaking),
-so both backends return identical results.  Sets are bitmasks over a
+in _cover_c.c mirrors it exactly (same branching, same tie-breaking), so
+both backends return identical results.  Sets are bitmasks over a
 universe of small integers; this module accepts arbitrary-width Python
 ints, the compiled twin is limited to 64-bit universes.
 

@@ -7,10 +7,11 @@ optimum together with the lexicographically smallest minimum witness, a
 that cannot be hit, and raises SolveTimeout once its deadline has passed.
 
 Two interchangeable kernels do the search: a compiled extension
-(mixdim._cover_cy, universes up to 64 elements) and a pure-Python twin.
-The compiled one runs whenever it is built and the universe fits; results
-are identical by construction.  perfbench/README.md describes the end-to-end
-benchmark that times this module as one layer of the exact solves.
+(mixdim._cover_c, hand-written C, universes up to 64 elements) and a
+pure-Python twin.  The compiled one runs whenever it is built and the
+universe fits; results are identical by construction.  perfbench/README.md
+describes the end-to-end benchmark that times this module as one layer of
+the exact solves.
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ import numpy as np
 from . import _cover_py
 
 try:
-    from . import _cover_cy  # type: ignore[attr-defined]
+    from . import _cover_c  # type: ignore[attr-defined]
 except ImportError:  # pragma: no cover - build without the extension
-    _cover_cy = None
+    _cover_c = None
 
 OPTIMAL = "optimal"
 CUTOFF_EXCEEDED = "cutoff_exceeded"
@@ -40,12 +41,12 @@ class SolveTimeout(RuntimeError):
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("compiled", "python") if _cover_cy is not None else ("python",)
+    return ("compiled", "python") if _cover_c is not None else ("python",)
 
 
 def _kernel(universe: int):
-    if _cover_cy is not None and universe <= _COMPILED_MAX_UNIVERSE:
-        return _cover_cy.solve
+    if _cover_c is not None and universe <= _COMPILED_MAX_UNIVERSE:
+        return _cover_c.solve
     return _cover_py.solve
 
 

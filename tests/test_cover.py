@@ -12,21 +12,11 @@ from mixdim.cover import (
     CoverInstance,
     SolveTimeout,
     _reduce_family,
-    available_backends,
     greedy_hitting_set,
     min_hitting_set,
 )
 
 from bruteforce import min_hitting_set as brute_hitting_set, reference_cover_search
-
-
-@pytest.fixture(params=available_backends())
-def backend(request, monkeypatch):
-    """Each kernel that is built: hiding the compiled one leaves cover
-    with the Python kernel."""
-    if request.param == "python":
-        monkeypatch.setattr(cover, "_cover_cy", None)
-    return request.param
 
 
 # side sets of the 5-vertex/7-edge reference graph, deduplicated by hand
@@ -156,7 +146,7 @@ def test_backend_timeout(backend):
 def test_python_search_raises_past_deadline(monkeypatch):
     # the clock passes the deadline right after min_hitting_set's own check,
     # and the kernel reads it at every node, so the search itself raises
-    monkeypatch.setattr(cover, "_cover_cy", None)
+    monkeypatch.setattr(cover, "_cover_c", None)
     monkeypatch.setattr(_cover_py, "_TIME_CHECK_MASK", 0)
     reads = [0]
     real = time.monotonic
@@ -193,9 +183,42 @@ def test_witness_raises_past_deadline(backend, monkeypatch):
     assert entered
 
 
-def test_backends_agree(monkeypatch):
-    if cover._cover_cy is None:
-        pytest.skip("compiled backend not built")
+# cyclic windows {i, i+1, i+3} mod 40: about 200,000 search nodes, so the
+# kernel reads the clock at nodes 4096, 8192, ...
+WINDOWS_40 = _reduce_family(1 << i | 1 << (i + 1) % 40 | 1 << (i + 3) % 40 for i in range(40))
+
+
+def test_kernel_times_out(backend, monkeypatch):
+    # min_hitting_set checks the deadline before the kernel runs; here the
+    # kernel's own check must see the patched time.monotonic
+    reads = []
+
+    def clock():
+        reads.append(True)
+        return 0.0 if len(reads) == 1 else 120.0
+
+    monkeypatch.setattr(time, "monotonic", clock)
+    result = cover._kernel(40)(40, WINDOWS_40, None, 0, 60.0)
+    assert result == (_cover_py.STATUS_TIMEOUT, 0, 0)
+    assert len(reads) == 2
+
+
+def test_kernel_clock_error_propagates(backend, monkeypatch):
+    def clock():
+        raise OSError("clock failed")
+
+    monkeypatch.setattr(time, "monotonic", clock)
+    with pytest.raises(OSError, match="clock failed"):
+        cover._kernel(40)(40, WINDOWS_40, None, 0, 60.0)
+
+
+def test_backends_agree(compiled_kernel, monkeypatch):
+    with pytest.raises(ValueError):
+        compiled_kernel.solve(65, [1 << 64], None, 0, None)
+    # cutoffs far outside any cover size, which the C kernel clamps
+    for cutoff in (-(2**40), -1, 0, 2, 3, 2**40):
+        args = (6, [0b11, 0b1100, 0b110000], cutoff, 0, None)
+        assert compiled_kernel.solve(*args) == _cover_py.solve(*args)
     rng = random.Random(11)
     cases = []
     for _ in range(120):
@@ -203,7 +226,7 @@ def test_backends_agree(monkeypatch):
         sets = [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 18))]
         cases.append((CoverInstance.build(u, sets), rng.choice([None, rng.randint(1, u)])))
     compiled = [min_hitting_set(inst, cutoff=cutoff) for inst, cutoff in cases]
-    monkeypatch.setattr(cover, "_cover_cy", None)
+    monkeypatch.setattr(cover, "_cover_c", None)
     assert [min_hitting_set(inst, cutoff=cutoff) for inst, cutoff in cases] == compiled
 
 
@@ -230,7 +253,10 @@ def _kernel_case(rng, universe):
 
 def test_python_search_matches_reference_tree(monkeypatch):
     # same answers and the same number of search nodes as the reference,
-    # which bans elements per node instead of stripping them from the sets
+    # which bans elements per node instead of stripping them from the sets;
+    # the compiled kernel, when built, gives the same answers up to 64
+    # elements (its node count is not exposed)
+    compiled = cover._cover_c
     searches = []
 
     class Recorded(_cover_py._Search):
@@ -249,6 +275,8 @@ def test_python_search_matches_reference_tree(monkeypatch):
         searches.clear()
         assert _cover_py.solve(universe, masks, cutoff, stop_size, None) == (status, size, mask)
         assert sum(s.nodes for s in searches) == nodes
+        if compiled is not None and universe <= 64:
+            assert compiled.solve(universe, masks, cutoff, stop_size, None) == (status, size, mask)
         statuses.add(status)
         total_nodes += nodes
     assert statuses == {_cover_py.STATUS_OPTIMAL, _cover_py.STATUS_CUTOFF}

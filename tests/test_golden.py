@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mixdim.bounds import bounds_report
+from mixdim.cover import available_backends
 from mixdim.families import parse_graph6
 
 from make_golden import BOUND_FIELDS, GOLDEN_PATH, golden_graphs
@@ -17,13 +18,23 @@ def test_golden_covers_its_graphs():
     assert len(GOLDEN) == 1 + 2 + 6 + 21 + 112 + 4
 
 
-def _id(i, row):
-    # graph6 strings hold characters such as backslash and brackets
-    return row["label"] if row["label"] != row["graph6"] else f"g6-{i}"
+def _id(i, row, backend):
+    # graph6 strings hold characters such as backslash and brackets; the
+    # reference (Python) kernel's runs keep the plain row ids
+    label = row["label"] if row["label"] != row["graph6"] else f"g6-{i}"
+    return label if backend == "python" else f"{label}-{backend}"
 
 
-@pytest.mark.parametrize("row", GOLDEN, ids=[_id(i, r) for i, r in enumerate(GOLDEN)])
-def test_report_matches_golden(row):
+@pytest.mark.parametrize(
+    "row, backend",
+    [
+        pytest.param(row, backend, id=_id(i, row, backend))
+        for i, row in enumerate(GOLDEN)
+        for backend in available_backends()
+    ],
+    indirect=["backend"],
+)
+def test_report_matches_golden(row, backend):
     rep = bounds_report(parse_graph6(row["graph6"]), compute_exact=True)
     assert rep.beta == row["beta"]
     assert rep.beta_e == row["beta_e"]
