@@ -4,8 +4,9 @@
  * disjoint-set bound, branching on the smallest set with the same
  * tie-breaking, and the same stripped masks (a branch clears the elements
  * of its earlier siblings from every set).  Both kernels visit the same
- * search tree and return identical results; this one holds each set in one
- * 64-bit word, so it takes universes of at most 64 elements.  With a
+ * search tree and return identical results and node counts; this one
+ * holds each set in one 64-bit word, so it takes universes of at most 64
+ * elements.  With a
  * deadline, time.monotonic (looked up when solve is called) is read every
  * 4096 nodes, as in the Python kernel.  Uses the GCC/Clang bit builtins:
  * the extension is optional, and without it the Python kernel runs.
@@ -181,7 +182,7 @@ static PyObject *solve(PyObject *Py_UNUSED(self), PyObject *args)
     n = PySequence_Fast_GET_SIZE(seq);
     if (n == 0) {
         Py_DECREF(seq);
-        return Py_BuildValue("(iii)", STATUS_OPTIMAL, 0, 0);
+        return Py_BuildValue("(iiii)", STATUS_OPTIMAL, 0, 0, 0);
     }
 
     memset(&st, 0, sizeof st);
@@ -219,7 +220,7 @@ static PyObject *solve(PyObject *Py_UNUSED(self), PyObject *args)
         st.best_mask = g_mask;
         st.have_best = 1;
         if (size <= stop_size) {
-            result = Py_BuildValue("(iiK)", STATUS_OPTIMAL, size, g_mask);
+            result = Py_BuildValue("(iiKi)", STATUS_OPTIMAL, size, g_mask, 0);
             goto done;
         }
     }
@@ -227,11 +228,11 @@ static PyObject *solve(PyObject *Py_UNUSED(self), PyObject *args)
     if (st.stopped < 0)
         goto done; /* the clock raised: propagate its exception */
     if (st.stopped)
-        result = Py_BuildValue("(iii)", STATUS_TIMEOUT, 0, 0);
+        result = Py_BuildValue("(iiiK)", STATUS_TIMEOUT, 0, 0, st.nodes);
     else if (!st.have_best || (cutoff_obj != Py_None && st.best_size > cutoff))
-        result = Py_BuildValue("(iii)", STATUS_CUTOFF, 0, 0);
+        result = Py_BuildValue("(iiiK)", STATUS_CUTOFF, 0, 0, st.nodes);
     else
-        result = Py_BuildValue("(iiK)", STATUS_OPTIMAL, st.best_size, st.best_mask);
+        result = Py_BuildValue("(iiKK)", STATUS_OPTIMAL, st.best_size, st.best_mask, st.nodes);
 done:
     Py_XDECREF(st.clock);
     PyMem_Free(buf);
@@ -241,7 +242,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"solve", solve, METH_VARARGS,
-     "solve(universe, masks, cutoff, stop_size, deadline) -> (status, size, mask)\n\n"
+     "solve(universe, masks, cutoff, stop_size, deadline) -> (status, size, mask, nodes)\n\n"
      "Exact minimum hitting set over bitmask sets; see mixdim._cover_py.solve."},
     {NULL, NULL, 0, NULL},
 };

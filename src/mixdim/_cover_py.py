@@ -2,9 +2,10 @@
 
 This is the reference implementation of the search; the compiled extension
 in _cover_c.c mirrors it exactly (same branching, same tie-breaking), so
-both backends return identical results.  Sets are bitmasks over a
-universe of small integers; this module accepts arbitrary-width Python
-ints, the compiled twin is limited to 64-bit universes.
+both backends return identical results and node counts.  Sets are
+bitmasks over a universe of small integers; this module accepts
+arbitrary-width Python ints, the compiled twin is limited to 64-bit
+universes.
 
 Branching: take the uncovered set with the fewest available elements and
 split on its elements in ascending index order, banning each element in
@@ -139,17 +140,18 @@ def solve(
     cutoff: int | None,
     stop_size: int,
     deadline: float | None,
-) -> tuple[int, int, int]:
+) -> tuple[int, int, int, int]:
     """Exact minimum hitting set over bitmask sets.
 
     masks must be nonempty and reduced (no set a superset of another).
-    Returns (status, size, witness_mask).  With a cutoff, sizes above it
-    are reported as STATUS_CUTOFF.  A solution of size <= stop_size ends
-    the search immediately (callers pass a proven lower bound, so the
-    result is still optimal).
+    Returns (status, size, witness_mask, nodes), nodes being the search
+    nodes visited (0 when the greedy start already met stop_size).  With a
+    cutoff, sizes above it are reported as STATUS_CUTOFF.  A solution of
+    size <= stop_size ends the search immediately (callers pass a proven
+    lower bound, so the result is still optimal).
     """
     if not masks:
-        return STATUS_OPTIMAL, 0, 0
+        return STATUS_OPTIMAL, 0, 0, 0
     sentinel = (cutoff + 1) if cutoff is not None else universe + 1
     g_size, g_mask = greedy_cover(masks)
     search = _Search(best_size=sentinel, stop_size=stop_size, deadline=deadline)
@@ -157,10 +159,10 @@ def solve(
         search.best_size = g_size
         search.best_mask = g_mask
         if g_size <= stop_size:
-            return STATUS_OPTIMAL, g_size, g_mask
+            return STATUS_OPTIMAL, g_size, g_mask, 0
     search.run(masks, 0, 0)
     if search.timed_out:
-        return STATUS_TIMEOUT, 0, 0
+        return STATUS_TIMEOUT, 0, 0, search.nodes
     if search.best_mask < 0 or (cutoff is not None and search.best_size > cutoff):
-        return STATUS_CUTOFF, 0, 0
-    return STATUS_OPTIMAL, search.best_size, search.best_mask
+        return STATUS_CUTOFF, 0, 0, search.nodes
+    return STATUS_OPTIMAL, search.best_size, search.best_mask, search.nodes

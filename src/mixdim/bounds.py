@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import OPTIMAL, CoverInstance, _mask_of, _sets_of, deadline_after, min_hitting_set
+import numpy as np
+
+from .cover import OPTIMAL, CoverInstance, _masks_of_columns, deadline_after, min_hitting_set
 from .dims import (
     MIXED_PAIRS,
     GraphAnalysis,
@@ -65,33 +67,15 @@ def lb_n1(G: Graph, oracle: DistanceOracle | None = None) -> int:
     return 1 + _ceil_log2(_oracle(G, oracle).min_degree + 1)
 
 
-@dataclass(frozen=True)
-class SideSets:
-    """Per edge uv (u < v): the vertices strictly closer to u and strictly
-    closer to v.  u always sits in the first set and v in the second."""
-
-    edges: tuple[tuple[int, int], ...]
-    closer_to_u: tuple[frozenset[int], ...]
-    closer_to_v: tuple[frozenset[int], ...]
-
-
-def edge_side_sets(oracle: DistanceOracle) -> SideSets:
-    closer_u, closer_v = _side_masks(oracle)
-    return SideSets(oracle.graph.edges, _sets_of(closer_u), _sets_of(closer_v))
-
-
-def _side_masks(oracle: DistanceOracle) -> tuple[list[int], list[int]]:
-    """The side sets of every edge as bitmasks: (closer to u, closer to v)."""
-    G = oracle.graph
-    dv = oracle.dv
-    less = []
-    greater = []
-    for u, v in G.edges:
-        du = dv[u]
-        dw = dv[v]
-        less.append(_mask_of((du < dw).nonzero()[0].tolist()))
-        greater.append(_mask_of((du > dw).nonzero()[0].tolist()))
-    return less, greater
+def edge_side_sets(oracle: DistanceOracle) -> tuple[list[int], list[int]]:
+    """The side sets of every edge uv (u < v, in oracle.graph.edges order)
+    as bitmasks: (vertices strictly closer to u, vertices strictly closer
+    to v).  u always sits in the first set and v in the second."""
+    ends = np.array(oracle.graph.edges, dtype=np.intp).reshape(-1, 2)
+    # distances are symmetric: column u of dv is the distance profile of u
+    du = oracle.dv[:, ends[:, 0]]
+    dw = oracle.dv[:, ends[:, 1]]
+    return _masks_of_columns(du < dw), _masks_of_columns(du > dw)
 
 
 def lb_n2(
@@ -101,8 +85,8 @@ def lb_n2(
 ) -> tuple[int, tuple[int, ...]]:
     """Exact minimum hitting set over the 2m edge side sets, with witness;
     raises SolveTimeout past the absolute time.monotonic() deadline."""
-    closer_u, closer_v = _side_masks(_oracle(G, oracle))
-    inst = CoverInstance.build(G.n, masks=closer_u + closer_v)
+    closer_u, closer_v = edge_side_sets(_oracle(G, oracle))
+    inst = CoverInstance.build(G.n, closer_u + closer_v)
     res = min_hitting_set(inst, deadline=deadline)
     assert res.status == OPTIMAL
     return res.size, res.witness

@@ -1,7 +1,12 @@
 """Exact minimum hitting set / set cover engine.
 
-A CoverInstance is a family of subsets of a small integer universe, kept
-as bitmasks, plus optional forced and excluded elements.  min_hitting_set returns the exact
+Every family of sets in the package is a list of int masks, bit e set for
+element e (for the graph families, bit v for vertex v); this module owns
+that format.  _masks_of_columns and _rows_of_masks convert between masks
+and boolean matrices, for every width.
+
+A CoverInstance is a family of masks over a small integer universe, plus
+optional forced and excluded elements.  min_hitting_set returns the exact
 optimum together with the lexicographically smallest minimum witness, a
 "greater than cutoff" verdict or an infeasibility verdict naming a set
 that cannot be hit, and raises SolveTimeout once its deadline has passed.
@@ -9,16 +14,16 @@ that cannot be hit, and raises SolveTimeout once its deadline has passed.
 Two interchangeable kernels do the search: a compiled extension
 (mixdim._cover_c, hand-written C, universes up to 64 elements) and a
 pure-Python twin.  The compiled one runs whenever it is built and the
-universe fits; results are identical by construction.  perfbench/README.md
-describes the end-to-end benchmark that times this module as one layer of
-the exact solves.
+universe fits; both return the same results and node counts.
+perfbench/README.md describes the end-to-end benchmark that times this
+module as one layer of the exact solves.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,6 +75,35 @@ def _sets_of(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(_bits_of(m)) for m in masks)
 
 
+# bits per int64 word of the codec: bits 0..62 sum to at most 2**63 - 1
+_WORD_BITS = 63
+_WORD_WEIGHTS = np.left_shift(np.int64(1), np.arange(_WORD_BITS, dtype=np.int64))
+_WORD_MASK = (1 << _WORD_BITS) - 1
+
+
+def _masks_of_columns(bits: np.ndarray) -> list[int]:
+    """Column j of a boolean matrix as a mask: bit i set when bits[i, j].
+
+    Each block of 63 rows becomes one int64 word per column; wider columns
+    shift the later words into place."""
+    n = bits.shape[0]
+    masks = (_WORD_WEIGHTS[:n] @ bits[:_WORD_BITS]).tolist()
+    for lo in range(_WORD_BITS, n, _WORD_BITS):
+        words = (_WORD_WEIGHTS[: n - lo] @ bits[lo : lo + _WORD_BITS]).tolist()
+        masks = [m | w << lo for m, w in zip(masks, words)]
+    return masks
+
+
+def _rows_of_masks(masks: Sequence[int], width: int) -> np.ndarray:
+    """Boolean matrix with one row per mask: row j holds bits 0..width-1
+    of masks[j]."""
+    rows = np.zeros((len(masks), width), dtype=bool)
+    for lo in range(0, width, _WORD_BITS):
+        words = np.array([m >> lo & _WORD_MASK for m in masks], dtype=np.int64)
+        rows[:, lo : lo + _WORD_BITS] = words[:, None] >> np.arange(min(width - lo, _WORD_BITS)) & 1
+    return rows
+
+
 # below this many distinct masks the plain loop beats numpy's call overhead
 _VECTOR_REDUCE_MIN = 64
 
@@ -116,7 +150,7 @@ class CoverInstance:
     The reduction ignores forced and excluded, so instances that differ only
     in those share their family (dataclasses.replace).  Empty input sets are
     legal at construction and surface as an infeasibility verdict when
-    solving.  sets and original_sets are the same families as frozensets.
+    solving.
     """
 
     universe_size: int
@@ -129,28 +163,16 @@ class CoverInstance:
     def build(
         cls,
         universe_size: int,
-        sets: Iterable[Iterable[int]] = (),
+        masks: Iterable[int],
         forced: Iterable[int] = (),
         excluded: Iterable[int] = (),
-        *,
-        masks: Iterable[int] | None = None,
     ) -> "CoverInstance":
-        """Reduce a family given as element sets or, with masks, as bitmasks
-        (bit e set for element e); give one of the two."""
+        """Reduce a family of bitmasks (bit e set for element e)."""
         if universe_size < 0:
             raise ValueError("universe size must be nonnegative")
-        if masks is None:
-            original = []
-            for s in sets:
-                s = frozenset(s)
-                for e in s:
-                    if not 0 <= e < universe_size:
-                        raise ValueError(f"set element {e} outside universe 0..{universe_size - 1}")
-                original.append(_mask_of(s))
-        else:
-            original = list(masks)
-            if original and (min(original) < 0 or max(original) >> universe_size):
-                raise ValueError(f"set mask outside universe 0..{universe_size - 1}")
+        original = tuple(masks)
+        if original and (min(original) < 0 or max(original) >> universe_size):
+            raise ValueError(f"set mask outside universe 0..{universe_size - 1}")
         fset = frozenset(forced)
         xset = frozenset(excluded)
         for e in fset | xset:
@@ -161,14 +183,16 @@ class CoverInstance:
         reduced = _reduce_family(m for m in original if m)
         if 0 in original:
             reduced.insert(0, 0)
-        return cls(universe_size, tuple(reduced), fset, xset, tuple(original))
+        return cls(universe_size, tuple(reduced), fset, xset, original)
 
     @cached_property
     def sets(self) -> tuple[frozenset[int], ...]:
+        """masks as frozensets; read only by perfbench's tracer."""
         return _sets_of(self.masks)
 
     @cached_property
     def original_sets(self) -> tuple[frozenset[int], ...]:
+        """original_masks as frozensets; read only by perfbench's tracer."""
         return _sets_of(self.original_masks)
 
     @property
@@ -198,11 +222,11 @@ def _check_deadline(deadline: float | None) -> None:
         raise SolveTimeout("exact solve ran past its deadline")
 
 
-def _prepare(inst: CoverInstance) -> tuple[list[int], int, int] | CoverResult:
+def _prepare(inst: CoverInstance) -> tuple[list[int], int] | CoverResult:
     """Apply excluded/forced to the reduced family.
 
-    Returns (residual masks, forced_mask, excluded_mask) or an infeasibility
-    verdict if some set has no hittable element left.
+    Returns (residual masks, forced_mask) or an infeasibility verdict if
+    some set has no hittable element left.
     """
     xmask = _mask_of(inst.excluded)
     fmask = _mask_of(inst.forced)
@@ -214,7 +238,7 @@ def _prepare(inst: CoverInstance) -> tuple[list[int], int, int] | CoverResult:
         if not r & fmask:
             residual.append(r)
     # dropping sets keeps a reduced family reduced; trimming elements may not
-    return (_reduce_family(residual) if xmask else residual), fmask, xmask
+    return (_reduce_family(residual) if xmask else residual), fmask
 
 
 def _validate_witness(inst: CoverInstance, witness: tuple[int, ...]) -> None:
@@ -248,7 +272,7 @@ def min_hitting_set(
     if isinstance(prep, CoverResult):
         return prep
     _check_deadline(deadline)
-    masks, fmask, xmask = prep
+    masks, fmask = prep
     kernel = _kernel(inst.universe_size)
     base = len(inst.forced)
     if cutoff is not None and base > cutoff:
@@ -258,80 +282,65 @@ def min_hitting_set(
 
     res_cutoff = None if cutoff is None else cutoff - base
     res_stop = max(lower_bound - base, 0)
-    status, size, _mask = kernel(inst.universe_size, masks, res_cutoff, res_stop, deadline)
+    status, size, _mask, _nodes = kernel(inst.universe_size, masks, res_cutoff, res_stop, deadline)
     if status == _cover_py.STATUS_TIMEOUT:
         raise SolveTimeout("exact solve ran past its deadline")
     if status == _cover_py.STATUS_CUTOFF:
         return CoverResult(CUTOFF_EXCEEDED)
-    total = base + size
 
-    witness = _lex_min_witness(inst, masks, fmask, xmask, total, kernel, deadline)
+    chosen = _lex_min_witness(masks, size, inst.universe_size, kernel, deadline)
+    witness = _bits_of(chosen | fmask)
     _validate_witness(inst, witness)
-    return CoverResult(OPTIMAL, total, witness)
+    return CoverResult(OPTIMAL, base + size, witness)
 
 
 def _lex_min_witness(
-    inst: CoverInstance,
     masks: list[int],
-    fmask: int,
-    xmask: int,
-    total: int,
+    size: int,
+    universe: int,
     kernel,
     deadline: float | None,
-) -> tuple[int, ...]:
-    """Build the lexicographically smallest solution of the known optimal size.
+) -> int:
+    """The lexicographically smallest hitting set of the reduced family
+    masks among those of its optimal size, as a mask.
+
+    For equal-size sets R1 and R2 disjoint from the forced set F,
+    sorted(F | R1) < sorted(F | R2) exactly when sorted(R1) < sorted(R2):
+    so the residual family's lex-min witness plus F is the instance's.
 
     Fixes members left to right: a candidate v extends the prefix iff a
-    solution of the optimal size exists that contains the prefix, v and the
-    forced elements while avoiding everything smaller that was passed over.
-    Rejected candidates can never appear in the lex-minimum, so each element
-    is tested at most once overall.
+    solution of the optimal size exists that contains the prefix and v
+    while avoiding everything smaller that was passed over.  Rejected
+    candidates can never appear in the lex-minimum, so each element is
+    tested at most once overall.
     """
-    u = inst.universe_size
     chosen = 0
-    banned = xmask
-    count = 0
-    forced_left = fmask
-    while count < total:
-        lo = chosen.bit_length()  # candidates must exceed the largest chosen
-        hi = u - 1
-        if forced_left:
-            hi = min(hi, (forced_left & -forced_left).bit_length() - 1)
-        found = None
-        for v in range(lo, hi + 1):
+    banned = (1 << universe) - 1  # elements in no set: never in a minimum
+    for m in masks:
+        banned &= ~m
+    for left in range(size - 1, -1, -1):  # members still to fix after this one
+        for v in range(chosen.bit_length(), universe):  # candidates exceed the largest chosen
             bit = 1 << v
             if banned & bit:
                 continue
             _check_deadline(deadline)
-            trial_banned = banned | (((bit - 1) & ~chosen) & ~banned)
-            residual = [m & ~trial_banned for m in masks if not m & (chosen | bit)]
-            if any(m == 0 for m in residual):
+            trial_banned = banned | (bit - 1) & ~chosen
+            residual = [m & ~trial_banned for m in masks if not m & bit]
+            if 0 in residual:
                 banned |= bit
                 continue
-            budget = total - count - 1 - (forced_left & ~bit).bit_count()
-            if budget < 0:
-                banned |= bit
-                continue
-            # remaining forced elements stay mandatory: hand them to the
-            # kernel as singleton sets so the decision includes them
-            fam = residual + [1 << f for f in _bits_of(forced_left & ~bit)]
-            fam = _reduce_family(fam)
-            status, size, _m = kernel(u, fam, total - count - 1, total - count - 1, deadline)
+            status, _size, _m, _nodes = kernel(universe, _reduce_family(residual), left, left, deadline)
             if status == _cover_py.STATUS_TIMEOUT:
                 raise SolveTimeout("exact solve ran past its deadline")
-            if status == _cover_py.STATUS_OPTIMAL and size <= total - count - 1:
-                found = v
+            if status == _cover_py.STATUS_OPTIMAL:
                 break
             banned |= bit
-        if found is None:
+        else:
             raise RuntimeError("internal error: no lexicographic completion found")
-        bit = 1 << found
         chosen |= bit
-        count += 1
-        forced_left &= ~bit
-        banned |= ((bit - 1) & ~chosen) & ~banned
-        masks = [m for m in masks if not m & chosen]
-    return _bits_of(chosen)
+        banned |= (bit - 1) & ~chosen
+        masks = [m for m in masks if not m & bit]
+    return chosen
 
 
 def greedy_hitting_set(inst: CoverInstance) -> CoverResult:
@@ -340,11 +349,11 @@ def greedy_hitting_set(inst: CoverInstance) -> CoverResult:
     prep = _prepare(inst)
     if isinstance(prep, CoverResult):
         return prep
-    masks, _f, _x = prep
+    masks, fmask = prep
     if not masks:
         witness = tuple(sorted(inst.forced))
         return CoverResult(OPTIMAL, len(witness), witness)
     size, mask = _cover_py.greedy_cover(masks)
-    witness = _bits_of(mask | _mask_of(inst.forced))
+    witness = _bits_of(mask | fmask)
     _validate_witness(inst, witness)
     return CoverResult(OPTIMAL, len(witness), witness)

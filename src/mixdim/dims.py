@@ -16,14 +16,13 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-import numpy as np
-
 from .cover import (
     CUTOFF_EXCEEDED,
     INFEASIBLE,
     OPTIMAL,
     CoverInstance,
     SolveTimeout,  # noqa: F401 - re-exported: raised by every exact solve
+    _masks_of_columns,
     deadline_after,
     min_hitting_set,
 )
@@ -50,23 +49,10 @@ def _item_columns(oracle: DistanceOracle, universe: str) -> list[int]:
 
 def distinguisher_masks(oracle: DistanceOracle, universe: str) -> list[int]:
     """Bitmask of distinguishing vertices for every unordered item pair."""
-    cols = _item_columns(oracle, universe)
-    n = oracle.graph.n
-    dm = oracle.dmix[:, cols]
+    dm = oracle.dmix[:, _item_columns(oracle, universe)]
     masks: list[int] = []
-    if n <= 62:
-        weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
-        for a in range(len(cols) - 1):
-            diff = dm[:, a + 1 :] != dm[:, a : a + 1]
-            masks.extend((diff.astype(np.int64).T @ weights).tolist())
-    else:
-        for a in range(len(cols) - 1):
-            diff = dm[:, a + 1 :] != dm[:, a : a + 1]
-            for colbits in diff.T:
-                mask = 0
-                for w in np.nonzero(colbits)[0]:
-                    mask |= 1 << int(w)
-                masks.append(mask)
+    for a in range(dm.shape[1] - 1):
+        masks.extend(_masks_of_columns(dm[:, a + 1 :] != dm[:, a : a + 1]))
     return masks
 
 
@@ -74,7 +60,7 @@ def pair_cover_instance(oracle: DistanceOracle, universe: str = MIXED_PAIRS) -> 
     """Hitting-set instance whose solutions are exactly the resolving sets
     of the chosen item universe.  Pairs no vertex distinguishes become empty
     sets and surface as an infeasibility verdict when solving."""
-    return CoverInstance.build(oracle.graph.n, masks=distinguisher_masks(oracle, universe))
+    return CoverInstance.build(oracle.graph.n, distinguisher_masks(oracle, universe))
 
 
 @dataclass(frozen=True)
@@ -128,7 +114,7 @@ def forced_structure_lower_bound(G: Graph, fs: ForcedStructure | None = None) ->
     meeting every false-twin pair (an exact tiny hitting set)."""
     fs = fs or forced_vertices(G)
     pairs = [1 << u | 1 << v for u, v in fs.false_twin_pairs]
-    inst = CoverInstance.build(G.n, masks=pairs, forced=fs.forced)
+    inst = CoverInstance.build(G.n, pairs, forced=fs.forced)
     res = min_hitting_set(inst)
     assert res.status == OPTIMAL
     return res.size
@@ -153,7 +139,7 @@ class GraphAnalysis:
         self.mixed_masks = distinguisher_masks(self.oracle, MIXED_PAIRS)
         self.forced = forced_vertices(G)
         # reduced without forced/excluded: the family of every deepening level
-        self.mixed = CoverInstance.build(G.n, masks=self.mixed_masks)
+        self.mixed = CoverInstance.build(G.n, self.mixed_masks)
 
     def pair_masks(self, universe: str) -> list[int]:
         """distinguisher_masks(self.oracle, universe), in the same order."""
@@ -174,7 +160,7 @@ class GraphAnalysis:
         """The same instance as pair_cover_instance(self.oracle, universe)."""
         if universe == MIXED_PAIRS:
             return self.mixed
-        return CoverInstance.build(self.graph.n, masks=self.pair_masks(universe))
+        return CoverInstance.build(self.graph.n, self.pair_masks(universe))
 
     @cached_property
     def forced_lower_bound(self) -> int:

@@ -1,6 +1,9 @@
 """Covering linear program: minimize sum(y) subject to sum(y[v] for v in row) >= 1,
 0 <= y <= 1, solved exactly enough for integral lower bounds.
 
+Rows are int masks, bit v for variable v, as everywhere in the package;
+cover._rows_of_masks expands them into the 0/1 constraint matrix, which
+also serves the final check when the rows handed in are the reduced ones.
 The upper bounds y <= 1 are dropped: with 0/1 constraint coefficients any
 optimum can be capped at 1 without losing feasibility, so the value is
 unchanged.  The solver runs a dense tableau simplex on the packing dual
@@ -19,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cover import _bits_of, _mask_of, _reduce_family, _sets_of
+from .cover import _bits_of, _reduce_family, _rows_of_masks, _sets_of
 
 ABS_TOL = 1e-7
 CEIL_TOL = 1e-6
@@ -36,33 +39,25 @@ class CoveringLP:
     """Normalized covering program over bitmask rows (bit v for variable v):
     rows deduplicated, dominated rows (supersets) removed, every row
     nonempty.  original_masks are the rows handed in, against which the
-    solution is re-verified; rows and original_rows are the same families
-    as frozensets."""
+    solution is re-verified."""
 
     num_vars: int
     masks: tuple[int, ...]
     original_masks: tuple[int, ...]
 
     @classmethod
-    def build(cls, num_vars: int, rows: Iterable[Iterable[int]]) -> "CoveringLP":
-        original = []
-        for r in rows:
-            r = frozenset(r)
-            if not r:
-                raise LPError("covering program has an empty row (infeasible)")
-            for v in r:
-                if not 0 <= v < num_vars:
-                    raise LPError(f"row element {v} outside variable range 0..{num_vars - 1}")
-            original.append(_mask_of(r))
-        return cls(num_vars, tuple(_reduce_family(original)), tuple(original))
+    def build(cls, num_vars: int, masks: Iterable[int]) -> "CoveringLP":
+        original = tuple(masks)
+        if 0 in original:
+            raise LPError("covering program has an empty row (infeasible)")
+        if original and (min(original) < 0 or max(original) >> num_vars):
+            raise LPError(f"row mask outside variable range 0..{num_vars - 1}")
+        return cls(num_vars, tuple(_reduce_family(original)), original)
 
     @cached_property
     def rows(self) -> tuple[frozenset[int], ...]:
+        """masks as frozensets; read only by perfbench's tracer."""
         return _sets_of(self.masks)
-
-    @cached_property
-    def original_rows(self) -> tuple[frozenset[int], ...]:
-        return _sets_of(self.original_masks)
 
 
 def solve_covering_lp_primal(lp: CoveringLP) -> tuple[float, np.ndarray]:
@@ -72,10 +67,10 @@ def solve_covering_lp_primal(lp: CoveringLP) -> tuple[float, np.ndarray]:
     if R == 0:
         return 0.0, np.zeros(m)
     # packing dual: maximize 1.x  s.t.  incidence^T x + s = 1
-    D = _incidence(lp.masks, m).T
+    incidence = _rows_of_masks(lp.masks, m)
     ncols = R + m
     T = np.zeros((m + 1, ncols + 1))
-    T[:m, :R] = D
+    T[:m, :R] = incidence.T
     T[:m, R : R + m] = np.eye(m)
     T[:m, ncols] = 1.0
     T[m, :R] = -1.0  # reduced costs z_j - c_j with the all-slack basis
@@ -123,19 +118,13 @@ def solve_covering_lp_primal(lp: CoveringLP) -> tuple[float, np.ndarray]:
     total = float(y.sum())
     if abs(total - value) > 1e-6 * max(1.0, abs(value)):
         raise LPError(f"primal recovery mismatch: sum(y)={total} vs optimum {value}")
-    cover = _incidence(lp.original_masks, m) @ y
+    if lp.original_masks is not lp.masks:
+        incidence = _rows_of_masks(lp.original_masks, m)
+    cover = incidence @ y
     bad = np.nonzero(cover < 1.0 - ABS_TOL)[0]
     if bad.size:
         raise LPError(f"recovered selection violates row {list(_bits_of(lp.original_masks[bad[0]]))}")
     return value, y
-
-
-def _incidence(masks, num_vars: int) -> np.ndarray:
-    """0/1 float matrix with one row per mask and one column per variable."""
-    out = np.zeros((len(masks), num_vars))
-    for j, mask in enumerate(masks):
-        out[j, list(_bits_of(mask))] = 1.0
-    return out
 
 
 def solve_covering_lp(lp: CoveringLP) -> float:

@@ -10,6 +10,11 @@ import itertools
 from collections import deque
 
 
+def masks(sets):
+    """Element sets as the int masks mixdim takes: bit e for element e."""
+    return [sum(1 << e for e in s) for s in sets]
+
+
 def bfs_distances(n, edges):
     """dist[u][v] by BFS over an adjacency dict; None when unreachable."""
     adj = {v: set() for v in range(n)}

@@ -190,7 +190,7 @@ def test_criterion_6_property_suites():
     for g in corpus:
         fs = forced_vertices(g)
         oracle = distances(g)
-        side = edge_side_sets(oracle)
+        closer_u, closer_v = edge_side_sets(oracle)
         bases = all_min_mixed_bases(g)
         assert bases
         size = len(bases[0])
@@ -200,8 +200,9 @@ def test_criterion_6_property_suites():
             assert fs.forced <= bset
             assert all(set(p) & bset for p in fs.false_twin_pairs)
             assert not bset & excl
-            for less, greater in zip(side.closer_to_u, side.closer_to_v):
-                assert less & bset and greater & bset
+            bmask = sum(1 << x for x in bset)
+            for less, greater in zip(closer_u, closer_v):
+                assert less & bmask and greater & bmask
             for x in basis:
                 assert size >= 1 + (g.degree(x)).bit_length()  # 1+ceil(log2(1+deg))
 
@@ -210,13 +211,13 @@ def test_criterion_6_property_suites():
     for _ in range(40):
         u = rng.randint(1, 12)
         sets = [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 20))]
-        res = min_hitting_set(CoverInstance.build(u, sets))
+        res = min_hitting_set(CoverInstance.build(u, bf.masks(sets)))
         assert (res.size, res.witness) == bf.min_hitting_set(u, sets)
 
     # (f) LP relaxation never exceeds the integer cover optimum
     for g in corpus:
         inst = pair_cover_instance(distances(g))
-        lp_val = solve_covering_lp(CoveringLP.build(g.n, inst.sets))
+        lp_val = solve_covering_lp(CoveringLP.build(g.n, inst.masks))
         assert lp_val <= min_hitting_set(inst).size + 1e-9
 
     # (g) graph6 roundtrip on every enumerated graph of order <= 6

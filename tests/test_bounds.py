@@ -15,7 +15,7 @@ from mixdim.bounds import (
 from mixdim.families import generate_named, parse_graph6
 from mixdim.graphs import build_graph, distances
 
-from bruteforce import random_connected_graph, side_sets
+from bruteforce import masks, random_connected_graph, side_sets
 
 FIG1_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
@@ -59,17 +59,17 @@ def test_n1_examples():
 
 
 def test_side_sets_path3():
-    ss = edge_side_sets(distances(build_graph(3, [(0, 1), (1, 2)])))
-    assert ss.closer_to_u[0] == frozenset({0})
-    assert ss.closer_to_v[0] == frozenset({1, 2})
+    closer_u, closer_v = edge_side_sets(distances(build_graph(3, [(0, 1), (1, 2)])))
+    assert closer_u[0] == 0b001
+    assert closer_v[0] == 0b110
 
 
 def test_side_sets_hypercube_halfspace():
     g = generate_named("hypercube", 5)
-    ss = edge_side_sets(distances(g))
-    for (u, v), less in zip(ss.edges, ss.closer_to_u):
+    closer_u, _ = edge_side_sets(distances(g))
+    for (u, v), less in zip(g.edges, closer_u):
         t = (u ^ v).bit_length() - 1
-        assert less == frozenset(w for w in range(32) if (w >> t) & 1 == (u >> t) & 1)
+        assert less == sum(1 << w for w in range(32) if (w >> t) & 1 == (u >> t) & 1)
 
 
 def test_side_sets_contain_endpoints():
@@ -77,12 +77,13 @@ def test_side_sets_contain_endpoints():
     for _ in range(15):
         n = rng.randint(2, 9)
         g = build_graph(n, random_connected_graph(rng, n))
-        ss = edge_side_sets(distances(g))
-        for (u, v), less, greater in zip(ss.edges, ss.closer_to_u, ss.closer_to_v):
-            assert u in less and v in greater
+        closer_u, closer_v = edge_side_sets(distances(g))
+        for (u, v), less, greater in zip(g.edges, closer_u, closer_v):
+            assert less >> u & 1 and greater >> v & 1
             assert not less & greater
         # matches the scratch-BFS recomputation
-        assert list(zip(ss.closer_to_u, ss.closer_to_v)) == side_sets(n, g.edges)
+        want = side_sets(n, g.edges)
+        assert (closer_u, closer_v) == tuple(masks(sides) for sides in zip(*want))
 
 
 def test_n2_examples():
@@ -94,9 +95,9 @@ def test_n2_examples():
 def test_n2_witness_hits_both_sides_of_every_edge():
     g = generate_named("gen_petersen", 5, 2)
     value, witness = lb_n2(g)
-    ss = edge_side_sets(distances(g))
-    for less, greater in zip(ss.closer_to_u, ss.closer_to_v):
-        assert less & set(witness) and greater & set(witness)
+    wmask = sum(1 << w for w in witness)
+    for less, greater in zip(*edge_side_sets(distances(g))):
+        assert less & wmask and greater & wmask
 
 
 def test_n3_examples():

@@ -1,0 +1,60 @@
+"""The mask codec of mixdim.cover, and the families built with it, at every
+width: below, at and above one 63-bit int64 word."""
+import itertools
+import random
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from mixdim.bounds import edge_side_sets
+from mixdim.cover import _masks_of_columns, _rows_of_masks
+from mixdim.dims import EDGE_PAIRS, MIXED_PAIRS, VERTEX_PAIRS, distinguisher_masks
+from mixdim.graphs import build_graph, distances
+
+from bruteforce import item_vectors, masks, random_connected_graph, side_sets
+
+
+@st.composite
+def mask_families(draw):
+    width = draw(st.one_of(st.sampled_from([62, 63, 64, 65, 126, 127]), st.integers(1, 130)))
+    return width, draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mask_families())
+@example((62, [(1 << 62) - 1, 1 << 61, 0]))
+@example((63, [(1 << 63) - 1, 1 << 62]))
+@example((64, [(1 << 64) - 1, 1 << 63, 1 << 62]))
+@example((65, [(1 << 65) - 1, 1 << 64, 1 << 63]))
+def test_masks_rows_masks_round_trip(case):
+    width, family = case
+    rows = _rows_of_masks(family, width)
+    assert rows.dtype == bool and rows.shape == (len(family), width)
+    assert [[bool(m >> e & 1) for e in range(width)] for m in family] == rows.tolist()
+    assert _masks_of_columns(rows.T) == family
+
+
+def test_codec_empty_shapes():
+    assert _rows_of_masks([], 5).shape == (0, 5)
+    assert _rows_of_masks([0, 0], 0).shape == (2, 0)
+    assert _masks_of_columns(_rows_of_masks([0, 0], 0).T) == [0, 0]
+
+
+def _wide_graph(n):
+    """A sparse connected graph on n vertices, with sorted edges."""
+    return build_graph(n, random_connected_graph(random.Random(n), n, extra_edge_prob=0.02))
+
+
+@pytest.mark.parametrize("n", range(63, 71))
+def test_wide_graph_families_match_brute_force(n):
+    g = _wide_graph(n)
+    oracle = distances(g)
+    vecs = item_vectors(n, g.edges, range(n))
+    items = {VERTEX_PAIRS: range(n), EDGE_PAIRS: range(n, n + g.m), MIXED_PAIRS: range(n + g.m)}
+    for universe, cols in items.items():
+        want = masks(
+            [w for w in range(n) if vecs[a][w] != vecs[b][w]] for a, b in itertools.combinations(cols, 2)
+        )
+        assert distinguisher_masks(oracle, universe) == want, universe
+    closer_u, closer_v = zip(*side_sets(n, g.edges))
+    assert edge_side_sets(oracle) == (masks(closer_u), masks(closer_v))

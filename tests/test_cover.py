@@ -16,7 +16,7 @@ from mixdim.cover import (
     min_hitting_set,
 )
 
-from bruteforce import min_hitting_set as brute_hitting_set, reference_cover_search
+from bruteforce import masks, min_hitting_set as brute_hitting_set, reference_cover_search
 
 
 # side sets of the 5-vertex/7-edge reference graph, deduplicated by hand
@@ -27,23 +27,23 @@ FIG1_SIDE_SETS = [
 
 
 def test_two_sets_share_element():
-    res = min_hitting_set(CoverInstance.build(3, [{0, 1}, {1, 2}]))
+    res = min_hitting_set(CoverInstance.build(3, masks([{0, 1}, {1, 2}])))
     assert (res.size, res.witness) == (1, (1,))
 
 
 def test_path3_side_set_instance():
-    res = min_hitting_set(CoverInstance.build(3, [{0}, {1, 2}, {0, 1}, {2}]))
+    res = min_hitting_set(CoverInstance.build(3, masks([{0}, {1, 2}, {0, 1}, {2}])))
     assert (res.size, res.witness) == (2, (0, 2))
 
 
 def test_fig1_side_set_instance():
-    res = min_hitting_set(CoverInstance.build(5, FIG1_SIDE_SETS))
+    res = min_hitting_set(CoverInstance.build(5, masks(FIG1_SIDE_SETS)))
     assert res.size == 5
 
 
 def test_greedy_examples():
-    assert greedy_hitting_set(CoverInstance.build(3, [{0, 1}, {1, 2}])).witness == (1,)
-    res = greedy_hitting_set(CoverInstance.build(3, [{0}, {1}, {2}]))
+    assert greedy_hitting_set(CoverInstance.build(3, masks([{0, 1}, {1, 2}]))).witness == (1,)
+    res = greedy_hitting_set(CoverInstance.build(3, masks([{0}, {1}, {2}])))
     assert (res.size, res.witness) == (3, (0, 1, 2))
 
 
@@ -52,18 +52,18 @@ def test_greedy_never_beats_optimum():
     for _ in range(100):
         u = rng.randint(2, 10)
         sets = [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 12))]
-        inst = CoverInstance.build(u, sets)
+        inst = CoverInstance.build(u, masks(sets))
         assert greedy_hitting_set(inst).size >= min_hitting_set(inst).size
 
 
 def test_infeasible_names_a_set():
-    res = min_hitting_set(CoverInstance.build(3, [{0, 1}, {2}], excluded={2}))
+    res = min_hitting_set(CoverInstance.build(3, masks([{0, 1}, {2}]), excluded={2}))
     assert res.status == INFEASIBLE
     assert res.infeasible_set == frozenset({2})
 
 
 def test_empty_input_set_is_infeasible():
-    res = min_hitting_set(CoverInstance.build(3, [{0}, set()]))
+    res = min_hitting_set(CoverInstance.build(3, masks([{0}, set()])))
     assert res.status == INFEASIBLE
 
 
@@ -74,13 +74,13 @@ def test_no_sets_means_empty_solution():
 
 def test_forced_and_excluded_validation():
     with pytest.raises(ValueError):
-        CoverInstance.build(3, [{0}], forced={1}, excluded={1})
+        CoverInstance.build(3, masks([{0}]), forced={1}, excluded={1})
     with pytest.raises(ValueError):
-        CoverInstance.build(2, [{0, 5}])
+        CoverInstance.build(2, masks([{0, 5}]))
 
 
 def test_cutoff_verdict():
-    inst = CoverInstance.build(4, [{0}, {1}, {2}, {3}])
+    inst = CoverInstance.build(4, masks([{0}, {1}, {2}, {3}]))
     assert min_hitting_set(inst, cutoff=3).status == CUTOFF_EXCEEDED
     res = min_hitting_set(inst, cutoff=4)
     assert (res.size, res.witness) == (4, (0, 1, 2, 3))
@@ -96,7 +96,7 @@ def test_exactness_vs_enumeration(backend):
         excluded = (
             frozenset(rng.sample(pool, min(len(pool), 2))) if rng.random() < 0.25 else frozenset()
         )
-        inst = CoverInstance.build(u, sets, forced=forced, excluded=excluded)
+        inst = CoverInstance.build(u, masks(sets), forced=forced, excluded=excluded)
         res = min_hitting_set(inst)
         if any(not (s - excluded) for s in sets):
             assert res.status == INFEASIBLE
@@ -112,25 +112,25 @@ def test_monotone_in_sets():
         u = rng.randint(2, 10)
         sets = [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 10))]
         extra = frozenset(rng.sample(range(u), rng.randint(1, u)))
-        base = min_hitting_set(CoverInstance.build(u, sets)).size
-        more = min_hitting_set(CoverInstance.build(u, sets + [extra])).size
+        base = min_hitting_set(CoverInstance.build(u, masks(sets))).size
+        more = min_hitting_set(CoverInstance.build(u, masks(sets + [extra]))).size
         assert more >= base
 
 
 def test_result_independent_of_set_order():
     rng = random.Random(5)
     sets = [frozenset(rng.sample(range(9), rng.randint(1, 9))) for _ in range(12)]
-    a = min_hitting_set(CoverInstance.build(9, sets))
+    a = min_hitting_set(CoverInstance.build(9, masks(sets)))
     shuffled = sets[:]
     rng.shuffle(shuffled)
-    b = min_hitting_set(CoverInstance.build(9, shuffled))
+    b = min_hitting_set(CoverInstance.build(9, masks(shuffled)))
     assert a == b
 
 
 def test_witness_validated_against_original_family():
     # duplicates and supersets are dropped internally but still get checked
     sets = [{0, 1}, {0, 1}, {0, 1, 2}, {2}]
-    res = min_hitting_set(CoverInstance.build(3, sets))
+    res = min_hitting_set(CoverInstance.build(3, masks(sets)))
     assert res.witness == (0, 2)
     for s in sets:
         assert set(s) & set(res.witness)
@@ -138,7 +138,7 @@ def test_witness_validated_against_original_family():
 
 def test_backend_timeout(backend):
     sets = [{2 * i, 2 * i + 1} for i in range(20)]
-    inst = CoverInstance.build(40, sets)
+    inst = CoverInstance.build(40, masks(sets))
     with pytest.raises(SolveTimeout):
         min_hitting_set(inst, deadline=time.monotonic() - 1.0)
 
@@ -158,7 +158,7 @@ def test_python_search_raises_past_deadline(monkeypatch):
     deadline = real() + 60.0
     monkeypatch.setattr(time, "monotonic", clock)
     with pytest.raises(SolveTimeout):
-        min_hitting_set(CoverInstance.build(5, FIG1_SIDE_SETS), deadline=deadline)
+        min_hitting_set(CoverInstance.build(5, masks(FIG1_SIDE_SETS)), deadline=deadline)
     assert reads[0] == 2
 
 
@@ -177,7 +177,7 @@ def test_witness_raises_past_deadline(backend, monkeypatch):
         return witness(*args, **kwargs)
 
     monkeypatch.setattr(cover, "_lex_min_witness", late_witness)
-    inst = CoverInstance.build(5, FIG1_SIDE_SETS)
+    inst = CoverInstance.build(5, masks(FIG1_SIDE_SETS))
     with pytest.raises(SolveTimeout):
         min_hitting_set(inst, deadline=time.monotonic() + 60.0)
     assert entered
@@ -199,7 +199,7 @@ def test_kernel_times_out(backend, monkeypatch):
 
     monkeypatch.setattr(time, "monotonic", clock)
     result = cover._kernel(40)(40, WINDOWS_40, None, 0, 60.0)
-    assert result == (_cover_py.STATUS_TIMEOUT, 0, 0)
+    assert result == (_cover_py.STATUS_TIMEOUT, 0, 0, 8192)
     assert len(reads) == 2
 
 
@@ -224,7 +224,7 @@ def test_backends_agree(compiled_kernel, monkeypatch):
     for _ in range(120):
         u = rng.randint(1, 14)
         sets = [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 18))]
-        cases.append((CoverInstance.build(u, sets), rng.choice([None, rng.randint(1, u)])))
+        cases.append((CoverInstance.build(u, masks(sets)), rng.choice([None, rng.randint(1, u)])))
     compiled = [min_hitting_set(inst, cutoff=cutoff) for inst, cutoff in cases]
     monkeypatch.setattr(cover, "_cover_c", None)
     assert [min_hitting_set(inst, cutoff=cutoff) for inst, cutoff in cases] == compiled
@@ -233,7 +233,7 @@ def test_backends_agree(compiled_kernel, monkeypatch):
 def test_python_backend_handles_wide_universe():
     # beyond the 64-element compiled limit; {70} absorbs the pair {6, 70}
     sets = [{i, 64 + i} for i in range(10)] + [{70}]
-    inst = CoverInstance.build(80, sets)
+    inst = CoverInstance.build(80, masks(sets))
     res = min_hitting_set(inst)
     assert res.status == OPTIMAL
     assert (res.size, res.witness) == (10, (0, 1, 2, 3, 4, 5, 7, 8, 9, 70))
@@ -251,34 +251,23 @@ def _kernel_case(rng, universe):
     return _reduce_family(sets), cutoff, stop_size
 
 
-def test_python_search_matches_reference_tree(monkeypatch):
-    # same answers and the same number of search nodes as the reference,
-    # which bans elements per node instead of stripping them from the sets;
-    # the compiled kernel, when built, gives the same answers up to 64
-    # elements (its node count is not exposed)
+def test_python_search_matches_reference_tree():
+    # both kernels return the reference's answers and node counts; the
+    # reference bans elements per node instead of stripping them from the
+    # sets.  The compiled kernel, when built, takes universes up to 64
     compiled = cover._cover_c
-    searches = []
-
-    class Recorded(_cover_py._Search):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            searches.append(self)
-
-    monkeypatch.setattr(_cover_py, "_Search", Recorded)
     rng = random.Random(5)
     universes = [rng.randint(2, 16) for _ in range(200)] + [70, 90]
     statuses = set()
     total_nodes = 0
     for universe in universes:
         masks, cutoff, stop_size = _kernel_case(rng, universe)
-        status, size, mask, nodes = reference_cover_search(universe, masks, cutoff, stop_size)
-        searches.clear()
-        assert _cover_py.solve(universe, masks, cutoff, stop_size, None) == (status, size, mask)
-        assert sum(s.nodes for s in searches) == nodes
+        want = reference_cover_search(universe, masks, cutoff, stop_size)
+        assert _cover_py.solve(universe, masks, cutoff, stop_size, None) == want
         if compiled is not None and universe <= 64:
-            assert compiled.solve(universe, masks, cutoff, stop_size, None) == (status, size, mask)
-        statuses.add(status)
-        total_nodes += nodes
+            assert compiled.solve(universe, masks, cutoff, stop_size, None) == want
+        statuses.add(want[0])
+        total_nodes += want[3]
     assert statuses == {_cover_py.STATUS_OPTIMAL, _cover_py.STATUS_CUTOFF}
     assert total_nodes > 1000
 

@@ -33,13 +33,13 @@ def fig1():
 
 def test_pair_instance_p3_mixed():
     inst = pair_cover_instance(distances(build_graph(3, [(0, 1), (1, 2)])), MIXED_PAIRS)
-    assert all(s for s in inst.sets)
+    assert all(inst.masks)
     assert min_hitting_set(inst).size == 2
 
 
 def test_pair_instance_k2_vertex():
     inst = pair_cover_instance(distances(parse_graph6("A_")), VERTEX_PAIRS)
-    assert inst.original_sets == (frozenset({0, 1}),)
+    assert inst.original_masks == (0b11,)
 
 
 def test_pair_instance_c4_mixed():
@@ -187,4 +187,4 @@ def test_analysis_sub_families_match_pair_instances():
             want = pair_cover_instance(oracle, universe)
             got = a.instance(universe)
             assert got == want
-            assert got.original_sets == want.original_sets
+            assert got.original_masks == want.original_masks
