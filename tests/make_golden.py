@@ -2,7 +2,8 @@
 refactors against.
 
 For every connected graph of order 2..6 and for the Petersen, Moebius-Kantor,
-Paley(13) and Clebsch graphs it records graph6, beta, betaE, betaM, the
+Paley(13), Clebsch, rook(6), johnson(9,2), GQ(2,4), Kneser(7,2), Q5 and
+H(3,3) graphs it records graph6, beta, betaE, betaM, the
 betaM witness, the N2 witness and the seven lower bounds of
 bounds_report(G, compute_exact=True).  Regenerate only on purpose:
 
@@ -23,6 +24,12 @@ NAMED = (
     ("Mobius-Kantor", ("gen_petersen", 8, 3)),
     ("Paley(13)", ("paley", 13)),
     ("Clebsch", ("clebsch",)),
+    ("rook(6)", ("rook", 6)),
+    ("johnson(9,2)", ("johnson", 9, 2)),
+    ("GQ(2,4)", ("gq24",)),
+    ("Kneser(7,2)", ("kneser", 7, 2)),
+    ("Q5", ("hypercube", 5)),
+    ("H(3,3)", ("hamming", 3, 3)),
 )
 
 BOUND_FIELDS = ("l1", "l2", "l3", "l4", "n1", "n2", "n3")

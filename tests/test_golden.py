@@ -15,7 +15,7 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 def test_golden_covers_its_graphs():
     assert [r["label"] for r in GOLDEN] == [label for label, _g in golden_graphs()]
-    assert len(GOLDEN) == 1 + 2 + 6 + 21 + 112 + 4
+    assert len(GOLDEN) == 1 + 2 + 6 + 21 + 112 + 10
 
 
 def _id(i, row, backend):
