@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import OPTIMAL, CoverInstance, _masks_of_columns, deadline_after, min_hitting_set
+from . import symmetry
+from .cover import OPTIMAL, CoverInstance, _masks_of_columns, deadline_after, lex_min_hitting_set
 from .dims import (
     MIXED_PAIRS,
     GraphAnalysis,
@@ -83,12 +84,16 @@ def lb_n2(
     oracle: DistanceOracle | None = None,
     deadline: float | None = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum hitting set over the 2m edge side sets, with witness;
-    raises SolveTimeout past the absolute time.monotonic() deadline."""
-    closer_u, closer_v = edge_side_sets(_oracle(G, oracle))
+    """Exact minimum hitting set over the 2m edge side sets, with its
+    lex-min witness; the size is proved with the graph's automorphism
+    orbits.  Raises SolveTimeout past the absolute time.monotonic()
+    deadline."""
+    oracle = _oracle(G, oracle)
+    closer_u, closer_v = edge_side_sets(oracle)
     inst = CoverInstance.build(G.n, closer_u + closer_v)
-    res = min_hitting_set(inst, deadline=deadline)
+    res = symmetry.min_size(inst, oracle.symmetry, deadline=deadline)
     assert res.status == OPTIMAL
+    res = lex_min_hitting_set(inst, res.size, deadline)
     return res.size, res.witness
 
 

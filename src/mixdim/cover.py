@@ -10,6 +10,11 @@ optional forced and excluded elements.  min_hitting_set returns the exact
 optimum together with the lexicographically smallest minimum witness, a
 "greater than cutoff" verdict or an infeasibility verdict naming a set
 that cannot be hit, and raises SolveTimeout once its deadline has passed.
+It is two steps that callers may also take apart: min_hitting_set_size
+proves the optimum (or the verdict) without a witness, and
+lex_min_hitting_set finds the witness at a proven size.  The symmetry
+module proves sizes on graph instances by splitting them into
+subinstances of this kind, one plain kernel call each.
 
 Two interchangeable kernels do the search: a compiled extension
 (mixdim._cover_c, hand-written C, universes up to 64 elements) and a
@@ -96,11 +101,14 @@ def _masks_of_columns(bits: np.ndarray) -> list[int]:
 
 def _rows_of_masks(masks: Sequence[int], width: int) -> np.ndarray:
     """Boolean matrix with one row per mask: row j holds bits 0..width-1
-    of masks[j]."""
+    of masks[j].  Each word's bits are unpacked from its eight bytes, so
+    the temporaries take one byte per bit."""
     rows = np.zeros((len(masks), width), dtype=bool)
     for lo in range(0, width, _WORD_BITS):
-        words = np.array([m >> lo & _WORD_MASK for m in masks], dtype=np.int64)
-        rows[:, lo : lo + _WORD_BITS] = words[:, None] >> np.arange(min(width - lo, _WORD_BITS)) & 1
+        words = np.array([m >> lo & _WORD_MASK for m in masks], dtype="<u8")
+        count = min(width - lo, _WORD_BITS)
+        octets = words.view(np.uint8).reshape(-1, 8)
+        rows[:, lo : lo + count] = np.unpackbits(octets, axis=1, count=count, bitorder="little")
     return rows
 
 
@@ -112,24 +120,34 @@ def _reduce_family(masks: Iterable[int]) -> list[int]:
     """Deduplicate and drop supersets (hitting a subset hits its supersets).
 
     Deterministic output order: ascending (popcount, mask value).  Masks
-    must be nonnegative.
+    must be nonnegative.  Families of 64-bit masks are deduplicated in a
+    uint64 array, a fraction of the memory of a set of ints.
     """
-    uniq = set(masks)
-    if len(uniq) >= _VECTOR_REDUCE_MIN and max(uniq) < 1 << 64:
-        return _reduce_family_uint64(uniq)
+    masks = masks if isinstance(masks, (list, tuple)) else list(masks)
+    uniq = None
+    if len(masks) >= _VECTOR_REDUCE_MIN:
+        try:
+            arr = np.fromiter(masks, dtype=np.uint64, count=len(masks))
+        except OverflowError:  # a mask wider than 64 bits
+            pass
+        else:
+            arr.sort()
+            arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
+            if arr.size >= _VECTOR_REDUCE_MIN:
+                return _reduce_family_uint64(arr)
+            uniq = arr.tolist()
     kept: list[int] = []
-    for m in sorted(uniq, key=lambda m: (m.bit_count(), m)):
+    for m in sorted(set(masks) if uniq is None else uniq, key=lambda m: (m.bit_count(), m)):
         if not any(km & m == km for km in kept):
             kept.append(m)
     return kept
 
 
-def _reduce_family_uint64(uniq: set[int]) -> list[int]:
-    """_reduce_family for 64-bit masks: the front mask of the sorted array
-    is always kept (nothing before it is its subset) and drops its
-    supersets from the rest in one vector operation."""
-    arr = np.fromiter(uniq, dtype=np.uint64, count=len(uniq))
-    arr.sort()
+def _reduce_family_uint64(arr: np.ndarray) -> list[int]:
+    """_reduce_family for distinct 64-bit masks in ascending order: the
+    front mask of the array in (popcount, value) order is always kept
+    (nothing before it is its subset) and drops its supersets from the
+    rest in one vector operation."""
     arr = arr[np.argsort(np.bitwise_count(arr), kind="stable")]
     kept = []
     while arr.size:
@@ -180,9 +198,10 @@ class CoverInstance:
                 raise ValueError(f"element {e} outside universe 0..{universe_size - 1}")
         if fset & xset:
             raise ValueError(f"forced and excluded overlap: {sorted(fset & xset)}")
-        reduced = _reduce_family(m for m in original if m)
-        if 0 in original:
-            reduced.insert(0, 0)
+        if 0 in original:  # reduce the rest: 0 is a subset of every set
+            reduced = [0, *_reduce_family([m for m in original if m])]
+        else:
+            reduced = _reduce_family(original)
         return cls(universe_size, tuple(reduced), fset, xset, original)
 
     @cached_property
@@ -253,6 +272,37 @@ def _validate_witness(inst: CoverInstance, witness: tuple[int, ...]) -> None:
             raise RuntimeError(f"internal error: witness fails to hit {list(_bits_of(m))}")
 
 
+def min_hitting_set_size(
+    inst: CoverInstance,
+    cutoff: int | None = None,
+    lower_bound: int = 0,
+    deadline: float | None = None,
+) -> CoverResult:
+    """min_hitting_set without the witness: the same status and size, with
+    witness None.  Raises SolveTimeout past the absolute time.monotonic()
+    deadline."""
+    prep = _prepare(inst)
+    if isinstance(prep, CoverResult):
+        return prep
+    _check_deadline(deadline)
+    masks, _fmask = prep
+    base = len(inst.forced)
+    if cutoff is not None and base > cutoff:
+        return CoverResult(CUTOFF_EXCEEDED)
+    if not masks:
+        return CoverResult(OPTIMAL, base)
+
+    res_cutoff = None if cutoff is None else cutoff - base
+    res_stop = max(lower_bound - base, 0)
+    kernel = _kernel(inst.universe_size)
+    status, size, _mask, _nodes = kernel(inst.universe_size, masks, res_cutoff, res_stop, deadline)
+    if status == _cover_py.STATUS_TIMEOUT:
+        raise SolveTimeout("exact solve ran past its deadline")
+    if status == _cover_py.STATUS_CUTOFF:
+        return CoverResult(CUTOFF_EXCEEDED)
+    return CoverResult(OPTIMAL, base + size)
+
+
 def min_hitting_set(
     inst: CoverInstance,
     cutoff: int | None = None,
@@ -268,30 +318,22 @@ def min_hitting_set(
     The search and the witness share deadline, an absolute
     time.monotonic() value; past it SolveTimeout is raised.
     """
-    prep = _prepare(inst)
-    if isinstance(prep, CoverResult):
-        return prep
-    _check_deadline(deadline)
-    masks, fmask = prep
-    kernel = _kernel(inst.universe_size)
-    base = len(inst.forced)
-    if cutoff is not None and base > cutoff:
-        return CoverResult(CUTOFF_EXCEEDED)
-    if not masks:
-        return CoverResult(OPTIMAL, base, tuple(sorted(inst.forced)))
+    res = min_hitting_set_size(inst, cutoff, lower_bound, deadline)
+    return lex_min_hitting_set(inst, res.size, deadline) if res.ok else res
 
-    res_cutoff = None if cutoff is None else cutoff - base
-    res_stop = max(lower_bound - base, 0)
-    status, size, _mask, _nodes = kernel(inst.universe_size, masks, res_cutoff, res_stop, deadline)
-    if status == _cover_py.STATUS_TIMEOUT:
-        raise SolveTimeout("exact solve ran past its deadline")
-    if status == _cover_py.STATUS_CUTOFF:
-        return CoverResult(CUTOFF_EXCEEDED)
 
-    chosen = _lex_min_witness(masks, size, inst.universe_size, kernel, deadline)
+def lex_min_hitting_set(inst: CoverInstance, size: int, deadline: float | None = None) -> CoverResult:
+    """The lexicographically smallest hitting set of inst among those of
+    the given size, which must be inst's proven optimum; raises
+    SolveTimeout past the absolute time.monotonic() deadline."""
+    masks, fmask = _prepare(inst)
+    chosen = 0
+    if masks:
+        kernel = _kernel(inst.universe_size)
+        chosen = _lex_min_witness(masks, size - len(inst.forced), inst.universe_size, kernel, deadline)
     witness = _bits_of(chosen | fmask)
     _validate_witness(inst, witness)
-    return CoverResult(OPTIMAL, base + size, witness)
+    return CoverResult(OPTIMAL, size, witness)
 
 
 def _lex_min_witness(

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+from . import symmetry
 from .cover import (
     CUTOFF_EXCEEDED,
     INFEASIBLE,
@@ -24,6 +25,7 @@ from .cover import (
     SolveTimeout,  # noqa: F401 - re-exported: raised by every exact solve
     _masks_of_columns,
     deadline_after,
+    lex_min_hitting_set,
     min_hitting_set,
 )
 from .graphs import DistanceOracle, Graph, GraphError, MixedItem, distances, flat_to_item
@@ -130,52 +132,69 @@ class GraphAnalysis:
     pair, the forced structure and the reduced mixed pair-cover instance.
 
     Vertex pairs and edge pairs are sub-families of the mixed pairs, so
-    their instances are cut from mixed_masks instead of recomputed.
+    their instances are cut from the mixed instance's original_masks
+    instead of recomputed.  The automorphism orbits that prove the exact
+    values live on the oracle (oracle.symmetry), found on first use.
     """
 
     def __init__(self, G: Graph, oracle: DistanceOracle | None = None):
         self.graph = G
         self.oracle = oracle or distances(G)
-        self.mixed_masks = distinguisher_masks(self.oracle, MIXED_PAIRS)
         self.forced = forced_vertices(G)
-        # reduced without forced/excluded: the family of every deepening level
-        self.mixed = CoverInstance.build(G.n, self.mixed_masks)
+        # reduced without forced/excluded: the family of every deepening
+        # level; its original_masks hold every mixed pair's mask, in order
+        self.mixed = CoverInstance.build(G.n, distinguisher_masks(self.oracle, MIXED_PAIRS))
 
-    def pair_masks(self, universe: str) -> list[int]:
-        """distinguisher_masks(self.oracle, universe), in the same order."""
+    def _pair_family(self, universe: str) -> tuple[int, ...]:
+        masks = self.mixed.original_masks
         if universe == MIXED_PAIRS:
-            return self.mixed_masks
+            return masks
         n = self.graph.n
         items = n + self.graph.m
         # mixed pairs (a, b), a < b, row by row: row a starts here
         start = [a * (2 * items - a - 1) // 2 for a in range(n + 1)]
         if universe == EDGE_PAIRS:
-            return self.mixed_masks[start[n]:]
+            return masks[start[n]:]
         if universe == VERTEX_PAIRS:
-            rows = (self.mixed_masks[start[a] : start[a] + n - 1 - a] for a in range(n - 1))
-            return list(itertools.chain.from_iterable(rows))
+            rows = (masks[start[a] : start[a] + n - 1 - a] for a in range(n - 1))
+            return tuple(itertools.chain.from_iterable(rows))
         raise ValueError(f"unknown pair universe {universe!r}")
+
+    def pair_masks(self, universe: str) -> list[int]:
+        """distinguisher_masks(self.oracle, universe), in the same order."""
+        return list(self._pair_family(universe))
 
     def instance(self, universe: str) -> CoverInstance:
         """The same instance as pair_cover_instance(self.oracle, universe)."""
         if universe == MIXED_PAIRS:
             return self.mixed
-        return CoverInstance.build(self.graph.n, self.pair_masks(universe))
+        # a tuple is kept as the instance's original_masks without a copy
+        return CoverInstance.build(self.graph.n, self._pair_family(universe))
 
     @cached_property
     def forced_lower_bound(self) -> int:
         return forced_structure_lower_bound(self.graph, self.forced)
 
 
-def pair_dimension(inst: CoverInstance, deadline: float | None) -> tuple[int, tuple[int, ...]]:
-    """Optimum and lex-min witness of a pair-cover instance; raises
-    SolveTimeout past the absolute time.monotonic() deadline."""
+def _pair_dimension_value(inst: CoverInstance, sym: symmetry.GraphSymmetry, deadline: float | None) -> int:
+    """Optimum of a pair-cover instance of sym's graph, proved with its
+    automorphism orbits; raises SolveTimeout past the absolute
+    time.monotonic() deadline."""
     if inst.num_sets == 0:
         # a single item resolves itself; by convention a generator is nonempty
-        return 1, (0,)
-    res = min_hitting_set(inst, deadline=deadline)
+        return 1
+    res = symmetry.min_size(inst, sym, deadline=deadline)
     assert res.status == OPTIMAL
-    return res.size, res.witness
+    return res.size
+
+
+def pair_dimension(oracle: DistanceOracle, universe: str, deadline: float | None) -> tuple[int, tuple[int, ...]]:
+    """Optimum and lex-min witness of the pair-cover instance of universe."""
+    inst = pair_cover_instance(oracle, universe)
+    size = _pair_dimension_value(inst, oracle.symmetry, deadline)
+    if inst.num_sets == 0:
+        return size, (0,)
+    return size, lex_min_hitting_set(inst, size, deadline).witness
 
 
 def metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple[int, ...]]:
@@ -183,7 +202,7 @@ def metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple
     if G.n < 2:
         raise GraphError("metric dimension needs at least 2 vertices")
     deadline = deadline_after(timeout)
-    return pair_dimension(pair_cover_instance(distances(G), VERTEX_PAIRS), deadline)
+    return pair_dimension(distances(G), VERTEX_PAIRS, deadline)
 
 
 def edge_metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple[int, ...]]:
@@ -191,7 +210,7 @@ def edge_metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, 
     if G.n < 2:
         raise GraphError("edge metric dimension needs at least 2 vertices")
     deadline = deadline_after(timeout)
-    return pair_dimension(pair_cover_instance(distances(G), EDGE_PAIRS), deadline)
+    return pair_dimension(distances(G), EDGE_PAIRS, deadline)
 
 
 def mixed_metric_dimension(
@@ -209,6 +228,8 @@ def mixed_metric_dimension(
     pair-cover instance with cutoff k.  The first feasible level is the
     optimum because exclusion thresholds only relax as k grows.  The
     reduced family is built once; levels differ only in forced/excluded.
+    Each level's verdict is proved with the graph's automorphism orbits
+    (symmetry.min_size); the witness is then the lex-min cover of size k.
 
     Deepening starts at the largest of the structural bounds and
     lower_bound, which must be a proven lower bound.  timeout is one budget
@@ -228,8 +249,9 @@ def mixed_metric_dimension(
             k += 1
             continue
         inst = replace(a.mixed, forced=fs.forced, excluded=excl)
-        res = min_hitting_set(inst, cutoff=k, lower_bound=k, deadline=deadline)
+        res = symmetry.min_size(inst, a.oracle.symmetry, cutoff=k, lower_bound=k, deadline=deadline)
         if res.status == OPTIMAL:
+            res = lex_min_hitting_set(inst, res.size, deadline)
             return res.size, res.witness
         # CUTOFF_EXCEEDED, or INFEASIBLE when the level-k exclusion swallowed
         # a whole distinguisher set: either way no solution of size <= k exists
@@ -247,16 +269,17 @@ def exact_dimensions(
     """(beta, betaE, betaM, lex-min mixed basis) of G, all three solves
     under one absolute time.monotonic() deadline.
 
-    Every mixed resolving set resolves the vertices and the edges, so
-    betaM >= max(beta, betaE): the mixed deepening starts there, or at
-    lower_bound (a proven bound on betaM) when that is larger.  analysis,
-    when given, must belong to G.
+    beta and betaE are solved for their values only, proved with the
+    graph's automorphism orbits (symmetry.min_size).  Every mixed resolving
+    set resolves the vertices and the edges, so betaM >= max(beta, betaE):
+    the mixed deepening starts there, or at lower_bound (a proven bound on
+    betaM) when that is larger.  analysis, when given, must belong to G.
     """
     if G.n < 2:
         raise GraphError("exact dimensions need at least 2 vertices")
     a = analysis or GraphAnalysis(G)
-    beta, _ = pair_dimension(a.instance(VERTEX_PAIRS), deadline)
-    beta_e, _ = pair_dimension(a.instance(EDGE_PAIRS), deadline)
+    beta = _pair_dimension_value(a.instance(VERTEX_PAIRS), a.oracle.symmetry, deadline)
+    beta_e = _pair_dimension_value(a.instance(EDGE_PAIRS), a.oracle.symmetry, deadline)
     start = max(lower_bound, beta, beta_e)
     beta_m, witness = mixed_metric_dimension(G, analysis=a, deadline=deadline, lower_bound=start)
     if beta_m < start:

@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .symmetry import GraphSymmetry
+
 # distance-table entry of a vertex that BFS has not reached
 _UNREACHED = np.iinfo(np.uint16).max
 
@@ -153,10 +155,12 @@ class DistanceOracle:
 
     dv[w][x] is the vertex distance, dmix[w][i] the distance from vertex w
     to flat item i (dmix[:, :n] equals dv, dmix[:, n+e] is the min over the
-    endpoints of edge e).  Immutable after construction.
+    endpoints of edge e).  symmetry finds the automorphism orbits on first
+    use and keeps them, so every solve on the graph shares them.  Immutable
+    after construction.
     """
 
-    __slots__ = ("graph", "dv", "dmix", "diameter", "degrees", "min_degree", "max_degree")
+    __slots__ = ("graph", "dv", "dmix", "diameter", "degrees", "min_degree", "max_degree", "symmetry")
 
     def __init__(self, graph: Graph, dv: np.ndarray, dmix: np.ndarray):
         self.graph = graph
@@ -166,6 +170,7 @@ class DistanceOracle:
         self.degrees = tuple(graph.degree(v) for v in range(graph.n))
         self.min_degree = min(self.degrees)
         self.max_degree = max(self.degrees)
+        self.symmetry = GraphSymmetry(graph, dv)
 
 
 def distances(G: Graph) -> DistanceOracle:

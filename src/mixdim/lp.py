@@ -28,6 +28,7 @@ ABS_TOL = 1e-7
 CEIL_TOL = 1e-6
 _PIVOT_EPS = 1e-9
 _DEGENERATE_STREAK = 64
+_UPDATE_ELEMENTS = 1 << 15
 
 
 class LPError(RuntimeError):
@@ -63,11 +64,29 @@ class CoveringLP:
 def solve_covering_lp_primal(lp: CoveringLP) -> tuple[float, np.ndarray]:
     """Optimal objective and an optimal fractional selection vector y."""
     m = lp.num_vars
-    R = len(lp.masks)
-    if R == 0:
+    if not lp.masks:
         return 0.0, np.zeros(m)
-    # packing dual: maximize 1.x  s.t.  incidence^T x + s = 1
     incidence = _rows_of_masks(lp.masks, m)
+    value, y = _packing_dual_simplex(incidence)
+    total = float(y.sum())
+    if abs(total - value) > 1e-6 * max(1.0, abs(value)):
+        raise LPError(f"primal recovery mismatch: sum(y)={total} vs optimum {value}")
+    if lp.original_masks is not lp.masks:
+        incidence = _rows_of_masks(lp.original_masks, m)
+    cover = incidence @ y
+    bad = np.nonzero(cover < 1.0 - ABS_TOL)[0]
+    if bad.size:
+        raise LPError(f"recovered selection violates row {list(_bits_of(lp.original_masks[bad[0]]))}")
+    return value, y
+
+
+def _packing_dual_simplex(incidence: np.ndarray) -> tuple[float, np.ndarray]:
+    """Optimum of the packing dual of the covering rows incidence (one row
+    per covering row, one column per variable) and the covering solution
+    read off its slack columns.  The tableau lives only here, so it is
+    freed before the caller's check converts incidence to floats."""
+    R, m = incidence.shape
+    # packing dual: maximize 1.x  s.t.  incidence^T x + s = 1
     ncols = R + m
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :R] = incidence.T
@@ -75,6 +94,10 @@ def solve_covering_lp_primal(lp: CoveringLP) -> tuple[float, np.ndarray]:
     T[:m, ncols] = 1.0
     T[m, :R] = -1.0  # reduced costs z_j - c_j with the all-slack basis
     basis = list(range(R, R + m))
+    # rows per block of each pivot's rank-one update: the update's
+    # temporary is one block, about _UPDATE_ELEMENTS entries on wide
+    # tableaus, which bounds the solve's peak memory
+    step = max(1, _UPDATE_ELEMENTS // (ncols + 1))
 
     bland = False
     degenerate_run = 0
@@ -108,23 +131,13 @@ def solve_covering_lp_primal(lp: CoveringLP) -> tuple[float, np.ndarray]:
         T[leave] /= piv
         factors = T[:, enter].copy()
         factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
+        row = T[leave].copy()
+        for lo in range(0, m + 1, step):
+            T[lo : lo + step] -= np.outer(factors[lo : lo + step], row)
         basis[leave] = enter
     else:
         raise LPError("simplex iteration limit exceeded")
-
-    value = float(T[m, ncols])
-    y = np.clip(T[m, R : R + m].copy(), 0.0, None)
-    total = float(y.sum())
-    if abs(total - value) > 1e-6 * max(1.0, abs(value)):
-        raise LPError(f"primal recovery mismatch: sum(y)={total} vs optimum {value}")
-    if lp.original_masks is not lp.masks:
-        incidence = _rows_of_masks(lp.original_masks, m)
-    cover = incidence @ y
-    bad = np.nonzero(cover < 1.0 - ABS_TOL)[0]
-    if bad.size:
-        raise LPError(f"recovered selection violates row {list(_bits_of(lp.original_masks[bad[0]]))}")
-    return value, y
+    return float(T[m, ncols]), np.clip(T[m, R : R + m].copy(), 0.0, None)
 
 
 def solve_covering_lp(lp: CoveringLP) -> float:

@@ -1,18 +1,18 @@
 """A timeout is one deadline for the whole public call.
 
-A fake monotonic clock makes every hitting-set solve take STEP seconds, so
-each solve fits the budget alone while the call's solves together do not.
+A fake monotonic clock makes every hitting-set size solve take STEP seconds,
+so each solve fits the budget alone while the call's solves together do not.
 The clock runs ahead of the real one, so no deadline expires early.
 """
 import time
 
 import pytest
 
-import mixdim.bounds as bounds
-import mixdim.dims as dims
+import mixdim.cover as cover
+import mixdim.symmetry as symmetry
 from mixdim.bounds import bounds_report
 from mixdim.cli import EXIT_INVALID, main
-from mixdim.cover import min_hitting_set
+from mixdim.cover import min_hitting_set_size
 from mixdim.dims import SolveTimeout, mixed_metric_dimension
 from mixdim.families import generate_named
 
@@ -22,8 +22,9 @@ BUDGET = 25.0  # two solves fit, three do not
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Each min_hitting_set call advances the clock by STEP; returns the
-    list of calls made."""
+    """Each min_hitting_set_size call, the size proof that min_hitting_set
+    and every orbital branch of symmetry.min_size run, advances the clock
+    by STEP; returns the list of calls made."""
     calls = []
     offset = [0.0]
     real = time.monotonic
@@ -32,10 +33,10 @@ def solves(monkeypatch):
     def slow(*args, **kwargs):
         offset[0] += STEP
         calls.append(args[0])
-        return min_hitting_set(*args, **kwargs)
+        return min_hitting_set_size(*args, **kwargs)
 
-    for mod in (dims, bounds):
-        monkeypatch.setattr(mod, "min_hitting_set", slow)
+    for mod in (cover, symmetry):
+        monkeypatch.setattr(mod, "min_hitting_set_size", slow)
     return calls
 
 

@@ -1,0 +1,196 @@
+"""Automorphism orbits against networkx, and orbital branching against the
+plain kernel call on every family the exact solves prove values on."""
+import json
+from dataclasses import replace
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
+
+import mixdim.symmetry as symmetry
+from mixdim.bounds import edge_side_sets
+from mixdim.cover import CUTOFF_EXCEEDED, OPTIMAL, CoverInstance, min_hitting_set_size
+from mixdim.dims import EDGE_PAIRS, VERTEX_PAIRS, GraphAnalysis, excluded_vertices
+from mixdim.families import generate, generate_named, parse_graph6
+from mixdim.graphs import build_graph, distances
+from mixdim.symmetry import GraphSymmetry, is_automorphism
+from mixdim.tables import SELECTED_GRAPHS
+
+from make_golden import GOLDEN_PATH
+
+
+def _nx(G):
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges)
+    return H
+
+
+def nx_orbits(G, fixed=(), autos=None):
+    """Orbits of the automorphisms of G that fix every vertex of fixed, as
+    sorted vertex tuples, from networkx's enumeration of all automorphisms
+    (or from autos, that enumeration made earlier)."""
+    if autos is None:
+        autos = list(GraphMatcher(_nx(G), _nx(G)).isomorphisms_iter())
+    orbit = {v: {v} for v in range(G.n)}
+    for perm in autos:
+        if all(perm[f] == f for f in fixed):
+            for v, w in perm.items():
+                orbit[v].add(w)
+    return sorted({tuple(sorted(o)) for o in orbit.values()})
+
+
+def orbits(G, fixed=()):
+    return sorted(tuple(b for b in range(G.n) if m >> b & 1) for m in distances(G).symmetry.orbits(fixed))
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_orbits_match_networkx(order):
+    # networkx's atlas holds every graph of order at most 7
+    atlas = [H for H in nx.graph_atlas_g() if H.number_of_nodes() == order and nx.is_connected(H)]
+    assert len(atlas) == [1, 1, 2, 6, 21, 112, 853][order - 1]
+    for H in atlas:
+        G = build_graph(order, H.edges)
+        autos = list(GraphMatcher(H, H).isomorphisms_iter())
+        assert orbits(G) == nx_orbits(G, (), autos), G.edges
+        assert orbits(G, (0,)) == nx_orbits(G, (0,), autos), G.edges
+
+
+@st.composite
+def connected_graphs(draw, max_n=8):
+    n = draw(st.integers(2, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in tree + extra])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(connected_graphs(), st.integers(0, 7))
+def test_every_merge_lies_in_one_networkx_orbit(G, vertex):
+    fixed = (vertex % G.n,)
+    for found, truth in ((orbits(G), nx_orbits(G)), (orbits(G, fixed), nx_orbits(G, fixed))):
+        where = {v: i for i, o in enumerate(truth) for v in o}
+        assert all(len({where[v] for v in o}) == 1 for o in found)
+
+
+@pytest.mark.parametrize("sel", [s for s in SELECTED_GRAPHS if s.family is not None], ids=lambda s: s.name)
+def test_selected_graphs_are_vertex_transitive(sel):
+    G = generate(sel.family)
+    assert distances(G).symmetry.orbits() == [(1 << G.n) - 1]
+
+
+def test_rook_stabilizer_orbits():
+    G = generate_named("rook", 6)
+    neighbours = tuple(sorted(G.adj[0]))
+    rest = tuple(v for v in range(1, G.n) if v not in G.adj[0])
+    assert orbits(G, (0,)) == sorted([(0,), neighbours, rest])
+
+
+def test_frucht_graph_has_trivial_orbits():
+    H = nx.frucht_graph()
+    G = build_graph(H.number_of_nodes(), H.edges)
+    assert all(G.degree(v) == 3 for v in range(G.n))
+    assert orbits(G) == [(v,) for v in range(G.n)]
+
+
+def test_checker_rejects_non_automorphisms():
+    P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert is_automorphism(P4, [0, 1, 2, 3])
+    assert is_automorphism(P4, [3, 2, 1, 0])
+    assert not is_automorphism(P4, [1, 0, 2, 3])  # maps edge 1-2 onto 0-2
+    assert not is_automorphism(P4, [0, 0, 2, 3])  # not a permutation
+    assert not is_automorphism(P4, [0, 1, 2])
+
+
+def _counting(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return min_hitting_set_size(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "min_hitting_set_size", counted)
+    return calls
+
+
+def test_symmetric_instance_is_split(monkeypatch):
+    G = generate_named("rook", 6)
+    a = GraphAnalysis(G)
+    calls = _counting(monkeypatch)
+    assert symmetry.min_size(a.instance(VERTEX_PAIRS), a.oracle.symmetry).size == 7
+    # one orbit, so vertex 0 is forced; then one branch per orbit of its
+    # stabilizer, each forcing that orbit's representative too
+    assert len(calls) > 1
+    assert all(len(inst.forced) == 2 and 0 in inst.forced for inst in calls)
+
+
+def test_trivial_group_is_one_plain_call(monkeypatch):
+    H = nx.frucht_graph()
+    G = build_graph(H.number_of_nodes(), H.edges)
+    a = GraphAnalysis(G)
+    calls = _counting(monkeypatch)
+    res = symmetry.min_size(a.instance(EDGE_PAIRS), a.oracle.symmetry)
+    assert calls == [a.instance(EDGE_PAIRS)]
+    assert res == min_hitting_set_size(a.instance(EDGE_PAIRS))
+
+
+# --- orbital verdicts against plain ones -----------------------------------
+
+
+def _golden_symmetric():
+    """The golden graphs with a nontrivial group, up to order 16: every
+    graph of order 2..6 that has one, Petersen, Moebius-Kantor, Paley(13)
+    and Clebsch.  The plain proofs on the larger golden graphs take seconds
+    each with the Python kernel."""
+    for i, row in enumerate(json.loads(GOLDEN_PATH.read_text())):
+        G = parse_graph6(row["graph6"])
+        if G.n <= 16 and len(nx_orbits(G)) < G.n:
+            yield pytest.param(G, id=row["label"] if row["label"] != row["graph6"] else f"g6-{i}")
+
+
+VERDICT_GRAPHS = [
+    *_golden_symmetric(),
+    *(pytest.param(generate_named("torus", m, n), id=f"torus({m},{n})") for m in range(3, 6) for n in range(3, 6)),
+]
+
+
+def _families(G):
+    """(name, instance) for every family the exact solves prove on: vertex
+    and edge pairs, the N2 side sets and each mixed level up to betaM with
+    its forced and excluded sets."""
+    a = GraphAnalysis(G)
+    yield "vertex", a.instance(VERTEX_PAIRS)
+    yield "edge", a.instance(EDGE_PAIRS)
+    closer_u, closer_v = edge_side_sets(a.oracle)
+    yield "n2", CoverInstance.build(G.n, closer_u + closer_v)
+    forced = a.forced.forced
+    for k in range(2, G.n + 1):
+        excl = excluded_vertices(G, k)
+        if forced & excl:
+            continue
+        inst = replace(a.mixed, forced=forced, excluded=excl)
+        yield f"mixed level {k}", inst
+        if min_hitting_set_size(inst, cutoff=k).ok:
+            break
+
+
+@pytest.mark.parametrize("G", VERDICT_GRAPHS)
+def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
+    # split every instance, however small, so the golden graphs of order
+    # at most 6 take the orbital path too
+    monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
+    sym = GraphSymmetry(G, distances(G).dv)
+    for name, inst in _families(G):
+        plain = min_hitting_set_size(inst)
+        assert symmetry.min_size(inst, sym) == plain, name
+        if not plain.ok:
+            continue
+        for cutoff in range(plain.size - 2, plain.size + 1):
+            for lower_bound in {0, max(cutoff, 0)}:
+                expect = min_hitting_set_size(inst, cutoff, lower_bound)
+                got = symmetry.min_size(inst, sym, cutoff, lower_bound)
+                assert got == expect, (name, cutoff, lower_bound)
+                assert got.status == (CUTOFF_EXCEEDED if cutoff < plain.size else OPTIMAL)
