@@ -27,26 +27,33 @@ def greedy_cover(masks: list[int]) -> tuple[int, int]:
     """Max-coverage greedy hitting set; ties broken by smallest element.
 
     Returns (size, chosen_mask).  masks must be nonempty bitmasks.
+
+    Element counts are bit-sliced: bit e of planes[k] is bit k of the
+    number of remaining sets that contain e, so adding a set is a ripple
+    carry over a few ints.  The most frequent elements are then those that
+    survive a filter by the planes from the highest down.
     """
     remaining = list(masks)
     chosen = 0
     size = 0
     while remaining:
-        counts: dict[int, int] = {}
+        planes: list[int] = []
+        seen = 0
         for m in remaining:
-            x = m
-            while x:
-                b = x & -x
-                e = b.bit_length() - 1
-                counts[e] = counts.get(e, 0) + 1
-                x ^= b
-        best_e = -1
-        best_c = 0
-        for e in sorted(counts):
-            if counts[e] > best_c:
-                best_c = counts[e]
-                best_e = e
-        bit = 1 << best_e
+            seen |= m
+            carry = m
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        best = seen
+        for plane in reversed(planes):
+            if best & plane:
+                best &= plane
+        bit = best & -best
         chosen |= bit
         size += 1
         remaining = [m for m in remaining if not m & bit]

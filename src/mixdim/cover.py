@@ -354,27 +354,46 @@ def _lex_min_witness(
     solution of the optimal size exists that contains the prefix and v
     while avoiding everything smaller that was passed over.  Rejected
     candidates can never appear in the lex-minimum, so each element is
-    tested at most once overall.
+    tested at most once overall.  Only members of sets still unhit are
+    candidates: those sets need one more member than remain to be fixed,
+    so an element that hits none of them cannot extend the prefix.
+
+    A known witness, a minimum cover whose smallest members are the prefix,
+    spares the kernel call for its next member: that member extends the
+    prefix, so only the smaller candidates need a test.  The witness starts
+    as the greedy cover when that has the optimal size, and each kernel
+    call that finds a completion replaces it.
     """
     chosen = 0
-    banned = (1 << universe) - 1  # elements in no set: never in a minimum
-    for m in masks:
-        banned &= ~m
+    banned = 0  # elements passed over, which no completion may use
+    g_size, witness = _cover_py.greedy_cover(masks)
+    if g_size != size:
+        witness = 0
     for left in range(size - 1, -1, -1):  # members still to fix after this one
-        for v in range(chosen.bit_length(), universe):  # candidates exceed the largest chosen
-            bit = 1 << v
-            if banned & bit:
-                continue
+        live = 0
+        for m in masks:
+            live |= m
+        rest = witness & ~chosen
+        known = rest & -rest  # the witness's next member, 0 when none is known
+        # every element below the largest chosen is chosen (in no unhit
+        # set) or banned, so the candidates exceed the largest chosen
+        candidates = live & ~banned
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
             _check_deadline(deadline)
+            if bit == known:
+                break
             trial_banned = banned | (bit - 1) & ~chosen
             residual = [m & ~trial_banned for m in masks if not m & bit]
             if 0 in residual:
                 banned |= bit
                 continue
-            status, _size, _m, _nodes = kernel(universe, _reduce_family(residual), left, left, deadline)
+            status, _size, completion, _nodes = kernel(universe, _reduce_family(residual), left, left, deadline)
             if status == _cover_py.STATUS_TIMEOUT:
                 raise SolveTimeout("exact solve ran past its deadline")
             if status == _cover_py.STATUS_OPTIMAL:
+                witness = chosen | bit | completion
                 break
             banned |= bit
         else:

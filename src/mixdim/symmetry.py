@@ -18,10 +18,12 @@ and mixed pairs, the N2 side sets) onto itself, and the forced and degree-
 excluded vertices of the mixed search are unions of orbits.  So a cover of
 size <= k exists if and only if, for some i, one exists that contains the
 representative of orbit O_i and avoids O_1 .. O_{i-1} (Ostrowski, Linderoth,
-Rossi and Smriglio, "Orbital branching", Math. Prog. 2011).  min_size uses
-that split, and inside its first branch the same split by the orbits of the
-representative's stabilizer, to prove optimal values; witnesses still come
-from cover.lex_min_hitting_set.
+Rossi and Smriglio, "Orbital branching", Math. Prog. 2011).  Branch i
+forces a representative and excludes orbits of a larger group, which the
+representative's stabilizer maps onto themselves, so each branch splits
+again by the orbits of that stabilizer.  min_size uses these splits, at
+every depth the split rule allows, to prove optimal values; witnesses
+still come from cover.lex_min_hitting_set.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .cover import (
     CoverInstance,
     CoverResult,
     _bits_of,
+    _mask_of,
     _prepare,
     min_hitting_set_size,
 )
@@ -228,31 +231,40 @@ def _split(
     elements are masks, under the stabilizer of fixed: the i-th forces the
     representative (lowest vertex) of orbit O_i and excludes O_1 .. O_{i-1},
     the orbits being those of the free elements, which lie in some of masks.
+    Each branch is split again in the same way under the stabilizer of
+    fixed and its representative, and is kept whole where that split is
+    refused.
+
     None, leaving inst whole, unless there are at least _MIN_SPLIT_ELEMENTS
-    free elements and fewer orbits than the kernel's first branching has
-    children (the size of the smallest of masks).  The first branch is split
-    again under the stabilizer of its representative, once."""
+    free elements, at most as many orbits as the kernel's first branching
+    has children (the size of the smallest of masks), and forced and
+    excluded sets that are unions of the orbits found under the stabilizer
+    of fixed.  The last condition holds when the orbits found are exact,
+    because each excluded orbit came from a larger group.  A cut-off
+    automorphism search can leave them finer, and then the automorphisms
+    found need not map an excluded set onto itself.
+    """
     free = 0
     for m in masks:
         free |= m
     if free.bit_count() < _MIN_SPLIT_ELEMENTS:
         return None
-    orbits = sym.orbits_within(free, fixed, min(m.bit_count() for m in masks))
+    orbits = sym.orbits_within(free, fixed, min(m.bit_count() for m in masks) + 1)
     if orbits is None:
+        return None
+    forced, excluded = _mask_of(inst.forced), _mask_of(inst.excluded)
+    if any(o & forced not in (0, o) or o & excluded not in (0, o) for o in sym.orbits(fixed)):
         return None
     branches = []
     passed = 0
     for orbit in orbits:
         rep = (orbit & -orbit).bit_length() - 1
         branch = replace(inst, forced=inst.forced | {rep}, excluded=inst.excluded | frozenset(_bits_of(passed)))
-        if not branches and not fixed:
-            prep = _prepare(branch)
-            if not isinstance(prep, CoverResult) and prep[0]:
-                branches.extend(_split(branch, prep[0], sym, (rep,)) or [branch])
-            else:
-                branches.append(branch)
-        else:
-            branches.append(branch)
+        prep = _prepare(branch)
+        deeper = None
+        if not isinstance(prep, CoverResult) and prep[0]:
+            deeper = _split(branch, prep[0], sym, (*fixed, rep))
+        branches.extend(deeper or [branch])
         passed |= orbit
     return branches
 
@@ -265,8 +277,9 @@ def min_size(
     deadline: float | None = None,
 ) -> CoverResult:
     """min_hitting_set_size(inst, cutoff, lower_bound, deadline), proved by
-    orbital branching where that splits inst into fewer subproblems than the
-    kernel's own first branching would; otherwise one plain kernel call.
+    orbital branching where that splits inst into no more subproblems than
+    the kernel's own first branching would, each split again where the
+    same holds (_split); otherwise one plain kernel call.
 
     inst's family, forced and excluded sets must each be mapped onto
     themselves by every automorphism of sym's graph.  Each branch is solved

@@ -249,7 +249,9 @@ def bounds_row(n, edges):
 # deadline: it always runs to the end.
 
 
-def _reference_greedy(masks):
+def reference_greedy_cover(masks):
+    """(size, mask) of the max-coverage greedy cover, ties broken by the
+    smallest element, counting each element's sets in a dict."""
     remaining = list(masks)
     chosen = 0
     size = 0
@@ -346,7 +348,7 @@ def reference_cover_search(universe, masks, cutoff, stop_size):
     if not masks:
         return 0, 0, 0, 0
     sentinel = (cutoff + 1) if cutoff is not None else universe + 1
-    g_size, g_mask = _reference_greedy(masks)
+    g_size, g_mask = reference_greedy_cover(masks)
     search = _ReferenceSearch(sentinel, stop_size)
     if g_size < sentinel:
         search.best_size = g_size

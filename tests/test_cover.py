@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mixdim._cover_py as _cover_py
 import mixdim.cover as cover
@@ -16,7 +17,12 @@ from mixdim.cover import (
     min_hitting_set,
 )
 
-from bruteforce import masks, min_hitting_set as brute_hitting_set, reference_cover_search
+from bruteforce import (
+    masks,
+    min_hitting_set as brute_hitting_set,
+    reference_cover_search,
+    reference_greedy_cover,
+)
 
 
 # side sets of the 5-vertex/7-edge reference graph, deduplicated by hand
@@ -54,6 +60,17 @@ def test_greedy_never_beats_optimum():
         sets = [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 12))]
         inst = CoverInstance.build(u, masks(sets))
         assert greedy_hitting_set(inst).size >= min_hitting_set(inst).size
+
+
+@pytest.mark.parametrize("width", range(1, 131))
+def test_greedy_matches_reference(width):
+    # the bit-sliced counts pick what per-element counting picks; masks
+    # wider than 64 bits reach only the Python kernel
+    rng = random.Random(width)
+    for _ in range(4):
+        fam = [rng.getrandbits(width) | 1 << rng.randrange(width) for _ in range(rng.randint(1, 3 * width))]
+        fam += [sum(1 << b for b in rng.sample(range(width), rng.randint(1, min(width, 3)))) for _ in range(width)]
+        assert _cover_py.greedy_cover(fam) == reference_greedy_cover(fam)
 
 
 def test_infeasible_names_a_set():
@@ -104,6 +121,49 @@ def test_exactness_vs_enumeration(backend):
         expected = brute_hitting_set(u, sets, forced, excluded)
         assert res.status == OPTIMAL
         assert (res.size, res.witness) == expected
+
+
+@st.composite
+def cover_instances(draw):
+    """(universe, sets, forced, excluded): up to 12 elements, nonempty
+    sets, and disjoint forced and excluded elements."""
+    u = draw(st.integers(1, 12))
+    element_sets = st.frozensets(st.integers(0, u - 1), min_size=1)
+    sets = draw(st.lists(element_sets, min_size=1, max_size=20))
+    forced = draw(st.frozensets(st.integers(0, u - 1), max_size=2))
+    excluded = draw(st.frozensets(st.integers(0, u - 1), max_size=3)) - forced
+    return u, sets, forced, excluded
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cover_instances())
+def test_lex_min_witness_matches_brute_force(backend, case):
+    u, sets, forced, excluded = case
+    res = min_hitting_set(CoverInstance.build(u, masks(sets), forced=forced, excluded=excluded))
+    expected = brute_hitting_set(u, sets, forced, excluded)
+    if any(not s - excluded for s in sets):
+        assert (res.status, expected) == (INFEASIBLE, None)
+    else:
+        assert (res.status, res.size, res.witness) == (OPTIMAL, *expected)
+
+
+def test_greedy_witness_needs_no_kernel_call():
+    # greedy takes 0, then 3: already the lex-min cover of size 2
+    family = masks([{0, 1}, {0, 2}, {3, 4}, {3, 5}])
+    calls = []
+
+    def kernel(*args):
+        calls.append(args)
+        return _cover_py.solve(*args)
+
+    assert cover._lex_min_witness(family, 2, 6, kernel, None) == 0b1001
+    assert calls == []
 
 
 def test_monotone_in_sets():

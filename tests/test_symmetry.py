@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+import mixdim._cover_py as _cover_py
+import mixdim.cover as cover
 import mixdim.symmetry as symmetry
-from mixdim.bounds import edge_side_sets
+from mixdim.bounds import bounds_report, edge_side_sets
 from mixdim.cover import CUTOFF_EXCEEDED, OPTIMAL, CoverInstance, min_hitting_set_size
 from mixdim.dims import EDGE_PAIRS, VERTEX_PAIRS, GraphAnalysis, excluded_vertices
 from mixdim.families import generate, generate_named, parse_graph6
@@ -121,10 +123,59 @@ def test_symmetric_instance_is_split(monkeypatch):
     a = GraphAnalysis(G)
     calls = _counting(monkeypatch)
     assert symmetry.min_size(a.instance(VERTEX_PAIRS), a.oracle.symmetry).size == 7
-    # one orbit, so vertex 0 is forced; then one branch per orbit of its
-    # stabilizer, each forcing that orbit's representative too
-    assert len(calls) > 1
-    assert all(len(inst.forced) == 2 and 0 in inst.forced for inst in calls)
+    # one orbit, so vertex 0 is forced; then every branch splits again under
+    # the stabilizer of the vertices it forces, while the split rule holds
+    assert tuple(tuple(sorted(inst.forced)) for inst in calls) == (
+        (0, 4, 7, 14, 21), (0, 7, 10, 14, 21), (0, 7, 14, 16, 21), (0, 7, 14, 21, 22),
+        (0, 7, 14, 21, 28), (0, 1, 7, 14, 21), (0, 2, 7, 14, 21), (0, 3, 7, 14, 21),
+        (0, 7, 8, 14, 21), (0, 7, 9, 14, 21), (0, 7, 14, 15, 21),
+        (0, 3, 7, 14), (0, 7, 9, 14), (0, 7, 14, 15), (0, 1, 7, 14), (0, 2, 7, 14), (0, 7, 8, 14),
+        (0, 2, 7), (0, 7, 8), (0, 1, 7),
+        (0, 1),
+    )
+
+
+def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
+    # one refinement per vertex cuts the automorphism search on Kneser(7,2):
+    # its orbits come out as a 15-orbit and a 6-orbit, finer than its
+    # transitive group.  The 6-orbit's branch excludes the 15-orbit, which
+    # the stabilizer of its representative does not map onto itself, so
+    # that branch is not split again
+    monkeypatch.setattr(symmetry, "_SEARCH_BUDGET_PER_VERTEX", 1)
+    monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
+    G = generate_named("kneser", 7, 2)
+    a = GraphAnalysis(G)
+    sym = GraphSymmetry(G, a.oracle.dv)
+    inst = a.instance(VERTEX_PAIRS)
+    calls = _counting(monkeypatch)
+    assert symmetry.min_size(inst, sym) == min_hitting_set_size(inst)
+    big, small = sorted(sym.orbits(), key=int.bit_count, reverse=True)
+    assert (big.bit_count(), small.bit_count()) == (15, 6)
+    first, rep = ((o & -o).bit_length() - 1 for o in (big, small))
+    whole = replace(inst, forced=frozenset({rep}), excluded=frozenset(v for v in range(G.n) if big >> v & 1))
+    assert [c for c in calls if first not in c.forced] == [whole]
+
+
+@pytest.mark.parametrize(
+    ("name", "params", "nodes"),
+    [("rook", (6,), 18155), ("gq24", (), 51639), ("johnson", (9, 2), 41800)],
+)
+def test_exact_report_node_counts(name, params, nodes, monkeypatch):
+    # every Python-kernel node of an exact report: value proofs, orbital
+    # branches and witness passes.  Splitting fewer branches, or testing
+    # candidates the witness pass can skip, raises the count
+    monkeypatch.setattr(cover, "_cover_c", None)
+    solve = _cover_py.solve
+    total = [0]
+
+    def counted(*args):
+        out = solve(*args)
+        total[0] += out[3]
+        return out
+
+    monkeypatch.setattr(_cover_py, "solve", counted)
+    bounds_report(generate_named(name, *params), compute_exact=True)
+    assert total[0] == nodes
 
 
 def test_trivial_group_is_one_plain_call(monkeypatch):
