@@ -93,7 +93,7 @@ def lb_n2(
     inst = CoverInstance.build(G.n, closer_u + closer_v)
     res = symmetry.min_size(inst, oracle.symmetry, deadline=deadline)
     assert res.status == OPTIMAL
-    res = lex_min_hitting_set(inst, res.size, deadline)
+    res = lex_min_hitting_set(inst, res.size, deadline, oracle.symmetry)
     return res.size, res.witness
 
 

@@ -194,7 +194,7 @@ def pair_dimension(oracle: DistanceOracle, universe: str, deadline: float | None
     size = _pair_dimension_value(inst, oracle.symmetry, deadline)
     if inst.num_sets == 0:
         return size, (0,)
-    return size, lex_min_hitting_set(inst, size, deadline).witness
+    return size, lex_min_hitting_set(inst, size, deadline, oracle.symmetry).witness
 
 
 def metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple[int, ...]]:
@@ -251,7 +251,7 @@ def mixed_metric_dimension(
         inst = replace(a.mixed, forced=fs.forced, excluded=excl)
         res = symmetry.min_size(inst, a.oracle.symmetry, cutoff=k, lower_bound=k, deadline=deadline)
         if res.status == OPTIMAL:
-            res = lex_min_hitting_set(inst, res.size, deadline)
+            res = lex_min_hitting_set(inst, res.size, deadline, a.oracle.symmetry)
             return res.size, res.witness
         # CUTOFF_EXCEEDED, or INFEASIBLE when the level-k exclusion swallowed
         # a whole distinguisher set: either way no solution of size <= k exists

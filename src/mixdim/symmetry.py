@@ -22,8 +22,13 @@ Rossi and Smriglio, "Orbital branching", Math. Prog. 2011).  Branch i
 forces a representative and excludes orbits of a larger group, which the
 representative's stabilizer maps onto themselves, so each branch splits
 again by the orbits of that stabilizer.  min_size uses these splits, at
-every depth the split rule allows, to prove optimal values; witnesses
-still come from cover.lex_min_hitting_set.
+every depth the split rule allows, to prove optimal values.
+
+Witnesses still come from cover.lex_min_hitting_set, which takes a
+GraphSymmetry too: after its pass refutes a candidate c, it refutes every
+later candidate in c's orbit under the stabilizer of the vertices below c
+(orbits(tuple(range(c)))), which cannot hold the lex-min witness either.
+The witness is the same with symmetry as without it.
 """
 from __future__ import annotations
 
@@ -39,7 +44,6 @@ from .cover import (
     CoverResult,
     _bits_of,
     _mask_of,
-    _prepare,
     min_hitting_set_size,
 )
 
@@ -260,7 +264,7 @@ def _split(
     for orbit in orbits:
         rep = (orbit & -orbit).bit_length() - 1
         branch = replace(inst, forced=inst.forced | {rep}, excluded=inst.excluded | frozenset(_bits_of(passed)))
-        prep = _prepare(branch)
+        prep = branch._prepared
         deeper = None
         if not isinstance(prep, CoverResult) and prep[0]:
             deeper = _split(branch, prep[0], sym, (*fixed, rep))
@@ -286,7 +290,7 @@ def min_size(
     with a cutoff one below the best size found so far, so the last size
     found is the minimum over the branches, which is the optimum.
     """
-    prep = _prepare(inst)
+    prep = inst._prepared
     branches = None
     if not isinstance(prep, CoverResult) and prep[0]:
         branches = _split(inst, prep[0], sym, ())

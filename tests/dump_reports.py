@@ -1,0 +1,63 @@
+"""Write every answer of one round of the benchmark's workloads as JSON
+lines, so that two commits can be checked for identical answers with one
+command each and a diff:
+
+    PYTHONPATH=src python tests/dump_reports.py --kernel python > python.jsonl
+    PYTHONPATH=src python tests/dump_reports.py --kernel compiled > compiled.jsonl
+
+The inputs are those perfbench/workloads.py builds: exact-corpus for seeds
+7 and 3 (an exact bounds_report on 110 graphs each), order7-census (the
+enumerations of orders 5 to 7, then an exact bounds_report on each of their
+986 graphs) and torus-sweep (169 torus_theorem_check calls).  Each line
+holds the workload, the seed, the call's label and its answer: a report as
+dataclasses.asdict, an enumeration as its graphs' graph6 codes.
+
+--kernel compiled builds mixdim._cover_c the way the test session does
+(tests/conftest.py) and stops if it cannot; --kernel python hides it.
+"""
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import mixdim.cover as cover
+from mixdim.families import encode_graph6
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+RUNS = (("exact-corpus", 7), ("exact-corpus", 3), ("order7-census", 1), ("torus-sweep", 1))
+
+
+def _answer(result):
+    if dataclasses.is_dataclass(result):
+        return dataclasses.asdict(result)
+    return [encode_graph6(G) for G in result]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--kernel", choices=("compiled", "python"), required=True)
+    args = parser.parse_args(argv)
+    if args.kernel == "compiled":
+        import conftest  # builds the extension and attaches it to mixdim.cover
+
+        if cover._cover_c is None:
+            print(f"compiled kernel not built: {conftest.BUILD_ERROR}", file=sys.stderr)
+            return 1
+    else:
+        cover._cover_c = None
+    for name, seed in RUNS:
+        for op in workloads.build(name, seed).round():
+            # order7-census makes its report calls from the enumerations' results
+            op.result = op.call()
+            line = {"workload": name, "seed": seed, "label": op.label, "answer": _answer(op.result)}
+            print(json.dumps(line, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

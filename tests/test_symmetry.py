@@ -1,24 +1,34 @@
-"""Automorphism orbits against networkx, and orbital branching against the
-plain kernel call on every family the exact solves prove values on."""
+"""Automorphism orbits against networkx, orbital branching against the
+plain kernel call on every family the exact solves prove values on, and
+the witness pass with symmetry against the plain pass and brute force."""
 import json
+import time
 from dataclasses import replace
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 import mixdim._cover_py as _cover_py
 import mixdim.cover as cover
 import mixdim.symmetry as symmetry
 from mixdim.bounds import bounds_report, edge_side_sets
-from mixdim.cover import CUTOFF_EXCEEDED, OPTIMAL, CoverInstance, min_hitting_set_size
+from mixdim.cover import (
+    CUTOFF_EXCEEDED,
+    OPTIMAL,
+    CoverInstance,
+    SolveTimeout,
+    lex_min_hitting_set,
+    min_hitting_set_size,
+)
 from mixdim.dims import EDGE_PAIRS, VERTEX_PAIRS, GraphAnalysis, excluded_vertices
 from mixdim.families import generate, generate_named, parse_graph6
 from mixdim.graphs import build_graph, distances
 from mixdim.symmetry import GraphSymmetry, is_automorphism
 from mixdim.tables import SELECTED_GRAPHS
 
+from bruteforce import min_dimension, min_hitting_set as brute_hitting_set, side_sets
 from make_golden import GOLDEN_PATH
 
 
@@ -158,12 +168,13 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
 
 @pytest.mark.parametrize(
     ("name", "params", "nodes"),
-    [("rook", (6,), 18155), ("gq24", (), 51639), ("johnson", (9, 2), 41800)],
+    [("rook", (6,), 17067), ("gq24", (), 51639), ("johnson", (9, 2), 18499)],
 )
 def test_exact_report_node_counts(name, params, nodes, monkeypatch):
     # every Python-kernel node of an exact report: value proofs, orbital
-    # branches and witness passes.  Splitting fewer branches, or testing
-    # candidates the witness pass can skip, raises the count
+    # branches and witness passes.  Splitting fewer branches, testing
+    # candidates the witness pass can skip, or refuting one candidate of an
+    # orbit more than once, raises the count
     monkeypatch.setattr(cover, "_cover_c", None)
     solve = _cover_py.solve
     total = [0]
@@ -245,3 +256,99 @@ def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
                 got = symmetry.min_size(inst, sym, cutoff, lower_bound)
                 assert got == expect, (name, cutoff, lower_bound)
                 assert got.status == (CUTOFF_EXCEEDED if cutoff < plain.size else OPTIMAL)
+
+
+# --- the witness pass's orbit rule -----------------------------------------
+
+
+@pytest.mark.parametrize("G", VERDICT_GRAPHS)
+def test_symmetric_witness_matches_plain(G, backend, monkeypatch):
+    # look for orbits after every kernel refutation, and split every
+    # instance, so the small graphs take the symmetric paths too
+    monkeypatch.setattr(cover, "_ORBIT_MIN_NODES", 0)
+    monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
+    sym = GraphSymmetry(G, distances(G).dv)
+    for name, inst in _families(G):
+        plain = min_hitting_set_size(inst)
+        if plain.ok:
+            size = symmetry.min_size(inst, sym).size
+            assert lex_min_hitting_set(inst, size, sym=sym) == lex_min_hitting_set(inst, plain.size), name
+
+
+@pytest.fixture(scope="module")
+def johnson_n2():
+    """(graph, its orbits, its N2 side-set instance, the optimum)."""
+    G = generate_named("johnson", 9, 2)
+    oracle = distances(G)
+    closer_u, closer_v = edge_side_sets(oracle)
+    inst = CoverInstance.build(G.n, closer_u + closer_v)
+    return G, oracle.symmetry, inst, symmetry.min_size(inst, oracle.symmetry).size
+
+
+@pytest.mark.parametrize(("with_sym", "calls", "nodes"), [(False, 26, 38696), (True, 21, 15398)])
+def test_johnson_n2_witness_pass(johnson_n2, backend, with_sym, calls, nodes):
+    # after the prefix {0,1}, {0,2} the candidates {0,3} .. {0,8} are one
+    # orbit of the stabilizer of the points below them: the orbit rule
+    # refutes the first and skips the rest
+    G, sym, inst, size = johnson_n2
+    kernel = cover._kernel(G.n)
+    made = []
+
+    def counted(*args):
+        out = kernel(*args)
+        made.append(out[3])
+        return out
+
+    masks, _fmask = inst._prepared
+    chosen = cover._lex_min_witness(masks, size, G.n, counted, None, sym if with_sym else None)
+    assert cover._bits_of(chosen) == (0, 1, 8, 21, 22, 26, 33, 34, 35)
+    assert (len(made), sum(made)) == (calls, nodes)
+
+
+def test_witness_pass_times_out_after_costly_refutation(johnson_n2, backend, monkeypatch):
+    # the clock jumps past the deadline as soon as a kernel call refutes a
+    # candidate at a cost that starts an orbit search: the pass searches
+    # the orbit and still raises at the next candidate
+    offset = [0.0]
+    real = time.monotonic
+    monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
+    G, _sym, inst, size = johnson_n2
+    kernel = cover._kernel(G.n)
+
+    def late_kernel(*args):
+        out = kernel(*args)
+        if out[0] == _cover_py.STATUS_CUTOFF and out[3] >= cover._ORBIT_MIN_NODES:
+            offset[0] += 120.0
+        return out
+
+    searched = []
+    mates = cover._orbit_mates
+    monkeypatch.setattr(cover, "_orbit_mates", lambda *args: searched.append(args[1]) or mates(*args))
+    masks, _fmask = inst._prepared
+    sym = GraphSymmetry(G, distances(G).dv)
+    with pytest.raises(SolveTimeout):
+        cover._lex_min_witness(masks, size, G.n, late_kernel, time.monotonic() + 60.0, sym)
+    assert len(searched) == 1
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(connected_graphs(max_n=7))
+def test_report_matches_brute_force(monkeypatch, G):
+    # many graphs of order <= 7 have a nontrivial group: with the gates at
+    # 0 their witness passes and value proofs use it wherever they can
+    monkeypatch.setattr(cover, "_ORBIT_MIN_NODES", 0)
+    monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
+    rep = bounds_report(G, compute_exact=True)
+    edges = list(G.edges)
+    assert rep.beta == min_dimension(G.n, edges, "vertex")[0]
+    assert rep.beta_e == (min_dimension(G.n, edges, "edge")[0] if len(edges) > 1 else 1)
+    # combinations come in lexicographic order, so the first is the lex-min
+    assert rep.beta_m_witness == min_dimension(G.n, edges, "mixed")[1][0]
+    family = [s for pair in side_sets(G.n, edges) for s in pair]
+    assert rep.n2_witness == brute_hitting_set(G.n, family)[1]
