@@ -11,6 +11,10 @@ Branching: take the uncovered set with the fewest available elements and
 split on its elements in ascending index order, banning each element in
 the later branches.  Lower bound: size of a greedily collected family of
 pairwise-disjoint uncovered sets.  Singleton sets force their element.
+
+Each node reads its sets in one scan that finds all of these at once: an
+empty set, the singletons, the disjoint-set bound and the set to branch
+on.  Only forced picks, which drop the sets they hit, make it scan again.
 """
 from __future__ import annotations
 
@@ -84,16 +88,30 @@ class _Search:
                 self.timed_out = True
                 return True
 
-        # forced picks: sets with a single available element
+        # one scan of masks finds a zero set (smallest size 0), forced picks
+        # (size 1), the disjoint-set bound and the set to branch on; only
+        # forced picks, which shrink masks, make it scan again
         while True:
+            lb = 0
+            acc = 0
+            pick = -1
+            pick_pc = 1 << 62
+            for m in masks:
+                if not m & acc:
+                    lb += 1
+                    acc |= m
+                pc = m.bit_count()
+                if pc < pick_pc or (pc == pick_pc and m < pick):
+                    pick = m
+                    pick_pc = pc
+            if pick_pc > 1:
+                break
+            if pick_pc == 0:
+                return False  # this branch cannot hit that set
             picks = 0
             for m in masks:
-                if m == 0:
-                    return False  # this branch cannot hit m
                 if m & (m - 1) == 0:
                     picks |= m
-            if not picks:
-                break
             chosen |= picks
             count += picks.bit_count()
             # masks never meet chosen: each branch dropped the sets it hit
@@ -109,28 +127,18 @@ class _Search:
             self.best_size = count
             self.best_mask = chosen
             return count <= self.stop_size
-
-        # lower bound from pairwise-disjoint uncovered sets
-        lb = 0
-        acc = 0
-        for m in masks:
-            if not m & acc:
-                lb += 1
-                acc |= m
+        # lb counts pairwise-disjoint sets, each needing its own element
         if count + lb >= self.best_size:
             return False
 
-        # branch on the smallest available set (ties: smallest mask value)
-        pick = -1
-        pick_pc = 1 << 62
-        for m in masks:
-            pc = m.bit_count()
-            if pc < pick_pc or (pc == pick_pc and m < pick):
-                pick = m
-                pick_pc = pc
-        # keep clears the elements of earlier siblings, banned in later branches
-        keep = -1
-        x = pick
+        # branch on the smallest set (ties: smallest mask value), banning
+        # each element in its later siblings: keep clears the banned ones,
+        # so the first child needs no clearing
+        bit = pick & -pick
+        if self.run([m for m in masks if not m & bit], chosen | bit, count + 1):
+            return True
+        keep = ~bit
+        x = pick ^ bit
         while x:
             bit = x & -x
             x ^= bit

@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from . import symmetry
 from .cover import (
     CUTOFF_EXCEEDED,
@@ -49,12 +51,27 @@ def _item_columns(oracle: DistanceOracle, universe: str) -> list[int]:
     raise ValueError(f"unknown pair universe {universe!r}")
 
 
+# distinguisher_masks compares about this many (vertex, pair) entries per
+# block of pairs: few numpy calls, and temporaries small next to the masks
+_PAIR_BLOCK_ENTRIES = 1 << 15
+
+
 def distinguisher_masks(oracle: DistanceOracle, universe: str) -> list[int]:
-    """Bitmask of distinguishing vertices for every unordered item pair."""
-    dm = oracle.dmix[:, _item_columns(oracle, universe)]
+    """Bitmask of distinguishing vertices for every unordered item pair,
+    pairs (a, b), a < b, in row-major order."""
+    # one row of distances per item: a block gathers whole rows
+    dm = np.ascontiguousarray(oracle.dmix[:, _item_columns(oracle, universe)].T)
+    items, n = dm.shape
+    rows = np.arange(items)
+    starts = rows * (2 * items - rows - 1) // 2  # pair number of (a, a + 1)
+    total = items * (items - 1) // 2
+    block = max(1, _PAIR_BLOCK_ENTRIES // n)
     masks: list[int] = []
-    for a in range(dm.shape[1] - 1):
-        masks.extend(_masks_of_columns(dm[:, a + 1 :] != dm[:, a : a + 1]))
+    for lo in range(0, total, block):
+        pairs = np.arange(lo, min(lo + block, total))
+        a = np.searchsorted(starts, pairs, side="right") - 1
+        b = pairs - starts[a] + a + 1
+        masks.extend(_masks_of_columns((dm[a] != dm[b]).T))
     return masks
 
 

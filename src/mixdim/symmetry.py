@@ -82,13 +82,19 @@ class GraphSymmetry:
     @cached_property
     def _weights(self) -> np.ndarray:
         """A fixed pseudo-random uint64 weight for each (distance, colour)
-        pair: splitmix64 of the pair's index, so no random module is
-        loaded."""
-        shape = (int(self._dv.max(initial=0)) + 1, self.graph.n + 1)
-        x = np.arange(1, shape[0] * shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        pair, flat: (d, c) at d * (n + 1) + c.  splitmix64 of that index
+        plus one, so no random module is loaded."""
+        size = (int(self._dv.max(initial=0)) + 1) * (self.graph.n + 1)
+        x = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
         x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
-        return (x ^ x >> np.uint64(31)).reshape(shape)
+        return x ^ x >> np.uint64(31)
+
+    @cached_property
+    def _row_offsets(self) -> np.ndarray:
+        """dv * (n + 1): adding colours[None, :] gives each (vertex,
+        vertex) entry's index in _weights."""
+        return self._dv.astype(np.intp) * (self.graph.n + 1)
 
     def _refine(self, colors: np.ndarray) -> tuple[np.ndarray, bytes]:
         """The equitable colouring finer than colors, and a trace that
@@ -102,16 +108,19 @@ class GraphSymmetry:
         about 2**-64, and such a clash coarsens the colouring, which
         is_automorphism makes harmless."""
         weights = self._weights
+        offsets = self._row_offsets
         k = int(colors.max()) + 1
         trace = []
         while True:
-            sums = weights[self._dv, colors[None, :]].sum(axis=1, dtype=np.uint64)
-            keys, new = np.unique(sums, return_inverse=True)
+            sums = weights[offsets + colors].sum(axis=1, dtype=np.uint64)
+            # the distinct sums in ascending order, and each vertex's rank
+            ordered = np.sort(sums)
+            keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
             trace.append(keys.tobytes())
             if len(keys) == k:
                 trace.append(np.bincount(colors).tobytes())
                 return colors, b"".join(trace)
-            colors, k = new.reshape(-1), len(keys)
+            colors, k = np.searchsorted(keys, sums), len(keys)
 
     def cells(self, fixed: tuple[int, ...] = ()) -> np.ndarray:
         """The equitable colouring with each vertex of fixed in a cell of
