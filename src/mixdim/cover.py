@@ -356,16 +356,29 @@ def lex_min_hitting_set(
 _ORBIT_MIN_NODES = 256
 
 
-def _packing_size(masks: list[int]) -> int:
-    """Size of a greedily collected family of pairwise-disjoint masks, a
-    lower bound on every hitting set of masks."""
+def _exceeds(masks: list[int], left: int) -> bool:
+    """True when every hitting set of masks has more than left elements:
+    some mask is empty, or the singleton masks force more than left
+    elements, or the masks those leave unhit hold more pairwise-disjoint
+    masks, collected greedily in list order, than the room that remains.
+    On a reduced family this is the kernel's test at its root node."""
+    picks = 0
+    if min(map(int.bit_count, masks), default=2) < 2:
+        for m in masks:
+            if m & (m - 1) == 0:
+                if not m:
+                    return True
+                picks |= m
+        left -= picks.bit_count()
+        if left < 0:
+            return True
     count = 0
-    acc = 0
+    acc = picks  # a mask that meets acc is hit or meets a counted one
     for m in masks:
         if not m & acc:
             count += 1
             acc |= m
-    return count
+    return count > left
 
 
 def _orbit_mates(sym, bit: int, candidates: int) -> int:
@@ -404,8 +417,12 @@ def _lex_min_witness(
     tested at most once overall.  Only members of sets still unhit are
     candidates: those sets need one more member than remain to be fixed,
     so an element that hits none of them cannot extend the prefix.  A
-    candidate whose trial family holds more pairwise-disjoint sets than
-    members remain is rejected without a kernel call.
+    candidate is rejected without a kernel call when its trial family's
+    singleton sets force more members than remain, or when the sets those
+    leave unhit hold more pairwise-disjoint sets than the members left
+    (_exceeds).  The test runs on the trial family as built, which spares
+    its reduction, and again once it is reduced, where it is the kernel's
+    own test at its root node, which spares the greedy start and the call.
 
     A known witness, a minimum cover whose smallest members are the prefix,
     spares the kernel call for its next member: that member extends the
@@ -445,10 +462,15 @@ def _lex_min_witness(
                 break
             trial_banned = banned | (bit - 1) & ~chosen
             residual = [m & ~trial_banned for m in masks if not m & bit]
-            if 0 in residual or _packing_size(residual) > left:
+            if _exceeds(residual, left):
                 banned |= bit
                 continue
-            status, _size, completion, nodes = kernel(universe, _reduce_family(residual), left, left, deadline)
+            residual = _reduce_family(residual)
+            # the kernel would refute at its root, after a greedy start
+            if _exceeds(residual, left):
+                banned |= bit
+                continue
+            status, _size, completion, nodes = kernel(universe, residual, left, left, deadline)
             if status == _cover_py.STATUS_TIMEOUT:
                 raise SolveTimeout("exact solve ran past its deadline")
             if status == _cover_py.STATUS_OPTIMAL:

@@ -168,7 +168,7 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
 
 @pytest.mark.parametrize(
     ("name", "params", "nodes"),
-    [("rook", (6,), 17067), ("gq24", (), 51639), ("johnson", (9, 2), 18499)],
+    [("rook", (6,), 17061), ("gq24", (), 51639), ("johnson", (9, 2), 18499)],
 )
 def test_exact_report_node_counts(name, params, nodes, monkeypatch):
     # every Python-kernel node of an exact report: value proofs, orbital
