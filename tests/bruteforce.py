@@ -359,3 +359,63 @@ def reference_cover_search(universe, masks, cutoff, stop_size):
     if search.best_mask < 0 or (cutoff is not None and search.best_size > cutoff):
         return 1, 0, 0, search.nodes
     return 0, search.best_size, search.best_mask, search.nodes
+
+
+def lex_min_resolving_set(n, edges, universe="mixed"):
+    """(dimension, lexicographically smallest optimal witness) by
+    exhaustive subset enumeration, like min_dimension, with every item's
+    distance vector computed once."""
+    vecs = _universe_vectors(n, edges, list(range(n)), universe)
+    for size in range(1, n + 1):
+        for comb in itertools.combinations(range(n), size):
+            if len({tuple(v[w] for w in comb) for v in vecs}) == len(vecs):
+                return size, comb  # combinations come in lexicographic order
+    raise AssertionError("no resolving set found")
+
+
+# -- reference copies of numpy loops that the package rewrote ---------------
+#
+# The pair masks and the colour refinement as they were written before
+# they were rewritten for speed, kept so the rewrites can be compared with
+# them: the same masks in the same order, the same colours and traces.
+
+
+def _column_masks(bits):
+    """Column j of a boolean matrix as an int: bit i set when bits[i, j]."""
+    import numpy as np
+
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    return [int.from_bytes(packed[:, j].tobytes(), "little") for j in range(bits.shape[1])]
+
+
+def reference_distinguisher_masks(dmix, columns):
+    """Distinguisher mask of every pair of the item columns of dmix,
+    row by row of the first item: one comparison per item row."""
+    dm = dmix[:, columns]
+    out = []
+    for a in range(dm.shape[1] - 1):
+        out.extend(_column_masks(dm[:, a + 1 :] != dm[:, a : a + 1]))
+    return out
+
+
+def reference_refine(dv, colors):
+    """(equitable colouring, trace) as the package's colour refinement
+    computed them with a 2-d splitmix64 weight table and np.unique."""
+    import numpy as np
+
+    n = dv.shape[0]
+    shape = (int(dv.max(initial=0)) + 1, n + 1)
+    x = np.arange(1, shape[0] * shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    weights = (x ^ x >> np.uint64(31)).reshape(shape)
+    k = int(colors.max()) + 1
+    trace = []
+    while True:
+        sums = weights[dv, colors[None, :]].sum(axis=1, dtype=np.uint64)
+        keys, new = np.unique(sums, return_inverse=True)
+        trace.append(keys.tobytes())
+        if len(keys) == k:
+            trace.append(np.bincount(colors).tobytes())
+            return colors, b"".join(trace)
+        colors, k = new.reshape(-1), len(keys)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -188,3 +189,19 @@ def test_analysis_sub_families_match_pair_instances():
             got = a.instance(universe)
             assert got == want
             assert got.original_masks == want.original_masks
+
+
+@pytest.mark.parametrize(("name", "params", "peak"), [("johnson", (9, 2), 2_697_600), ("rook", (6,), 1_456_000)])
+def test_analysis_memory_peak(name, params, peak):
+    # tracemalloc peak, in bytes, of one graph's analysis when the pair
+    # masks were built one item row at a time (CPython 3.11, numpy 2.4):
+    # the temporaries of a block of pairs must stay small next to the
+    # masks, or they add to the benchmark's peak RSS
+    G = generate_named(name, *params)
+    tracemalloc.start()
+    try:
+        GraphAnalysis(G, distances(G))
+        got = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got <= 1.05 * peak

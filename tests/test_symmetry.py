@@ -6,6 +6,7 @@ import time
 from dataclasses import replace
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
@@ -25,10 +26,16 @@ from mixdim.cover import (
 from mixdim.dims import EDGE_PAIRS, VERTEX_PAIRS, GraphAnalysis, excluded_vertices
 from mixdim.families import generate, generate_named, parse_graph6
 from mixdim.graphs import build_graph, distances
-from mixdim.symmetry import GraphSymmetry, is_automorphism
+from mixdim.symmetry import GraphSymmetry, _individualize, is_automorphism
 from mixdim.tables import SELECTED_GRAPHS
 
-from bruteforce import min_dimension, min_hitting_set as brute_hitting_set, side_sets
+from bruteforce import (
+    lex_min_resolving_set,
+    min_dimension,
+    min_hitting_set as brute_hitting_set,
+    reference_refine,
+    side_sets,
+)
 from make_golden import GOLDEN_PATH
 
 
@@ -70,13 +77,39 @@ def test_orbits_match_networkx(order):
 
 
 @st.composite
-def connected_graphs(draw, max_n=8):
-    n = draw(st.integers(2, max_n))
+def connected_graphs(draw, max_n=8, min_n=2):
+    n = draw(st.integers(min_n, max_n))
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
     perm = draw(st.permutations(range(n)))
     return build_graph(n, [(perm[u], perm[v]) for u, v in tree + extra])
+
+
+def _refine_graphs():
+    for H in nx.graph_atlas_g():
+        if H.number_of_nodes() and nx.is_connected(H):
+            yield build_graph(H.number_of_nodes(), H.edges)
+    for sel in SELECTED_GRAPHS:
+        if sel.family is not None:
+            yield generate(sel.family)
+
+
+def test_refine_matches_reference():
+    # colours and traces of every connected atlas graph and selected graph,
+    # from the uniform colouring, from each of its single-vertex
+    # individualizations and from each of those of the equitable colouring
+    for G in _refine_graphs():
+        sym = distances(G).symmetry
+        uniform = np.zeros(G.n, dtype=np.intp)
+        base = sym.cells()
+        starts = [uniform, *(_individualize(c, v) for c in (uniform, base) for v in range(G.n))]
+        for colors in starts:
+            got_colors, got_trace = sym._refine(colors)
+            want_colors, want_trace = reference_refine(sym._dv, colors)
+            assert got_colors.dtype == want_colors.dtype, G.edges
+            assert got_colors.tolist() == want_colors.tolist(), G.edges
+            assert got_trace == want_trace, G.edges
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -350,5 +383,24 @@ def test_report_matches_brute_force(monkeypatch, G):
     assert rep.beta_e == (min_dimension(G.n, edges, "edge")[0] if len(edges) > 1 else 1)
     # combinations come in lexicographic order, so the first is the lex-min
     assert rep.beta_m_witness == min_dimension(G.n, edges, "mixed")[1][0]
+    family = [s for pair in side_sets(G.n, edges) for s in pair]
+    assert rep.n2_witness == brute_hitting_set(G.n, family)[1]
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(connected_graphs(max_n=12, min_n=8))
+def test_random_graph_report_matches_brute_force(backend, G):
+    # graphs of order 8 to 12 under both kernels, at the default gates
+    rep = bounds_report(G, compute_exact=True)
+    edges = list(G.edges)
+    assert rep.beta == lex_min_resolving_set(G.n, edges, "vertex")[0]
+    assert rep.beta_e == lex_min_resolving_set(G.n, edges, "edge")[0]
+    assert (rep.beta_m, rep.beta_m_witness) == lex_min_resolving_set(G.n, edges, "mixed")
     family = [s for pair in side_sets(G.n, edges) for s in pair]
     assert rep.n2_witness == brute_hitting_set(G.n, family)[1]
