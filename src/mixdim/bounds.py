@@ -50,17 +50,20 @@ def lb_l3(G: Graph) -> int:
 
 
 def lb_l4(G: Graph, oracle: DistanceOracle | None = None) -> int:
-    """Ceiling of the LP relaxation of the mixed pair-cover program."""
-    return _lp_bound(pair_cover_instance(_oracle(G, oracle), MIXED_PAIRS))
+    """Ceiling of the LP relaxation of the mixed pair-cover program, solved
+    over the graph's automorphism orbits."""
+    oracle = _oracle(G, oracle)
+    return _lp_bound(pair_cover_instance(oracle, MIXED_PAIRS), oracle.symmetry.orbits())
 
 
-def _lp_bound(inst: CoverInstance) -> int:
+def _lp_bound(inst: CoverInstance, orbits: list[int] | None) -> int:
     """L4 from the reduced mixed pair-cover instance: its rows are the
-    covering program's rows, already reduced."""
+    covering program's rows, already reduced.  orbits, automorphism orbits
+    of the graph or None, give the program one variable per orbit."""
     if inst.masks[:1] == (0,):
         raise GraphError("mixed pair instance has an undistinguished pair")
     lp = CoveringLP(inst.universe_size, inst.masks, inst.masks)
-    return ceil_with_tolerance(solve_covering_lp(lp))
+    return ceil_with_tolerance(solve_covering_lp(lp, orbits))
 
 
 def lb_n1(G: Graph, oracle: DistanceOracle | None = None) -> int:
@@ -159,7 +162,9 @@ def bounds_report(
     oracle = a.oracle
     n2_val, n2_wit = lb_n2(G, oracle, deadline=deadline)
     l3 = a.forced_lower_bound
-    l4 = _lp_bound(a.mixed)
+    # the orbits that the N2 proof found, if it looked for them: finding
+    # them for every graph would cost the many graphs without symmetry
+    l4 = _lp_bound(a.mixed, oracle.symmetry.found_orbits())
     n1 = lb_n1(G, oracle)
     beta = beta_e = beta_m = None
     beta_m_witness = None

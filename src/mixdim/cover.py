@@ -15,9 +15,9 @@ proves the optimum (or the verdict) without a witness, and
 lex_min_hitting_set finds the witness at a proven size.  The symmetry
 module proves sizes on graph instances by splitting them into
 subinstances of this kind, one plain kernel call each; its orbits also let
-lex_min_hitting_set rule out candidates by symmetry.  This module does not
-import it: it only calls the cells and orbits methods of the object it is
-given.
+lex_min_hitting_set rule out candidates by symmetry and split its costly
+trials the same way.  This module does not import it: it only calls the
+cells, orbits and split methods of the object it is given.
 
 Two interchangeable kernels do the search: a compiled extension
 (mixdim._cover_c, hand-written C, universes up to 64 elements) and a
@@ -29,7 +29,7 @@ module as one layer of the exact solves.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -83,22 +83,26 @@ def _sets_of(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(_bits_of(m)) for m in masks)
 
 
-# bits per int64 word of the codec: bits 0..62 sum to at most 2**63 - 1
-_WORD_BITS = 63
-_WORD_WEIGHTS = np.left_shift(np.int64(1), np.arange(_WORD_BITS, dtype=np.int64))
+# bits per word of the codec: one little-endian uint64
+_WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1
 
 
 def _masks_of_columns(bits: np.ndarray) -> list[int]:
     """Column j of a boolean matrix as a mask: bit i set when bits[i, j].
 
-    Each block of 63 rows becomes one int64 word per column; wider columns
-    shift the later words into place."""
-    n = bits.shape[0]
-    masks = (_WORD_WEIGHTS[:n] @ bits[:_WORD_BITS]).tolist()
-    for lo in range(_WORD_BITS, n, _WORD_BITS):
-        words = (_WORD_WEIGHTS[: n - lo] @ bits[lo : lo + _WORD_BITS]).tolist()
-        masks = [m | w << lo for m, w in zip(masks, words)]
+    The columns are packed eight rows to a byte, so the temporaries take
+    one bit per entry, and each block of 64 rows is read as one uint64
+    word per column; wider columns shift the later words into place."""
+    n, cols = bits.shape
+    words = max(1, -(-n // _WORD_BITS))
+    octets = np.zeros((cols, 8 * words), dtype=np.uint8)
+    octets[:, : -(-n // 8)] = np.packbits(bits, axis=0, bitorder="little").T
+    packed = octets.view("<u8")
+    masks = packed[:, 0].tolist()
+    for k in range(1, words):
+        lo = k * _WORD_BITS
+        masks = [m | w << lo for m, w in zip(masks, packed[:, k].tolist())]
     return masks
 
 
@@ -224,6 +228,24 @@ class CoverInstance:
         # dropping sets keeps a reduced family reduced; trimming elements may not
         return (_reduce_family(residual) if xmask else residual), fmask
 
+    def _branch(self, residual: list[int], element: int, passed: int) -> "CoverInstance":
+        """self with element forced and the elements of passed excluded.
+        residual must be self's residual masks (_prepared), from which the
+        branch's are worked out instead of from the whole family: the
+        minimal masks of one family, so, reduced, the same list.  A branch
+        that leaves a mask empty works them out from the family, so that
+        its verdict names a set of the family."""
+        excluded = self.excluded | frozenset(_bits_of(passed))
+        branch = replace(self, forced=self.forced | {element}, excluded=excluded)
+        bit = 1 << element
+        masks = [m & ~passed for m in residual if not m & bit]
+        if passed:
+            if 0 in masks:
+                return branch
+            masks = _reduce_family(masks)
+        branch.__dict__["_prepared"] = masks, _mask_of(branch.forced)  # the cached_property's slot
+        return branch
+
     @cached_property
     def sets(self) -> tuple[frozenset[int], ...]:
         """masks as frozensets; read only by perfbench's tracer."""
@@ -336,8 +358,8 @@ def lex_min_hitting_set(
     sym, when given, holds the automorphism orbits of a graph on inst's
     universe (a symmetry.GraphSymmetry); every automorphism must map inst's
     family, forced set and excluded set onto themselves.  It rules out
-    candidates by symmetry (_lex_min_witness) and never changes the
-    witness."""
+    candidates by symmetry and splits large trials (_lex_min_witness), and
+    never changes the witness."""
     masks, fmask = inst._prepared
     chosen = 0
     if masks:
@@ -354,6 +376,11 @@ def lex_min_hitting_set(
 # exact-corpus wall_s by 2.3% and call_p50_ms by 3.2% (seed 1, medians of
 # 3 alternating pairs, pure-Python kernel, 2-core shared x86-64 host)
 _ORBIT_MIN_NODES = 256
+# the witness pass splits a trial call by orbital branching only when its
+# reduced family has at least this many sets: smaller ones took the kernel
+# a few hundred nodes at most on the selected graphs, fewer than a split
+# saved in the time of its orbit search
+_SPLIT_MIN_SETS = 32
 
 
 def _exceeds(masks: list[int], left: int) -> bool:
@@ -381,18 +408,56 @@ def _exceeds(masks: list[int], left: int) -> bool:
     return count > left
 
 
-def _orbit_mates(sym, bit: int, candidates: int) -> int:
+def _orbit_mates(sym, bit: int, chosen: int, candidates: int) -> int:
     """The members of candidates in the orbit of element bit under the
-    automorphisms of sym's graph that fix every element below it.  The
-    equitable cells, each a union of such orbits, are checked first, so the
-    automorphism search runs only when some candidate shares bit's cell."""
+    automorphisms of sym's graph that map the prefix chosen, and the other
+    elements below bit, each onto itself.  The equitable cells, each a union
+    of such orbits, are checked first, so the automorphism search runs only
+    when some candidate shares bit's cell."""
+    classes = (chosen, (bit - 1) & ~chosen)
+    cells = sym.cells(classes=classes)
     c = bit.bit_length() - 1
-    fixed = tuple(range(c))
-    cells = sym.cells(fixed)
     if all(cells[v] != cells[c] for v in _bits_of(candidates)):
         return 0
-    orbit = next(o for o in sym.orbits(fixed) if o & bit)
+    orbit = next(o for o in sym.orbits(classes=classes) if o & bit)
     return orbit & candidates
+
+
+def _completion(
+    masks: list[int],
+    left: int,
+    universe: int,
+    kernel,
+    deadline: float | None,
+    sym=None,
+    fixed: tuple[int, ...] = (),
+) -> tuple[int | None, int]:
+    """(a hitting set of masks with at most left elements, or None when
+    there is none; the kernel nodes spent).  masks must be reduced and pass
+    _exceeds.  With sym, the call is split as sym.split splits an instance
+    under the automorphisms that fix each element of fixed, which must map
+    masks onto itself; each branch is then one kernel call, or none when
+    the kernel would refute it at its root."""
+    branches = None if sym is None else sym.split(CoverInstance(universe, tuple(masks)), fixed)
+    if branches is None:
+        status, _size, completion, nodes = kernel(universe, masks, left, left, deadline)
+        if status == _cover_py.STATUS_TIMEOUT:
+            raise SolveTimeout("exact solve ran past its deadline")
+        return (completion if status == _cover_py.STATUS_OPTIMAL else None), nodes
+    nodes = 0
+    for branch in branches:
+        _check_deadline(deadline)
+        prep = branch._prepared
+        room = left - len(branch.forced)
+        if isinstance(prep, CoverResult) or room < 0 or _exceeds(prep[0], room):
+            continue
+        status, _size, completion, spent = kernel(universe, prep[0], room, room, deadline)
+        nodes += spent
+        if status == _cover_py.STATUS_TIMEOUT:
+            raise SolveTimeout("exact solve ran past its deadline")
+        if status == _cover_py.STATUS_OPTIMAL:
+            return completion | prep[1], nodes
+    return None, nodes
 
 
 def _lex_min_witness(
@@ -432,13 +497,17 @@ def _lex_min_witness(
 
     With sym (see lex_min_hitting_set), a rejected candidate c also rejects,
     for the rest of the pass, every candidate c' in its orbit under the
-    automorphisms that fix each element below c.  If the lex-minimum W held
-    such a c', an automorphism s with s(c) = c' would give the minimum
-    cover s^-1(W), which agrees with W below c and holds c where W, c being
-    rejected, does not: a smaller one.  The orbits are looked for only
-    after a refutation that took the kernel at least _ORBIT_MIN_NODES
-    nodes; both kernels count nodes alike, so they reject the same
-    candidates.
+    automorphisms that map the prefix P, and the other elements below c,
+    each onto itself.  If the lex-minimum W held such a c', an automorphism
+    s with s(c) = c' would give the minimum cover s^-1(W), which agrees
+    with W below c and holds c where W, c being rejected, does not: a
+    smaller one.  The orbits are looked for only after a refutation that
+    took the kernel at least _ORBIT_MIN_NODES nodes; both kernels count
+    nodes alike, so they reject the same candidates.  A trial whose reduced
+    family has at least _SPLIT_MIN_SETS sets is split by orbital branching
+    (_completion) under the automorphisms that fix each element of the
+    prefix, the candidate and the elements banned from the trial: those map
+    the trial family onto itself.
     """
     chosen = 0
     banned = 0  # elements passed over, which no completion may use
@@ -470,15 +539,17 @@ def _lex_min_witness(
             if _exceeds(residual, left):
                 banned |= bit
                 continue
-            status, _size, completion, nodes = kernel(universe, residual, left, left, deadline)
-            if status == _cover_py.STATUS_TIMEOUT:
-                raise SolveTimeout("exact solve ran past its deadline")
-            if status == _cover_py.STATUS_OPTIMAL:
+            if sym is not None and len(residual) >= _SPLIT_MIN_SETS:
+                fixed = _bits_of(chosen | bit | trial_banned)
+                completion, nodes = _completion(residual, left, universe, kernel, deadline, sym, fixed)
+            else:
+                completion, nodes = _completion(residual, left, universe, kernel, deadline)
+            if completion is not None:
                 witness = chosen | bit | completion
                 break
             banned |= bit
             if sym is not None and nodes >= _ORBIT_MIN_NODES and candidates:
-                mates = _orbit_mates(sym, bit, candidates)
+                mates = _orbit_mates(sym, bit, chosen, candidates)
                 banned |= mates
                 candidates ^= mates
         else:

@@ -28,7 +28,7 @@ from .cover import (
     _masks_of_columns,
     deadline_after,
     lex_min_hitting_set,
-    min_hitting_set,
+    min_hitting_set_size,
 )
 from .graphs import DistanceOracle, Graph, GraphError, MixedItem, distances, flat_to_item
 
@@ -134,7 +134,7 @@ def forced_structure_lower_bound(G: Graph, fs: ForcedStructure | None = None) ->
     fs = fs or forced_vertices(G)
     pairs = [1 << u | 1 << v for u, v in fs.false_twin_pairs]
     inst = CoverInstance.build(G.n, pairs, forced=fs.forced)
-    res = min_hitting_set(inst)
+    res = min_hitting_set_size(inst)
     assert res.status == OPTIMAL
     return res.size
 

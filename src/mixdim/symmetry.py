@@ -21,18 +21,25 @@ representative of orbit O_i and avoids O_1 .. O_{i-1} (Ostrowski, Linderoth,
 Rossi and Smriglio, "Orbital branching", Math. Prog. 2011).  Branch i
 forces a representative and excludes orbits of a larger group, which the
 representative's stabilizer maps onto themselves, so each branch splits
-again by the orbits of that stabilizer.  min_size uses these splits, at
-every depth the split rule allows, to prove optimal values.
+again by the orbits of that stabilizer.  Where a branch's stabilizer has
+too many orbits for that, it splits once on the set the kernel would
+branch on, less the elements that share an orbit with an earlier one.
+min_size uses these splits to prove optimal values.
 
 Witnesses still come from cover.lex_min_hitting_set, which takes a
-GraphSymmetry too: after its pass refutes a candidate c, it refutes every
-later candidate in c's orbit under the stabilizer of the vertices below c
-(orbits(tuple(range(c)))), which cannot hold the lex-min witness either.
-The witness is the same with symmetry as without it.
+GraphSymmetry too and uses it twice.  After its pass refutes a candidate c
+it refutes every later candidate in c's orbit under the automorphisms that
+map the prefix, and the other vertices below c, each onto itself
+(orbits(classes=...)), which cannot hold the lex-min witness either.  And
+it proves each large trial by the same splits (GraphSymmetry.split), under
+the automorphisms that fix the prefix, the candidate and the elements the
+trial bans.  The witness is the same with symmetry as without it.
+
+The orbits that a proof has found also serve the covering LP
+(found_orbits), which then needs one variable per orbit.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -55,6 +62,11 @@ _SEARCH_BUDGET_PER_VERTEX = 40
 # connected graphs of order 5 to 7 raised their p90 exact-report time by
 # about a quarter
 _MIN_SPLIT_ELEMENTS = 12
+# _split searches for orbits only to split on the kernel's branching set
+# when at least this many sets are left: on the selected graphs, smaller
+# families took the kernel a few hundred nodes at most, fewer than the
+# split saved in the time of its orbit search
+_SET_SPLIT_MIN_SETS = 32
 
 
 def is_automorphism(graph, perm) -> bool:
@@ -76,8 +88,9 @@ class GraphSymmetry:
     def __init__(self, graph, dv: np.ndarray):
         self.graph = graph
         self._dv = dv
-        self._cells: dict[tuple[int, ...], np.ndarray] = {}
-        self._orbits: dict[tuple[int, ...], list[int]] = {}
+        # keyed by (fixed, classes), the initial colouring (_initial)
+        self._cells: dict[tuple, np.ndarray] = {}
+        self._orbits: dict[tuple, list[int]] = {}
 
     @cached_property
     def _weights(self) -> np.ndarray:
@@ -122,26 +135,60 @@ class GraphSymmetry:
                 return colors, b"".join(trace)
             colors, k = np.searchsorted(keys, sums), len(keys)
 
-    def cells(self, fixed: tuple[int, ...] = ()) -> np.ndarray:
-        """The equitable colouring with each vertex of fixed in a cell of
-        its own; each orbit of the stabilizer of fixed lies in one cell."""
-        if fixed not in self._cells:
-            colors = np.zeros(self.graph.n, dtype=np.intp)
-            for i, v in enumerate(fixed):
-                colors[v] = i + 1
-            self._cells[fixed] = self._refine(colors)[0]
-        return self._cells[fixed]
+    def _initial(self, fixed: tuple[int, ...], classes: tuple[int, ...]) -> np.ndarray:
+        """The colouring that gives fixed[i] colour i + 1, the other
+        vertices of each mask of classes the next colour and every other
+        vertex colour 0, with the colours renumbered 0 .. k - 1 in that
+        order.  An automorphism keeps it exactly when it fixes each vertex
+        of fixed and maps each mask of classes onto itself."""
+        colors = np.zeros(self.graph.n, dtype=np.intp)
+        for i, v in enumerate(fixed):
+            colors[v] = i + 1
+        color = len(fixed)
+        rest = ~_mask_of(fixed)
+        for mask in classes:
+            if mask & rest:
+                color += 1
+                colors[list(_bits_of(mask & rest))] = color
+        used = np.zeros(color + 1, dtype=np.intp)
+        used[colors] = 1
+        return colors if used.all() else np.cumsum(used)[colors] - 1
 
-    def orbits(self, fixed: tuple[int, ...] = ()) -> list[int]:
+    def cells(self, fixed: tuple[int, ...] = (), classes: tuple[int, ...] = ()) -> np.ndarray:
+        """The equitable colouring finer than _initial(fixed, classes); each
+        orbit of the automorphisms that fix that colouring lies in one
+        cell."""
+        key = (fixed, classes)
+        if key not in self._cells:
+            self._cells[key] = self._refine(self._initial(fixed, classes))[0]
+        return self._cells[key]
+
+    def orbits(self, fixed: tuple[int, ...] = (), classes: tuple[int, ...] = ()) -> list[int]:
         """Orbits, as vertex masks in ascending order of their lowest
-        vertex, of the automorphisms found that fix every vertex of fixed."""
-        if fixed not in self._orbits:
-            self._orbits[fixed] = self._find_orbits(fixed)
-        return self._orbits[fixed]
+        vertex, of the automorphisms found that fix every vertex of fixed
+        and map each vertex mask of classes onto itself."""
+        key = (fixed, classes)
+        if key not in self._orbits:
+            self._orbits[key] = self._find_orbits(fixed, classes)
+        return self._orbits[key]
 
-    def _find_orbits(self, fixed: tuple[int, ...]) -> list[int]:
+    def found_orbits(self) -> list[int] | None:
+        """orbits() if some proof has already computed them, else None;
+        never searches."""
+        return self._orbits.get(((), ()))
+
+    def split(self, inst: CoverInstance, fixed: tuple[int, ...]) -> list[CoverInstance] | None:
+        """_split(inst, its residual sets, self, fixed), or None when inst
+        is infeasible or has no set left unhit."""
+        prep = inst._prepared
+        if isinstance(prep, CoverResult) or not prep[0]:
+            return None
+        return _split(inst, prep[0], self, fixed)
+
+    def _find_orbits(self, fixed: tuple[int, ...], classes: tuple[int, ...]) -> list[int]:
         n = self.graph.n
-        base = self.cells(fixed)
+        base = self.cells(fixed, classes)
+        initial = self._initial(fixed, classes)
         parent = list(range(n))
 
         def find(v):
@@ -161,7 +208,7 @@ class GraphSymmetry:
                     continue
                 cv, tv = self._refine(_individualize(base, v))
                 for r, cr, tr in roots:
-                    perm = self._match(cr, tr, cv, tv, fixed, budget)
+                    perm = self._match(cr, tr, cv, tv, initial, budget)
                     if perm is not None:
                         for x, y in enumerate(perm):
                             parent[find(x)] = find(y)
@@ -173,22 +220,22 @@ class GraphSymmetry:
             masks[find(v)] = masks.get(find(v), 0) | 1 << v
         return sorted(masks.values(), key=lambda m: m & -m)
 
-    def _match(self, c1, t1, c2, t2, fixed, budget) -> list[int] | None:
-        """An automorphism that fixes each vertex of fixed and maps the
-        colouring c1 onto c2, or None; both are equitable and refined from
-        colourings that the automorphism sought would relate.  Individualizes the
-        first vertex of the smallest nontrivial cell of c1 against each
-        vertex of that cell of c2 in turn, spending one unit of budget per
-        refinement."""
+    def _match(self, c1, t1, c2, t2, initial, budget) -> list[int] | None:
+        """An automorphism that keeps the colour of every vertex under the
+        colouring initial and maps the colouring c1 onto c2, or None; both
+        are equitable and refined from colourings that the automorphism
+        sought would relate.  Individualizes the first vertex of the
+        smallest nontrivial cell of c1 against each vertex of that cell of
+        c2 in turn, spending one unit of budget per refinement."""
         if t1 != t2:
             return None
         sizes = np.bincount(c1)
         if len(sizes) == len(c1):
             where = np.empty_like(c2)
             where[c2] = np.arange(len(c2))
-            perm = where[c1].tolist()
-            if all(perm[f] == f for f in fixed) and is_automorphism(self.graph, perm):
-                return perm
+            perm = where[c1]
+            if (initial[perm] == initial).all() and is_automorphism(self.graph, perm.tolist()):
+                return perm.tolist()
             return None
         open_sizes = np.where(sizes > 1, sizes, len(c1) + 1)
         color = int(np.argmin(open_sizes))
@@ -199,32 +246,31 @@ class GraphSymmetry:
             if budget[0] < 0:
                 return None
             d2, s2 = self._refine(_individualize(c2, y))
-            perm = self._match(d1, s1, d2, s2, fixed, budget)
+            perm = self._match(d1, s1, d2, s2, initial, budget)
             if perm is not None:
                 return perm
         return None
 
     def orbits_within(self, relevant: int, fixed: tuple[int, ...], limit: int) -> list[int] | None:
         """The orbits of the stabilizer of fixed that meet relevant, cut to
-        relevant, largest first (ties: lowest vertex first); None when there
-        are limit or more of them.  relevant must be a union of such orbits.
+        relevant, largest first (ties: lowest vertex first): orbits of the
+        stabilizer when relevant is a union of them.
 
-        Checks cheap invariants first: a vertex's degree and its distances
-        to fixed, then the equitable cells, each of which is a union of
-        orbits, so the automorphism search runs only when fewer than limit
-        cells meet relevant."""
+        None, without a search for automorphisms, when cheap invariants
+        already split relevant into limit or more classes, each a union of
+        orbits: a vertex's degree and its distances to fixed, then the
+        equitable cells.  Otherwise the orbits are found, however many."""
         if limit <= 1:  # relevant meets at least one orbit
             return None
-        vertices = _bits_of(relevant)
-        dv = self._dv
-        if len({(self.graph.degree(v), *(dv[f, v] for f in fixed)) for v in vertices}) >= limit:
+        vertices = list(_bits_of(relevant))
+        degree = self.graph.degree
+        profiles = self._dv[list(fixed)][:, vertices].T.tolist()
+        if len({(degree(v), *p) for v, p in zip(vertices, profiles)}) >= limit:
             return None
         cells = self.cells(fixed)
         if len({cells[v] for v in vertices}) >= limit:
             return None
         found = [o & relevant for o in self.orbits(fixed) if o & relevant]
-        if len(found) >= limit:
-            return None
         return sorted(found, key=lambda m: (-m.bit_count(), m & -m))
 
 
@@ -241,38 +287,58 @@ def _split(
     fixed: tuple[int, ...],
 ) -> list[CoverInstance] | None:
     """Orbital branches of inst, whose sets left unhit by its forced
-    elements are masks, under the stabilizer of fixed: the i-th forces the
-    representative (lowest vertex) of orbit O_i and excludes O_1 .. O_{i-1},
-    the orbits being those of the free elements, which lie in some of masks.
-    Each branch is split again in the same way under the stabilizer of
-    fixed and its representative, and is kept whole where that split is
-    refused.
+    elements are masks, under the stabilizer of fixed, or None to keep
+    inst whole.
 
-    None, leaving inst whole, unless there are at least _MIN_SPLIT_ELEMENTS
-    free elements, at most as many orbits as the kernel's first branching
-    has children (the size of the smallest of masks), and forced and
-    excluded sets that are unions of the orbits found under the stabilizer
-    of fixed.  The last condition holds when the orbits found are exact,
-    because each excluded orbit came from a larger group.  A cut-off
-    automorphism search can leave them finer, and then the automorphisms
-    found need not map an excluded set onto itself.
+    The branches split on the orbits of the free elements (those in some
+    of masks) when there are at most as many orbits as the kernel's first
+    branching has children (the size of the smallest of masks): the i-th
+    forces the representative (lowest vertex) of orbit O_i and excludes
+    O_1 .. O_{i-1}.  Each branch is split again in the same way under the
+    stabilizer of fixed and its representative, and is kept whole where
+    that split is refused.  When there are more orbits, the branches split
+    once on the kernel's own branching set instead (_split_set), and are
+    not split again: splitting those again cost more orbit searches than
+    their kernel calls saved.  For that split the orbits are searched for
+    only below the top (fixed not empty) and with at least
+    _SET_SPLIT_MIN_SETS sets left; at the top they serve it only when the
+    orbital split's own check found them.
+
+    None unless there are at least _MIN_SPLIT_ELEMENTS free elements, the
+    orbits were found, and the forced and excluded sets are unions of the
+    orbits found under the stabilizer of fixed.  The last condition holds
+    when the orbits found are exact, because each excluded orbit came from
+    a larger group.  A cut-off automorphism search can leave them finer,
+    and then the automorphisms found need not map an excluded set onto
+    itself.
     """
     free = 0
     for m in masks:
         free |= m
     if free.bit_count() < _MIN_SPLIT_ELEMENTS:
         return None
-    orbits = sym.orbits_within(free, fixed, min(m.bit_count() for m in masks) + 1)
+    pick = masks[0]  # the kernel's: masks are in _reduce_family's order
+    limit = pick.bit_count() + 1
+    orbits = sym.orbits_within(free, fixed, limit)
     if orbits is None:
-        return None
+        # too many orbits for an orbital split.  Below the top the group is
+        # not trivial, so the orbits are searched for unless the cheap
+        # invariants tell pick's elements apart; at the top, where most
+        # graphs have a trivial group, they are not
+        if not fixed or len(masks) < _SET_SPLIT_MIN_SETS:
+            return None
+        if sym.orbits_within(pick, fixed, pick.bit_count()) is None:
+            return None
     forced, excluded = _mask_of(inst.forced), _mask_of(inst.excluded)
     if any(o & forced not in (0, o) or o & excluded not in (0, o) for o in sym.orbits(fixed)):
         return None
+    if orbits is None or len(orbits) >= limit:
+        return _split_set(inst, masks, sym.orbits(fixed))
     branches = []
     passed = 0
     for orbit in orbits:
         rep = (orbit & -orbit).bit_length() - 1
-        branch = replace(inst, forced=inst.forced | {rep}, excluded=inst.excluded | frozenset(_bits_of(passed)))
+        branch = inst._branch(masks, rep, passed)
         prep = branch._prepared
         deeper = None
         if not isinstance(prep, CoverResult) and prep[0]:
@@ -280,6 +346,30 @@ def _split(
         branches.extend(deeper or [branch])
         passed |= orbit
     return branches
+
+
+def _split_set(inst: CoverInstance, masks: list[int], orbits: list[int]) -> list[CoverInstance] | None:
+    """The kernel's first branching of inst, whose sets left unhit by its
+    forced elements are masks, less the children that an automorphism maps
+    into an earlier one, or None when it drops none.
+
+    The kernel branches on S, the first of masks: child i forces s_i, the
+    i-th element of S in ascending order, and excludes s_1 .. s_{i-1}.
+    orbits are those of a group that maps inst's family, forced set and
+    excluded set onto themselves.  A cover in child j, whose s_j shares an
+    orbit with an earlier s_i, is mapped by an automorphism that takes s_j
+    to s_i onto an equally small cover holding s_i, which lies in child i
+    or an earlier one; so child j goes.
+    """
+    branches = []
+    seen = 0  # the orbits of the elements passed so far
+    passed = 0
+    for e in _bits_of(masks[0]):
+        if not seen >> e & 1:
+            branches.append(inst._branch(masks, e, passed))
+        seen |= next(o for o in orbits if o >> e & 1)
+        passed |= 1 << e
+    return branches if len(branches) < masks[0].bit_count() else None
 
 
 def min_size(
@@ -290,19 +380,15 @@ def min_size(
     deadline: float | None = None,
 ) -> CoverResult:
     """min_hitting_set_size(inst, cutoff, lower_bound, deadline), proved by
-    orbital branching where that splits inst into no more subproblems than
-    the kernel's own first branching would, each split again where the
-    same holds (_split); otherwise one plain kernel call.
+    orbital branching where _split allows it; otherwise one plain kernel
+    call.
 
     inst's family, forced and excluded sets must each be mapped onto
     themselves by every automorphism of sym's graph.  Each branch is solved
     with a cutoff one below the best size found so far, so the last size
     found is the minimum over the branches, which is the optimum.
     """
-    prep = inst._prepared
-    branches = None
-    if not isinstance(prep, CoverResult) and prep[0]:
-        branches = _split(inst, prep[0], sym, ())
+    branches = sym.split(inst, ())
     if branches is None:
         return min_hitting_set_size(inst, cutoff, lower_bound, deadline)
     best = None

@@ -1,5 +1,5 @@
 """The mask codec of mixdim.cover, and the families built with it, at every
-width: below, at and above one 63-bit int64 word."""
+width: below, at and above one 64-bit word, and below and above 63 bits."""
 import itertools
 import random
 
@@ -17,7 +17,7 @@ from bruteforce import item_vectors, masks, random_connected_graph, reference_di
 
 @st.composite
 def mask_families(draw):
-    width = draw(st.one_of(st.sampled_from([62, 63, 64, 65, 126, 127]), st.integers(1, 130)))
+    width = draw(st.one_of(st.sampled_from([62, 63, 64, 65, 126, 127, 128, 129]), st.integers(1, 130)))
     return width, draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
 
 
@@ -27,6 +27,7 @@ def mask_families(draw):
 @example((63, [(1 << 63) - 1, 1 << 62]))
 @example((64, [(1 << 64) - 1, 1 << 63, 1 << 62]))
 @example((65, [(1 << 65) - 1, 1 << 64, 1 << 63]))
+@example((129, [(1 << 129) - 1, 1 << 128, 1 << 127, 1 << 64]))
 def test_masks_rows_masks_round_trip(case):
     width, family = case
     rows = _rows_of_masks(family, width)

@@ -9,12 +9,14 @@ import time
 import pytest
 
 import mixdim.cover as cover
+import mixdim.dims as dims
 import mixdim.symmetry as symmetry
-from mixdim.bounds import bounds_report
+from mixdim.bounds import bounds_report, edge_side_sets
 from mixdim.cli import EXIT_INVALID, main
-from mixdim.cover import min_hitting_set_size
+from mixdim.cover import CoverInstance, min_hitting_set_size
 from mixdim.dims import SolveTimeout, mixed_metric_dimension
 from mixdim.families import generate_named
+from mixdim.graphs import distances
 
 STEP = 10.0
 BUDGET = 25.0  # two solves fit, three do not
@@ -22,9 +24,10 @@ BUDGET = 25.0  # two solves fit, three do not
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Each min_hitting_set_size call, the size proof that min_hitting_set
-    and every orbital branch of symmetry.min_size run, advances the clock
-    by STEP; returns the list of calls made."""
+    """Each min_hitting_set_size call, the size proof that min_hitting_set,
+    the forced-structure bound and every orbital branch of
+    symmetry.min_size run, advances the clock by STEP; returns the list of
+    calls made."""
     calls = []
     offset = [0.0]
     real = time.monotonic
@@ -35,7 +38,7 @@ def solves(monkeypatch):
         calls.append(args[0])
         return min_hitting_set_size(*args, **kwargs)
 
-    for mod in (cover, symmetry):
+    for mod in (cover, dims, symmetry):
         monkeypatch.setattr(mod, "min_hitting_set_size", slow)
     return calls
 
@@ -68,3 +71,31 @@ def test_cli_dims_deadline_covers_beta_and_beta_e(solves, capsys):
     assert main(["dims", "--family", "path:5", "--timeout", str(BUDGET)]) == EXIT_INVALID
     assert "past its deadline" in capsys.readouterr().err
     assert len(solves) == 4
+
+
+def test_witness_trial_branches_share_one_deadline(monkeypatch):
+    # every witness-pass trial of johnson(9,2)'s N2 family is split by
+    # orbital branching, and each kernel call advances the clock by STEP.
+    # The second trial's first branch runs past the deadline, and the
+    # pass stops there instead of solving the trial's other branches
+    monkeypatch.setattr(cover, "_SPLIT_MIN_SETS", 0)
+    offset = [0.0]
+    real = time.monotonic
+    monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
+    G = generate_named("johnson", 9, 2)
+    oracle = distances(G)
+    closer_u, closer_v = edge_side_sets(oracle)
+    inst = CoverInstance.build(G.n, closer_u + closer_v)
+    size = symmetry.min_size(inst, oracle.symmetry).size
+    kernel = cover._kernel(G.n)
+    calls = []
+
+    def slow_kernel(*args):
+        offset[0] += STEP
+        calls.append(args[1])
+        return kernel(*args)
+
+    masks, _fmask = inst._prepared
+    with pytest.raises(SolveTimeout):
+        cover._lex_min_witness(masks, size, G.n, slow_kernel, time.monotonic() + 1.5 * STEP, oracle.symmetry)
+    assert len(calls) == 2

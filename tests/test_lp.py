@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mixdim.cover import min_hitting_set
+from mixdim.bounds import bounds_report, lb_l4
+from mixdim.cover import _bits_of, min_hitting_set
 from mixdim.dims import pair_cover_instance
-from mixdim.families import connected_graphs_of_order
+from mixdim.families import connected_graphs_of_order, generate, generate_named
 from mixdim.graphs import build_graph, distances
 from mixdim.lp import CoveringLP, LPError, ceil_with_tolerance, solve_covering_lp, solve_covering_lp_primal
+from mixdim.tables import SELECTED_GRAPHS
 
-from bruteforce import masks
+from bruteforce import masks, random_connected_graph
 
 FIG1_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
@@ -97,3 +99,70 @@ def test_lp_below_integer_cover_on_order5():
         lp_val = solve_covering_lp(CoveringLP.build(5, inst.masks))
         cover = min_hitting_set(inst)
         assert lp_val <= cover.size + 1e-9
+
+
+# --- the program over automorphism orbits ------------------------------------
+
+
+def _circulant(n, offsets):
+    return build_graph(n, sorted({tuple(sorted((v, (v + d) % n))) for v in range(n) for d in offsets}))
+
+
+def _trivial_group_graphs():
+    """Random connected graphs whose automorphism group is trivial."""
+    rng = random.Random(2024)
+    found = []
+    while len(found) < 4:
+        n = rng.randint(9, 14)
+        g = build_graph(n, random_connected_graph(rng, n))
+        if len(distances(g).symmetry.orbits()) == n:
+            found.append(pytest.param(g, id=f"random-{len(found)}"))
+    return found
+
+
+ORBIT_LP_GRAPHS = [
+    *(pytest.param(generate(s.family), id=s.name) for s in SELECTED_GRAPHS if s.family is not None),
+    *(
+        pytest.param(_circulant(n, d), id=f"C{n}{list(d)}")
+        for n, d in [(10, (1, 3)), (12, (1, 5)), (13, (1, 5)), (15, (1, 4, 6))]
+    ),
+    *_trivial_group_graphs(),
+]
+
+
+@pytest.mark.parametrize("g", ORBIT_LP_GRAPHS)
+def test_orbit_program_matches_plain_and_highs(g):
+    oracle = distances(g)
+    inst = pair_cover_instance(oracle)
+    lp = CoveringLP(g.n, inst.masks, inst.masks)
+    orbits = oracle.symmetry.orbits()
+    plain = solve_covering_lp(lp)
+    value, y = solve_covering_lp_primal(lp, orbits)
+    assert value == pytest.approx(plain, abs=1e-7)
+    assert value == pytest.approx(_scipy_optimum(g.n, [_bits_of(m) for m in inst.masks]), abs=1e-7)
+    # the selection is constant on every orbit and covers every row
+    assert all(len({y[v] for v in _bits_of(o)}) == 1 for o in orbits)
+    assert float(y.sum()) == pytest.approx(value, abs=1e-7)
+    for m in inst.original_masks:
+        assert sum(y[v] for v in _bits_of(m)) >= 1 - 1e-7
+
+
+def test_orbit_program_of_a_built_program():
+    # rows reduced by build are checked against the rows handed in; the
+    # cyclic shift maps the rows of all pairs of Z_6 at distance <= 2 onto
+    # themselves
+    rows = [frozenset({i, (i + d) % 6}) for i in range(6) for d in (1, 2)] + [frozenset(range(6))]
+    lp = CoveringLP.build(6, masks(rows))
+    value = solve_covering_lp(lp, [0b111111])
+    assert value == pytest.approx(_scipy_optimum(6, rows), abs=1e-7) == pytest.approx(3.0)
+
+
+def test_hypercube_7_program_is_solved_over_orbits():
+    # the dense tableau stalls on the 7-cube's 560 reduced rows over 128
+    # variables; over its one orbit they are one row, and HiGHS agrees
+    g = generate_named("hypercube", 7)
+    assert lb_l4(g) == 2
+    assert bounds_report(g).l4 == 2
+    inst = pair_cover_instance(distances(g))
+    assert len(inst.masks) == 560
+    assert _scipy_optimum(g.n, [_bits_of(m) for m in inst.masks]) == pytest.approx(2.0, abs=1e-7)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 import mixdim._cover_py as _cover_py
@@ -121,6 +121,45 @@ def test_every_merge_lies_in_one_networkx_orbit(G, vertex):
         assert all(len({where[v] for v in o}) == 1 for o in found)
 
 
+def nx_coloured_orbits(G, colour):
+    """Orbits of the automorphisms of G that keep colour[v] for every v, as
+    sorted vertex tuples, from networkx's enumeration."""
+    H = _nx(G)
+    nx.set_node_attributes(H, dict(enumerate(colour)), "c")
+    matcher = GraphMatcher(H, H, node_match=lambda a, b: a["c"] == b["c"])
+    orbit = {v: {v} for v in range(G.n)}
+    for perm in matcher.isomorphisms_iter():
+        for v, w in perm.items():
+            orbit[v].add(w)
+    return sorted({tuple(sorted(o)) for o in orbit.values()})
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(connected_graphs(), st.lists(st.integers(0, 2), min_size=8, max_size=8), st.integers(0, 7))
+def test_every_colour_preserving_merge_lies_in_one_networkx_orbit(G, labels, vertex):
+    # the witness pass's classes: a prefix and the other vertices below a
+    # candidate, here any two disjoint vertex sets, with or without one
+    # vertex fixed as well
+    classes = tuple(sum(1 << v for v in range(G.n) if labels[v] == c) for c in (1, 2))
+    for fixed in ((), (vertex % G.n,)):
+        colour = [labels[v] if v not in fixed else 3 for v in range(G.n)]
+        truth = nx_coloured_orbits(G, colour)
+        where = {v: i for i, o in enumerate(truth) for v in o}
+        found = distances(G).symmetry.orbits(fixed, classes)
+        assert sum(found) == (1 << G.n) - 1
+        assert all(len({where[v] for v in range(G.n) if o >> v & 1}) == 1 for o in found), (fixed, classes)
+
+
+def test_colour_classes_of_the_hypercube():
+    # Q3 with the prefix {0} and the vertices {1, 2} below a candidate: the
+    # automorphisms fixing 0 and mapping {1, 2} onto itself fix or swap the
+    # two lowest coordinates, so 3, 4 and 7 stay alone and 5, 6 share an
+    # orbit
+    sym = distances(generate_named("hypercube", 3)).symmetry
+    assert sym.orbits(classes=(0b1, 0b110)) == [0b1, 0b110, 0b1000, 0b10000, 0b1100000, 0b10000000]
+    assert sym.orbits(classes=(0b1, 0b110)) == sym.orbits((0,), (0b110,))
+
+
 @pytest.mark.parametrize("sel", [s for s in SELECTED_GRAPHS if s.family is not None], ids=lambda s: s.name)
 def test_selected_graphs_are_vertex_transitive(sel):
     G = generate(sel.family)
@@ -201,7 +240,7 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
 
 @pytest.mark.parametrize(
     ("name", "params", "nodes"),
-    [("rook", (6,), 17061), ("gq24", (), 51639), ("johnson", (9, 2), 18499)],
+    [("rook", (6,), 8035), ("gq24", (), 35782), ("johnson", (9, 2), 7352)],
 )
 def test_exact_report_node_counts(name, params, nodes, monkeypatch):
     # every Python-kernel node of an exact report: value proofs, orbital
@@ -275,8 +314,10 @@ def _families(G):
 @pytest.mark.parametrize("G", VERDICT_GRAPHS)
 def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
     # split every instance, however small, so the golden graphs of order
-    # at most 6 take the orbital path too
+    # at most 6 take the orbital path too, and split on the kernel's
+    # branching set wherever there are too many orbits
     monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
+    monkeypatch.setattr(symmetry, "_SET_SPLIT_MIN_SETS", 0)
     sym = GraphSymmetry(G, distances(G).dv)
     for name, inst in _families(G):
         plain = min_hitting_set_size(inst)
@@ -294,18 +335,102 @@ def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
 # --- the witness pass's orbit rule -----------------------------------------
 
 
-@pytest.mark.parametrize("G", VERDICT_GRAPHS)
-def test_symmetric_witness_matches_plain(G, backend, monkeypatch):
-    # look for orbits after every kernel refutation, and split every
-    # instance, so the small graphs take the symmetric paths too
+def _all_gates_open(monkeypatch):
+    """Look for orbits after every kernel refutation, split every instance
+    and every witness-pass trial, and split on the kernel's branching set
+    wherever there are too many orbits: the small graphs then take every
+    symmetric path."""
     monkeypatch.setattr(cover, "_ORBIT_MIN_NODES", 0)
+    monkeypatch.setattr(cover, "_SPLIT_MIN_SETS", 0)
     monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
+    monkeypatch.setattr(symmetry, "_SET_SPLIT_MIN_SETS", 0)
+
+
+def _assert_witnesses_match_plain(G):
     sym = GraphSymmetry(G, distances(G).dv)
     for name, inst in _families(G):
         plain = min_hitting_set_size(inst)
         if plain.ok:
             size = symmetry.min_size(inst, sym).size
             assert lex_min_hitting_set(inst, size, sym=sym) == lex_min_hitting_set(inst, plain.size), name
+
+
+@pytest.mark.parametrize("G", VERDICT_GRAPHS)
+def test_symmetric_witness_matches_plain(G, backend, monkeypatch):
+    _all_gates_open(monkeypatch)
+    _assert_witnesses_match_plain(G)
+
+
+@settings(
+    max_examples=120,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(connected_graphs(max_n=8))
+def test_small_graph_witnesses_match_plain(backend, monkeypatch, G):
+    _all_gates_open(monkeypatch)
+    _assert_witnesses_match_plain(G)
+
+
+def _split_counts(monkeypatch):
+    """How many instances _split_set split, and how many witness-pass
+    trials _completion split, from here on."""
+    counts = {"set": 0, "trial": 0}
+    split_set = symmetry._split_set
+    completion = cover._completion
+
+    def counted_set(*args):
+        out = split_set(*args)
+        counts["set"] += out is not None
+        return out
+
+    def counted_completion(masks, left, universe, kernel, deadline, sym=None, fixed=()):
+        if sym is not None:
+            counts["trial"] += sym.split(CoverInstance(universe, tuple(masks)), fixed) is not None
+        return completion(masks, left, universe, kernel, deadline, sym, fixed)
+
+    monkeypatch.setattr(symmetry, "_split_set", counted_set)
+    monkeypatch.setattr(cover, "_completion", counted_completion)
+    return counts
+
+
+# the selected graphs whose exact reports split on the kernel's branching
+# set and split witness-pass trials at the default gates
+SPLIT_AT_DEFAULT_GATES = ("Rook's graph", "Hamming H(2,6)", "9-triangular graph", "Generalized quadrangle")
+
+
+@pytest.mark.parametrize("sel", [s for s in SELECTED_GRAPHS if s.family is not None], ids=lambda s: s.name)
+def test_selected_graph_witnesses_match_plain(sel, backend, monkeypatch):
+    # every exact-report witness of the selected graphs, the lex-min
+    # witness of the N2 family and of the mixed level at betaM: with the
+    # symmetric pass at its default gates, and with the plain pass
+    counts = _split_counts(monkeypatch)
+    G = generate(sel.family)
+    a = GraphAnalysis(G)
+    sym = a.oracle.symmetry
+    closer_u, closer_v = edge_side_sets(a.oracle)
+    rep = bounds_report(G, compute_exact=True)
+    excl = excluded_vertices(G, rep.beta_m)
+    families = [
+        (CoverInstance.build(G.n, closer_u + closer_v), rep.n2, rep.n2_witness),
+        (replace(a.mixed, forced=a.forced.forced, excluded=excl), rep.beta_m, rep.beta_m_witness),
+    ]
+    for inst, size, witness in families:
+        assert lex_min_hitting_set(inst, size, sym=sym).witness == witness
+        assert lex_min_hitting_set(inst, size).witness == witness
+    if sel.name in SPLIT_AT_DEFAULT_GATES:
+        assert counts["set"] and counts["trial"]
+
+
+def test_small_graphs_take_the_new_paths(monkeypatch):
+    # the gates that the tests above open do reach both new splits
+    _all_gates_open(monkeypatch)
+    counts = _split_counts(monkeypatch)
+    for G in (generate_named("gen_petersen", 5, 2), generate_named("torus", 3, 4)):
+        _assert_witnesses_match_plain(G)
+    assert counts["set"] and counts["trial"]
 
 
 @pytest.fixture(scope="module")
@@ -318,11 +443,12 @@ def johnson_n2():
     return G, oracle.symmetry, inst, symmetry.min_size(inst, oracle.symmetry).size
 
 
-@pytest.mark.parametrize(("with_sym", "calls", "nodes"), [(False, 26, 38696), (True, 21, 15398)])
+@pytest.mark.parametrize(("with_sym", "calls", "nodes"), [(False, 26, 38696), (True, 12, 5257)])
 def test_johnson_n2_witness_pass(johnson_n2, backend, with_sym, calls, nodes):
-    # after the prefix {0,1}, {0,2} the candidates {0,3} .. {0,8} are one
-    # orbit of the stabilizer of the points below them: the orbit rule
-    # refutes the first and skips the rest
+    # with symmetry, a refuted candidate refutes its orbit under the
+    # automorphisms that keep the prefix and the rest below it, and the
+    # trials of at least _SPLIT_MIN_SETS sets are split by orbital
+    # branching, each branch one kernel call
     G, sym, inst, size = johnson_n2
     kernel = cover._kernel(G.n)
     made = []
@@ -339,7 +465,7 @@ def test_johnson_n2_witness_pass(johnson_n2, backend, with_sym, calls, nodes):
 
 
 def test_witness_pass_times_out_after_costly_refutation(johnson_n2, backend, monkeypatch):
-    # the clock jumps past the deadline as soon as a kernel call refutes a
+    # the clock jumps past the deadline as soon as a trial refutes a
     # candidate at a cost that starts an orbit search: the pass searches
     # the orbit and still raises at the next candidate
     offset = [0.0]
@@ -348,19 +474,22 @@ def test_witness_pass_times_out_after_costly_refutation(johnson_n2, backend, mon
     G, _sym, inst, size = johnson_n2
     kernel = cover._kernel(G.n)
 
-    def late_kernel(*args):
-        out = kernel(*args)
-        if out[0] == _cover_py.STATUS_CUTOFF and out[3] >= cover._ORBIT_MIN_NODES:
+    completion = cover._completion
+
+    def late_completion(*args):
+        out = completion(*args)
+        if out[0] is None and out[1] >= cover._ORBIT_MIN_NODES:
             offset[0] += 120.0
         return out
 
+    monkeypatch.setattr(cover, "_completion", late_completion)
     searched = []
     mates = cover._orbit_mates
     monkeypatch.setattr(cover, "_orbit_mates", lambda *args: searched.append(args[1]) or mates(*args))
     masks, _fmask = inst._prepared
     sym = GraphSymmetry(G, distances(G).dv)
     with pytest.raises(SolveTimeout):
-        cover._lex_min_witness(masks, size, G.n, late_kernel, time.monotonic() + 60.0, sym)
+        cover._lex_min_witness(masks, size, G.n, kernel, time.monotonic() + 60.0, sym)
     assert len(searched) == 1
 
 
@@ -375,8 +504,7 @@ def test_witness_pass_times_out_after_costly_refutation(johnson_n2, backend, mon
 def test_report_matches_brute_force(monkeypatch, G):
     # many graphs of order <= 7 have a nontrivial group: with the gates at
     # 0 their witness passes and value proofs use it wherever they can
-    monkeypatch.setattr(cover, "_ORBIT_MIN_NODES", 0)
-    monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
+    _all_gates_open(monkeypatch)
     rep = bounds_report(G, compute_exact=True)
     edges = list(G.edges)
     assert rep.beta == min_dimension(G.n, edges, "vertex")[0]
@@ -393,6 +521,10 @@ def test_report_matches_brute_force(monkeypatch, G):
     database=None,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
+    # no shrinking: each step would rerun an exact report and the brute
+    # force on a graph of up to 12 vertices, so a failure took minutes to
+    # report; the failing example is reported as generated
+    phases=[p for p in Phase if p != Phase.shrink],
 )
 @given(connected_graphs(max_n=12, min_n=8))
 def test_random_graph_report_matches_brute_force(backend, G):
