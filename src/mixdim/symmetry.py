@@ -138,9 +138,10 @@ class GraphSymmetry:
     def _initial(self, fixed: tuple[int, ...], classes: tuple[int, ...]) -> np.ndarray:
         """The colouring that gives fixed[i] colour i + 1, the other
         vertices of each mask of classes the next colour and every other
-        vertex colour 0, with the colours renumbered 0 .. k - 1 in that
-        order.  An automorphism keeps it exactly when it fixes each vertex
-        of fixed and maps each mask of classes onto itself."""
+        vertex colour 0, all less one when no vertex is left with colour 0,
+        so that the colours are 0 .. k - 1.  An automorphism keeps it
+        exactly when it fixes each vertex of fixed and maps each mask of
+        classes onto itself."""
         colors = np.zeros(self.graph.n, dtype=np.intp)
         for i, v in enumerate(fixed):
             colors[v] = i + 1
@@ -150,9 +151,7 @@ class GraphSymmetry:
             if mask & rest:
                 color += 1
                 colors[list(_bits_of(mask & rest))] = color
-        used = np.zeros(color + 1, dtype=np.intp)
-        used[colors] = 1
-        return colors if used.all() else np.cumsum(used)[colors] - 1
+        return colors - 1 if colors.all() else colors
 
     def cells(self, fixed: tuple[int, ...] = (), classes: tuple[int, ...] = ()) -> np.ndarray:
         """The equitable colouring finer than _initial(fixed, classes); each
