@@ -358,7 +358,8 @@ def _split_set(inst: CoverInstance, masks: list[int], orbits: list[int]) -> list
     excluded set onto themselves.  A cover in child j, whose s_j shares an
     orbit with an earlier s_i, is mapped by an automorphism that takes s_j
     to s_i onto an equally small cover holding s_i, which lies in child i
-    or an earlier one; so child j goes.
+    or an earlier one, and so on while that child is dropped too; so child
+    j goes.
     """
     branches = []
     seen = 0  # the orbits of the elements passed so far
