@@ -25,6 +25,7 @@ from .cover import (
     OPTIMAL,
     CoverInstance,
     SolveTimeout,  # noqa: F401 - re-exported: raised by every exact solve
+    _mask_of,
     _masks_of_columns,
     deadline_after,
     lex_min_hitting_set,
@@ -102,21 +103,28 @@ def forced_vertices(G: Graph) -> ForcedStructure:
     neighborhoods) must be intersected.
     """
     n = G.n
-    true_pairs = []
-    false_pairs = []
-    for u, v in itertools.combinations(range(n), 2):
-        if G.adj[u] == G.adj[v]:
-            false_pairs.append((u, v))
-        elif (G.adj[u] | {u}) == (G.adj[v] | {v}):
-            true_pairs.append((u, v))
+    open_masks = [_mask_of(G.adj[v]) for v in range(n)]
+    closed_masks = [m | 1 << v for v, m in enumerate(open_masks)]
+    # no pair has both equal open and equal closed neighbourhoods: u would
+    # be its own neighbour
+    false_pairs = _pairs_of_equal(open_masks)
+    true_pairs = _pairs_of_equal(closed_masks)
+    # N(v) is a clique when every neighbour a sees all of N[v]
     simplicial = frozenset(
-        v
-        for v in range(n)
-        if all(G.has_edge(a, b) for a, b in itertools.combinations(sorted(G.adj[v]), 2))
+        v for v in range(n) if all(closed_masks[v] & ~closed_masks[a] == 0 for a in G.adj[v])
     )
     leaves = frozenset(v for v in range(n) if G.degree(v) == 1)
     forced = frozenset(itertools.chain.from_iterable(true_pairs)) | simplicial
     return ForcedStructure(forced, tuple(true_pairs), tuple(false_pairs), simplicial, leaves)
+
+
+def _pairs_of_equal(masks: list[int]) -> list[tuple[int, int]]:
+    """Every pair (u, v), u < v, with masks[u] == masks[v], in
+    lexicographic order."""
+    groups: dict[int, list[int]] = {}
+    for v, m in enumerate(masks):
+        groups.setdefault(m, []).append(v)
+    return sorted(pair for group in groups.values() for pair in itertools.combinations(group, 2))
 
 
 def excluded_vertices(G: Graph, k: int) -> frozenset[int]:

@@ -13,6 +13,16 @@ merge that the bounded search misses leaves the orbits finer than Aut(G)'s,
 which costs pruning but never soundness: the orbits found are always those
 of a group of automorphisms.
 
+Most keys need no search: a GraphSymmetry keeps the automorphisms that its
+searches find, and each key tries those first.  A pointwise stabilizer
+takes the generators of the longest prefix of fixed already known, through
+one Schreier step per further vertex (Seress, "Permutation Group
+Algorithms", 2003); a key with classes takes every known automorphism that
+keeps its colouring.  The orbits of known automorphisms lie inside the
+stabilizer's, which lie inside the equitable cells, so when they are as
+many as the cells they are the stabilizer's orbits.  Otherwise the search
+runs, starting from their merges.
+
 Every automorphism maps each pair-cover family of the graph (vertex, edge
 and mixed pairs, the N2 side sets) onto itself, and the forced and degree-
 excluded vertices of the mixed search are unions of orbits.  So a cover of
@@ -91,6 +101,10 @@ class GraphSymmetry:
         # keyed by (fixed, classes), the initial colouring (_initial)
         self._cells: dict[tuple, np.ndarray] = {}
         self._orbits: dict[tuple, list[int]] = {}
+        # automorphisms that keep the key's initial colouring, one
+        # permutation per row: derived and found for a key without classes,
+        # found for one with classes
+        self._gens: dict[tuple, np.ndarray] = {}
 
     @cached_property
     def _weights(self) -> np.ndarray:
@@ -165,11 +179,48 @@ class GraphSymmetry:
     def orbits(self, fixed: tuple[int, ...] = (), classes: tuple[int, ...] = ()) -> list[int]:
         """Orbits, as vertex masks in ascending order of their lowest
         vertex, of the automorphisms found that fix every vertex of fixed
-        and map each vertex mask of classes onto itself."""
+        and map each vertex mask of classes onto itself.
+
+        The automorphisms already known that do so (_known) come first.
+        Their orbits lie inside the stabilizer's, which lie inside the
+        equitable cells; so when they are as many as the cells, they are
+        the stabilizer's orbits, and no search is made.  Otherwise the
+        search starts from their merges."""
         key = (fixed, classes)
         if key not in self._orbits:
-            self._orbits[key] = self._find_orbits(fixed, classes)
+            known = self._known(fixed, classes)
+            roots = _orbit_roots(known).tolist()
+            found: list[list[int]] = []
+            if len(set(roots)) > int(self.cells(fixed, classes).max()) + 1:
+                roots, found = self._find_orbits(fixed, classes, roots)
+            self._orbits[key] = _masks_of_roots(roots)
+            found_rows = np.array(found, dtype=known.dtype).reshape(-1, self.graph.n)
+            # a classes key keeps only what it found: the rest is stored already
+            self._gens[key] = found_rows if classes else np.concatenate((known, found_rows))
         return self._orbits[key]
+
+    def _known(self, fixed: tuple[int, ...], classes: tuple[int, ...]) -> np.ndarray:
+        """Automorphisms already known, one per row, that keep
+        _initial(fixed, classes).
+
+        With classes, every stored one that does.  Without, the generators
+        of the longest prefix of fixed that has any, taken to the stabilizer
+        of each further vertex of fixed by one Schreier step (_stabilizer),
+        each stored under its prefix; none when no prefix has any."""
+        n = self.graph.n
+        none = np.empty((0, n), dtype=np.min_scalar_type(n - 1))
+        if classes:
+            pool = np.concatenate((none, *self._gens.values()))
+            initial = self._initial(fixed, classes)
+            return pool[(initial[pool] == initial).all(axis=1)]
+        depth = next((i for i in range(len(fixed), -1, -1) if (fixed[:i], ()) in self._gens), None)
+        if depth is None:
+            return none
+        gens = self._gens[(fixed[:depth], ())]
+        for i in range(depth, len(fixed)):
+            gens = _stabilizer(gens, fixed[i])
+            self._gens[(fixed[: i + 1], ())] = gens
+        return gens
 
     def found_orbits(self) -> list[int] | None:
         """orbits() if some proof has already computed them, else None;
@@ -184,11 +235,17 @@ class GraphSymmetry:
             return None
         return _split(inst, prep[0], self, fixed)
 
-    def _find_orbits(self, fixed: tuple[int, ...], classes: tuple[int, ...]) -> list[int]:
+    def _find_orbits(
+        self, fixed: tuple[int, ...], classes: tuple[int, ...], parent: list[int]
+    ) -> tuple[list[int], list[list[int]]]:
+        """(each vertex's orbit root, the automorphisms found) after a
+        budgeted search for automorphisms that keep _initial(fixed,
+        classes), starting from the orbits that parent already joins (a
+        union-find forest, each vertex's parent)."""
         n = self.graph.n
         base = self.cells(fixed, classes)
         initial = self._initial(fixed, classes)
-        parent = list(range(n))
+        found = []
 
         def find(v):
             while parent[v] != v:
@@ -209,15 +266,13 @@ class GraphSymmetry:
                 for r, cr, tr in roots:
                     perm = self._match(cr, tr, cv, tv, initial, budget)
                     if perm is not None:
+                        found.append(perm)
                         for x, y in enumerate(perm):
                             parent[find(x)] = find(y)
                         break
                 else:
                     roots.append((v, cv, tv))
-        masks: dict[int, int] = {}
-        for v in range(n):
-            masks[find(v)] = masks.get(find(v), 0) | 1 << v
-        return sorted(masks.values(), key=lambda m: m & -m)
+        return [find(v) for v in range(n)], found
 
     def _match(self, c1, t1, c2, t2, initial, budget) -> list[int] | None:
         """An automorphism that keeps the colour of every vertex under the
@@ -277,6 +332,83 @@ def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
     out = colors.copy()
     out[v] = int(colors.max()) + 1
     return out
+
+
+def _orbit_roots(gens: np.ndarray) -> np.ndarray:
+    """Each vertex's orbit, named by its lowest vertex, under the group
+    that the rows of gens (permutations, row[v] the image of v) generate.
+
+    Each round takes, for every vertex, the least name among itself and
+    its images, then replaces each name by the name's own name.  Names
+    stay inside orbits and never rise; once nothing changes, a name is
+    never above its images' names, so it is constant along each cycle of
+    each generator, hence on each orbit, where it is the lowest vertex."""
+    roots = np.arange(gens.shape[1])
+    if not len(gens):
+        return roots
+    while True:
+        pulled = np.minimum(roots, roots[gens].min(axis=0))
+        pulled = pulled[pulled]
+        if (pulled == roots).all():
+            return roots
+        roots = pulled
+
+
+def _masks_of_roots(roots) -> list[int]:
+    """The orbits, as vertex masks in ascending order of their lowest
+    vertex, that give vertex v the root roots[v]."""
+    masks: dict[int, int] = {}
+    for v, r in enumerate(roots):
+        masks[r] = masks.get(r, 0) | 1 << v
+    return sorted(masks.values(), key=lambda m: m & -m)
+
+
+# _stabilizer forms this many permutation entries at a time, so that its
+# temporaries stay small however many generators it takes
+_SCHREIER_BLOCK_ENTRIES = 1 << 16
+
+
+def _stabilizer(gens: np.ndarray, point: int) -> np.ndarray:
+    """Generators of the stabilizer of point in the group that the rows of
+    gens generate, by Schreier's lemma, without the identity or repeats.
+
+    A breadth-first search over point's orbit finds, for each orbit point
+    x, a group element u_x with u_x(point) = x; the generators are then
+    u_{g(x)}^-1 g u_x for every generator g and orbit point x.  Rows are
+    told apart by their bytes: np.unique(axis=0) would load numpy.ma."""
+    k, n = gens.shape
+    if not k:
+        return gens
+    where = np.full(n, -1, dtype=np.intp)  # x's row in trans
+    trans = np.empty((n, n), dtype=gens.dtype)
+    trans[0] = np.arange(n)
+    where[point] = 0
+    size = 1
+    frontier = np.array([point])
+    while len(frontier):
+        # each new image y = g_i(x_j), first (i, j) first
+        ys, first = np.unique(gens[:, frontier], return_index=True)
+        new = where[ys] < 0
+        ys, first = ys[new], first[new]
+        i, j = np.divmod(first, len(frontier))
+        trans[size : size + len(ys)] = gens[i[:, None], trans[where[frontier[j]]]]
+        where[ys] = np.arange(size, size + len(ys))
+        size += len(ys)
+        frontier = ys
+    trans = trans[:size]
+    inverse = np.empty_like(trans)
+    inverse[np.arange(size)[:, None], trans] = np.arange(n, dtype=gens.dtype)
+    orbit = trans[:, point]
+    width = n * gens.itemsize
+    rows = dict.fromkeys([np.arange(n, dtype=gens.dtype).tobytes()])
+    step = max(1, _SCHREIER_BLOCK_ENTRIES // (size * n))
+    for lo in range(0, k, step):
+        block = gens[lo : lo + step]
+        schreier = inverse[where[block[:, orbit]][:, :, None], block[:, trans]]
+        raw = schreier.tobytes()
+        rows.update(dict.fromkeys(raw[s : s + width] for s in range(0, len(raw), width)))
+    kept = list(rows)[1:]
+    return np.frombuffer(b"".join(kept), dtype=gens.dtype).reshape(len(kept), n)
 
 
 def _split(

@@ -180,6 +180,30 @@ def forced_structure(n, edges):
     return forced, false_pairs
 
 
+def reference_forced_vertices(n, edges):
+    """(forced, true-twin pairs, false-twin pairs, simplicial, leaves) by
+    comparing the neighbourhoods of every vertex pair, as
+    mixdim.dims.forced_vertices did before it grouped vertices by
+    neighbourhood mask."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    true_pairs = []
+    false_pairs = []
+    for u, v in itertools.combinations(range(n), 2):
+        if adj[u] == adj[v]:
+            false_pairs.append((u, v))
+        elif adj[u] | {u} == adj[v] | {v}:
+            true_pairs.append((u, v))
+    simplicial = frozenset(
+        v for v in range(n) if all(b in adj[a] for a, b in itertools.combinations(sorted(adj[v]), 2))
+    )
+    leaves = frozenset(v for v in range(n) if len(adj[v]) == 1)
+    forced = frozenset(itertools.chain.from_iterable(true_pairs)) | simplicial
+    return forced, tuple(true_pairs), tuple(false_pairs), simplicial, leaves
+
+
 def l3_value(n, edges):
     forced, false_pairs = forced_structure(n, edges)
     for size in range(n + 1):

@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
+
+import networkx as nx
 
 import pytest
 
@@ -20,10 +23,11 @@ from mixdim.dims import (
     pair_cover_instance,
     verify_mixed_resolving,
 )
-from mixdim.families import generate_named, parse_graph6
+from mixdim.families import generate, generate_named, parse_graph6
 from mixdim.graphs import GraphError, build_graph, distances, item_to_flat
+from mixdim.tables import SELECTED_GRAPHS
 
-from bruteforce import item_vectors, min_dimension, random_connected_graph
+from bruteforce import item_vectors, min_dimension, random_connected_graph, reference_forced_vertices
 
 FIG1_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
@@ -92,6 +96,22 @@ def test_forced_vertices_fig1():
     assert fs.simplicial == frozenset({0, 3, 4})
     # a pair is never classified as both kinds of twin
     assert not set(fs.true_twin_pairs) & set(fs.false_twin_pairs)
+
+
+def test_forced_vertices_match_pairwise_reference():
+    # every connected graph of order at most 7 (networkx's atlas) and every
+    # selected graph: the mask grouping gives the pairwise definition's
+    # fields, pair order included
+    graphs = [
+        build_graph(H.number_of_nodes(), H.edges)
+        for H in nx.graph_atlas_g()
+        if H.number_of_nodes() and nx.is_connected(H)
+    ]
+    assert len(graphs) == 996
+    graphs += [generate(sel.family) for sel in SELECTED_GRAPHS if sel.family is not None]
+    for G in graphs:
+        got = dataclasses.astuple(forced_vertices(G))
+        assert got == reference_forced_vertices(G.n, G.edges), G.edges
 
 
 def test_excluded_vertices_path5():

@@ -14,7 +14,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 import mixdim._cover_py as _cover_py
 import mixdim.cover as cover
 import mixdim.symmetry as symmetry
-from mixdim.bounds import bounds_report, edge_side_sets
+from mixdim.bounds import bounds_report, edge_side_sets, lb_n2
 from mixdim.cover import (
     CUTOFF_EXCEEDED,
     OPTIMAL,
@@ -200,6 +200,19 @@ def _counting(monkeypatch):
     return calls
 
 
+def _count_searches(monkeypatch):
+    """The (fixed, classes) key of every automorphism search from here on."""
+    keys = []
+    find = GraphSymmetry._find_orbits
+
+    def counted(self, fixed, classes, parent):
+        keys.append((fixed, classes))
+        return find(self, fixed, classes, parent)
+
+    monkeypatch.setattr(GraphSymmetry, "_find_orbits", counted)
+    return keys
+
+
 def test_symmetric_instance_is_split(monkeypatch):
     G = generate_named("rook", 6)
     a = GraphAnalysis(G)
@@ -259,6 +272,28 @@ def test_exact_report_node_counts(name, params, nodes, monkeypatch):
     monkeypatch.setattr(_cover_py, "solve", counted)
     bounds_report(generate_named(name, *params), compute_exact=True)
     assert total[0] == nodes
+
+
+@pytest.mark.parametrize(
+    ("name", "params", "searches"),
+    [("rook", (6,), 1), ("gq24", (), 1), ("johnson", (9, 2), 1)],
+)
+def test_exact_report_search_counts(name, params, searches, monkeypatch):
+    # the keys of an exact report that still search for automorphisms: the
+    # root's, while every later key takes its orbits from the automorphisms
+    # found there (13, 7 and 11 searches when each key searched)
+    monkeypatch.setattr(cover, "_cover_c", None)
+    keys = _count_searches(monkeypatch)
+    bounds_report(generate_named(name, *params), compute_exact=True)
+    assert len(keys) == searches
+
+
+def test_hypercube_n2_search_count(monkeypatch):
+    # the 7-cube's N2 proof splits through many stabilizers, each of whose
+    # orbits took its own search (404) before they came from the root's
+    keys = _count_searches(monkeypatch)
+    assert lb_n2(generate_named("hypercube", 7)) == (2, (0, 127))
+    assert keys == [((), ())]
 
 
 def test_trivial_group_is_one_plain_call(monkeypatch):
@@ -330,6 +365,72 @@ def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
                 got = symmetry.min_size(inst, sym, cutoff, lower_bound)
                 assert got == expect, (name, cutoff, lower_bound)
                 assert got.status == (CUTOFF_EXCEEDED if cutoff < plain.size else OPTIMAL)
+
+
+# --- orbits from the automorphisms already known ---------------------------
+
+
+def _chains(n):
+    """For each vertex v, the vertices v, v + 1 and v + 3 (mod n), without
+    repeats."""
+    return sorted({tuple(dict.fromkeys((v, (v + 1) % n, (v + 3) % n))) for v in range(n)})
+
+
+@pytest.mark.parametrize("G", list(_golden_symmetric()))
+def test_derived_orbits_match_networkx(G, monkeypatch):
+    # after the root's search, a chain of 1 to 3 fixed vertices takes its
+    # orbits from the automorphisms known so far (one Schreier step per
+    # added vertex) wherever the cells certify them, and so does each
+    # witness-pass classes key (a prefix, and the other vertices below a
+    # candidate) from the stored automorphisms that keep it; each must
+    # equal networkx's, and every stored row must be an automorphism that
+    # keeps its key
+    autos = list(GraphMatcher(_nx(G), _nx(G)).isomorphisms_iter())
+    sym = GraphSymmetry(G, distances(G).dv)
+    assert sorted(map(cover._bits_of, sym.orbits())) == nx_orbits(G, (), autos)
+    searches = _count_searches(monkeypatch)
+    keys = []
+    for chain in _chains(G.n):
+        for i in range(1, len(chain) + 1):
+            keys.append((chain[:i], ()))
+            assert sorted(map(cover._bits_of, sym.orbits(chain[:i]))) == nx_orbits(G, chain[:i], autos), chain[:i]
+        for i in range(len(chain)):
+            chosen = sum(1 << v for v in chain[:i])
+            classes = (chosen, (1 << chain[i]) - 1 & ~chosen)
+            keys.append(((), classes))
+            keep = [p for p in autos if all(c >> p[v] & 1 for c in classes for v in cover._bits_of(c))]
+            assert sorted(map(cover._bits_of, sym.orbits(classes=classes))) == nx_orbits(G, (), keep), classes
+    assert len(searches) < len(keys)
+    for (fixed, classes), rows in sym._gens.items():
+        colour = sym._initial(fixed, classes)
+        for perm in rows.tolist():
+            assert is_automorphism(G, perm) and all(colour[perm[v]] == colour[v] for v in range(G.n))
+
+
+def test_search_runs_where_the_certificate_fails(monkeypatch):
+    # one refinement per vertex cuts the root's search on Kneser(7,2) (see
+    # test_branch_stays_whole_where_the_orbits_are_cut): the stabilizers
+    # of the automorphisms it found have more orbits than a vertex
+    # stabilizer's 3 cells, so each stabilizer's search runs from their
+    # merges, and every orbit it gives lies in one networkx orbit
+    monkeypatch.setattr(symmetry, "_SEARCH_BUDGET_PER_VERTEX", 1)
+    G = generate_named("kneser", 7, 2)
+    H = _nx(G)
+    autos = list(nx.vf2pp_all_isomorphisms(H, H))
+    sym = GraphSymmetry(G, distances(G).dv)
+    assert sorted(o.bit_count() for o in sym.orbits()) == [6, 15]
+    searches = _count_searches(monkeypatch)
+    for v in range(G.n):
+        known = symmetry._orbit_roots(sym._known((v,), ()))
+        assert len(set(known.tolist())) > int(sym.cells((v,)).max()) + 1
+        truth = nx_orbits(G, (v,), autos)
+        where = {w: i for i, o in enumerate(truth) for w in o}
+        found = sym.orbits((v,))
+        assert all(len({where[w] for w in cover._bits_of(o)}) == 1 for o in found)
+        # the search started from the known merges
+        orbit_of = {w: i for i, o in enumerate(found) for w in cover._bits_of(o)}
+        assert all(orbit_of[w] == orbit_of[r] for w, r in enumerate(known.tolist()))
+    assert searches == [((v,), ()) for v in range(G.n)]
 
 
 # --- the witness pass's orbit rule -----------------------------------------
