@@ -141,7 +141,8 @@ def cmd_table_selected(args) -> int:
     _log(f"selected-graphs comparison: {clean}/{len(rows)} fully clean rows")
     for r in rows:
         if r.status == "timeout":
-            _log(f"  {r.label}: exact solve hit the {args.timeout:.0f}s guard; bounds reported")
+            shown = "bounds reported" if r.report is not None else "the bounds timed out too"
+            _log(f"  {r.label}: exact solve hit the {args.timeout:g}s guard; {shown}")
         for flag in r.cell_flags:
             _log(f"  {r.label}: {flag}")
     return EXIT_OK
@@ -150,6 +151,8 @@ def cmd_table_selected(args) -> int:
 def cmd_torus(args) -> int:
     pairs = []
     if args.max is not None:
+        if args.max < 3:
+            raise GraphError(f"torus needs m, n >= 3, got --max {args.max}")
         pairs = [(m, n) for m in range(3, args.max + 1) for n in range(3, args.max + 1)]
     else:
         if args.m is None or args.n is None:

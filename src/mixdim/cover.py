@@ -6,18 +6,19 @@ that format.  _masks_of_columns and _rows_of_masks convert between masks
 and boolean matrices, for every width.
 
 A CoverInstance is a family of masks over a small integer universe, plus
-optional forced and excluded elements.  min_hitting_set returns the exact
-optimum together with the lexicographically smallest minimum witness, a
-"greater than cutoff" verdict or an infeasibility verdict naming a set
-that cannot be hit, and raises SolveTimeout once its deadline has passed.
-It is two steps that callers may also take apart: min_hitting_set_size
-proves the optimum (or the verdict) without a witness, and
-lex_min_hitting_set finds the witness at a proven size.  The symmetry
-module proves sizes on graph instances by splitting them into
-subinstances of this kind, one plain kernel call each; its orbits also let
-lex_min_hitting_set rule out candidates by symmetry and split its costly
-trials the same way.  This module does not import it: it only calls the
-cells, orbits and split methods of the object it is given.
+optional forced and excluded elements, also masks.  min_hitting_set
+returns the exact optimum together with the lexicographically smallest
+minimum witness, a "greater than cutoff" verdict or an infeasibility
+verdict naming a set that cannot be hit, and raises SolveTimeout once its
+deadline has passed.  It is two steps that callers may also take apart:
+min_hitting_set_size proves the optimum (or the verdict) without a
+witness, and lex_min_hitting_set finds the witness at a proven size.  The
+symmetry module proves sizes on graph instances by splitting them into
+subinstances of this kind, one level at a time as the proof reaches them,
+one plain kernel call each where they are not split again; its orbits also
+let lex_min_hitting_set rule out candidates by symmetry and split its
+costly trials the same way.  This module does not import it: it only calls
+the cells, orbits and split methods of the object it is given.
 
 Two interchangeable kernels do the search: a compiled extension
 (mixdim._cover_c, hand-written C, universes up to 64 elements) and a
@@ -172,16 +173,16 @@ class CoverInstance:
     masks holds the reduced family (deduplicated, no supersets, ascending
     popcount then value, with 0 first when some input set was empty); the
     family handed in is kept in original_masks for post-hoc witness checks.
-    The reduction ignores forced and excluded, so instances that differ only
-    in those share their family (dataclasses.replace).  Empty input sets are
-    legal at construction and surface as an infeasibility verdict when
-    solving.
+    forced and excluded are element masks, like the sets.  The reduction
+    ignores them, so instances that differ only in those share their family
+    (dataclasses.replace).  Empty input sets are legal at construction and
+    surface as an infeasibility verdict when solving.
     """
 
     universe_size: int
     masks: tuple[int, ...]
-    forced: frozenset[int] = frozenset()
-    excluded: frozenset[int] = frozenset()
+    forced: int = 0
+    excluded: int = 0
     original_masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @classmethod
@@ -192,41 +193,38 @@ class CoverInstance:
         forced: Iterable[int] = (),
         excluded: Iterable[int] = (),
     ) -> "CoverInstance":
-        """Reduce a family of bitmasks (bit e set for element e)."""
+        """Reduce a family of bitmasks (bit e set for element e); forced and excluded are elements."""
         if universe_size < 0:
             raise ValueError("universe size must be nonnegative")
         original = tuple(masks)
         if original and (min(original) < 0 or max(original) >> universe_size):
             raise ValueError(f"set mask outside universe 0..{universe_size - 1}")
-        fset = frozenset(forced)
-        xset = frozenset(excluded)
-        for e in fset | xset:
-            if not 0 <= e < universe_size:
-                raise ValueError(f"element {e} outside universe 0..{universe_size - 1}")
-        if fset & xset:
-            raise ValueError(f"forced and excluded overlap: {sorted(fset & xset)}")
+        fmask, xmask = _mask_of(forced), _mask_of(excluded)  # a negative element raises ValueError
+        if (fmask | xmask) >> universe_size:
+            raise ValueError(f"forced or excluded element outside universe 0..{universe_size - 1}")
+        if fmask & xmask:
+            raise ValueError(f"forced and excluded overlap: {list(_bits_of(fmask & xmask))}")
         if 0 in original:  # reduce the rest: 0 is a subset of every set
             reduced = [0, *_reduce_family([m for m in original if m])]
         else:
             reduced = _reduce_family(original)
-        return cls(universe_size, tuple(reduced), fset, xset, original)
+        return cls(universe_size, tuple(reduced), fmask, xmask, original)
 
     @cached_property
-    def _prepared(self) -> tuple[list[int], int] | CoverResult:
-        """Forced and excluded applied to the reduced family: (residual
-        masks, forced_mask), or an infeasibility verdict if some set has no
-        hittable element left.  Callers must not mutate the residual list."""
-        xmask = _mask_of(self.excluded)
-        fmask = _mask_of(self.forced)
+    def _prepared(self) -> list[int] | CoverResult:
+        """The residual masks: forced and excluded applied to the reduced
+        family, or an infeasibility verdict if some set has no hittable
+        element left.  Callers must not mutate the residual list."""
+        fmask, xmask = self.forced, self.excluded
         residual = []
         for m in self.masks:
             r = m & ~xmask
             if r == 0:
-                return CoverResult(INFEASIBLE, infeasible_set=frozenset(_bits_of(m)))
+                return CoverResult(INFEASIBLE, infeasible_set=_sets_of((m,))[0])
             if not r & fmask:
                 residual.append(r)
         # dropping sets keeps a reduced family reduced; trimming elements may not
-        return (_reduce_family(residual) if xmask else residual), fmask
+        return _reduce_family(residual) if xmask else residual
 
     def _branch(self, residual: list[int], element: int, passed: int) -> "CoverInstance":
         """self with element forced and the elements of passed excluded.
@@ -235,15 +233,14 @@ class CoverInstance:
         minimal masks of one family, so, reduced, the same list.  A branch
         that leaves a mask empty works them out from the family, so that
         its verdict names a set of the family."""
-        excluded = self.excluded | frozenset(_bits_of(passed))
-        branch = replace(self, forced=self.forced | {element}, excluded=excluded)
         bit = 1 << element
+        branch = replace(self, forced=self.forced | bit, excluded=self.excluded | passed)
         masks = [m & ~passed for m in residual if not m & bit]
         if passed:
             if 0 in masks:
                 return branch
             masks = _reduce_family(masks)
-        branch.__dict__["_prepared"] = masks, _mask_of(branch.forced)  # the cached_property's slot
+        branch.__dict__["_prepared"] = masks  # the cached_property's slot
         return branch
 
     @cached_property
@@ -283,12 +280,10 @@ def _check_deadline(deadline: float | None) -> None:
         raise SolveTimeout("exact solve ran past its deadline")
 
 
-def _validate_witness(inst: CoverInstance, witness: tuple[int, ...]) -> None:
-    wmask = _mask_of(witness)
-    fmask = _mask_of(inst.forced)
-    if fmask & ~wmask:
+def _validate_witness(inst: CoverInstance, wmask: int) -> None:
+    if inst.forced & ~wmask:
         raise RuntimeError("internal error: witness misses forced elements")
-    if wmask & _mask_of(inst.excluded):
+    if wmask & inst.excluded:
         raise RuntimeError("internal error: witness touches excluded elements")
     for m in inst.original_masks or inst.masks:
         if m and not m & wmask:
@@ -304,12 +299,11 @@ def min_hitting_set_size(
     """min_hitting_set without the witness: the same status and size, with
     witness None.  Raises SolveTimeout past the absolute time.monotonic()
     deadline."""
-    prep = inst._prepared
-    if isinstance(prep, CoverResult):
-        return prep
+    masks = inst._prepared
+    if isinstance(masks, CoverResult):
+        return masks
     _check_deadline(deadline)
-    masks, _fmask = prep
-    base = len(inst.forced)
+    base = inst.forced.bit_count()
     if cutoff is not None and base > cutoff:
         return CoverResult(CUTOFF_EXCEEDED)
     if not masks:
@@ -360,14 +354,13 @@ def lex_min_hitting_set(
     family, forced set and excluded set onto themselves.  It rules out
     candidates by symmetry and splits large trials (_lex_min_witness), and
     never changes the witness."""
-    masks, fmask = inst._prepared
+    masks = inst._prepared
     chosen = 0
     if masks:
         kernel = _kernel(inst.universe_size)
-        chosen = _lex_min_witness(masks, size - len(inst.forced), inst.universe_size, kernel, deadline, sym)
-    witness = _bits_of(chosen | fmask)
-    _validate_witness(inst, witness)
-    return CoverResult(OPTIMAL, size, witness)
+        chosen = _lex_min_witness(masks, size - inst.forced.bit_count(), inst.universe_size, kernel, deadline, sym)
+    _validate_witness(inst, chosen | inst.forced)
+    return CoverResult(OPTIMAL, size, _bits_of(chosen | inst.forced))
 
 
 # the witness pass looks for a refuted candidate's orbit only after a
@@ -430,33 +423,36 @@ def _completion(
     kernel,
     deadline: float | None,
     sym=None,
-    fixed: tuple[int, ...] = (),
+    branches: list | None = None,
 ) -> tuple[int | None, int]:
     """(a hitting set of masks with at most left elements, or None when
     there is none; the kernel nodes spent).  masks must be reduced and pass
-    _exceeds.  With sym, the call is split as sym.split splits an instance
-    under the automorphisms that fix each element of fixed, which must map
-    masks onto itself; each branch is then one kernel call, or none when
-    the kernel would refute it at its root."""
-    branches = None if sym is None else sym.split(CoverInstance(universe, tuple(masks)), fixed)
+    _exceeds.  Without branches, one kernel call.  With them, masks are an
+    instance's that sym.split has split one level into branches: each is
+    split in turn when the loop reaches it and solved the same way, or by
+    one kernel call where it is not split again, or by none when the
+    kernel would refute it at its root."""
     if branches is None:
         status, _size, completion, nodes = kernel(universe, masks, left, left, deadline)
         if status == _cover_py.STATUS_TIMEOUT:
             raise SolveTimeout("exact solve ran past its deadline")
         return (completion if status == _cover_py.STATUS_OPTIMAL else None), nodes
+    room = left - 1  # each branch forces one element more than masks' instance
+    if room < 0:
+        return None, 0
     nodes = 0
-    for branch in branches:
+    for branch, fixed in branches:
         _check_deadline(deadline)
-        prep = branch._prepared
-        room = left - len(branch.forced)
-        if isinstance(prep, CoverResult) or room < 0 or _exceeds(prep[0], room):
+        residual = branch._prepared
+        if isinstance(residual, CoverResult):
             continue
-        status, _size, completion, spent = kernel(universe, prep[0], room, room, deadline)
+        deeper = None if fixed is None else sym.split(branch, fixed)
+        if deeper is None and _exceeds(residual, room):
+            continue
+        completion, spent = _completion(residual, room, universe, kernel, deadline, sym, deeper)
         nodes += spent
-        if status == _cover_py.STATUS_TIMEOUT:
-            raise SolveTimeout("exact solve ran past its deadline")
-        if status == _cover_py.STATUS_OPTIMAL:
-            return completion | prep[1], nodes
+        if completion is not None:
+            return completion | branch.forced, nodes
     return None, nodes
 
 
@@ -505,9 +501,9 @@ def _lex_min_witness(
     took the kernel at least _ORBIT_MIN_NODES nodes; both kernels count
     nodes alike, so they reject the same candidates.  A trial whose reduced
     family has at least _SPLIT_MIN_SETS sets is split by orbital branching
-    (_completion) under the automorphisms that fix each element of the
-    prefix, the candidate and the elements banned from the trial: those map
-    the trial family onto itself.
+    (sym.split, solved by _completion) under the automorphisms that fix
+    each element of the prefix, the candidate and the elements banned from
+    the trial: those map the trial family onto itself.
     """
     chosen = 0
     banned = 0  # elements passed over, which no completion may use
@@ -539,11 +535,11 @@ def _lex_min_witness(
             if _exceeds(residual, left):
                 banned |= bit
                 continue
+            branches = None
             if sym is not None and len(residual) >= _SPLIT_MIN_SETS:
-                fixed = _bits_of(chosen | bit | trial_banned)
-                completion, nodes = _completion(residual, left, universe, kernel, deadline, sym, fixed)
-            else:
-                completion, nodes = _completion(residual, left, universe, kernel, deadline)
+                trial = CoverInstance(universe, tuple(residual))
+                branches = sym.split(trial, _bits_of(chosen | bit | trial_banned))
+            completion, nodes = _completion(residual, left, universe, kernel, deadline, sym, branches)
             if completion is not None:
                 witness = chosen | bit | completion
                 break
@@ -563,14 +559,10 @@ def _lex_min_witness(
 def greedy_hitting_set(inst: CoverInstance) -> CoverResult:
     """Valid (not necessarily minimum) hitting set by max-coverage greedy,
     ties broken by smallest element index.  Honors forced and excluded."""
-    prep = inst._prepared
-    if isinstance(prep, CoverResult):
-        return prep
-    masks, fmask = prep
-    if not masks:
-        witness = tuple(sorted(inst.forced))
-        return CoverResult(OPTIMAL, len(witness), witness)
-    size, mask = _cover_py.greedy_cover(masks)
-    witness = _bits_of(mask | fmask)
-    _validate_witness(inst, witness)
+    masks = inst._prepared
+    if isinstance(masks, CoverResult):
+        return masks
+    mask = (_cover_py.greedy_cover(masks)[1] if masks else 0) | inst.forced
+    _validate_witness(inst, mask)
+    witness = _bits_of(mask)
     return CoverResult(OPTIMAL, len(witness), witness)

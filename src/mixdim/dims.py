@@ -268,12 +268,13 @@ def mixed_metric_dimension(
     a = analysis or GraphAnalysis(G)
     fs = a.forced
     k = max(2, 1 + _ceil_log2(a.oracle.min_degree + 1), a.forced_lower_bound, len(fs.forced), lower_bound)
+    forced = _mask_of(fs.forced)
     while k <= G.n:
-        excl = excluded_vertices(G, k)
-        if fs.forced & excl:
+        excl = _mask_of(excluded_vertices(G, k))
+        if forced & excl:
             k += 1
             continue
-        inst = replace(a.mixed, forced=fs.forced, excluded=excl)
+        inst = replace(a.mixed, forced=forced, excluded=excl)
         res = symmetry.min_size(inst, a.oracle.symmetry, cutoff=k, lower_bound=k, deadline=deadline)
         if res.status == OPTIMAL:
             res = lex_min_hitting_set(inst, res.size, deadline, a.oracle.symmetry)

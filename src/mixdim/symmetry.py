@@ -34,7 +34,8 @@ representative's stabilizer maps onto themselves, so each branch splits
 again by the orbits of that stabilizer.  Where a branch's stabilizer has
 too many orbits for that, it splits once on the set the kernel would
 branch on, less the elements that share an orbit with an earlier one.
-min_size uses these splits to prove optimal values.
+GraphSymmetry.split makes one level of branches, and min_size, which
+proves optimal values with them, splits a branch only when it reaches it.
 
 Witnesses still come from cover.lex_min_hitting_set, which takes a
 GraphSymmetry too and uses it twice.  After its pass refutes a candidate c
@@ -72,7 +73,7 @@ _SEARCH_BUDGET_PER_VERTEX = 40
 # connected graphs of order 5 to 7 raised their p90 exact-report time by
 # about a quarter
 _MIN_SPLIT_ELEMENTS = 12
-# _split searches for orbits only to split on the kernel's branching set
+# split searches for orbits only to split on the kernel's branching set
 # when at least this many sets are left: on the selected graphs, smaller
 # families took the kernel a few hundred nodes at most, fewer than the
 # split saved in the time of its orbit search
@@ -227,13 +228,65 @@ class GraphSymmetry:
         never searches."""
         return self._orbits.get(((), ()))
 
-    def split(self, inst: CoverInstance, fixed: tuple[int, ...]) -> list[CoverInstance] | None:
-        """_split(inst, its residual sets, self, fixed), or None when inst
-        is infeasible or has no set left unhit."""
-        prep = inst._prepared
-        if isinstance(prep, CoverResult) or not prep[0]:
+    def split(self, inst: CoverInstance, fixed: tuple[int, ...]) -> list[tuple[CoverInstance, tuple | None]] | None:
+        """One level of orbital branches of inst under the stabilizer of
+        fixed, each paired with the fixed tuple under which it may split
+        again (None where it may not), or None to keep inst whole.
+
+        The branches split on the orbits of the free elements (those in
+        some set of inst left unhit by its forced elements) when there are
+        at most as many orbits as the kernel's first branching has children
+        (the size of the smallest of those sets): the i-th forces the
+        representative (lowest vertex) rep of orbit O_i, excludes
+        O_1 .. O_{i-1} and may split again under the stabilizer of
+        (*fixed, rep).  When there are more orbits, the branches split on
+        the kernel's own branching set instead (_split_set), and are not
+        split again: splitting those again cost more orbit searches than
+        their kernel calls saved.  For that split the orbits are searched
+        for only below the top (fixed not empty) and with at least
+        _SET_SPLIT_MIN_SETS sets left; at the top they serve it only when
+        the orbital split's own check found them.
+
+        None when inst is infeasible or has no set left unhit, and unless
+        there are at least _MIN_SPLIT_ELEMENTS free elements, the orbits
+        were found, and the forced and excluded sets are unions of the
+        orbits found under the stabilizer of fixed.  The last condition
+        holds when the orbits found are exact, because each excluded orbit
+        came from a larger group.  A cut-off automorphism search can leave
+        them finer, and then the automorphisms found need not map an
+        excluded set onto itself.
+        """
+        masks = inst._prepared
+        if isinstance(masks, CoverResult) or not masks:
             return None
-        return _split(inst, prep[0], self, fixed)
+        free = 0
+        for m in masks:
+            free |= m
+        if free.bit_count() < _MIN_SPLIT_ELEMENTS:
+            return None
+        pick = masks[0]  # the kernel's: masks are in _reduce_family's order
+        limit = pick.bit_count() + 1
+        orbits = self.orbits_within(free, fixed, limit)
+        if orbits is None:
+            # too many orbits for an orbital split.  Below the top the group
+            # is not trivial, so the orbits are searched for unless the
+            # cheap invariants tell pick's elements apart; at the top, where
+            # most graphs have a trivial group, they are not
+            if not fixed or len(masks) < _SET_SPLIT_MIN_SETS:
+                return None
+            if self.orbits_within(pick, fixed, pick.bit_count()) is None:
+                return None
+        if any(o & inst.forced not in (0, o) or o & inst.excluded not in (0, o) for o in self.orbits(fixed)):
+            return None
+        if orbits is None or len(orbits) >= limit:
+            return _split_set(inst, masks, self.orbits(fixed))
+        branches = []
+        passed = 0
+        for orbit in orbits:
+            rep = (orbit & -orbit).bit_length() - 1
+            branches.append((inst._branch(masks, rep, passed), (*fixed, rep)))
+            passed |= orbit
+        return branches
 
     def _find_orbits(
         self, fixed: tuple[int, ...], classes: tuple[int, ...], parent: list[int]
@@ -411,78 +464,11 @@ def _stabilizer(gens: np.ndarray, point: int) -> np.ndarray:
     return np.frombuffer(b"".join(kept), dtype=gens.dtype).reshape(len(kept), n)
 
 
-def _split(
-    inst: CoverInstance,
-    masks: list[int],
-    sym: GraphSymmetry,
-    fixed: tuple[int, ...],
-) -> list[CoverInstance] | None:
-    """Orbital branches of inst, whose sets left unhit by its forced
-    elements are masks, under the stabilizer of fixed, or None to keep
-    inst whole.
-
-    The branches split on the orbits of the free elements (those in some
-    of masks) when there are at most as many orbits as the kernel's first
-    branching has children (the size of the smallest of masks): the i-th
-    forces the representative (lowest vertex) of orbit O_i and excludes
-    O_1 .. O_{i-1}.  Each branch is split again in the same way under the
-    stabilizer of fixed and its representative, and is kept whole where
-    that split is refused.  When there are more orbits, the branches split
-    once on the kernel's own branching set instead (_split_set), and are
-    not split again: splitting those again cost more orbit searches than
-    their kernel calls saved.  For that split the orbits are searched for
-    only below the top (fixed not empty) and with at least
-    _SET_SPLIT_MIN_SETS sets left; at the top they serve it only when the
-    orbital split's own check found them.
-
-    None unless there are at least _MIN_SPLIT_ELEMENTS free elements, the
-    orbits were found, and the forced and excluded sets are unions of the
-    orbits found under the stabilizer of fixed.  The last condition holds
-    when the orbits found are exact, because each excluded orbit came from
-    a larger group.  A cut-off automorphism search can leave them finer,
-    and then the automorphisms found need not map an excluded set onto
-    itself.
-    """
-    free = 0
-    for m in masks:
-        free |= m
-    if free.bit_count() < _MIN_SPLIT_ELEMENTS:
-        return None
-    pick = masks[0]  # the kernel's: masks are in _reduce_family's order
-    limit = pick.bit_count() + 1
-    orbits = sym.orbits_within(free, fixed, limit)
-    if orbits is None:
-        # too many orbits for an orbital split.  Below the top the group is
-        # not trivial, so the orbits are searched for unless the cheap
-        # invariants tell pick's elements apart; at the top, where most
-        # graphs have a trivial group, they are not
-        if not fixed or len(masks) < _SET_SPLIT_MIN_SETS:
-            return None
-        if sym.orbits_within(pick, fixed, pick.bit_count()) is None:
-            return None
-    forced, excluded = _mask_of(inst.forced), _mask_of(inst.excluded)
-    if any(o & forced not in (0, o) or o & excluded not in (0, o) for o in sym.orbits(fixed)):
-        return None
-    if orbits is None or len(orbits) >= limit:
-        return _split_set(inst, masks, sym.orbits(fixed))
-    branches = []
-    passed = 0
-    for orbit in orbits:
-        rep = (orbit & -orbit).bit_length() - 1
-        branch = inst._branch(masks, rep, passed)
-        prep = branch._prepared
-        deeper = None
-        if not isinstance(prep, CoverResult) and prep[0]:
-            deeper = _split(branch, prep[0], sym, (*fixed, rep))
-        branches.extend(deeper or [branch])
-        passed |= orbit
-    return branches
-
-
-def _split_set(inst: CoverInstance, masks: list[int], orbits: list[int]) -> list[CoverInstance] | None:
+def _split_set(inst: CoverInstance, masks: list[int], orbits: list[int]) -> list[tuple[CoverInstance, None]] | None:
     """The kernel's first branching of inst, whose sets left unhit by its
     forced elements are masks, less the children that an automorphism maps
-    into an earlier one, or None when it drops none.
+    into an earlier one, or None when it drops none; each child is paired
+    with None, as it is not split again.
 
     The kernel branches on S, the first of masks: child i forces s_i, the
     i-th element of S in ascending order, and excludes s_1 .. s_{i-1}.
@@ -498,7 +484,7 @@ def _split_set(inst: CoverInstance, masks: list[int], orbits: list[int]) -> list
     passed = 0
     for e in _bits_of(masks[0]):
         if not seen >> e & 1:
-            branches.append(inst._branch(masks, e, passed))
+            branches.append((inst._branch(masks, e, passed), None))
         seen |= next(o for o in orbits if o >> e & 1)
         passed |= 1 << e
     return branches if len(branches) < masks[0].bit_count() else None
@@ -512,20 +498,30 @@ def min_size(
     deadline: float | None = None,
 ) -> CoverResult:
     """min_hitting_set_size(inst, cutoff, lower_bound, deadline), proved by
-    orbital branching where _split allows it; otherwise one plain kernel
-    call.
+    orbital branching where GraphSymmetry.split allows it; otherwise one
+    plain kernel call.
 
     inst's family, forced and excluded sets must each be mapped onto
-    themselves by every automorphism of sym's graph.  Each branch is solved
-    with a cutoff one below the best size found so far, so the last size
-    found is the minimum over the branches, which is the optimum.
+    themselves by every automorphism of sym's graph.  A branch is split
+    only when the proof reaches it, and one not split again is solved with
+    a cutoff one below the best size found so far, so the last size found
+    is the optimum.  Every branch of a level forces one element more than
+    the instance split, so a level ends at its first branch that forces
+    more elements than the cutoff.
     """
-    branches = sym.split(inst, ())
+    return _min_size(inst, sym, (), cutoff, lower_bound, deadline)
+
+
+def _min_size(inst, sym, fixed, cutoff, lower_bound, deadline) -> CoverResult:
+    """min_size, splitting inst under the stabilizer of fixed, or none when fixed is None."""
+    branches = None if fixed is None else sym.split(inst, fixed)
     if branches is None:
         return min_hitting_set_size(inst, cutoff, lower_bound, deadline)
     best = None
-    for branch in branches:
-        res = min_hitting_set_size(branch, cutoff, lower_bound, deadline)
+    for branch, below in branches:
+        if cutoff is not None and branch.forced.bit_count() > cutoff:
+            break
+        res = _min_size(branch, sym, below, cutoff, lower_bound, deadline)
         if res.ok:
             best = res.size
             if best <= lower_bound:

@@ -185,13 +185,14 @@ def selected_rows(
     Exact dimensions run for graphs with n <= EXACT_MAX_N (everything when
     exact_all is set); skip_large drops the n = 36 rows from exact solving
     no matter what.  Rows that exceed the per-graph timeout carry status
-    "timeout"; the unavailable published row has no graph to compute.  A
-    graph equal to one computed before is not solved again.
+    "timeout" and the bounds alone, or no report when those run past a
+    second timeout too; the unavailable published row has no graph to
+    compute.  A graph equal to one computed before is not solved again.
     """
     out = []
     # Hamming H(2,6) is generated with the very edge list of Rook's graph 6:
     # an equal graph reuses the report computed first, under its own label
-    done: dict[tuple[Graph, bool], tuple[BoundsReport, str]] = {}
+    done: dict[tuple[Graph, bool], tuple[BoundsReport | None, str]] = {}
     for sel, t9 in zip(SELECTED_GRAPHS, SELECTED_BOUNDS_EXPECTED):
         expected = t9[1:]
         if sel.family is None:
@@ -214,17 +215,22 @@ def selected_rows(
         want_exact = exact_all or G.n <= EXACT_MAX_N
         if skip_large and G.n >= 36:
             want_exact = False
-        if (G, want_exact) in done:
-            rep, status = done[G, want_exact]
-            rep = replace(rep, label=sel.name)
-        else:
+        if (G, want_exact) not in done:
             status = "ok"
             try:
                 rep = bounds_report(G, compute_exact=want_exact, label=sel.name, timeout=timeout)
             except SolveTimeout:
-                rep = bounds_report(G, compute_exact=False, label=sel.name, timeout=timeout)
                 status = "timeout"
+                try:
+                    rep = bounds_report(G, compute_exact=False, label=sel.name, timeout=timeout)
+                except SolveTimeout:
+                    rep = None
             done[G, want_exact] = rep, status
+        rep, status = done[G, want_exact]
+        if rep is None:
+            out.append(TableRow(sel.name, G.n, G.m, None, None, None, None, status, expected))
+            continue
+        rep = replace(rep, label=sel.name)
         computed = rep.bound_tuple() + (rep.beta_m if rep.beta_m is not None else -1,)
         flags = tuple(
             f"{col}: computed {c} vs published {e}"

@@ -8,9 +8,11 @@ command each and a diff:
 The inputs are those perfbench/workloads.py builds: exact-corpus for seeds
 7 and 3 (an exact bounds_report on 110 graphs each), order7-census (the
 enumerations of orders 5 to 7, then an exact bounds_report on each of their
-986 graphs) and torus-sweep (169 torus_theorem_check calls).  Each line
-holds the workload, the seed, the call's label and its answer: a report as
-dataclasses.asdict, an enumeration as its graphs' graph6 codes.
+986 graphs) and torus-sweep (169 torus_theorem_check calls).  A last run,
+named, makes a bounds_report without exact values on the graphs whose N2
+proofs split deepest (NAMED): the workloads barely reach those splits.
+Each line holds the workload, the seed, the call's label and its answer: a
+report as dataclasses.asdict, an enumeration as its graphs' graph6 codes.
 
 --kernel compiled builds mixdim._cover_c the way the test session does
 (tests/conftest.py) and stops if it cannot; --kernel python hides it.
@@ -24,12 +26,22 @@ import sys
 from pathlib import Path
 
 import mixdim.cover as cover
-from mixdim.families import encode_graph6
+from mixdim.bounds import bounds_report
+from mixdim.families import encode_graph6, generate_named
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 RUNS = (("exact-corpus", 7), ("exact-corpus", 3), ("order7-census", 1), ("torus-sweep", 1))
+NAMED = (
+    ("hypercube", 6),
+    ("hypercube", 7),
+    ("kneser", 8, 2),
+    ("paley", 29),
+    ("johnson", 8, 3),
+    ("torus", 8, 8),
+    ("hamming", 3, 4),
+)
 
 
 def _answer(result):
@@ -56,6 +68,10 @@ def main(argv=None) -> int:
             op.result = op.call()
             line = {"workload": name, "seed": seed, "label": op.label, "answer": _answer(op.result)}
             print(json.dumps(line, sort_keys=True))
+    for name, *params in NAMED:
+        label = f"{name}:{','.join(map(str, params))}"
+        answer = _answer(bounds_report(generate_named(name, *params), label=label))
+        print(json.dumps({"workload": "named", "label": label, "answer": answer}, sort_keys=True))
     return 0
 
 

@@ -117,6 +117,11 @@ def test_torus_sweep():
 def test_torus_rejects_small():
     code, _, _ = run_cli("torus", "--m", "2", "--n", "5")
     assert code == EXIT_INVALID
+    # a sweep bound below 3 would sweep nothing
+    code, out, err = run_cli("torus", "--max", "2")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "torus needs m, n >= 3" in err
 
 
 def test_table_order5():
@@ -144,3 +149,15 @@ def test_table_selected_fast_subset():
     assert any("Hamming H(3,3)" in l and l.endswith(",4,6") for l in lines)
     unavailable = [l for l in lines if "unavailable" in l or "Small graph" in l]
     assert unavailable
+
+
+def test_table_selected_survives_timed_out_bounds():
+    # the bounds-only fallback of a timed-out exact solve can time out too:
+    # such a row prints "-" cells and the command still succeeds
+    code, out, err = run_cli("table-selected", "--timeout", "1e-9")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 13
+    assert "Petersen graph,10,15,-,-,-,-,-,-,-,-,-,timeout" in lines
+    assert "Petersen graph: exact solve hit the 1e-09s guard; the bounds timed out too" in err
+    assert "bounds reported" not in err

@@ -90,6 +90,13 @@ def test_no_sets_means_empty_solution():
 
 
 def test_forced_and_excluded_validation():
+    # given as elements, kept as masks like the sets
+    inst = CoverInstance.build(6, masks([{0, 1}, {2, 5}]), forced=[5, 1], excluded={0, 3})
+    assert (inst.forced, inst.excluded) == (0b100010, 0b1001)
+    with pytest.raises(ValueError):
+        CoverInstance.build(3, masks([{0}]), forced={3})
+    with pytest.raises(ValueError):
+        CoverInstance.build(3, masks([{0}]), excluded={-1})
     with pytest.raises(ValueError):
         CoverInstance.build(3, masks([{0}]), forced={1}, excluded={1})
     with pytest.raises(ValueError):

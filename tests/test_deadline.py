@@ -95,7 +95,7 @@ def test_witness_trial_branches_share_one_deadline(monkeypatch):
         calls.append(args[1])
         return kernel(*args)
 
-    masks, _fmask = inst._prepared
+    masks = inst._prepared
     with pytest.raises(SolveTimeout):
         cover._lex_min_witness(masks, size, G.n, slow_kernel, time.monotonic() + 1.5 * STEP, oracle.symmetry)
     assert len(calls) == 2

@@ -220,7 +220,7 @@ def test_symmetric_instance_is_split(monkeypatch):
     assert symmetry.min_size(a.instance(VERTEX_PAIRS), a.oracle.symmetry).size == 7
     # one orbit, so vertex 0 is forced; then every branch splits again under
     # the stabilizer of the vertices it forces, while the split rule holds
-    assert tuple(tuple(sorted(inst.forced)) for inst in calls) == (
+    assert tuple(cover._bits_of(inst.forced) for inst in calls) == (
         (0, 4, 7, 14, 21), (0, 7, 10, 14, 21), (0, 7, 14, 16, 21), (0, 7, 14, 21, 22),
         (0, 7, 14, 21, 28), (0, 1, 7, 14, 21), (0, 2, 7, 14, 21), (0, 3, 7, 14, 21),
         (0, 7, 8, 14, 21), (0, 7, 9, 14, 21), (0, 7, 14, 15, 21),
@@ -247,8 +247,8 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
     big, small = sorted(sym.orbits(), key=int.bit_count, reverse=True)
     assert (big.bit_count(), small.bit_count()) == (15, 6)
     first, rep = ((o & -o).bit_length() - 1 for o in (big, small))
-    whole = replace(inst, forced=frozenset({rep}), excluded=frozenset(v for v in range(G.n) if big >> v & 1))
-    assert [c for c in calls if first not in c.forced] == [whole]
+    whole = replace(inst, forced=1 << rep, excluded=big)
+    assert [c for c in calls if not c.forced >> first & 1] == [whole]
 
 
 @pytest.mark.parametrize(
@@ -296,6 +296,30 @@ def test_hypercube_n2_search_count(monkeypatch):
     assert keys == [((), ())]
 
 
+def test_hypercube_n2_builds_branches_as_it_reaches_them(monkeypatch):
+    # each branch is split only when the proof reaches it, and a level ends
+    # at its first branch that forces more vertices than the cutoff: the
+    # whole tree, built before any branch was solved, took 9,169 branches
+    # and 8,766 size calls, nearly all of them refuted by the cutoff at once
+    made = {"branches": 0, "solves": 0}
+    branch = CoverInstance._branch
+    solve = symmetry.min_hitting_set_size
+
+    def counted_branch(*args):
+        made["branches"] += 1
+        return branch(*args)
+
+    def counted_solve(*args):
+        made["solves"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(CoverInstance, "_branch", counted_branch)
+    monkeypatch.setattr(symmetry, "min_hitting_set_size", counted_solve)
+    assert lb_n2(generate_named("hypercube", 7)) == (2, (0, 127))
+    assert made["branches"] <= 694
+    assert made["solves"] <= 6
+
+
 def test_trivial_group_is_one_plain_call(monkeypatch):
     H = nx.frucht_graph()
     G = build_graph(H.number_of_nodes(), H.edges)
@@ -335,9 +359,9 @@ def _families(G):
     yield "edge", a.instance(EDGE_PAIRS)
     closer_u, closer_v = edge_side_sets(a.oracle)
     yield "n2", CoverInstance.build(G.n, closer_u + closer_v)
-    forced = a.forced.forced
+    forced = cover._mask_of(a.forced.forced)
     for k in range(2, G.n + 1):
-        excl = excluded_vertices(G, k)
+        excl = cover._mask_of(excluded_vertices(G, k))
         if forced & excl:
             continue
         inst = replace(a.mixed, forced=forced, excluded=excl)
@@ -365,6 +389,32 @@ def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
                 got = symmetry.min_size(inst, sym, cutoff, lower_bound)
                 assert got == expect, (name, cutoff, lower_bound)
                 assert got.status == (CUTOFF_EXCEEDED if cutoff < plain.size else OPTIMAL)
+
+
+@pytest.mark.parametrize("G", VERDICT_GRAPHS)
+def test_no_branch_past_the_cutoff_is_solved(G, monkeypatch):
+    # every branch of a level forces one vertex more than the instance it
+    # splits, so min_size ends a level at its first branch that forces more
+    # vertices than the cutoff, which only falls as sizes are found
+    monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
+    monkeypatch.setattr(symmetry, "_SET_SPLIT_MIN_SETS", 0)
+    sym = GraphSymmetry(G, distances(G).dv)
+    handed = []
+    solve = symmetry.min_hitting_set_size
+
+    def recorded(inst, cutoff, *args):
+        handed.append((inst.forced.bit_count(), cutoff))
+        return solve(inst, cutoff, *args)
+
+    monkeypatch.setattr(symmetry, "min_hitting_set_size", recorded)
+    for _name, inst in _families(G):
+        plain = min_hitting_set_size(inst)
+        base = inst.forced.bit_count()
+        cutoffs = [None] + ([] if not plain.ok else list(range(max(plain.size - 2, base), plain.size + 1)))
+        for cutoff in cutoffs:
+            symmetry.min_size(inst, sym, cutoff)
+    assert handed
+    assert all(cutoff is None or forced <= cutoff for forced, cutoff in handed)
 
 
 # --- orbits from the automorphisms already known ---------------------------
@@ -475,25 +525,44 @@ def test_small_graph_witnesses_match_plain(backend, monkeypatch, G):
     _assert_witnesses_match_plain(G)
 
 
+def _watch_trials(monkeypatch, before=None, after=None):
+    """Wrap cover._completion, which calls itself on the branches of a
+    split trial, so that before(args) and after(args, result) see only the
+    witness pass's own calls, one per trial."""
+    completion = cover._completion
+    depth = [0]
+
+    def watched(*args):
+        if not depth[0] and before:
+            before(args)
+        depth[0] += 1
+        try:
+            out = completion(*args)
+        finally:
+            depth[0] -= 1
+        if not depth[0] and after:
+            after(args, out)
+        return out
+
+    monkeypatch.setattr(cover, "_completion", watched)
+
+
 def _split_counts(monkeypatch):
     """How many instances _split_set split, and how many witness-pass
-    trials _completion split, from here on."""
+    trials were split (reached _completion with branches), from here on."""
     counts = {"set": 0, "trial": 0}
     split_set = symmetry._split_set
-    completion = cover._completion
 
     def counted_set(*args):
         out = split_set(*args)
         counts["set"] += out is not None
         return out
 
-    def counted_completion(masks, left, universe, kernel, deadline, sym=None, fixed=()):
-        if sym is not None:
-            counts["trial"] += sym.split(CoverInstance(universe, tuple(masks)), fixed) is not None
-        return completion(masks, left, universe, kernel, deadline, sym, fixed)
+    def counted_trial(args):
+        counts["trial"] += args[6] is not None
 
     monkeypatch.setattr(symmetry, "_split_set", counted_set)
-    monkeypatch.setattr(cover, "_completion", counted_completion)
+    _watch_trials(monkeypatch, before=counted_trial)
     return counts
 
 
@@ -513,10 +582,11 @@ def test_selected_graph_witnesses_match_plain(sel, backend, monkeypatch):
     sym = a.oracle.symmetry
     closer_u, closer_v = edge_side_sets(a.oracle)
     rep = bounds_report(G, compute_exact=True)
-    excl = excluded_vertices(G, rep.beta_m)
+    excl = cover._mask_of(excluded_vertices(G, rep.beta_m))
+    mixed = replace(a.mixed, forced=cover._mask_of(a.forced.forced), excluded=excl)
     families = [
         (CoverInstance.build(G.n, closer_u + closer_v), rep.n2, rep.n2_witness),
-        (replace(a.mixed, forced=a.forced.forced, excluded=excl), rep.beta_m, rep.beta_m_witness),
+        (mixed, rep.beta_m, rep.beta_m_witness),
     ]
     for inst, size, witness in families:
         assert lex_min_hitting_set(inst, size, sym=sym).witness == witness
@@ -559,7 +629,7 @@ def test_johnson_n2_witness_pass(johnson_n2, backend, with_sym, calls, nodes):
         made.append(out[3])
         return out
 
-    masks, _fmask = inst._prepared
+    masks = inst._prepared
     chosen = cover._lex_min_witness(masks, size, G.n, counted, None, sym if with_sym else None)
     assert cover._bits_of(chosen) == (0, 1, 8, 21, 22, 26, 33, 34, 35)
     assert (len(made), sum(made)) == (calls, nodes)
@@ -575,19 +645,15 @@ def test_witness_pass_times_out_after_costly_refutation(johnson_n2, backend, mon
     G, _sym, inst, size = johnson_n2
     kernel = cover._kernel(G.n)
 
-    completion = cover._completion
-
-    def late_completion(*args):
-        out = completion(*args)
+    def late_completion(args, out):
         if out[0] is None and out[1] >= cover._ORBIT_MIN_NODES:
             offset[0] += 120.0
-        return out
 
-    monkeypatch.setattr(cover, "_completion", late_completion)
+    _watch_trials(monkeypatch, after=late_completion)
     searched = []
     mates = cover._orbit_mates
     monkeypatch.setattr(cover, "_orbit_mates", lambda *args: searched.append(args[1]) or mates(*args))
-    masks, _fmask = inst._prepared
+    masks = inst._prepared
     sym = GraphSymmetry(G, distances(G).dv)
     with pytest.raises(SolveTimeout):
         cover._lex_min_witness(masks, size, G.n, kernel, time.monotonic() + 60.0, sym)

@@ -24,3 +24,13 @@ def test_equal_selected_graphs_are_solved_once(monkeypatch):
     rook, hamming = by_label["Rook's graph"], by_label["Hamming H(2,6)"]
     assert hamming.report == replace(rook.report, label="Hamming H(2,6)")
     assert hamming.status == rook.status == "ok"
+
+
+def test_selected_rows_survive_timed_out_bounds():
+    # past the deadline from the start, every exact report and every
+    # bounds-only fallback times out: each row is kept, with no report
+    rows = selected_rows(timeout=1e-9)
+    assert [r.label for r in rows] == [sel.name for sel in SELECTED_GRAPHS]
+    for row in rows:
+        if row.status != "unavailable":
+            assert (row.status, row.report, row.cell_flags) == ("timeout", None, ())
