@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symmetry
-from .cover import OPTIMAL, CoverInstance, _masks_of_columns, deadline_after, lex_min_hitting_set
+from .cover import OPTIMAL, CoverInstance, _masks_of_columns, deadline_after, min_hitting_set
 from .dims import (
     MIXED_PAIRS,
     GraphAnalysis,
@@ -94,9 +93,8 @@ def lb_n2(
     oracle = _oracle(G, oracle)
     closer_u, closer_v = edge_side_sets(oracle)
     inst = CoverInstance.build(G.n, closer_u + closer_v)
-    res = symmetry.min_size(inst, oracle.symmetry, deadline=deadline)
+    res = min_hitting_set(inst, deadline=deadline, sym=oracle.symmetry)
     assert res.status == OPTIMAL
-    res = lex_min_hitting_set(inst, res.size, deadline, oracle.symmetry)
     return res.size, res.witness
 
 

@@ -12,13 +12,16 @@ minimum witness, a "greater than cutoff" verdict or an infeasibility
 verdict naming a set that cannot be hit, and raises SolveTimeout once its
 deadline has passed.  It is two steps that callers may also take apart:
 min_hitting_set_size proves the optimum (or the verdict) without a
-witness, and lex_min_hitting_set finds the witness at a proven size.  The
-symmetry module proves sizes on graph instances by splitting them into
-subinstances of this kind, one level at a time as the proof reaches them,
-one plain kernel call each where they are not split again; its orbits also
-let lex_min_hitting_set rule out candidates by symmetry and split its
-costly trials the same way.  This module does not import it: it only calls
-the cells, orbits and split methods of the object it is given.
+witness, and lex_min_hitting_set finds the witness at a proven size.
+
+One search, _search, proves every size: the optimum, and each trial of the
+witness pass.  Given the automorphism orbits of a graph on the universe
+(sym=, a symmetry.GraphSymmetry), it splits an instance into orbital
+branches one level at a time, as it reaches them, and solves each instance
+it does not split by one kernel call (_leaf); without sym it makes that
+one call.  The witness pass also rules out candidates by the same orbits.
+This module does not import symmetry: it only calls the cells, orbits and
+split methods of the object it is given.
 
 Two interchangeable kernels do the search: a compiled extension
 (mixdim._cover_c, hand-written C, universes up to 64 elements) and a
@@ -295,29 +298,13 @@ def min_hitting_set_size(
     cutoff: int | None = None,
     lower_bound: int = 0,
     deadline: float | None = None,
+    sym=None,
 ) -> CoverResult:
     """min_hitting_set without the witness: the same status and size, with
     witness None.  Raises SolveTimeout past the absolute time.monotonic()
-    deadline."""
-    masks = inst._prepared
-    if isinstance(masks, CoverResult):
-        return masks
-    _check_deadline(deadline)
-    base = inst.forced.bit_count()
-    if cutoff is not None and base > cutoff:
-        return CoverResult(CUTOFF_EXCEEDED)
-    if not masks:
-        return CoverResult(OPTIMAL, base)
-
-    res_cutoff = None if cutoff is None else cutoff - base
-    res_stop = max(lower_bound - base, 0)
-    kernel = _kernel(inst.universe_size)
-    status, size, _mask, _nodes = kernel(inst.universe_size, masks, res_cutoff, res_stop, deadline)
-    if status == _cover_py.STATUS_TIMEOUT:
-        raise SolveTimeout("exact solve ran past its deadline")
-    if status == _cover_py.STATUS_CUTOFF:
-        return CoverResult(CUTOFF_EXCEEDED)
-    return CoverResult(OPTIMAL, base + size)
+    deadline.  With sym (see lex_min_hitting_set) the size is proved by
+    orbital branching (_search)."""
+    return _search(inst, sym, None if sym is None else (), cutoff, lower_bound, deadline)[0]
 
 
 def min_hitting_set(
@@ -325,6 +312,7 @@ def min_hitting_set(
     cutoff: int | None = None,
     lower_bound: int = 0,
     deadline: float | None = None,
+    sym=None,
 ) -> CoverResult:
     """Exact minimum hitting set honoring forced and excluded elements.
 
@@ -333,10 +321,64 @@ def min_hitting_set(
     instance; the search then stops as soon as a matching solution is
     found.  With a cutoff c, an optimum above c yields CUTOFF_EXCEEDED.
     The search and the witness share deadline, an absolute
-    time.monotonic() value; past it SolveTimeout is raised.
+    time.monotonic() value; past it SolveTimeout is raised.  sym (see
+    lex_min_hitting_set) serves both and never changes the result.
     """
-    res = min_hitting_set_size(inst, cutoff, lower_bound, deadline)
-    return lex_min_hitting_set(inst, res.size, deadline) if res.ok else res
+    res = min_hitting_set_size(inst, cutoff, lower_bound, deadline, sym)
+    return lex_min_hitting_set(inst, res.size, deadline, sym) if res.ok else res
+
+
+def _search(inst: CoverInstance, sym, fixed, cutoff, lower_bound, deadline) -> tuple[CoverResult, int, int]:
+    """(min_hitting_set_size's verdict, a cover of that size as a mask, or
+    0 when there is none; the kernel nodes spent).
+
+    fixed is None, or a tuple under whose stabilizer sym.split splits inst
+    one level into orbital branches, each solved the same way when the
+    search reaches it; an instance not split is one _leaf.  Every branch of
+    a level forces one element more than inst, so a level ends at its
+    first branch that forces more elements than the cutoff.  After each
+    branch that finds a cover the cutoff falls to one below its size, so
+    the last size found is the optimum; the search stops once a size is at
+    most lower_bound."""
+    branches = None if fixed is None else sym.split(inst, fixed)
+    if branches is None:
+        return _leaf(inst, cutoff, lower_bound, deadline)
+    best, found, nodes = None, 0, 0
+    for branch, below in branches:
+        if cutoff is not None and branch.forced.bit_count() > cutoff:
+            break
+        res, mask, spent = _search(branch, sym, below, cutoff, lower_bound, deadline)
+        nodes += spent
+        if res.ok:
+            best, found = res.size, mask
+            if best <= lower_bound:
+                break
+            cutoff = best - 1
+    return (CoverResult(CUTOFF_EXCEEDED) if best is None else CoverResult(OPTIMAL, best)), found, nodes
+
+
+def _leaf(inst: CoverInstance, cutoff, lower_bound, deadline) -> tuple[CoverResult, int, int]:
+    """_search on an instance that is not split: one kernel call on its
+    residual, or none when it is infeasible, its forced elements exceed
+    the cutoff or they hit every set."""
+    masks = inst._prepared
+    if isinstance(masks, CoverResult):
+        return masks, 0, 0
+    _check_deadline(deadline)
+    base = inst.forced.bit_count()
+    if cutoff is not None and base > cutoff:
+        return CoverResult(CUTOFF_EXCEEDED), 0, 0
+    if not masks:
+        return CoverResult(OPTIMAL, base), inst.forced, 0
+    res_cutoff = None if cutoff is None else cutoff - base
+    res_stop = max(lower_bound - base, 0)
+    kernel = _kernel(inst.universe_size)
+    status, size, mask, nodes = kernel(inst.universe_size, masks, res_cutoff, res_stop, deadline)
+    if status == _cover_py.STATUS_TIMEOUT:
+        raise SolveTimeout("exact solve ran past its deadline")
+    if status == _cover_py.STATUS_CUTOFF:
+        return CoverResult(CUTOFF_EXCEEDED), 0, nodes
+    return CoverResult(OPTIMAL, base + size), mask | inst.forced, nodes
 
 
 def lex_min_hitting_set(
@@ -357,8 +399,7 @@ def lex_min_hitting_set(
     masks = inst._prepared
     chosen = 0
     if masks:
-        kernel = _kernel(inst.universe_size)
-        chosen = _lex_min_witness(masks, size - inst.forced.bit_count(), inst.universe_size, kernel, deadline, sym)
+        chosen = _lex_min_witness(masks, size - inst.forced.bit_count(), inst.universe_size, deadline, sym)
     _validate_witness(inst, chosen | inst.forced)
     return CoverResult(OPTIMAL, size, _bits_of(chosen | inst.forced))
 
@@ -416,51 +457,10 @@ def _orbit_mates(sym, bit: int, chosen: int, candidates: int) -> int:
     return orbit & candidates
 
 
-def _completion(
-    masks: list[int],
-    left: int,
-    universe: int,
-    kernel,
-    deadline: float | None,
-    sym=None,
-    branches: list | None = None,
-) -> tuple[int | None, int]:
-    """(a hitting set of masks with at most left elements, or None when
-    there is none; the kernel nodes spent).  masks must be reduced and pass
-    _exceeds.  Without branches, one kernel call.  With them, masks are an
-    instance's that sym.split has split one level into branches: each is
-    split in turn when the loop reaches it and solved the same way, or by
-    one kernel call where it is not split again, or by none when the
-    kernel would refute it at its root."""
-    if branches is None:
-        status, _size, completion, nodes = kernel(universe, masks, left, left, deadline)
-        if status == _cover_py.STATUS_TIMEOUT:
-            raise SolveTimeout("exact solve ran past its deadline")
-        return (completion if status == _cover_py.STATUS_OPTIMAL else None), nodes
-    room = left - 1  # each branch forces one element more than masks' instance
-    if room < 0:
-        return None, 0
-    nodes = 0
-    for branch, fixed in branches:
-        _check_deadline(deadline)
-        residual = branch._prepared
-        if isinstance(residual, CoverResult):
-            continue
-        deeper = None if fixed is None else sym.split(branch, fixed)
-        if deeper is None and _exceeds(residual, room):
-            continue
-        completion, spent = _completion(residual, room, universe, kernel, deadline, sym, deeper)
-        nodes += spent
-        if completion is not None:
-            return completion | branch.forced, nodes
-    return None, nodes
-
-
 def _lex_min_witness(
     masks: list[int],
     size: int,
     universe: int,
-    kernel,
     deadline: float | None,
     sym=None,
 ) -> int:
@@ -500,8 +500,8 @@ def _lex_min_witness(
     smaller one.  The orbits are looked for only after a refutation that
     took the kernel at least _ORBIT_MIN_NODES nodes; both kernels count
     nodes alike, so they reject the same candidates.  A trial whose reduced
-    family has at least _SPLIT_MIN_SETS sets is split by orbital branching
-    (sym.split, solved by _completion) under the automorphisms that fix
+    family has at least _SPLIT_MIN_SETS sets is proved by orbital branching
+    (_search, as the value proofs are) under the automorphisms that fix
     each element of the prefix, the candidate and the elements banned from
     the trial: those map the trial family onto itself.
     """
@@ -535,12 +535,13 @@ def _lex_min_witness(
             if _exceeds(residual, left):
                 banned |= bit
                 continue
-            branches = None
+            trial = CoverInstance(universe, tuple(residual))
+            trial.__dict__["_prepared"] = residual  # the cached_property's slot
+            fixed = None
             if sym is not None and len(residual) >= _SPLIT_MIN_SETS:
-                trial = CoverInstance(universe, tuple(residual))
-                branches = sym.split(trial, _bits_of(chosen | bit | trial_banned))
-            completion, nodes = _completion(residual, left, universe, kernel, deadline, sym, branches)
-            if completion is not None:
+                fixed = _bits_of(chosen | bit | trial_banned)
+            res, completion, nodes = _search(trial, sym, fixed, left, left, deadline)
+            if res.ok:
                 witness = chosen | bit | completion
                 break
             banned |= bit

@@ -28,10 +28,10 @@ from .cover import (
     _mask_of,
     _masks_of_columns,
     deadline_after,
-    lex_min_hitting_set,
+    min_hitting_set,
     min_hitting_set_size,
 )
-from .graphs import DistanceOracle, Graph, GraphError, MixedItem, distances, flat_to_item
+from .graphs import DistanceOracle, Graph, GraphError, MixedItem, _check_landmarks, distances, flat_to_item
 
 VERTEX_PAIRS = "vertex"
 EDGE_PAIRS = "edge"
@@ -208,18 +208,20 @@ def _pair_dimension_value(inst: CoverInstance, sym: symmetry.GraphSymmetry, dead
     if inst.num_sets == 0:
         # a single item resolves itself; by convention a generator is nonempty
         return 1
-    res = symmetry.min_size(inst, sym, deadline=deadline)
+    res = min_hitting_set_size(inst, deadline=deadline, sym=sym)
     assert res.status == OPTIMAL
     return res.size
 
 
 def pair_dimension(oracle: DistanceOracle, universe: str, deadline: float | None) -> tuple[int, tuple[int, ...]]:
-    """Optimum and lex-min witness of the pair-cover instance of universe."""
+    """Optimum and lex-min witness of the pair-cover instance of universe,
+    proved with the graph's automorphism orbits."""
     inst = pair_cover_instance(oracle, universe)
-    size = _pair_dimension_value(inst, oracle.symmetry, deadline)
     if inst.num_sets == 0:
-        return size, (0,)
-    return size, lex_min_hitting_set(inst, size, deadline, oracle.symmetry).witness
+        return 1, (0,)  # as in _pair_dimension_value
+    res = min_hitting_set(inst, deadline=deadline, sym=oracle.symmetry)
+    assert res.status == OPTIMAL
+    return res.size, res.witness
 
 
 def metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple[int, ...]]:
@@ -253,8 +255,9 @@ def mixed_metric_dimension(
     pair-cover instance with cutoff k.  The first feasible level is the
     optimum because exclusion thresholds only relax as k grows.  The
     reduced family is built once; levels differ only in forced/excluded.
-    Each level's verdict is proved with the graph's automorphism orbits
-    (symmetry.min_size); the witness is then the lex-min cover of size k.
+    Each level is one min_hitting_set call with cutoff k, its verdict
+    proved with the graph's automorphism orbits; the witness is the lex-min
+    cover of size k.
 
     Deepening starts at the largest of the structural bounds and
     lower_bound, which must be a proven lower bound.  timeout is one budget
@@ -275,9 +278,8 @@ def mixed_metric_dimension(
             k += 1
             continue
         inst = replace(a.mixed, forced=forced, excluded=excl)
-        res = symmetry.min_size(inst, a.oracle.symmetry, cutoff=k, lower_bound=k, deadline=deadline)
+        res = min_hitting_set(inst, cutoff=k, lower_bound=k, deadline=deadline, sym=a.oracle.symmetry)
         if res.status == OPTIMAL:
-            res = lex_min_hitting_set(inst, res.size, deadline, a.oracle.symmetry)
             return res.size, res.witness
         # CUTOFF_EXCEEDED, or INFEASIBLE when the level-k exclusion swallowed
         # a whole distinguisher set: either way no solution of size <= k exists
@@ -296,10 +298,10 @@ def exact_dimensions(
     under one absolute time.monotonic() deadline.
 
     beta and betaE are solved for their values only, proved with the
-    graph's automorphism orbits (symmetry.min_size).  Every mixed resolving
-    set resolves the vertices and the edges, so betaM >= max(beta, betaE):
-    the mixed deepening starts there, or at lower_bound (a proven bound on
-    betaM) when that is larger.  analysis, when given, must belong to G.
+    graph's automorphism orbits.  Every mixed resolving set resolves the
+    vertices and the edges, so betaM >= max(beta, betaE): the mixed
+    deepening starts there, or at lower_bound (a proven bound on betaM)
+    when that is larger.  analysis, when given, must belong to G.
     """
     if G.n < 2:
         raise GraphError("exact dimensions need at least 2 vertices")
@@ -320,10 +322,12 @@ def verify_mixed_resolving(
 ) -> tuple[MixedItem, MixedItem] | None:
     """None when every vertex and edge has a distinct distance vector over
     the landmarks; otherwise the first colliding item pair in canonical
-    item order.  An empty landmark set is a GraphError."""
+    item order.  An empty landmark set, or a landmark that is not a vertex
+    of G, is a GraphError."""
     S = list(landmarks)
     if not S:
         raise GraphError("landmark set must be nonempty")
+    _check_landmarks(G, S)
     oracle = oracle if oracle is not None else distances(G)
     seen: dict[tuple[int, ...], int] = {}
     for col, vec in enumerate(map(tuple, oracle.dmix[S].T.tolist())):

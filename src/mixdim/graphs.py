@@ -204,11 +204,20 @@ def item_distance(oracle: DistanceOracle, w: int, item: MixedItem) -> int:
     return int(oracle.dmix[w, item_to_flat(oracle.graph, item)])
 
 
+def _check_landmarks(G: Graph, landmarks: Sequence[int]) -> None:
+    """GraphError unless every landmark is a vertex of G: numpy would read
+    -1 as the last vertex."""
+    for w in landmarks:
+        if not 0 <= w < G.n:
+            raise GraphError(f"landmark vertex {w} outside 0..{G.n - 1}")
+
+
 def resolving_vector(oracle: DistanceOracle, item: MixedItem, landmarks: Sequence[int]) -> tuple[int, ...]:
     """Distances from item to each landmark vertex, in landmark order."""
     if len(landmarks) == 0:
         raise GraphError("landmark list must be nonempty")
     if len(set(landmarks)) != len(landmarks):
         raise GraphError("landmark vertices must be distinct")
+    _check_landmarks(oracle.graph, landmarks)
     col = item_to_flat(oracle.graph, item)
     return tuple(int(oracle.dmix[w, col]) for w in landmarks)

@@ -1,5 +1,5 @@
-"""Vertex orbits of a graph's automorphism group, and orbital branching for
-the exact solves' optimality proofs.
+"""Vertex orbits of a graph's automorphism group, and the orbital branches
+of the exact solves' optimality proofs.
 
 Orbits are found by colour refinement and individualization (McKay and
 Piperno, "Practical graph isomorphism II", 2014).  A colouring is refined
@@ -34,17 +34,19 @@ representative's stabilizer maps onto themselves, so each branch splits
 again by the orbits of that stabilizer.  Where a branch's stabilizer has
 too many orbits for that, it splits once on the set the kernel would
 branch on, less the elements that share an orbit with an earlier one.
-GraphSymmetry.split makes one level of branches, and min_size, which
-proves optimal values with them, splits a branch only when it reaches it.
+GraphSymmetry.split makes one level of branches.  The search that uses
+them lives in cover: min_hitting_set_size, min_hitting_set and
+lex_min_hitting_set take a GraphSymmetry as sym=, and the search splits a
+branch only when it reaches it.
 
-Witnesses still come from cover.lex_min_hitting_set, which takes a
-GraphSymmetry too and uses it twice.  After its pass refutes a candidate c
-it refutes every later candidate in c's orbit under the automorphisms that
-map the prefix, and the other vertices below c, each onto itself
-(orbits(classes=...)), which cannot hold the lex-min witness either.  And
-it proves each large trial by the same splits (GraphSymmetry.split), under
-the automorphisms that fix the prefix, the candidate and the elements the
-trial bans.  The witness is the same with symmetry as without it.
+The witness pass of cover.lex_min_hitting_set uses the GraphSymmetry
+twice.  After it refutes a candidate c it refutes every later candidate in
+c's orbit under the automorphisms that map the prefix, and the other
+vertices below c, each onto itself (orbits(classes=...)), which cannot hold
+the lex-min witness either.  And it proves each large trial by the same
+search as the values, split under the automorphisms that fix the prefix,
+the candidate and the elements the trial bans.  The witness is the same
+with symmetry as without it.
 
 The orbits that a proof has found also serve the covering LP
 (found_orbits), which then needs one variable per orbit.
@@ -55,23 +57,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .cover import (
-    CUTOFF_EXCEEDED,
-    OPTIMAL,
-    CoverInstance,
-    CoverResult,
-    _bits_of,
-    _mask_of,
-    min_hitting_set_size,
-)
+from .cover import CoverInstance, CoverResult, _bits_of, _mask_of
 
 # refinements one orbit computation may spend searching for automorphisms,
 # per vertex; a search cut off here merges nothing
 _SEARCH_BUDGET_PER_VERTEX = 40
 # below this many free elements the kernel's search is cheaper than finding
-# orbits, so min_size runs it unsplit: splitting every instance of the
-# connected graphs of order 5 to 7 raised their p90 exact-report time by
-# about a quarter
+# orbits, so split keeps such an instance whole: splitting every instance
+# of the connected graphs of order 5 to 7 raised their p90 exact-report
+# time by about a quarter
 _MIN_SPLIT_ELEMENTS = 12
 # split searches for orbits only to split on the kernel's branching set
 # when at least this many sets are left: on the selected graphs, smaller
@@ -489,42 +483,3 @@ def _split_set(inst: CoverInstance, masks: list[int], orbits: list[int]) -> list
         passed |= 1 << e
     return branches if len(branches) < masks[0].bit_count() else None
 
-
-def min_size(
-    inst: CoverInstance,
-    sym: GraphSymmetry,
-    cutoff: int | None = None,
-    lower_bound: int = 0,
-    deadline: float | None = None,
-) -> CoverResult:
-    """min_hitting_set_size(inst, cutoff, lower_bound, deadline), proved by
-    orbital branching where GraphSymmetry.split allows it; otherwise one
-    plain kernel call.
-
-    inst's family, forced and excluded sets must each be mapped onto
-    themselves by every automorphism of sym's graph.  A branch is split
-    only when the proof reaches it, and one not split again is solved with
-    a cutoff one below the best size found so far, so the last size found
-    is the optimum.  Every branch of a level forces one element more than
-    the instance split, so a level ends at its first branch that forces
-    more elements than the cutoff.
-    """
-    return _min_size(inst, sym, (), cutoff, lower_bound, deadline)
-
-
-def _min_size(inst, sym, fixed, cutoff, lower_bound, deadline) -> CoverResult:
-    """min_size, splitting inst under the stabilizer of fixed, or none when fixed is None."""
-    branches = None if fixed is None else sym.split(inst, fixed)
-    if branches is None:
-        return min_hitting_set_size(inst, cutoff, lower_bound, deadline)
-    best = None
-    for branch, below in branches:
-        if cutoff is not None and branch.forced.bit_count() > cutoff:
-            break
-        res = _min_size(branch, sym, below, cutoff, lower_bound, deadline)
-        if res.ok:
-            best = res.size
-            if best <= lower_bound:
-                break
-            cutoff = best - 1
-    return CoverResult(CUTOFF_EXCEEDED) if best is None else CoverResult(OPTIMAL, best)

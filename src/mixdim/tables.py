@@ -125,21 +125,39 @@ def _diff_cells(computed: tuple[int, ...], expected: tuple[int, ...]) -> tuple[s
     )
 
 
+def _report(G: Graph, exact: bool, label: str, timeout: float | None) -> tuple[BoundsReport | None, str]:
+    """(bounds_report of G, the row status): "ok"; or "timeout" with the
+    bounds alone when the exact report runs past timeout, or with no report
+    when the bounds do too."""
+    try:
+        return bounds_report(G, compute_exact=exact, label=label, timeout=timeout), "ok"
+    except SolveTimeout:
+        if not exact:  # the bounds alone ran past timeout
+            return None, "timeout"
+    try:
+        return bounds_report(G, compute_exact=False, label=label, timeout=timeout), "timeout"
+    except SolveTimeout:
+        return None, "timeout"
+
+
 def order5_rows(timeout: float | None = None) -> list[TableRow]:
-    """Recompute every Table-7 column for the 21 connected order-5 graphs."""
+    """Recompute every Table-7 column for the 21 connected order-5 graphs.
+    A graph whose exact solve runs past timeout gives a row with status
+    "timeout", as in selected_rows."""
     rows = []
     for g in connected_graphs_of_order(5):
-        rep = bounds_report(g, compute_exact=True, label=encode_graph6(g), timeout=timeout)
+        label = encode_graph6(g)
+        rep, status = _report(g, True, label, timeout)
         rows.append(
             TableRow(
-                label=rep.label,
+                label=label,
                 n=g.n,
                 m=g.m,
                 report=rep,
-                beta=rep.beta,
-                beta_e=rep.beta_e,
-                beta_m=rep.beta_m,
-                status="ok",
+                beta=rep and rep.beta,
+                beta_e=rep and rep.beta_e,
+                beta_m=rep and rep.beta_m,
+                status=status,
             )
         )
     return rows
@@ -149,7 +167,8 @@ def compare_order5(rows: list[TableRow]) -> tuple[int, list[TableRow]]:
     """Multiset comparison against ORDER5_EXPECTED.
 
     Exactly matching rows pair up first; leftovers pair greedily by minimal
-    number of differing cells so each discrepancy names concrete cells.
+    number of differing cells so each discrepancy names concrete cells.  A
+    row without exact values (a timeout) stays unpaired and is flagged.
     Returns (number of exact row matches, annotated rows).
     """
     expected = [t[1:] for t in ORDER5_EXPECTED]
@@ -167,6 +186,9 @@ def compare_order5(rows: list[TableRow]) -> tuple[int, list[TableRow]]:
     matches = len(rows) - len(leftovers)
     for i in leftovers:
         values = rows[i].value_tuple()
+        if values is None:
+            annotated[i] = replace(rows[i], cell_flags=("no exact values to compare: the solve timed out",))
+            continue
         best = min(unmatched_exp, key=lambda j: sum(a != b for a, b in zip(values, expected[j])))
         unmatched_exp.remove(best)
         annotated[i] = replace(
@@ -216,16 +238,7 @@ def selected_rows(
         if skip_large and G.n >= 36:
             want_exact = False
         if (G, want_exact) not in done:
-            status = "ok"
-            try:
-                rep = bounds_report(G, compute_exact=want_exact, label=sel.name, timeout=timeout)
-            except SolveTimeout:
-                status = "timeout"
-                try:
-                    rep = bounds_report(G, compute_exact=False, label=sel.name, timeout=timeout)
-                except SolveTimeout:
-                    rep = None
-            done[G, want_exact] = rep, status
+            done[G, want_exact] = _report(G, want_exact, sel.name, timeout)
         rep, status = done[G, want_exact]
         if rep is None:
             out.append(TableRow(sel.name, G.n, G.m, None, None, None, None, status, expected))

@@ -13,6 +13,9 @@ named, makes a bounds_report without exact values on the graphs whose N2
 proofs split deepest (NAMED): the workloads barely reach those splits.
 Each line holds the workload, the seed, the call's label and its answer: a
 report as dataclasses.asdict, an enumeration as its graphs' graph6 codes.
+It also holds the call's search effort: kernel_calls and kernel_nodes count
+the calls of every solve that cover._kernel hands out, and their nodes, so
+one diff shows a change in effort as well as in answers.
 
 --kernel compiled builds mixdim._cover_c the way the test session does
 (tests/conftest.py) and stops if it cannot; --kernel python hides it.
@@ -50,6 +53,27 @@ def _answer(result):
     return [encode_graph6(G) for G in result]
 
 
+def _count_kernel_calls() -> dict[str, int]:
+    """Wrap each solve that cover._kernel returns so that it adds its call
+    and its nodes to the dict returned, under either kernel."""
+    counts = {"kernel_calls": 0, "kernel_nodes": 0}
+    pick = cover._kernel
+
+    def counted_kernel(universe):
+        solve = pick(universe)
+
+        def counted(*args):
+            out = solve(*args)
+            counts["kernel_calls"] += 1
+            counts["kernel_nodes"] += out[3]
+            return out
+
+        return counted
+
+    cover._kernel = counted_kernel
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--kernel", choices=("compiled", "python"), required=True)
@@ -62,16 +86,20 @@ def main(argv=None) -> int:
             return 1
     else:
         cover._cover_c = None
+    counts = _count_kernel_calls()
+
+    def emit(line, result):
+        print(json.dumps({**line, "answer": _answer(result), **counts}, sort_keys=True))
+        counts.update(kernel_calls=0, kernel_nodes=0)
+
     for name, seed in RUNS:
         for op in workloads.build(name, seed).round():
             # order7-census makes its report calls from the enumerations' results
             op.result = op.call()
-            line = {"workload": name, "seed": seed, "label": op.label, "answer": _answer(op.result)}
-            print(json.dumps(line, sort_keys=True))
+            emit({"workload": name, "seed": seed, "label": op.label}, op.result)
     for name, *params in NAMED:
         label = f"{name}:{','.join(map(str, params))}"
-        answer = _answer(bounds_report(generate_named(name, *params), label=label))
-        print(json.dumps({"workload": "named", "label": label, "answer": answer}, sort_keys=True))
+        emit({"workload": "named", "label": label}, bounds_report(generate_named(name, *params), label=label))
     return 0
 
 

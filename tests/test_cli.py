@@ -139,6 +139,15 @@ def test_table_order5():
     assert out == out2
 
 
+def test_table_order5_survives_timed_out_bounds():
+    code, out, err = run_cli("table-order5", "--timeout", "1e-9")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 22
+    assert all(l.endswith(",-,-,-,-,-,-,-,timeout") for l in lines[1:])
+    assert "0/21 rows match the published table" in err
+
+
 def test_table_selected_fast_subset():
     # small timeout exercises the guard path without hour-long solves
     code, out, err = run_cli("table-selected", "--skip-large", "--timeout", "120")

@@ -160,7 +160,7 @@ def test_lex_min_witness_matches_brute_force(backend, case):
         assert (res.status, res.size, res.witness) == (OPTIMAL, *expected)
 
 
-def test_greedy_witness_needs_no_kernel_call():
+def test_greedy_witness_needs_no_kernel_call(monkeypatch):
     # greedy takes 0, then 3: already the lex-min cover of size 2
     family = masks([{0, 1}, {0, 2}, {3, 4}, {3, 5}])
     calls = []
@@ -169,7 +169,8 @@ def test_greedy_witness_needs_no_kernel_call():
         calls.append(args)
         return _cover_py.solve(*args)
 
-    assert cover._lex_min_witness(family, 2, 6, kernel, None) == 0b1001
+    monkeypatch.setattr(cover, "_kernel", lambda universe: kernel)
+    assert cover._lex_min_witness(family, 2, 6, None) == 0b1001
     assert calls == []
 
 

@@ -9,8 +9,6 @@ import time
 import pytest
 
 import mixdim.cover as cover
-import mixdim.dims as dims
-import mixdim.symmetry as symmetry
 from mixdim.bounds import bounds_report, edge_side_sets
 from mixdim.cli import EXIT_INVALID, main
 from mixdim.cover import CoverInstance, min_hitting_set_size
@@ -24,22 +22,22 @@ BUDGET = 25.0  # two solves fit, three do not
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Each min_hitting_set_size call, the size proof that min_hitting_set,
-    the forced-structure bound and every orbital branch of
-    symmetry.min_size run, advances the clock by STEP; returns the list of
-    calls made."""
+    """Each solve of an instance that is not split (cover._leaf): the
+    forced-structure bound, every orbital branch of a size proof and every
+    witness-pass trial, advances the clock by STEP; returns the list of
+    instances solved."""
     calls = []
     offset = [0.0]
     real = time.monotonic
     monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
+    leaf = cover._leaf
 
-    def slow(*args, **kwargs):
+    def slow(*args):
         offset[0] += STEP
         calls.append(args[0])
-        return min_hitting_set_size(*args, **kwargs)
+        return leaf(*args)
 
-    for mod in (cover, dims, symmetry):
-        monkeypatch.setattr(mod, "min_hitting_set_size", slow)
+    monkeypatch.setattr(cover, "_leaf", slow)
     return calls
 
 
@@ -86,7 +84,7 @@ def test_witness_trial_branches_share_one_deadline(monkeypatch):
     oracle = distances(G)
     closer_u, closer_v = edge_side_sets(oracle)
     inst = CoverInstance.build(G.n, closer_u + closer_v)
-    size = symmetry.min_size(inst, oracle.symmetry).size
+    size = min_hitting_set_size(inst, sym=oracle.symmetry).size
     kernel = cover._kernel(G.n)
     calls = []
 
@@ -95,7 +93,8 @@ def test_witness_trial_branches_share_one_deadline(monkeypatch):
         calls.append(args[1])
         return kernel(*args)
 
+    monkeypatch.setattr(cover, "_kernel", lambda universe: slow_kernel)
     masks = inst._prepared
     with pytest.raises(SolveTimeout):
-        cover._lex_min_witness(masks, size, G.n, slow_kernel, time.monotonic() + 1.5 * STEP, oracle.symmetry)
+        cover._lex_min_witness(masks, size, G.n, time.monotonic() + 1.5 * STEP, oracle.symmetry)
     assert len(calls) == 2

@@ -173,6 +173,15 @@ def test_witness_is_resolving_and_superset_closed():
         verify_mixed_resolving(fig1(), [])
 
 
+def test_verify_mixed_resolving_rejects_out_of_range_landmarks():
+    # numpy would read -1 as vertex 4, a collision, and 7 as an IndexError
+    c5 = generate_named("cycle", 5)
+    assert verify_mixed_resolving(c5, [4, 0]) is not None
+    for bad in ([-1, 0], [7], [0, 5]):
+        with pytest.raises(GraphError, match="outside 0..4"):
+            verify_mixed_resolving(c5, bad)
+
+
 def test_verify_mixed_resolving_matches_enumeration():
     # the first item whose vector repeats, paired with that vector's first item
     rng = random.Random(77)

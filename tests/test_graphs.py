@@ -108,6 +108,10 @@ def test_resolving_vector_rejects_bad_landmarks():
         resolving_vector(o, MixedItem.vertex(0), [])
     with pytest.raises(GraphError):
         resolving_vector(o, MixedItem.vertex(0), [1, 1])
+    # numpy would read -1 as vertex 2 and 3 as an IndexError
+    for bad in ([-1], [0, 3]):
+        with pytest.raises(GraphError, match="outside 0..2"):
+            resolving_vector(o, MixedItem.vertex(0), bad)
 
 
 def test_item_order_and_flat_roundtrip():

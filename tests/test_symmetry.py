@@ -190,13 +190,15 @@ def test_checker_rejects_non_automorphisms():
 
 
 def _counting(monkeypatch):
+    """Every instance solved without a split (cover._leaf) from here on."""
     calls = []
+    leaf = cover._leaf
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args[0])
-        return min_hitting_set_size(*args, **kwargs)
+        return leaf(*args)
 
-    monkeypatch.setattr(symmetry, "min_hitting_set_size", counted)
+    monkeypatch.setattr(cover, "_leaf", counted)
     return calls
 
 
@@ -217,7 +219,7 @@ def test_symmetric_instance_is_split(monkeypatch):
     G = generate_named("rook", 6)
     a = GraphAnalysis(G)
     calls = _counting(monkeypatch)
-    assert symmetry.min_size(a.instance(VERTEX_PAIRS), a.oracle.symmetry).size == 7
+    assert min_hitting_set_size(a.instance(VERTEX_PAIRS), sym=a.oracle.symmetry).size == 7
     # one orbit, so vertex 0 is forced; then every branch splits again under
     # the stabilizer of the vertices it forces, while the split rule holds
     assert tuple(cover._bits_of(inst.forced) for inst in calls) == (
@@ -242,8 +244,9 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
     a = GraphAnalysis(G)
     sym = GraphSymmetry(G, a.oracle.dv)
     inst = a.instance(VERTEX_PAIRS)
+    plain = min_hitting_set_size(inst)
     calls = _counting(monkeypatch)
-    assert symmetry.min_size(inst, sym) == min_hitting_set_size(inst)
+    assert min_hitting_set_size(inst, sym=sym) == plain
     big, small = sorted(sym.orbits(), key=int.bit_count, reverse=True)
     assert (big.bit_count(), small.bit_count()) == (15, 6)
     first, rep = ((o & -o).bit_length() - 1 for o in (big, small))
@@ -253,7 +256,7 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
 
 @pytest.mark.parametrize(
     ("name", "params", "nodes"),
-    [("rook", (6,), 8035), ("gq24", (), 35782), ("johnson", (9, 2), 7352)],
+    [("rook", (6,), 8035), ("gq24", (), 35782), ("johnson", (9, 2), 7352), ("clebsch", (), 755)],
 )
 def test_exact_report_node_counts(name, params, nodes, monkeypatch):
     # every Python-kernel node of an exact report: value proofs, orbital
@@ -303,7 +306,7 @@ def test_hypercube_n2_builds_branches_as_it_reaches_them(monkeypatch):
     # and 8,766 size calls, nearly all of them refuted by the cutoff at once
     made = {"branches": 0, "solves": 0}
     branch = CoverInstance._branch
-    solve = symmetry.min_hitting_set_size
+    solve = cover._leaf
 
     def counted_branch(*args):
         made["branches"] += 1
@@ -314,7 +317,7 @@ def test_hypercube_n2_builds_branches_as_it_reaches_them(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(CoverInstance, "_branch", counted_branch)
-    monkeypatch.setattr(symmetry, "min_hitting_set_size", counted_solve)
+    monkeypatch.setattr(cover, "_leaf", counted_solve)
     assert lb_n2(generate_named("hypercube", 7)) == (2, (0, 127))
     assert made["branches"] <= 694
     assert made["solves"] <= 6
@@ -325,7 +328,7 @@ def test_trivial_group_is_one_plain_call(monkeypatch):
     G = build_graph(H.number_of_nodes(), H.edges)
     a = GraphAnalysis(G)
     calls = _counting(monkeypatch)
-    res = symmetry.min_size(a.instance(EDGE_PAIRS), a.oracle.symmetry)
+    res = min_hitting_set_size(a.instance(EDGE_PAIRS), sym=a.oracle.symmetry)
     assert calls == [a.instance(EDGE_PAIRS)]
     assert res == min_hitting_set_size(a.instance(EDGE_PAIRS))
 
@@ -380,13 +383,13 @@ def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
     sym = GraphSymmetry(G, distances(G).dv)
     for name, inst in _families(G):
         plain = min_hitting_set_size(inst)
-        assert symmetry.min_size(inst, sym) == plain, name
+        assert min_hitting_set_size(inst, sym=sym) == plain, name
         if not plain.ok:
             continue
         for cutoff in range(plain.size - 2, plain.size + 1):
             for lower_bound in {0, max(cutoff, 0)}:
                 expect = min_hitting_set_size(inst, cutoff, lower_bound)
-                got = symmetry.min_size(inst, sym, cutoff, lower_bound)
+                got = min_hitting_set_size(inst, cutoff, lower_bound, sym=sym)
                 assert got == expect, (name, cutoff, lower_bound)
                 assert got.status == (CUTOFF_EXCEEDED if cutoff < plain.size else OPTIMAL)
 
@@ -394,25 +397,26 @@ def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
 @pytest.mark.parametrize("G", VERDICT_GRAPHS)
 def test_no_branch_past_the_cutoff_is_solved(G, monkeypatch):
     # every branch of a level forces one vertex more than the instance it
-    # splits, so min_size ends a level at its first branch that forces more
+    # splits, so the search ends a level at its first branch that forces more
     # vertices than the cutoff, which only falls as sizes are found
     monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
     monkeypatch.setattr(symmetry, "_SET_SPLIT_MIN_SETS", 0)
     sym = GraphSymmetry(G, distances(G).dv)
     handed = []
-    solve = symmetry.min_hitting_set_size
+    solve = cover._leaf
 
     def recorded(inst, cutoff, *args):
         handed.append((inst.forced.bit_count(), cutoff))
         return solve(inst, cutoff, *args)
 
-    monkeypatch.setattr(symmetry, "min_hitting_set_size", recorded)
-    for _name, inst in _families(G):
-        plain = min_hitting_set_size(inst)
+    # the plain solves run unrecorded, before the hook
+    cases = [(inst, min_hitting_set_size(inst)) for _name, inst in _families(G)]
+    monkeypatch.setattr(cover, "_leaf", recorded)
+    for inst, plain in cases:
         base = inst.forced.bit_count()
         cutoffs = [None] + ([] if not plain.ok else list(range(max(plain.size - 2, base), plain.size + 1)))
         for cutoff in cutoffs:
-            symmetry.min_size(inst, sym, cutoff)
+            min_hitting_set_size(inst, cutoff, sym=sym)
     assert handed
     assert all(cutoff is None or forced <= cutoff for forced, cutoff in handed)
 
@@ -502,7 +506,7 @@ def _assert_witnesses_match_plain(G):
     for name, inst in _families(G):
         plain = min_hitting_set_size(inst)
         if plain.ok:
-            size = symmetry.min_size(inst, sym).size
+            size = min_hitting_set_size(inst, sym=sym).size
             assert lex_min_hitting_set(inst, size, sym=sym) == lex_min_hitting_set(inst, plain.size), name
 
 
@@ -525,44 +529,27 @@ def test_small_graph_witnesses_match_plain(backend, monkeypatch, G):
     _assert_witnesses_match_plain(G)
 
 
-def _watch_trials(monkeypatch, before=None, after=None):
-    """Wrap cover._completion, which calls itself on the branches of a
-    split trial, so that before(args) and after(args, result) see only the
-    witness pass's own calls, one per trial."""
-    completion = cover._completion
-    depth = [0]
-
-    def watched(*args):
-        if not depth[0] and before:
-            before(args)
-        depth[0] += 1
-        try:
-            out = completion(*args)
-        finally:
-            depth[0] -= 1
-        if not depth[0] and after:
-            after(args, out)
-        return out
-
-    monkeypatch.setattr(cover, "_completion", watched)
-
-
 def _split_counts(monkeypatch):
     """How many instances _split_set split, and how many witness-pass
-    trials were split (reached _completion with branches), from here on."""
+    trials were split, from here on.  A trial is the one instance split
+    under a nonempty fixed tuple that forces nothing: each orbital branch
+    forces its representative."""
     counts = {"set": 0, "trial": 0}
     split_set = symmetry._split_set
+    split = GraphSymmetry.split
 
     def counted_set(*args):
         out = split_set(*args)
         counts["set"] += out is not None
         return out
 
-    def counted_trial(args):
-        counts["trial"] += args[6] is not None
+    def counted_split(self, inst, fixed):
+        out = split(self, inst, fixed)
+        counts["trial"] += bool(fixed) and not inst.forced and out is not None
+        return out
 
     monkeypatch.setattr(symmetry, "_split_set", counted_set)
-    _watch_trials(monkeypatch, before=counted_trial)
+    monkeypatch.setattr(GraphSymmetry, "split", counted_split)
     return counts
 
 
@@ -611,11 +598,11 @@ def johnson_n2():
     oracle = distances(G)
     closer_u, closer_v = edge_side_sets(oracle)
     inst = CoverInstance.build(G.n, closer_u + closer_v)
-    return G, oracle.symmetry, inst, symmetry.min_size(inst, oracle.symmetry).size
+    return G, oracle.symmetry, inst, min_hitting_set_size(inst, sym=oracle.symmetry).size
 
 
 @pytest.mark.parametrize(("with_sym", "calls", "nodes"), [(False, 26, 38696), (True, 12, 5257)])
-def test_johnson_n2_witness_pass(johnson_n2, backend, with_sym, calls, nodes):
+def test_johnson_n2_witness_pass(johnson_n2, backend, with_sym, calls, nodes, monkeypatch):
     # with symmetry, a refuted candidate refutes its orbit under the
     # automorphisms that keep the prefix and the rest below it, and the
     # trials of at least _SPLIT_MIN_SETS sets are split by orbital
@@ -629,8 +616,9 @@ def test_johnson_n2_witness_pass(johnson_n2, backend, with_sym, calls, nodes):
         made.append(out[3])
         return out
 
+    monkeypatch.setattr(cover, "_kernel", lambda universe: counted)
     masks = inst._prepared
-    chosen = cover._lex_min_witness(masks, size, G.n, counted, None, sym if with_sym else None)
+    chosen = cover._lex_min_witness(masks, size, G.n, None, sym if with_sym else None)
     assert cover._bits_of(chosen) == (0, 1, 8, 21, 22, 26, 33, 34, 35)
     assert (len(made), sum(made)) == (calls, nodes)
 
@@ -643,20 +631,29 @@ def test_witness_pass_times_out_after_costly_refutation(johnson_n2, backend, mon
     real = time.monotonic
     monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
     G, _sym, inst, size = johnson_n2
-    kernel = cover._kernel(G.n)
+    search = cover._search
+    depth = [0]
 
-    def late_completion(args, out):
-        if out[0] is None and out[1] >= cover._ORBIT_MIN_NODES:
+    def late_search(*args):
+        # _search calls itself on the branches of a split trial: only the
+        # witness pass's own call, one per trial, moves the clock
+        depth[0] += 1
+        try:
+            out = search(*args)
+        finally:
+            depth[0] -= 1
+        if not depth[0] and not out[0].ok and out[2] >= cover._ORBIT_MIN_NODES:
             offset[0] += 120.0
+        return out
 
-    _watch_trials(monkeypatch, after=late_completion)
+    monkeypatch.setattr(cover, "_search", late_search)
     searched = []
     mates = cover._orbit_mates
     monkeypatch.setattr(cover, "_orbit_mates", lambda *args: searched.append(args[1]) or mates(*args))
     masks = inst._prepared
     sym = GraphSymmetry(G, distances(G).dv)
     with pytest.raises(SolveTimeout):
-        cover._lex_min_witness(masks, size, G.n, kernel, time.monotonic() + 60.0, sym)
+        cover._lex_min_witness(masks, size, G.n, time.monotonic() + 60.0, sym)
     assert len(searched) == 1
 
 
