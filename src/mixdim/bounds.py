@@ -28,18 +28,14 @@ from .graphs import DistanceOracle, Graph, GraphError, distances
 from .lp import CoveringLP, ceil_with_tolerance, solve_covering_lp
 
 
-def _oracle(G: Graph, oracle: DistanceOracle | None) -> DistanceOracle:
-    return oracle if oracle is not None else distances(G)
-
-
-def lb_l1(G: Graph, oracle: DistanceOracle | None = None) -> int:
+def lb_l1(G: Graph) -> int:
     """ceil(log2(max degree)); evaluates to 0 on K2."""
-    return _ceil_log2(_oracle(G, oracle).max_degree)
+    return _ceil_log2(G.max_degree)
 
 
-def lb_l2(G: Graph, oracle: DistanceOracle | None = None) -> int:
+def lb_l2(G: Graph) -> int:
     """1 + ceil(log2(min degree))."""
-    return 1 + _ceil_log2(_oracle(G, oracle).min_degree)
+    return 1 + _ceil_log2(G.min_degree)
 
 
 def lb_l3(G: Graph) -> int:
@@ -48,10 +44,10 @@ def lb_l3(G: Graph) -> int:
     return forced_structure_lower_bound(G)
 
 
-def lb_l4(G: Graph, oracle: DistanceOracle | None = None) -> int:
+def lb_l4(G: Graph) -> int:
     """Ceiling of the LP relaxation of the mixed pair-cover program, solved
     over the graph's automorphism orbits."""
-    oracle = _oracle(G, oracle)
+    oracle = distances(G)
     return _lp_bound(pair_cover_instance(oracle, MIXED_PAIRS), oracle.symmetry.orbits())
 
 
@@ -65,9 +61,9 @@ def _lp_bound(inst: CoverInstance, orbits: list[int] | None) -> int:
     return ceil_with_tolerance(solve_covering_lp(lp, orbits))
 
 
-def lb_n1(G: Graph, oracle: DistanceOracle | None = None) -> int:
+def lb_n1(G: Graph) -> int:
     """1 + ceil(log2(min degree + 1))."""
-    return 1 + _ceil_log2(_oracle(G, oracle).min_degree + 1)
+    return 1 + _ceil_log2(G.min_degree + 1)
 
 
 def edge_side_sets(oracle: DistanceOracle) -> tuple[list[int], list[int]]:
@@ -90,7 +86,7 @@ def lb_n2(
     lex-min witness; the size is proved with the graph's automorphism
     orbits.  Raises SolveTimeout past the absolute time.monotonic()
     deadline."""
-    oracle = _oracle(G, oracle)
+    oracle = oracle or distances(G)
     closer_u, closer_v = edge_side_sets(oracle)
     inst = CoverInstance.build(G.n, closer_u + closer_v)
     res = min_hitting_set(inst, deadline=deadline, sym=oracle.symmetry)
@@ -102,10 +98,9 @@ def lb_n3(G: Graph, oracle: DistanceOracle | None = None) -> int:
     """Smallest k such that D^k + k*(max degree + 1) reaches |V|+|E|."""
     if G.n < 2:
         raise GraphError("bound needs at least 2 vertices")
-    oracle = _oracle(G, oracle)
     items = G.n + G.m
-    D = oracle.diameter
-    cap = oracle.max_degree + 1
+    D = (oracle or distances(G)).diameter
+    cap = G.max_degree + 1
     k = 1
     while D ** k + k * cap < items:
         k += 1
@@ -163,7 +158,7 @@ def bounds_report(
     # the orbits that the N2 proof found, if it looked for them: finding
     # them for every graph would cost the many graphs without symmetry
     l4 = _lp_bound(a.mixed, oracle.symmetry.found_orbits())
-    n1 = lb_n1(G, oracle)
+    n1 = lb_n1(G)
     beta = beta_e = beta_m = None
     beta_m_witness = None
     if compute_exact:
@@ -174,8 +169,8 @@ def bounds_report(
         label=label,
         n=G.n,
         m=G.m,
-        l1=lb_l1(G, oracle),
-        l2=lb_l2(G, oracle),
+        l1=lb_l1(G),
+        l2=lb_l2(G),
         l3=l3,
         l4=l4,
         n1=n1,

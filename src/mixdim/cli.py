@@ -26,7 +26,7 @@ EXIT_DISCONNECTED = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
 def _log(msg: str) -> None:
@@ -106,12 +106,7 @@ def _table_row_cells(row) -> list[str]:
         cells += [str(v) for v in row.report.bound_tuple()]
     else:
         cells += ["-"] * 7
-    if row.status == "timeout":
-        cells.append("timeout")
-    elif row.status == "unavailable":
-        cells.append("unavailable")
-    else:
-        cells.append(_opt(row.beta_m))
+    cells.append(_opt(row.beta_m) if row.status == "ok" else row.status)  # "timeout" or "unavailable"
     return cells
 
 
@@ -149,7 +144,6 @@ def cmd_table_selected(args) -> int:
 
 
 def cmd_torus(args) -> int:
-    pairs = []
     if args.max is not None:
         if args.max < 3:
             raise GraphError(f"torus needs m, n >= 3, got --max {args.max}")
@@ -176,7 +170,7 @@ def cmd_torus(args) -> int:
             ]
         )
     _emit_table(header, rows, args.format)
-    _log(f"torus check: {sum(1 for _ in pairs)} pair(s), all candidates valid: {all_valid}")
+    _log(f"torus check: {len(pairs)} pair(s), all candidates valid: {all_valid}")
     return EXIT_OK if all_valid else EXIT_DISCONNECTED
 
 
@@ -186,8 +180,16 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _seconds(text: str) -> float:
+    """Seconds > 0, inf included: a NaN deadline never passes, one <= 0 has passed."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"timeout must be a positive number of seconds, got {text}")
+    return value
+
+
 def _add_timeout(p: argparse.ArgumentParser, help: str = "seconds for each graph, one deadline for the whole call") -> None:
-    p.add_argument("--timeout", type=float, default=1800.0, help=help)
+    p.add_argument("--timeout", type=_seconds, default=1800.0, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,18 +1,20 @@
 """Exact minimum hitting set / set cover engine.
 
-Every family of sets in the package is a list of int masks, bit e set for
-element e (for the graph families, bit v for vertex v); this module owns
-that format.  _masks_of_columns and _rows_of_masks convert between masks
-and boolean matrices, for every width.
+Every set passed between the package's modules is an int mask, bit e set
+for element e (bit v for vertex v in a graph), and every family of sets a
+list of masks; only the witnesses that answers return are sorted tuples.
+This module owns that format.  _masks_of_columns and _rows_of_masks
+convert between masks and boolean matrices, for every width.
 
 A CoverInstance is a family of masks over a small integer universe, plus
 optional forced and excluded elements, also masks.  min_hitting_set
 returns the exact optimum together with the lexicographically smallest
 minimum witness, a "greater than cutoff" verdict or an infeasibility
-verdict naming a set that cannot be hit, and raises SolveTimeout once its
-deadline has passed.  It is two steps that callers may also take apart:
-min_hitting_set_size proves the optimum (or the verdict) without a
-witness, and lex_min_hitting_set finds the witness at a proven size.
+verdict holding the mask of a set that cannot be hit, and raises
+SolveTimeout once its deadline has passed.  It is two steps that callers
+may also take apart: min_hitting_set_size proves the optimum (or the
+verdict) without a witness, and lex_min_hitting_set finds the witness at
+a proven size.
 
 One search, _search, proves every size: the optimum, and each trial of the
 witness pass.  Given the automorphism orbits of a graph on the universe
@@ -193,25 +195,24 @@ class CoverInstance:
         cls,
         universe_size: int,
         masks: Iterable[int],
-        forced: Iterable[int] = (),
-        excluded: Iterable[int] = (),
+        forced: int = 0,
+        excluded: int = 0,
     ) -> "CoverInstance":
-        """Reduce a family of bitmasks (bit e set for element e); forced and excluded are elements."""
+        """Reduce a family of bitmasks (bit e set for element e); forced and excluded are element masks."""
         if universe_size < 0:
             raise ValueError("universe size must be nonnegative")
         original = tuple(masks)
         if original and (min(original) < 0 or max(original) >> universe_size):
             raise ValueError(f"set mask outside universe 0..{universe_size - 1}")
-        fmask, xmask = _mask_of(forced), _mask_of(excluded)  # a negative element raises ValueError
-        if (fmask | xmask) >> universe_size:
-            raise ValueError(f"forced or excluded element outside universe 0..{universe_size - 1}")
-        if fmask & xmask:
-            raise ValueError(f"forced and excluded overlap: {list(_bits_of(fmask & xmask))}")
+        if min(forced, excluded) < 0 or (forced | excluded) >> universe_size:
+            raise ValueError(f"forced or excluded mask outside universe 0..{universe_size - 1}")
+        if forced & excluded:
+            raise ValueError(f"forced and excluded overlap: {list(_bits_of(forced & excluded))}")
         if 0 in original:  # reduce the rest: 0 is a subset of every set
             reduced = [0, *_reduce_family([m for m in original if m])]
         else:
             reduced = _reduce_family(original)
-        return cls(universe_size, tuple(reduced), fmask, xmask, original)
+        return cls(universe_size, tuple(reduced), forced, excluded, original)
 
     @cached_property
     def _prepared(self) -> list[int] | CoverResult:
@@ -223,7 +224,7 @@ class CoverInstance:
         for m in self.masks:
             r = m & ~xmask
             if r == 0:
-                return CoverResult(INFEASIBLE, infeasible_set=_sets_of((m,))[0])
+                return CoverResult(INFEASIBLE, infeasible_set=m)
             if not r & fmask:
                 residual.append(r)
         # dropping sets keeps a reduced family reduced; trimming elements may not
@@ -266,7 +267,7 @@ class CoverResult:
     status: str
     size: int | None = None
     witness: tuple[int, ...] | None = None
-    infeasible_set: frozenset[int] | None = None
+    infeasible_set: int | None = None  # the mask of a set no element can hit
 
     @property
     def ok(self) -> bool:
@@ -395,8 +396,10 @@ def lex_min_hitting_set(
     universe (a symmetry.GraphSymmetry); every automorphism must map inst's
     family, forced set and excluded set onto themselves.  It rules out
     candidates by symmetry and splits large trials (_lex_min_witness), and
-    never changes the witness."""
+    never changes the witness.  An infeasible inst gets its INFEASIBLE verdict."""
     masks = inst._prepared
+    if isinstance(masks, CoverResult):
+        return masks
     chosen = 0
     if masks:
         chosen = _lex_min_witness(masks, size - inst.forced.bit_count(), inst.universe_size, deadline, sym)

@@ -3,12 +3,12 @@ plus the structural vertex rules that constrain mixed resolving sets.
 
 A vertex w distinguishes items x, y when d(w,x) != d(w,y).  Each dimension
 is the optimum of a hitting-set instance: one constraint per item pair,
-listing the vertices that distinguish the pair.  The mixed search is
-seeded with vertices that provably belong to every mixed resolving set
-(members of true-twin pairs, simplicial vertices, hence also leaves) and
-prunes vertices whose degree is too large for the candidate set size
-(deg_v > 2^(k-1) - 1).  A GraphAnalysis holds what one graph's solves and
-bounds share, so each is computed once.
+the mask of the vertices that distinguish it (bit v for vertex v, the form
+of every vertex set here).  The mixed search forces vertices that belong
+to every mixed resolving set (members of true-twin pairs and simplicial
+vertices, hence leaves) and excludes those whose degree is too large for
+the candidate size k (deg_v > 2^(k-1) - 1).  A GraphAnalysis holds what
+one graph's solves and bounds share, computed once.
 """
 from __future__ import annotations
 
@@ -85,13 +85,13 @@ def pair_cover_instance(oracle: DistanceOracle, universe: str = MIXED_PAIRS) -> 
 
 @dataclass(frozen=True)
 class ForcedStructure:
-    """Vertices every mixed resolving set must contain, plus twin pairs."""
+    """Vertices every mixed resolving set must contain, as masks, plus twin pairs."""
 
-    forced: frozenset[int]
+    forced: int
     true_twin_pairs: tuple[tuple[int, int], ...]
     false_twin_pairs: tuple[tuple[int, int], ...]
-    simplicial: frozenset[int]
-    leaves: frozenset[int]
+    simplicial: int
+    leaves: int
 
 
 def forced_vertices(G: Graph) -> ForcedStructure:
@@ -110,11 +110,9 @@ def forced_vertices(G: Graph) -> ForcedStructure:
     false_pairs = _pairs_of_equal(open_masks)
     true_pairs = _pairs_of_equal(closed_masks)
     # N(v) is a clique when every neighbour a sees all of N[v]
-    simplicial = frozenset(
-        v for v in range(n) if all(closed_masks[v] & ~closed_masks[a] == 0 for a in G.adj[v])
-    )
-    leaves = frozenset(v for v in range(n) if G.degree(v) == 1)
-    forced = frozenset(itertools.chain.from_iterable(true_pairs)) | simplicial
+    simplicial = _mask_of(v for v in range(n) if all(closed_masks[v] & ~closed_masks[a] == 0 for a in G.adj[v]))
+    leaves = _mask_of(v for v in range(n) if G.degree(v) == 1)
+    forced = _mask_of(itertools.chain.from_iterable(true_pairs)) | simplicial
     return ForcedStructure(forced, tuple(true_pairs), tuple(false_pairs), simplicial, leaves)
 
 
@@ -127,13 +125,13 @@ def _pairs_of_equal(masks: list[int]) -> list[tuple[int, int]]:
     return sorted(pair for group in groups.values() for pair in itertools.combinations(group, 2))
 
 
-def excluded_vertices(G: Graph, k: int) -> frozenset[int]:
-    """Vertices that cannot sit in any mixed resolving set of size k:
-    those with degree above 2^(k-1) - 1."""
+def excluded_vertices(G: Graph, k: int) -> int:
+    """The mask of the vertices that cannot sit in any mixed resolving set
+    of size k: those with degree above 2^(k-1) - 1."""
     if k < 1:
         raise ValueError("candidate dimension must be >= 1")
     threshold = (1 << (k - 1)) - 1
-    return frozenset(v for v in range(G.n) if G.degree(v) > threshold)
+    return _mask_of(v for v in range(G.n) if G.degree(v) > threshold)
 
 
 def forced_structure_lower_bound(G: Graph, fs: ForcedStructure | None = None) -> int:
@@ -259,25 +257,23 @@ def mixed_metric_dimension(
     proved with the graph's automorphism orbits; the witness is the lex-min
     cover of size k.
 
-    Deepening starts at the largest of the structural bounds and
-    lower_bound, which must be a proven lower bound.  timeout is one budget
-    for the whole call; deadline, an absolute time.monotonic() value,
-    replaces it when a caller shares one budget across several solves.
-    analysis, when given, must belong to G.
+    Deepening starts at the largest of N1, L3 and lower_bound, which must
+    be a proven lower bound.  timeout is one budget for the whole call;
+    deadline, an absolute time.monotonic() value, replaces it when a
+    caller shares one budget across several solves.  analysis, when given,
+    must belong to G.
     """
     if G.n < 2:
         raise GraphError("mixed metric dimension needs at least 2 vertices")
     deadline = deadline if deadline is not None else deadline_after(timeout)
     a = analysis or GraphAnalysis(G)
-    fs = a.forced
-    k = max(2, 1 + _ceil_log2(a.oracle.min_degree + 1), a.forced_lower_bound, len(fs.forced), lower_bound)
-    forced = _mask_of(fs.forced)
+    k = max(1 + _ceil_log2(G.min_degree + 1), a.forced_lower_bound, lower_bound)
     while k <= G.n:
-        excl = _mask_of(excluded_vertices(G, k))
-        if forced & excl:
+        excl = excluded_vertices(G, k)
+        if a.forced.forced & excl:
             k += 1
             continue
-        inst = replace(a.mixed, forced=forced, excluded=excl)
+        inst = replace(a.mixed, forced=a.forced.forced, excluded=excl)
         res = min_hitting_set(inst, cutoff=k, lower_bound=k, deadline=deadline, sym=a.oracle.symmetry)
         if res.status == OPTIMAL:
             return res.size, res.witness

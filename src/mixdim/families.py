@@ -261,10 +261,9 @@ def strongly_regular_params(G: Graph) -> tuple[int, int, int, int] | None:
     n = G.n
     if n < 3:
         return None
-    degs = {G.degree(v) for v in range(n)}
-    if len(degs) != 1:
+    k = G.max_degree
+    if G.min_degree != k:
         return None
-    k = degs.pop()
     A = np.zeros((n, n), dtype=np.int64)
     for u, v in G.edges:
         A[u, v] = A[v, u] = 1

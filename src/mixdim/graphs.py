@@ -53,6 +53,14 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
+    @property
+    def min_degree(self) -> int:
+        return min(map(len, self.adj))
+
+    @property
+    def max_degree(self) -> int:
+        return max(map(len, self.adj))
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
@@ -160,16 +168,13 @@ class DistanceOracle:
     after construction.
     """
 
-    __slots__ = ("graph", "dv", "dmix", "diameter", "degrees", "min_degree", "max_degree", "symmetry")
+    __slots__ = ("graph", "dv", "dmix", "diameter", "symmetry")
 
     def __init__(self, graph: Graph, dv: np.ndarray, dmix: np.ndarray):
         self.graph = graph
         self.dv = dv
         self.dmix = dmix
         self.diameter = int(dv.max()) if graph.n > 0 else 0
-        self.degrees = tuple(graph.degree(v) for v in range(graph.n))
-        self.min_degree = min(self.degrees)
-        self.max_degree = max(self.degrees)
         self.symmetry = GraphSymmetry(graph, dv)
 
 

@@ -95,7 +95,7 @@ def torus_theorem_check(m: int, n: int, exact: bool = False, timeout: float | No
     G = generate_named("torus", m, n)
     oracle = distances(G)
     collision = verify_mixed_resolving(G, cand.vertices, oracle)
-    degree_bound = lb_n1(G, oracle)  # 4-regular, so 1 + ceil(log2(5)) = 4
+    degree_bound = lb_n1(G)  # 4-regular, so 1 + ceil(log2(5)) = 4
     exact_val = None
     if exact:
         exact_val, _ = mixed_metric_dimension(G, timeout=timeout, analysis=GraphAnalysis(G, oracle))

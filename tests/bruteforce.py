@@ -184,7 +184,7 @@ def reference_forced_vertices(n, edges):
     """(forced, true-twin pairs, false-twin pairs, simplicial, leaves) by
     comparing the neighbourhoods of every vertex pair, as
     mixdim.dims.forced_vertices did before it grouped vertices by
-    neighbourhood mask."""
+    neighbourhood mask; the vertex sets as masks, as mixdim gives them."""
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
@@ -201,7 +201,8 @@ def reference_forced_vertices(n, edges):
     )
     leaves = frozenset(v for v in range(n) if len(adj[v]) == 1)
     forced = frozenset(itertools.chain.from_iterable(true_pairs)) | simplicial
-    return forced, tuple(true_pairs), tuple(false_pairs), simplicial, leaves
+    forced_mask, simplicial_mask, leaves_mask = masks([forced, simplicial, leaves])
+    return forced_mask, tuple(true_pairs), tuple(false_pairs), simplicial_mask, leaves_mask
 
 
 def l3_value(n, edges):

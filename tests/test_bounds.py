@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
+import mixdim.bounds
 import mixdim.dims as dims
+import mixdim.graphs
 from mixdim.bounds import (
     bounds_report,
     edge_side_sets,
@@ -112,10 +116,22 @@ def test_n3_is_minimal():
         o = distances(g)
         k = lb_n3(g, o)
         items = g.n + g.m
-        cap = o.max_degree + 1
+        cap = g.max_degree + 1
         assert o.diameter ** k + k * cap >= items
         if k > 1:
             assert o.diameter ** (k - 1) + (k - 1) * cap < items
+
+
+def test_degree_bounds_build_no_distance_oracle(monkeypatch):
+    def no_bfs(G):
+        raise AssertionError("a degree bound computed all-pairs distances")
+
+    g = generate_named("torus", 15, 15)
+    monkeypatch.setattr(mixdim.bounds, "distances", no_bfs)
+    monkeypatch.setattr(mixdim.graphs, "distances", no_bfs)
+    assert (lb_l1(g), lb_l2(g), lb_n1(g)) == (2, 3, 4)
+    with pytest.raises(AssertionError):
+        lb_n3(g)  # N3 reads the diameter
 
 
 def test_n1_at_least_l2():

@@ -1,6 +1,8 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from mixdim.cli import EXIT_DISCONNECTED, EXIT_INVALID, EXIT_OK, main
 
 
@@ -170,3 +172,19 @@ def test_table_selected_survives_timed_out_bounds():
     assert "Petersen graph,10,15,-,-,-,-,-,-,-,-,-,timeout" in lines
     assert "Petersen graph: exact solve hit the 1e-09s guard; the bounds timed out too" in err
     assert "bounds reported" not in err
+
+
+def test_timeout_must_be_positive(capsys):
+    # NaN never expires and 0 or less expires at once: both are rejected
+    # when the arguments are parsed
+    for value in ("nan", "0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["dims", "--family", "cycle:5", "--timeout", value])
+        assert exc.value.code == EXIT_INVALID, value
+        assert "timeout must be a positive number of seconds" in capsys.readouterr().err
+
+
+def test_timeout_may_be_infinite():
+    code, out, _ = run_cli("dims", "--family", "path:2", "--timeout", "inf")
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "path:2,2,1,1,1,2"

@@ -14,6 +14,7 @@ from mixdim.cover import (
     SolveTimeout,
     _reduce_family,
     greedy_hitting_set,
+    lex_min_hitting_set,
     min_hitting_set,
 )
 
@@ -74,9 +75,13 @@ def test_greedy_matches_reference(width):
 
 
 def test_infeasible_names_a_set():
-    res = min_hitting_set(CoverInstance.build(3, masks([{0, 1}, {2}]), excluded={2}))
+    # every solve gives the same verdict, the witness pass at any size too
+    inst = CoverInstance.build(3, masks([{0, 1}, {2}]), excluded=0b100)
+    res = min_hitting_set(inst)
     assert res.status == INFEASIBLE
-    assert res.infeasible_set == frozenset({2})
+    assert res.infeasible_set == 0b100
+    assert greedy_hitting_set(inst) == res
+    assert lex_min_hitting_set(inst, 2) == res
 
 
 def test_empty_input_set_is_infeasible():
@@ -90,15 +95,17 @@ def test_no_sets_means_empty_solution():
 
 
 def test_forced_and_excluded_validation():
-    # given as elements, kept as masks like the sets
-    inst = CoverInstance.build(6, masks([{0, 1}, {2, 5}]), forced=[5, 1], excluded={0, 3})
+    # masks, like the sets
+    inst = CoverInstance.build(6, masks([{0, 1}, {2, 5}]), forced=0b100010, excluded=0b1001)
     assert (inst.forced, inst.excluded) == (0b100010, 0b1001)
     with pytest.raises(ValueError):
-        CoverInstance.build(3, masks([{0}]), forced={3})
+        CoverInstance.build(3, masks([{0}]), forced=0b1000)
     with pytest.raises(ValueError):
-        CoverInstance.build(3, masks([{0}]), excluded={-1})
+        CoverInstance.build(3, masks([{0}]), excluded=-1)
     with pytest.raises(ValueError):
-        CoverInstance.build(3, masks([{0}]), forced={1}, excluded={1})
+        CoverInstance.build(3, masks([{0}]), forced=-2, excluded=0b1)
+    with pytest.raises(ValueError):
+        CoverInstance.build(3, masks([{0}]), forced=0b10, excluded=0b10)
     with pytest.raises(ValueError):
         CoverInstance.build(2, masks([{0, 5}]))
 
@@ -120,7 +127,8 @@ def test_exactness_vs_enumeration(backend):
         excluded = (
             frozenset(rng.sample(pool, min(len(pool), 2))) if rng.random() < 0.25 else frozenset()
         )
-        inst = CoverInstance.build(u, masks(sets), forced=forced, excluded=excluded)
+        fmask, xmask = masks([forced, excluded])
+        inst = CoverInstance.build(u, masks(sets), forced=fmask, excluded=xmask)
         res = min_hitting_set(inst)
         if any(not (s - excluded) for s in sets):
             assert res.status == INFEASIBLE
@@ -152,7 +160,8 @@ def cover_instances(draw):
 @given(cover_instances())
 def test_lex_min_witness_matches_brute_force(backend, case):
     u, sets, forced, excluded = case
-    res = min_hitting_set(CoverInstance.build(u, masks(sets), forced=forced, excluded=excluded))
+    fmask, xmask = masks([forced, excluded])
+    res = min_hitting_set(CoverInstance.build(u, masks(sets), forced=fmask, excluded=xmask))
     expected = brute_hitting_set(u, sets, forced, excluded)
     if any(not s - excluded for s in sets):
         assert (res.status, expected) == (INFEASIBLE, None)

@@ -79,21 +79,21 @@ def test_paths_mixed_dimension_two(n):
 
 def test_forced_vertices_complete():
     fs = forced_vertices(generate_named("complete", 5))
-    assert fs.forced == frozenset(range(5))
-    assert fs.simplicial == frozenset(range(5))
+    assert fs.forced == 0b11111
+    assert fs.simplicial == 0b11111
 
 
 def test_forced_vertices_star():
     fs = forced_vertices(generate_named("star", 4))
-    assert fs.forced == frozenset({1, 2, 3, 4})
-    assert fs.leaves == frozenset({1, 2, 3, 4})
+    assert fs.forced == 0b11110
+    assert fs.leaves == 0b11110
 
 
 def test_forced_vertices_fig1():
     fs = forced_vertices(fig1())
-    assert fs.forced == frozenset(range(5))
+    assert fs.forced == 0b11111
     assert fs.true_twin_pairs == ((1, 2),)
-    assert fs.simplicial == frozenset({0, 3, 4})
+    assert fs.simplicial == 0b11001
     # a pair is never classified as both kinds of twin
     assert not set(fs.true_twin_pairs) & set(fs.false_twin_pairs)
 
@@ -116,14 +116,14 @@ def test_forced_vertices_match_pairwise_reference():
 
 def test_excluded_vertices_path5():
     g = generate_named("path", 5)
-    assert excluded_vertices(g, 2) == frozenset({1, 2, 3})
+    assert excluded_vertices(g, 2) == 0b01110
 
 
 def test_excluded_vertices_threshold_above_max_degree():
     g = fig1()
-    k = 1 + (distances(g).max_degree + 1).bit_length()
-    assert excluded_vertices(g, k) == frozenset()
-    assert excluded_vertices(g, 3) == frozenset({1, 2})
+    k = 1 + (g.max_degree + 1).bit_length()
+    assert excluded_vertices(g, k) == 0
+    assert excluded_vertices(g, 3) == 0b110
 
 
 def test_all_min_mixed_bases_examples():

@@ -51,8 +51,8 @@ def test_distances_path3():
 
 
 def test_distances_fig1():
-    o = distances(build_graph(5, FIG1_EDGES))
-    assert (o.diameter, o.min_degree, o.max_degree) == (2, 2, 4)
+    g = build_graph(5, FIG1_EDGES)
+    assert (distances(g).diameter, g.min_degree, g.max_degree) == (2, 2, 4)
 
 
 def test_distances_torus44():

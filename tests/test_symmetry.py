@@ -362,9 +362,9 @@ def _families(G):
     yield "edge", a.instance(EDGE_PAIRS)
     closer_u, closer_v = edge_side_sets(a.oracle)
     yield "n2", CoverInstance.build(G.n, closer_u + closer_v)
-    forced = cover._mask_of(a.forced.forced)
+    forced = a.forced.forced
     for k in range(2, G.n + 1):
-        excl = cover._mask_of(excluded_vertices(G, k))
+        excl = excluded_vertices(G, k)
         if forced & excl:
             continue
         inst = replace(a.mixed, forced=forced, excluded=excl)
@@ -569,8 +569,8 @@ def test_selected_graph_witnesses_match_plain(sel, backend, monkeypatch):
     sym = a.oracle.symmetry
     closer_u, closer_v = edge_side_sets(a.oracle)
     rep = bounds_report(G, compute_exact=True)
-    excl = cover._mask_of(excluded_vertices(G, rep.beta_m))
-    mixed = replace(a.mixed, forced=cover._mask_of(a.forced.forced), excluded=excl)
+    excl = excluded_vertices(G, rep.beta_m)
+    mixed = replace(a.mixed, forced=a.forced.forced, excluded=excl)
     families = [
         (CoverInstance.build(G.n, closer_u + closer_v), rep.n2, rep.n2_witness),
         (mixed, rep.beta_m, rep.beta_m_witness),
