@@ -74,7 +74,8 @@ def edge_side_sets(oracle: DistanceOracle) -> tuple[list[int], list[int]]:
     # distances are symmetric: column u of dv is the distance profile of u
     du = oracle.dv[:, ends[:, 0]]
     dw = oracle.dv[:, ends[:, 1]]
-    return _masks_of_columns(du < dw), _masks_of_columns(du > dw)
+    masks = _masks_of_columns(np.concatenate((du < dw, du > dw), axis=1))
+    return masks[: len(ends)], masks[len(ends) :]
 
 
 def lb_n2(

@@ -150,8 +150,12 @@ def _reduce_family(masks: Iterable[int]) -> list[int]:
                 return _reduce_family_uint64(arr)
             uniq = arr.tolist()
     kept: list[int] = []
-    for m in sorted(set(masks) if uniq is None else uniq, key=lambda m: (m.bit_count(), m)):
-        if not any(km & m == km for km in kept):
+    # a stable sort by popcount of the ascending masks: (popcount, value) order
+    for m in sorted(sorted(set(masks)) if uniq is None else uniq, key=int.bit_count):
+        for km in kept:
+            if km & m == km:
+                break
+        else:
             kept.append(m)
     return kept
 

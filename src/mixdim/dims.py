@@ -40,15 +40,15 @@ MIXED_PAIRS = "mixed"
 MAX_ENUMERATE_BASES_N = 10
 
 
-def _item_columns(oracle: DistanceOracle, universe: str) -> list[int]:
+def _item_columns(oracle: DistanceOracle, universe: str) -> slice:
     n = oracle.graph.n
     m = oracle.graph.m
     if universe == VERTEX_PAIRS:
-        return list(range(n))
+        return slice(0, n)
     if universe == EDGE_PAIRS:
-        return list(range(n, n + m))
+        return slice(n, n + m)
     if universe == MIXED_PAIRS:
-        return list(range(n + m))
+        return slice(0, n + m)
     raise ValueError(f"unknown pair universe {universe!r}")
 
 
@@ -65,14 +65,15 @@ def distinguisher_masks(oracle: DistanceOracle, universe: str) -> list[int]:
     items, n = dm.shape
     rows = np.arange(items)
     starts = rows * (2 * items - rows - 1) // 2  # pair number of (a, a + 1)
+    shift = rows + 1 - starts  # b - pair number, on row a
     total = items * (items - 1) // 2
     block = max(1, _PAIR_BLOCK_ENTRIES // n)
     masks: list[int] = []
     for lo in range(0, total, block):
         pairs = np.arange(lo, min(lo + block, total))
-        a = np.searchsorted(starts, pairs, side="right") - 1
-        b = pairs - starts[a] + a + 1
-        masks.extend(_masks_of_columns((dm[a] != dm[b]).T))
+        # row a of a pair: the rows past 0 that start at or before it
+        a = starts[1:].searchsorted(pairs, side="right")
+        masks.extend(_masks_of_columns((dm[a] != dm[pairs + shift[a]]).T))
     return masks
 
 
@@ -102,16 +103,25 @@ def forced_vertices(G: Graph) -> ForcedStructure:
     belong to every mixed resolving set; each false-twin pair (equal open
     neighborhoods) must be intersected.
     """
-    n = G.n
-    open_masks = [_mask_of(G.adj[v]) for v in range(n)]
+    open_masks = [0] * G.n
+    for u, v in G.edges:
+        open_masks[u] |= 1 << v
+        open_masks[v] |= 1 << u
     closed_masks = [m | 1 << v for v, m in enumerate(open_masks)]
     # no pair has both equal open and equal closed neighbourhoods: u would
     # be its own neighbour
     false_pairs = _pairs_of_equal(open_masks)
     true_pairs = _pairs_of_equal(closed_masks)
-    # N(v) is a clique when every neighbour a sees all of N[v]
-    simplicial = _mask_of(v for v in range(n) if all(closed_masks[v] & ~closed_masks[a] == 0 for a in G.adj[v]))
-    leaves = _mask_of(v for v in range(n) if G.degree(v) == 1)
+    simplicial = leaves = 0
+    for v, nbrs in enumerate(G.adj):
+        # N(v) is a clique when every neighbour a sees all of N[v]
+        for a in nbrs:
+            if closed_masks[v] & ~closed_masks[a]:
+                break
+        else:
+            simplicial |= 1 << v
+        if len(nbrs) == 1:
+            leaves |= 1 << v
     forced = _mask_of(itertools.chain.from_iterable(true_pairs)) | simplicial
     return ForcedStructure(forced, tuple(true_pairs), tuple(false_pairs), simplicial, leaves)
 
@@ -131,7 +141,7 @@ def excluded_vertices(G: Graph, k: int) -> int:
     if k < 1:
         raise ValueError("candidate dimension must be >= 1")
     threshold = (1 << (k - 1)) - 1
-    return _mask_of(v for v in range(G.n) if G.degree(v) > threshold)
+    return _mask_of(v for v, nbrs in enumerate(G.adj) if len(nbrs) > threshold)
 
 
 def forced_structure_lower_bound(G: Graph, fs: ForcedStructure | None = None) -> int:

@@ -197,8 +197,8 @@ def distances(G: Graph) -> DistanceOracle:
             raise DisconnectedGraphError(src, int(unreached[0]))
     dmix = np.empty((n, n + G.m), dtype=np.uint16)
     dmix[:, :n] = dv
-    for i, (u, v) in enumerate(G.edges):
-        dmix[:, n + i] = np.minimum(dv[:, u], dv[:, v])
+    ends = dv[:, np.array(G.edges, dtype=np.intp).reshape(-1, 2)]  # (n, m, 2)
+    np.minimum(ends[:, :, 0], ends[:, :, 1], out=dmix[:, n:])
     return DistanceOracle(G, dv, dmix)
 
 

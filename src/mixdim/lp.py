@@ -99,7 +99,7 @@ def solve_covering_lp_primal(lp: CoveringLP, orbits: Sequence[int] | None = None
             y[list(_bits_of(o))] = zo
     if abs(total - value) > 1e-6 * max(1.0, abs(value)):
         raise LPError(f"primal recovery mismatch: sum(y)={total} vs optimum {value}")
-    bad = np.nonzero(check < 1.0 - ABS_TOL)[0]
+    bad = (check < 1.0 - ABS_TOL).nonzero()[0]
     if bad.size:
         if orbits is None:
             raise LPError(f"recovered selection violates row {list(_bits_of(lp.original_masks[bad[0]]))}")
@@ -125,11 +125,14 @@ def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray | None = None
     # packing dual: maximize 1.x  s.t.  incidence^T x + s = costs
     ncols = R + m
     T = np.zeros((m + 1, ncols + 1))
+    basis = np.arange(R, R + m)
     T[:m, :R] = incidence.T
-    T[:m, R : R + m] = np.eye(m)
+    T[basis - R, basis] = 1.0  # the slack columns, an identity
     T[:m, ncols] = 1.0 if costs is None else costs
     T[m, :R] = -1.0  # reduced costs z_j - c_j with the all-slack basis
-    basis = list(range(R, R + m))
+    # views that follow the pivots
+    obj, rhs = T[m, :ncols], T[:m, ncols]
+    no_ratio = np.full(m, np.inf)
     # rows per block of each pivot's rank-one update: the update's
     # temporary is one block, about _UPDATE_ELEMENTS entries on wide
     # tableaus, which bounds the solve's peak memory
@@ -139,37 +142,34 @@ def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray | None = None
     degenerate_run = 0
     max_iter = 2000 + 40 * (m + R)
     for _ in range(max_iter):
-        obj = T[m, :ncols]
         if bland:
-            negs = np.nonzero(obj < -_PIVOT_EPS)[0]
+            negs = (obj < -_PIVOT_EPS).nonzero()[0]
             if negs.size == 0:
                 break
             enter = int(negs[0])
         else:
-            enter = int(np.argmin(obj))
+            enter = int(obj.argmin())
             if obj[enter] >= -_PIVOT_EPS:
                 break
         col = T[:m, enter]
-        pos = np.nonzero(col > _PIVOT_EPS)[0]
-        if pos.size == 0:
-            raise LPError("packing dual is unbounded; covering program malformed")
-        ratios = T[pos, ncols] / col[pos]
+        # rows without a positive entry keep an infinite ratio
+        ratios = np.divide(rhs, col, out=no_ratio.copy(), where=col > _PIVOT_EPS)
         best = ratios.min()
-        cand = pos[ratios <= best + _PIVOT_EPS]
-        leave = int(min(cand, key=lambda i: basis[i]))
+        if best == np.inf:
+            raise LPError("packing dual is unbounded; covering program malformed")
+        # ties among the minimum ratios go to the lowest basis index
+        leave = int(np.where(ratios <= best + _PIVOT_EPS, basis, ncols).argmin())
         if best <= _PIVOT_EPS:
             degenerate_run += 1
             if degenerate_run >= _DEGENERATE_STREAK:
                 bland = True
         else:
             degenerate_run = 0
-        piv = T[leave, enter]
-        T[leave] /= piv
-        factors = T[:, enter].copy()
-        factors[leave] = 0.0
-        row = T[leave].copy()
+        row = T[leave] / T[leave, enter]
         for lo in range(0, m + 1, step):
-            T[lo : lo + step] -= np.outer(factors[lo : lo + step], row)
+            block = T[lo : lo + step]
+            block -= block[:, enter, None] * row
+        T[leave] = row  # the pivot row's own update cancelled it
         basis[leave] = enter
     else:
         raise LPError("simplex iteration limit exceeded")

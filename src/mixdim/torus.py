@@ -30,8 +30,6 @@ class TorusCase:
     m: int
     n: int
     case: str
-    half_m: int
-    half_n: int
     coords: tuple[tuple[int, int], ...]
 
     @property
@@ -60,7 +58,7 @@ def torus_candidate(m: int, n: int) -> TorusCase:
     coords = tuple((i % m, j % n) for i, j in coords)
     if len(set(coords)) != 4:
         raise RuntimeError(f"internal error: degenerate witness pattern for ({m},{n})")
-    return TorusCase(m, n, case, k, l, coords)
+    return TorusCase(m, n, case, coords)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,16 @@ def _ceil_log2(x):
     return math.ceil(math.log2(x)) if x > 1 else 0
 
 
+def mixed_pair_rows(n, edges):
+    """The vertices that distinguish each mixed item pair, as lists, pairs
+    (i, j), i < j, in canonical item order."""
+    vecs = item_vectors(n, edges, list(range(n)))
+    return [
+        [w for w in range(n) if vecs[i][w] != vecs[j][w]]
+        for i, j in itertools.combinations(range(len(vecs)), 2)
+    ]
+
+
 def lp_bound_scipy(n, edges):
     """Ceiling of the covering-LP optimum over mixed pair rows, via scipy."""
     import math
@@ -228,11 +238,7 @@ def lp_bound_scipy(n, edges):
     import numpy as np
     from scipy.optimize import linprog
 
-    vecs = item_vectors(n, edges, list(range(n)))
-    rows = []
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            rows.append([w for w in range(n) if vecs[i][w] != vecs[j][w]])
+    rows = mixed_pair_rows(n, edges)
     A = np.zeros((len(rows), n))
     for r, row in enumerate(rows):
         for v in row:

@@ -1,19 +1,21 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from mixdim import lp as lp_module
 from mixdim.bounds import bounds_report, lb_l4
 from mixdim.cover import _bits_of, min_hitting_set
 from mixdim.dims import pair_cover_instance
-from mixdim.families import connected_graphs_of_order, generate, generate_named
+from mixdim.families import connected_graphs_of_order, encode_graph6, generate, generate_named
 from mixdim.graphs import build_graph, distances
 from mixdim.lp import CoveringLP, LPError, ceil_with_tolerance, solve_covering_lp, solve_covering_lp_primal
 from mixdim.tables import SELECTED_GRAPHS
 
-from bruteforce import masks, random_connected_graph
+from bruteforce import masks, mixed_pair_rows, random_connected_graph
 
 FIG1_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
@@ -82,15 +84,42 @@ def test_primal_is_feasible_and_matches_value():
             assert sum(y[v] for v in r) >= 1 - 1e-7
 
 
-def test_matches_reference_solver():
+def _random_programs():
+    """120 seeded random covering programs, as (variables, rows)."""
     rng = random.Random(808)
     for _ in range(120):
         u = rng.randint(2, 14)
-        rows = [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 30))]
+        yield u, [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 30))]
+
+
+def test_matches_reference_solver():
+    for u, rows in _random_programs():
         mine = solve_covering_lp(CoveringLP.build(u, masks(rows)))
         # reference solves the raw, unreduced rows: also checks that
         # dropping duplicates and dominated rows never moves the optimum
         assert mine == pytest.approx(_scipy_optimum(u, rows), abs=1e-7)
+
+
+def test_bland_rule_matches_reference_solver(monkeypatch):
+    # the simplex switches to Bland's rule for good after its first
+    # degenerate pivot, which these programs reach
+    monkeypatch.setattr(lp_module, "_DEGENERATE_STREAK", 1)
+    programs = [*_random_programs()]
+    programs += [(g.n, mixed_pair_rows(g.n, g.edges)) for g in connected_graphs_of_order(5)]
+    for u, rows in programs:
+        mine = solve_covering_lp(CoveringLP.build(u, masks(rows)))
+        assert mine == pytest.approx(_scipy_optimum(u, rows), abs=1e-7)
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_l4_matches_highs_on_every_small_graph(order):
+    # rows from the brute-force BFS, not from mixdim's pair masks
+    for g in connected_graphs_of_order(order):
+        rows = mixed_pair_rows(g.n, g.edges)
+        reference = _scipy_optimum(g.n, rows)
+        value = solve_covering_lp(CoveringLP.build(g.n, masks(rows)))
+        assert value == pytest.approx(reference, abs=1e-7), encode_graph6(g)
+        assert lb_l4(g) == bounds_report(g).l4 == math.ceil(reference - 1e-6), encode_graph6(g)
 
 
 def test_lp_below_integer_cover_on_order5():
