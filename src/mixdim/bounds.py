@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import OPTIMAL, CoverInstance, _masks_of_columns, deadline_after, min_hitting_set
-from .dims import (
-    MIXED_PAIRS,
-    GraphAnalysis,
-    _ceil_log2,
-    exact_dimensions,
-    forced_structure_lower_bound,
-    pair_cover_instance,
-)
+from .dims import GraphAnalysis, _ceil_log2, exact_dimensions
 from .graphs import DistanceOracle, Graph, GraphError, distances
 from .lp import CoveringLP, ceil_with_tolerance, solve_covering_lp
 
@@ -41,14 +34,14 @@ def lb_l2(G: Graph) -> int:
 def lb_l3(G: Graph) -> int:
     """Exact minimum of a set containing all forced vertices and meeting
     every false-twin pair."""
-    return forced_structure_lower_bound(G)
+    return GraphAnalysis(G).forced_lower_bound
 
 
 def lb_l4(G: Graph) -> int:
     """Ceiling of the LP relaxation of the mixed pair-cover program, solved
     over the graph's automorphism orbits."""
-    oracle = distances(G)
-    return _lp_bound(pair_cover_instance(oracle, MIXED_PAIRS), oracle.symmetry.orbits())
+    a = GraphAnalysis(G)
+    return _lp_bound(a.mixed, a.oracle.symmetry.orbits())
 
 
 def _lp_bound(inst: CoverInstance, orbits: list[int] | None) -> int:

@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from .bounds import bounds_report
-from .cover import deadline_after
-from .dims import SolveTimeout, exact_dimensions
+from .cover import SolveTimeout, deadline_after
+from .dims import exact_dimensions
 from .families import connected_graphs_of_order, encode_graph6, generate, parse_family_spec, parse_graph6
 from .graphs import DisconnectedGraphError, Graph, GraphError
 from .tables import VALUE_COLUMNS, compare_order5, order5_rows, selected_rows

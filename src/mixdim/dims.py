@@ -18,13 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from . import symmetry
 from .cover import (
     CUTOFF_EXCEEDED,
     INFEASIBLE,
     OPTIMAL,
     CoverInstance,
-    SolveTimeout,  # noqa: F401 - re-exported: raised by every exact solve
     _mask_of,
     _masks_of_columns,
     deadline_after,
@@ -40,28 +38,16 @@ MIXED_PAIRS = "mixed"
 MAX_ENUMERATE_BASES_N = 10
 
 
-def _item_columns(oracle: DistanceOracle, universe: str) -> slice:
-    n = oracle.graph.n
-    m = oracle.graph.m
-    if universe == VERTEX_PAIRS:
-        return slice(0, n)
-    if universe == EDGE_PAIRS:
-        return slice(n, n + m)
-    if universe == MIXED_PAIRS:
-        return slice(0, n + m)
-    raise ValueError(f"unknown pair universe {universe!r}")
-
-
 # distinguisher_masks compares about this many (vertex, pair) entries per
 # block of pairs: few numpy calls, and temporaries small next to the masks
 _PAIR_BLOCK_ENTRIES = 1 << 15
 
 
-def distinguisher_masks(oracle: DistanceOracle, universe: str) -> list[int]:
-    """Bitmask of distinguishing vertices for every unordered item pair,
-    pairs (a, b), a < b, in row-major order."""
+def distinguisher_masks(oracle: DistanceOracle) -> list[int]:
+    """Bitmask of distinguishing vertices for every unordered mixed item
+    pair, pairs (a, b), a < b, in row-major order."""
     # one row of distances per item: a block gathers whole rows
-    dm = np.ascontiguousarray(oracle.dmix[:, _item_columns(oracle, universe)].T)
+    dm = np.ascontiguousarray(oracle.dmix.T)
     items, n = dm.shape
     rows = np.arange(items)
     starts = rows * (2 * items - rows - 1) // 2  # pair number of (a, a + 1)
@@ -75,13 +61,6 @@ def distinguisher_masks(oracle: DistanceOracle, universe: str) -> list[int]:
         a = starts[1:].searchsorted(pairs, side="right")
         masks.extend(_masks_of_columns((dm[a] != dm[pairs + shift[a]]).T))
     return masks
-
-
-def pair_cover_instance(oracle: DistanceOracle, universe: str = MIXED_PAIRS) -> CoverInstance:
-    """Hitting-set instance whose solutions are exactly the resolving sets
-    of the chosen item universe.  Pairs no vertex distinguishes become empty
-    sets and surface as an infeasibility verdict when solving."""
-    return CoverInstance.build(oracle.graph.n, distinguisher_masks(oracle, universe))
 
 
 @dataclass(frozen=True)
@@ -144,90 +123,91 @@ def excluded_vertices(G: Graph, k: int) -> int:
     return _mask_of(v for v, nbrs in enumerate(G.adj) if len(nbrs) > threshold)
 
 
-def forced_structure_lower_bound(G: Graph, fs: ForcedStructure | None = None) -> int:
-    """Minimum size of a vertex set containing every forced vertex and
-    meeting every false-twin pair (an exact tiny hitting set)."""
-    fs = fs or forced_vertices(G)
-    pairs = [1 << u | 1 << v for u, v in fs.false_twin_pairs]
-    inst = CoverInstance.build(G.n, pairs, forced=fs.forced)
-    res = min_hitting_set_size(inst)
-    assert res.status == OPTIMAL
-    return res.size
-
-
 def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
 class GraphAnalysis:
-    """What the exact solves and the bounds of one graph share, computed
-    once: the distance oracle, the distinguisher mask of every mixed item
-    pair, the forced structure and the reduced mixed pair-cover instance.
+    """What the exact solves and the bounds of one graph share, each field
+    computed on first use: the distance oracle, the forced structure, the
+    distinguisher mask of every mixed item pair and the reduced mixed
+    pair-cover instance.
 
     Vertex pairs and edge pairs are sub-families of the mixed pairs, so
-    their instances are cut from the mixed instance's original_masks
-    instead of recomputed.  The automorphism orbits that prove the exact
-    values live on the oracle (oracle.symmetry), found on first use.
+    their instances are cut from mixed_masks instead of recomputed.  The
+    automorphism orbits that prove the exact values live on the oracle
+    (oracle.symmetry), found on first use.
     """
 
-    def __init__(self, G: Graph, oracle: DistanceOracle | None = None):
+    def __init__(self, G: Graph):
         self.graph = G
-        self.oracle = oracle or distances(G)
-        self.forced = forced_vertices(G)
-        # reduced without forced/excluded: the family of every deepening
-        # level; its original_masks hold every mixed pair's mask, in order
-        self.mixed = CoverInstance.build(G.n, distinguisher_masks(self.oracle, MIXED_PAIRS))
 
-    def _pair_family(self, universe: str) -> tuple[int, ...]:
-        masks = self.mixed.original_masks
+    @cached_property
+    def oracle(self) -> DistanceOracle:
+        return distances(self.graph)
+
+    @cached_property
+    def forced(self) -> ForcedStructure:
+        return forced_vertices(self.graph)
+
+    @cached_property
+    def mixed_masks(self) -> tuple[int, ...]:
+        """distinguisher_masks(self.oracle), in the same order."""
+        return tuple(distinguisher_masks(self.oracle))
+
+    @cached_property
+    def mixed(self) -> CoverInstance:
+        """The mixed pair-cover instance, reduced without forced or
+        excluded vertices: the family of every deepening level.  Pairs no
+        vertex distinguishes become empty sets and surface as an
+        infeasibility verdict when solving."""
+        # a tuple is kept as the instance's original_masks without a copy
+        return CoverInstance.build(self.graph.n, self.mixed_masks)
+
+    def instance(self, universe: str) -> CoverInstance:
+        """The hitting-set instance whose solutions are exactly the
+        resolving sets of the item universe; its original_masks are the
+        universe's pair masks in distinguisher_masks order."""
         if universe == MIXED_PAIRS:
-            return masks
+            return self.mixed
+        masks = self.mixed_masks
         n = self.graph.n
         items = n + self.graph.m
         # mixed pairs (a, b), a < b, row by row: row a starts here
         start = [a * (2 * items - a - 1) // 2 for a in range(n + 1)]
         if universe == EDGE_PAIRS:
-            return masks[start[n]:]
-        if universe == VERTEX_PAIRS:
+            family = masks[start[n]:]
+        elif universe == VERTEX_PAIRS:
             rows = (masks[start[a] : start[a] + n - 1 - a] for a in range(n - 1))
-            return tuple(itertools.chain.from_iterable(rows))
-        raise ValueError(f"unknown pair universe {universe!r}")
-
-    def pair_masks(self, universe: str) -> list[int]:
-        """distinguisher_masks(self.oracle, universe), in the same order."""
-        return list(self._pair_family(universe))
-
-    def instance(self, universe: str) -> CoverInstance:
-        """The same instance as pair_cover_instance(self.oracle, universe)."""
-        if universe == MIXED_PAIRS:
-            return self.mixed
-        # a tuple is kept as the instance's original_masks without a copy
-        return CoverInstance.build(self.graph.n, self._pair_family(universe))
+            family = tuple(itertools.chain.from_iterable(rows))
+        else:
+            raise ValueError(f"unknown pair universe {universe!r}")
+        return CoverInstance.build(n, family)
 
     @cached_property
     def forced_lower_bound(self) -> int:
-        return forced_structure_lower_bound(self.graph, self.forced)
+        """L3: the minimum size of a vertex set containing every forced
+        vertex and meeting every false-twin pair (an exact tiny hitting
+        set)."""
+        fs = self.forced
+        pairs = [1 << u | 1 << v for u, v in fs.false_twin_pairs]
+        res = min_hitting_set_size(CoverInstance.build(self.graph.n, pairs, forced=fs.forced))
+        assert res.status == OPTIMAL
+        return res.size
 
 
-def _pair_dimension_value(inst: CoverInstance, sym: symmetry.GraphSymmetry, deadline: float | None) -> int:
-    """Optimum of a pair-cover instance of sym's graph, proved with its
+def _pair_dimension(
+    a: GraphAnalysis, universe: str, solve, deadline: float | None
+) -> tuple[int, tuple[int, ...] | None]:
+    """(size, witness) of solve, min_hitting_set or min_hitting_set_size,
+    on the pair-cover instance of universe, proved with the graph's
     automorphism orbits; raises SolveTimeout past the absolute
     time.monotonic() deadline."""
+    inst = a.instance(universe)
     if inst.num_sets == 0:
         # a single item resolves itself; by convention a generator is nonempty
-        return 1
-    res = min_hitting_set_size(inst, deadline=deadline, sym=sym)
-    assert res.status == OPTIMAL
-    return res.size
-
-
-def pair_dimension(oracle: DistanceOracle, universe: str, deadline: float | None) -> tuple[int, tuple[int, ...]]:
-    """Optimum and lex-min witness of the pair-cover instance of universe,
-    proved with the graph's automorphism orbits."""
-    inst = pair_cover_instance(oracle, universe)
-    if inst.num_sets == 0:
-        return 1, (0,)  # as in _pair_dimension_value
-    res = min_hitting_set(inst, deadline=deadline, sym=oracle.symmetry)
+        return 1, (0,)
+    res = solve(inst, deadline=deadline, sym=a.oracle.symmetry)
     assert res.status == OPTIMAL
     return res.size, res.witness
 
@@ -236,16 +216,14 @@ def metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple
     """Exact metric dimension and its lexicographically smallest basis."""
     if G.n < 2:
         raise GraphError("metric dimension needs at least 2 vertices")
-    deadline = deadline_after(timeout)
-    return pair_dimension(distances(G), VERTEX_PAIRS, deadline)
+    return _pair_dimension(GraphAnalysis(G), VERTEX_PAIRS, min_hitting_set, deadline_after(timeout))
 
 
 def edge_metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact edge metric dimension and its lexicographically smallest basis."""
     if G.n < 2:
         raise GraphError("edge metric dimension needs at least 2 vertices")
-    deadline = deadline_after(timeout)
-    return pair_dimension(distances(G), EDGE_PAIRS, deadline)
+    return _pair_dimension(GraphAnalysis(G), EDGE_PAIRS, min_hitting_set, deadline_after(timeout))
 
 
 def mixed_metric_dimension(
@@ -312,8 +290,8 @@ def exact_dimensions(
     if G.n < 2:
         raise GraphError("exact dimensions need at least 2 vertices")
     a = analysis or GraphAnalysis(G)
-    beta = _pair_dimension_value(a.instance(VERTEX_PAIRS), a.oracle.symmetry, deadline)
-    beta_e = _pair_dimension_value(a.instance(EDGE_PAIRS), a.oracle.symmetry, deadline)
+    beta = _pair_dimension(a, VERTEX_PAIRS, min_hitting_set_size, deadline)[0]
+    beta_e = _pair_dimension(a, EDGE_PAIRS, min_hitting_set_size, deadline)[0]
     start = max(lower_bound, beta, beta_e)
     beta_m, witness = mixed_metric_dimension(G, analysis=a, deadline=deadline, lower_bound=start)
     if beta_m < start:

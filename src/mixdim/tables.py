@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .bounds import BoundsReport, bounds_report
-from .dims import SolveTimeout
+from .cover import SolveTimeout
 from .families import FamilySpec, connected_graphs_of_order, encode_graph6, generate
 from .graphs import Graph
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .bounds import lb_n1
 from .dims import GraphAnalysis, mixed_metric_dimension, verify_mixed_resolving
 from .families import generate_named
-from .graphs import GraphError, MixedItem, distances
+from .graphs import GraphError, MixedItem
 
 CASE_ODD_ODD = "odd-odd"
 CASE_ODD_EVEN = "odd-even"
@@ -79,7 +79,7 @@ class TorusReport:
             return None
         if self.exact is not None:
             return self.exact
-        return max(4, self.degree_bound) if self.degree_bound <= 4 else None
+        return 4 if self.degree_bound == 4 else None
 
 
 def torus_theorem_check(m: int, n: int, exact: bool = False, timeout: float | None = None) -> TorusReport:
@@ -91,12 +91,12 @@ def torus_theorem_check(m: int, n: int, exact: bool = False, timeout: float | No
     """
     cand = torus_candidate(m, n)
     G = generate_named("torus", m, n)
-    oracle = distances(G)
-    collision = verify_mixed_resolving(G, cand.vertices, oracle)
+    a = GraphAnalysis(G)
+    collision = verify_mixed_resolving(G, cand.vertices, a.oracle)
     degree_bound = lb_n1(G)  # 4-regular, so 1 + ceil(log2(5)) = 4
     exact_val = None
     if exact:
-        exact_val, _ = mixed_metric_dimension(G, timeout=timeout, analysis=GraphAnalysis(G, oracle))
+        exact_val, _ = mixed_metric_dimension(G, timeout=timeout, analysis=a)
     return TorusReport(
         m=m,
         n=n,

@@ -11,8 +11,11 @@ enumerations of orders 5 to 7, then an exact bounds_report on each of their
 986 graphs) and torus-sweep (169 torus_theorem_check calls).  A last run,
 named, makes a bounds_report without exact values on the graphs whose N2
 proofs split deepest (NAMED): the workloads barely reach those splits.
+The standalone run calls each public function that no workload calls
+alone (STANDALONE) on every selected graph that has an adjacency.
 Each line holds the workload, the seed, the call's label and its answer: a
-report as dataclasses.asdict, an enumeration as its graphs' graph6 codes.
+report as dataclasses.asdict, an enumeration as its graphs' graph6 codes,
+any other value as it is.
 It also holds the call's search effort: kernel_calls and kernel_nodes count
 the calls of every solve that cover._kernel hands out, and their nodes, so
 one diff shows a change in effort as well as in answers.
@@ -29,8 +32,10 @@ import sys
 from pathlib import Path
 
 import mixdim.cover as cover
-from mixdim.bounds import bounds_report
-from mixdim.families import encode_graph6, generate_named
+from mixdim.bounds import bounds_report, lb_l3, lb_l4, lb_n2
+from mixdim.dims import edge_metric_dimension, metric_dimension
+from mixdim.families import encode_graph6, generate, generate_named
+from mixdim.tables import SELECTED_GRAPHS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -45,12 +50,15 @@ NAMED = (
     ("torus", 8, 8),
     ("hamming", 3, 4),
 )
+STANDALONE = (metric_dimension, edge_metric_dimension, lb_l3, lb_l4, lb_n2)
 
 
 def _answer(result):
     if dataclasses.is_dataclass(result):
         return dataclasses.asdict(result)
-    return [encode_graph6(G) for G in result]
+    if isinstance(result, list):
+        return [encode_graph6(G) for G in result]
+    return result
 
 
 def _count_kernel_calls() -> dict[str, int]:
@@ -100,6 +108,11 @@ def main(argv=None) -> int:
     for name, *params in NAMED:
         label = f"{name}:{','.join(map(str, params))}"
         emit({"workload": "named", "label": label}, bounds_report(generate_named(name, *params), label=label))
+    for sel in SELECTED_GRAPHS:
+        if sel.family is not None:
+            G = generate(sel.family)
+            for fn in STANDALONE:
+                emit({"workload": "standalone", "label": f"{sel.family.label()}:{fn.__name__}"}, fn(G))
     return 0
 
 

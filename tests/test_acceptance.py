@@ -11,14 +11,13 @@ import random
 import time
 
 from mixdim.bounds import bounds_report, edge_side_sets
-from mixdim.cover import CoverInstance, min_hitting_set
+from mixdim.cover import CoverInstance, SolveTimeout, min_hitting_set
 from mixdim.dims import (
-    SolveTimeout,
+    GraphAnalysis,
     all_min_mixed_bases,
     excluded_vertices,
     forced_vertices,
     mixed_metric_dimension,
-    pair_cover_instance,
 )
 from mixdim.families import connected_graphs_of_order, encode_graph6, generate_named, parse_graph6
 from mixdim.graphs import build_graph, distances
@@ -216,7 +215,7 @@ def test_criterion_6_property_suites():
 
     # (f) LP relaxation never exceeds the integer cover optimum
     for g in corpus:
-        inst = pair_cover_instance(distances(g))
+        inst = GraphAnalysis(g).mixed
         lp_val = solve_covering_lp(CoveringLP.build(g.n, inst.masks))
         assert lp_val <= min_hitting_set(inst).size + 1e-9
 

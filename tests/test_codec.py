@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import mixdim.dims as dims
 from mixdim.bounds import edge_side_sets
 from mixdim.cover import _masks_of_columns, _rows_of_masks
-from mixdim.dims import EDGE_PAIRS, MIXED_PAIRS, VERTEX_PAIRS, distinguisher_masks
-from mixdim.graphs import build_graph, distances
+from mixdim.dims import EDGE_PAIRS, MIXED_PAIRS, VERTEX_PAIRS, GraphAnalysis, distinguisher_masks
+from mixdim.graphs import build_graph
 
 from bruteforce import item_vectors, masks, random_connected_graph, reference_distinguisher_masks, side_sets
 
@@ -50,16 +50,16 @@ def _wide_graph(n):
 @pytest.mark.parametrize("n", range(63, 71))
 def test_wide_graph_families_match_brute_force(n):
     g = _wide_graph(n)
-    oracle = distances(g)
+    analysis = GraphAnalysis(g)
     vecs = item_vectors(n, g.edges, range(n))
     items = {VERTEX_PAIRS: range(n), EDGE_PAIRS: range(n, n + g.m), MIXED_PAIRS: range(n + g.m)}
     for universe, cols in items.items():
         want = masks(
             [w for w in range(n) if vecs[a][w] != vecs[b][w]] for a, b in itertools.combinations(cols, 2)
         )
-        assert distinguisher_masks(oracle, universe) == want, universe
+        assert analysis.instance(universe).original_masks == tuple(want), universe
     closer_u, closer_v = zip(*side_sets(n, g.edges))
-    assert edge_side_sets(oracle) == (masks(closer_u), masks(closer_v))
+    assert edge_side_sets(analysis.oracle) == (masks(closer_u), masks(closer_v))
 
 
 @pytest.mark.parametrize("n", [2, 5, 16, 30, *range(63, 71)])
@@ -71,15 +71,14 @@ def test_pair_mask_blocks_match_row_by_row_reference(n, monkeypatch):
         g = _wide_graph(n)
     else:
         g = build_graph(n, random_connected_graph(random.Random(n), n))
-    oracle = distances(g)
-    default = dims._PAIR_BLOCK_ENTRIES
+    analysis = GraphAnalysis(g)
+    dmix = analysis.oracle.dmix
     items = {VERTEX_PAIRS: range(n), EDGE_PAIRS: range(n, n + g.m), MIXED_PAIRS: range(n + g.m)}
     for universe, cols in items.items():
-        want = reference_distinguisher_masks(oracle.dmix, list(cols))
-        total = len(want)
-        sizes = {1, 2, 7} if total < 3000 else {97}
-        for pairs in sorted(sizes | {max(total - 1, 1), max(total, 1), total + 1}):
-            monkeypatch.setattr(dims, "_PAIR_BLOCK_ENTRIES", pairs * n)
-            assert distinguisher_masks(oracle, universe) == want, (universe, pairs)
-        monkeypatch.setattr(dims, "_PAIR_BLOCK_ENTRIES", default)
-        assert distinguisher_masks(oracle, universe) == want, universe
+        want = reference_distinguisher_masks(dmix, list(cols))
+        assert analysis.instance(universe).original_masks == tuple(want), universe
+    total = len(want)  # the mixed pairs
+    sizes = {1, 2, 7} if total < 3000 else {97}
+    for pairs in sorted(sizes | {max(total - 1, 1), max(total, 1), total + 1}):
+        monkeypatch.setattr(dims, "_PAIR_BLOCK_ENTRIES", pairs * n)
+        assert distinguisher_masks(analysis.oracle) == want, pairs

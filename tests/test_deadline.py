@@ -11,8 +11,8 @@ import pytest
 import mixdim.cover as cover
 from mixdim.bounds import bounds_report, edge_side_sets
 from mixdim.cli import EXIT_INVALID, main
-from mixdim.cover import CoverInstance, min_hitting_set_size
-from mixdim.dims import SolveTimeout, mixed_metric_dimension
+from mixdim.cover import CoverInstance, SolveTimeout, min_hitting_set_size
+from mixdim.dims import mixed_metric_dimension
 from mixdim.families import generate_named
 from mixdim.graphs import distances
 

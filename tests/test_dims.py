@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 import tracemalloc
@@ -14,20 +15,25 @@ from mixdim.dims import (
     VERTEX_PAIRS,
     GraphAnalysis,
     all_min_mixed_bases,
-    distinguisher_masks,
     edge_metric_dimension,
     excluded_vertices,
     forced_vertices,
     metric_dimension,
     mixed_metric_dimension,
-    pair_cover_instance,
     verify_mixed_resolving,
 )
-from mixdim.families import generate, generate_named, parse_graph6
+from mixdim.families import FamilySpec, generate, generate_named, parse_graph6
 from mixdim.graphs import GraphError, build_graph, distances, item_to_flat
+from mixdim.symmetry import GraphSymmetry
 from mixdim.tables import SELECTED_GRAPHS
 
-from bruteforce import item_vectors, min_dimension, random_connected_graph, reference_forced_vertices
+from bruteforce import (
+    item_vectors,
+    lex_min_resolving_set,
+    min_dimension,
+    random_connected_graph,
+    reference_forced_vertices,
+)
 
 FIG1_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
@@ -37,13 +43,13 @@ def fig1():
 
 
 def test_pair_instance_p3_mixed():
-    inst = pair_cover_instance(distances(build_graph(3, [(0, 1), (1, 2)])), MIXED_PAIRS)
+    inst = GraphAnalysis(build_graph(3, [(0, 1), (1, 2)])).instance(MIXED_PAIRS)
     assert all(inst.masks)
     assert min_hitting_set(inst).size == 2
 
 
 def test_pair_instance_k2_vertex():
-    inst = pair_cover_instance(distances(parse_graph6("A_")), VERTEX_PAIRS)
+    inst = GraphAnalysis(parse_graph6("A_")).instance(VERTEX_PAIRS)
     assert inst.original_masks == (0b11,)
 
 
@@ -51,7 +57,7 @@ def test_pair_instance_c4_mixed():
     # frozen from exhaustive enumeration over all vertex subsets of C4
     g = generate_named("cycle", 4)
     assert min_dimension(4, g.edges, "mixed")[0] == 3
-    assert min_hitting_set(pair_cover_instance(distances(g))).size == 3
+    assert min_hitting_set(GraphAnalysis(g).mixed).size == 3
 
 
 def test_fig1_dimensions():
@@ -156,6 +162,35 @@ def test_dimensions_match_enumeration_on_random_graphs():
             assert witness == min(expected_witnesses)
 
 
+@functools.cache
+def _brute_lex_min(spec, universe):
+    G = generate(spec)
+    return lex_min_resolving_set(G.n, list(G.edges), universe)
+
+
+# each has at least 12 free vertices, so the size proofs and witness passes
+# of its vertex and edge families branch on automorphism orbits
+ORBIT_SPLIT_GRAPHS = (FamilySpec("clebsch"), FamilySpec("gen_petersen", (8, 3)), FamilySpec("paley", (13,)))
+
+
+@pytest.mark.parametrize("spec", ORBIT_SPLIT_GRAPHS, ids=FamilySpec.label)
+def test_orbit_split_dimensions_match_brute_force(spec, backend, monkeypatch):
+    splits = []
+    split = GraphSymmetry.split
+
+    def counted(self, inst, fixed):
+        out = split(self, inst, fixed)
+        splits.append(out is not None)
+        return out
+
+    monkeypatch.setattr(GraphSymmetry, "split", counted)
+    G = generate(spec)
+    for universe, solver in ((VERTEX_PAIRS, metric_dimension), (EDGE_PAIRS, edge_metric_dimension)):
+        splits.clear()
+        assert solver(G) == _brute_lex_min(spec, universe)
+        assert any(splits), universe
+
+
 def test_witness_is_resolving_and_superset_closed():
     rng = random.Random(4242)
     for _ in range(10):
@@ -204,22 +239,6 @@ def test_disconnected_rejected():
         mixed_metric_dimension(g)
 
 
-def test_analysis_sub_families_match_pair_instances():
-    rng = random.Random(23)
-    graphs = [fig1(), generate_named("gen_petersen", 5, 2), generate_named("path", 2)]
-    for n in [rng.randint(2, 12) for _ in range(20)]:
-        graphs.append(build_graph(n, random_connected_graph(rng, n)))
-    for g in graphs:
-        oracle = distances(g)
-        a = GraphAnalysis(g, oracle)
-        for universe in (VERTEX_PAIRS, EDGE_PAIRS, MIXED_PAIRS):
-            assert a.pair_masks(universe) == distinguisher_masks(oracle, universe)
-            want = pair_cover_instance(oracle, universe)
-            got = a.instance(universe)
-            assert got == want
-            assert got.original_masks == want.original_masks
-
-
 @pytest.mark.parametrize(("name", "params", "peak"), [("johnson", (9, 2), 2_697_600), ("rook", (6,), 1_456_000)])
 def test_analysis_memory_peak(name, params, peak):
     # tracemalloc peak, in bytes, of one graph's analysis when the pair
@@ -229,7 +248,7 @@ def test_analysis_memory_peak(name, params, peak):
     G = generate_named(name, *params)
     tracemalloc.start()
     try:
-        GraphAnalysis(G, distances(G))
+        GraphAnalysis(G).mixed
         got = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

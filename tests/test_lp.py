@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 from mixdim import lp as lp_module
 from mixdim.bounds import bounds_report, lb_l4
 from mixdim.cover import _bits_of, min_hitting_set
-from mixdim.dims import pair_cover_instance
+from mixdim.dims import GraphAnalysis
 from mixdim.families import connected_graphs_of_order, encode_graph6, generate, generate_named
 from mixdim.graphs import build_graph, distances
 from mixdim.lp import CoveringLP, LPError, ceil_with_tolerance, solve_covering_lp, solve_covering_lp_primal
@@ -46,7 +46,7 @@ def test_symmetric_fractional_optimum():
 
 
 def test_fig1_mixed_lp_in_interval():
-    inst = pair_cover_instance(distances(build_graph(5, FIG1_EDGES)))
+    inst = GraphAnalysis(build_graph(5, FIG1_EDGES)).mixed
     val = solve_covering_lp(CoveringLP.build(5, inst.masks))
     assert 4.0 < val <= 5.0 + 1e-9
     assert ceil_with_tolerance(val) == 5
@@ -124,7 +124,7 @@ def test_l4_matches_highs_on_every_small_graph(order):
 
 def test_lp_below_integer_cover_on_order5():
     for g in connected_graphs_of_order(5):
-        inst = pair_cover_instance(distances(g))
+        inst = GraphAnalysis(g).mixed
         lp_val = solve_covering_lp(CoveringLP.build(5, inst.masks))
         cover = min_hitting_set(inst)
         assert lp_val <= cover.size + 1e-9
@@ -161,10 +161,10 @@ ORBIT_LP_GRAPHS = [
 
 @pytest.mark.parametrize("g", ORBIT_LP_GRAPHS)
 def test_orbit_program_matches_plain_and_highs(g):
-    oracle = distances(g)
-    inst = pair_cover_instance(oracle)
+    a = GraphAnalysis(g)
+    inst = a.mixed
     lp = CoveringLP(g.n, inst.masks, inst.masks)
-    orbits = oracle.symmetry.orbits()
+    orbits = a.oracle.symmetry.orbits()
     plain = solve_covering_lp(lp)
     value, y = solve_covering_lp_primal(lp, orbits)
     assert value == pytest.approx(plain, abs=1e-7)
@@ -192,6 +192,6 @@ def test_hypercube_7_program_is_solved_over_orbits():
     g = generate_named("hypercube", 7)
     assert lb_l4(g) == 2
     assert bounds_report(g).l4 == 2
-    inst = pair_cover_instance(distances(g))
+    inst = GraphAnalysis(g).mixed
     assert len(inst.masks) == 560
     assert _scipy_optimum(g.n, [_bits_of(m) for m in inst.masks]) == pytest.approx(2.0, abs=1e-7)

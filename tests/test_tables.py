@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import mixdim.tables as tables
 from mixdim.bounds import BoundsReport, bounds_report
-from mixdim.dims import SolveTimeout
+from mixdim.cover import SolveTimeout
 from mixdim.families import parse_graph6
 from mixdim.tables import SELECTED_GRAPHS, compare_order5, order5_rows, selected_rows
 

@@ -1,14 +1,17 @@
+import dataclasses
+
 import pytest
 
+from mixdim.dims import verify_mixed_resolving
 from mixdim.families import generate_named
 from mixdim.graphs import GraphError, ItemKind, build_graph
 from mixdim.torus import (
     CASE_EVEN_EVEN,
     CASE_EVEN_ODD,
     CASE_ODD_ODD,
+    TorusReport,
     torus_candidate,
     torus_theorem_check,
-    verify_mixed_resolving,
 )
 
 FIG1_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
@@ -73,6 +76,13 @@ def test_theorem_check_6x7():
     assert rep.candidate_valid
     assert rep.degree_bound == 4
     assert rep.verdict == 4
+
+
+def test_verdict_needs_the_bounds_to_meet():
+    # a valid size-4 witness against a degree bound of 3 leaves [3, 4] open
+    rep = TorusReport(5, 5, CASE_ODD_ODD, (0, 2, 8, 18), True, None, degree_bound=3, exact=None)
+    assert rep.verdict is None
+    assert dataclasses.replace(rep, degree_bound=4).verdict == 4
 
 
 def test_theorem_check_rejects_small():
