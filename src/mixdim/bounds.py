@@ -41,7 +41,7 @@ def lb_l4(G: Graph) -> int:
     """Ceiling of the LP relaxation of the mixed pair-cover program, solved
     over the graph's automorphism orbits."""
     a = GraphAnalysis(G)
-    return _lp_bound(a.mixed, a.oracle.symmetry.orbits())
+    return _lp_bound(a.mixed, a.symmetry.orbits())
 
 
 def _lp_bound(inst: CoverInstance, orbits: list[int] | None) -> int:
@@ -73,17 +73,17 @@ def edge_side_sets(oracle: DistanceOracle) -> tuple[list[int], list[int]]:
 
 def lb_n2(
     G: Graph,
-    oracle: DistanceOracle | None = None,
+    analysis: GraphAnalysis | None = None,
     deadline: float | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Exact minimum hitting set over the 2m edge side sets, with its
     lex-min witness; the size is proved with the graph's automorphism
     orbits.  Raises SolveTimeout past the absolute time.monotonic()
-    deadline."""
-    oracle = oracle or distances(G)
-    closer_u, closer_v = edge_side_sets(oracle)
+    deadline.  analysis, when given, must belong to G."""
+    a = analysis or GraphAnalysis(G)
+    closer_u, closer_v = edge_side_sets(a.oracle)
     inst = CoverInstance.build(G.n, closer_u + closer_v)
-    res = min_hitting_set(inst, deadline=deadline, sym=oracle.symmetry)
+    res = min_hitting_set(inst, deadline=deadline, sym=a.symmetry)
     assert res.status == OPTIMAL
     return res.size, res.witness
 
@@ -146,12 +146,11 @@ def bounds_report(
     bound already proven: N1, L3, L4, N2, beta or betaE."""
     deadline = deadline_after(timeout)
     a = GraphAnalysis(G)
-    oracle = a.oracle
-    n2_val, n2_wit = lb_n2(G, oracle, deadline=deadline)
+    n2_val, n2_wit = lb_n2(G, a, deadline=deadline)
     l3 = a.forced_lower_bound
     # the orbits that the N2 proof found, if it looked for them: finding
     # them for every graph would cost the many graphs without symmetry
-    l4 = _lp_bound(a.mixed, oracle.symmetry.found_orbits())
+    l4 = _lp_bound(a.mixed, a.symmetry.found_orbits())
     n1 = lb_n1(G)
     beta = beta_e = beta_m = None
     beta_m_witness = None
@@ -169,7 +168,7 @@ def bounds_report(
         l4=l4,
         n1=n1,
         n2=n2_val,
-        n3=lb_n3(G, oracle),
+        n3=lb_n3(G, a.oracle),
         n2_witness=n2_wit,
         beta=beta,
         beta_e=beta_e,

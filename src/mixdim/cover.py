@@ -17,13 +17,22 @@ verdict) without a witness, and lex_min_hitting_set finds the witness at
 a proven size.
 
 One search, _search, proves every size: the optimum, and each trial of the
-witness pass.  Given the automorphism orbits of a graph on the universe
+witness pass.  Given the automorphism group of a graph on the universe
 (sym=, a symmetry.GraphSymmetry), it splits an instance into orbital
-branches one level at a time, as it reaches them, and solves each instance
-it does not split by one kernel call (_leaf); without sym it makes that
-one call.  The witness pass also rules out candidates by the same orbits.
-This module does not import symmetry: it only calls the cells, orbits and
-split methods of the object it is given.
+branches one level at a time, as it reaches them (_split), and solves each
+instance it does not split by one kernel call (_leaf); without sym it makes
+that one call.  Every automorphism maps each pair-cover family of the graph
+(vertex, edge and mixed pairs, the N2 side sets) onto itself, and the
+forced and degree-excluded vertices of the mixed search are unions of
+orbits.  So a cover of size <= k exists if and only if, for some i, one
+exists that contains the representative of orbit O_i and avoids
+O_1 .. O_{i-1} (Ostrowski, Linderoth, Rossi and Smriglio, "Orbital
+branching", Math. Prog. 2011).  Branch i forces a representative and
+excludes orbits of a larger group, which the representative's stabilizer
+maps onto themselves, so each branch splits again by the orbits of that
+stabilizer.  The witness pass also rules out candidates by the same
+orbits.  This module does not import symmetry: it only calls the cells,
+orbits and orbits_within methods of the object it is given.
 
 Two interchangeable kernels do the search: a compiled extension
 (mixdim._cover_c, hand-written C, universes up to 64 elements) and a
@@ -337,7 +346,7 @@ def _search(inst: CoverInstance, sym, fixed, cutoff, lower_bound, deadline) -> t
     """(min_hitting_set_size's verdict, a cover of that size as a mask, or
     0 when there is none; the kernel nodes spent).
 
-    fixed is None, or a tuple under whose stabilizer sym.split splits inst
+    fixed is None, or a tuple under whose stabilizer _split splits inst
     one level into orbital branches, each solved the same way when the
     search reaches it; an instance not split is one _leaf.  Every branch of
     a level forces one element more than inst, so a level ends at its
@@ -345,7 +354,7 @@ def _search(inst: CoverInstance, sym, fixed, cutoff, lower_bound, deadline) -> t
     branch that finds a cover the cutoff falls to one below its size, so
     the last size found is the optimum; the search stops once a size is at
     most lower_bound."""
-    branches = None if fixed is None else sym.split(inst, fixed)
+    branches = None if fixed is None else _split(inst, sym, fixed)
     if branches is None:
         return _leaf(inst, cutoff, lower_bound, deadline)
     best, found, nodes = None, 0, 0
@@ -360,6 +369,104 @@ def _search(inst: CoverInstance, sym, fixed, cutoff, lower_bound, deadline) -> t
                 break
             cutoff = best - 1
     return (CoverResult(CUTOFF_EXCEEDED) if best is None else CoverResult(OPTIMAL, best)), found, nodes
+
+
+# below this many free elements the kernel's search is cheaper than finding
+# orbits, so _split keeps such an instance whole: splitting every instance
+# of the connected graphs of order 5 to 7 raised their p90 exact-report
+# time by about a quarter
+_MIN_SPLIT_ELEMENTS = 12
+# _split searches for orbits to split on the kernel's branching set, and
+# the witness pass splits a trial at all, only when at least this many sets
+# are left: on the selected graphs, smaller families took the kernel a few
+# hundred nodes at most, fewer than a split saved in the time of its orbit
+# search
+_SPLIT_MIN_SETS = 32
+
+
+def _split(inst: CoverInstance, sym, fixed: tuple[int, ...]) -> list[tuple[CoverInstance, tuple | None]] | None:
+    """One level of orbital branches of inst under the stabilizer of fixed
+    in sym's group, each paired with the fixed tuple under which it may
+    split again (None where it may not), or None to keep inst whole.
+
+    The branches split on the orbits of the free elements (those in some
+    set of inst left unhit by its forced elements) when there are at most
+    as many orbits as the kernel's first branching has children (the size
+    of the smallest of those sets): the i-th forces the representative
+    (lowest vertex) rep of orbit O_i, excludes O_1 .. O_{i-1} and may split
+    again under the stabilizer of (*fixed, rep).  When there are more
+    orbits, the branches split on the kernel's own branching set instead
+    (_split_set), and are not split again: splitting those again cost more
+    orbit searches than their kernel calls saved.  For that split the
+    orbits are searched for only below the top (fixed not empty) and with
+    at least _SPLIT_MIN_SETS sets left; at the top they serve it only when
+    the orbital split's own check found them.
+
+    None when inst is infeasible or has no set left unhit, and unless
+    there are at least _MIN_SPLIT_ELEMENTS free elements, the orbits were
+    found, and the forced and excluded sets are unions of the orbits found
+    under the stabilizer of fixed.  The last condition holds when the
+    orbits found are exact, because each excluded orbit came from a larger
+    group.  A cut-off automorphism search can leave them finer, and then
+    the automorphisms found need not map an excluded set onto itself.
+    """
+    masks = inst._prepared
+    if isinstance(masks, CoverResult) or not masks:
+        return None
+    free = 0
+    for m in masks:
+        free |= m
+    if free.bit_count() < _MIN_SPLIT_ELEMENTS:
+        return None
+    pick = masks[0]  # the kernel's: masks are in _reduce_family's order
+    limit = pick.bit_count() + 1
+    orbits = sym.orbits_within(free, fixed, limit)
+    if orbits is None:
+        # too many orbits for an orbital split.  Below the top the group
+        # is not trivial, so the orbits are searched for unless the
+        # cheap invariants tell pick's elements apart; at the top, where
+        # most graphs have a trivial group, they are not
+        if not fixed or len(masks) < _SPLIT_MIN_SETS:
+            return None
+        if sym.orbits_within(pick, fixed, pick.bit_count()) is None:
+            return None
+    if any(o & inst.forced not in (0, o) or o & inst.excluded not in (0, o) for o in sym.orbits(fixed)):
+        return None
+    if orbits is None or len(orbits) >= limit:
+        return _split_set(inst, masks, sym.orbits(fixed))
+    branches = []
+    passed = 0
+    for orbit in orbits:
+        rep = (orbit & -orbit).bit_length() - 1
+        branches.append((inst._branch(masks, rep, passed), (*fixed, rep)))
+        passed |= orbit
+    return branches
+
+
+def _split_set(inst: CoverInstance, masks: list[int], orbits: list[int]) -> list[tuple[CoverInstance, None]] | None:
+    """The kernel's first branching of inst, whose sets left unhit by its
+    forced elements are masks, less the children that an automorphism maps
+    into an earlier one, or None when it drops none; each child is paired
+    with None, as it is not split again.
+
+    The kernel branches on S, the first of masks: child i forces s_i, the
+    i-th element of S in ascending order, and excludes s_1 .. s_{i-1}.
+    orbits are those of a group that maps inst's family, forced set and
+    excluded set onto themselves.  A cover in child j, whose s_j shares an
+    orbit with an earlier s_i, is mapped by an automorphism that takes s_j
+    to s_i onto an equally small cover holding s_i, which lies in child i
+    or an earlier one, and so on while that child is dropped too; so child
+    j goes.
+    """
+    branches = []
+    seen = 0  # the orbits of the elements passed so far
+    passed = 0
+    for e in _bits_of(masks[0]):
+        if not seen >> e & 1:
+            branches.append((inst._branch(masks, e, passed), None))
+        seen |= next(o for o in orbits if o >> e & 1)
+        passed |= 1 << e
+    return branches if len(branches) < masks[0].bit_count() else None
 
 
 def _leaf(inst: CoverInstance, cutoff, lower_bound, deadline) -> tuple[CoverResult, int, int]:
@@ -417,11 +524,6 @@ def lex_min_hitting_set(
 # exact-corpus wall_s by 2.3% and call_p50_ms by 3.2% (seed 1, medians of
 # 3 alternating pairs, pure-Python kernel, 2-core shared x86-64 host)
 _ORBIT_MIN_NODES = 256
-# the witness pass splits a trial call by orbital branching only when its
-# reduced family has at least this many sets: smaller ones took the kernel
-# a few hundred nodes at most on the selected graphs, fewer than a split
-# saved in the time of its orbit search
-_SPLIT_MIN_SETS = 32
 
 
 def _exceeds(masks: list[int], left: int) -> bool:

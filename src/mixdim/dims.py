@@ -30,6 +30,7 @@ from .cover import (
     min_hitting_set_size,
 )
 from .graphs import DistanceOracle, Graph, GraphError, MixedItem, _check_landmarks, distances, flat_to_item
+from .symmetry import GraphSymmetry
 
 VERTEX_PAIRS = "vertex"
 EDGE_PAIRS = "edge"
@@ -129,14 +130,13 @@ def _ceil_log2(x: int) -> int:
 
 class GraphAnalysis:
     """What the exact solves and the bounds of one graph share, each field
-    computed on first use: the distance oracle, the forced structure, the
-    distinguisher mask of every mixed item pair and the reduced mixed
-    pair-cover instance.
+    computed on first use: the distance oracle, the automorphism group
+    that proves the exact values, the forced structure, the distinguisher
+    mask of every mixed item pair and the reduced mixed pair-cover
+    instance.
 
     Vertex pairs and edge pairs are sub-families of the mixed pairs, so
-    their instances are cut from mixed_masks instead of recomputed.  The
-    automorphism orbits that prove the exact values live on the oracle
-    (oracle.symmetry), found on first use.
+    their instances are cut from mixed_masks instead of recomputed.
     """
 
     def __init__(self, G: Graph):
@@ -145,6 +145,12 @@ class GraphAnalysis:
     @cached_property
     def oracle(self) -> DistanceOracle:
         return distances(self.graph)
+
+    @cached_property
+    def symmetry(self) -> GraphSymmetry:
+        """The orbits of the graph's automorphism group and of its
+        stabilizers, each found on first use and kept."""
+        return GraphSymmetry(self.graph, self.oracle.dv)
 
     @cached_property
     def forced(self) -> ForcedStructure:
@@ -207,7 +213,7 @@ def _pair_dimension(
     if inst.num_sets == 0:
         # a single item resolves itself; by convention a generator is nonempty
         return 1, (0,)
-    res = solve(inst, deadline=deadline, sym=a.oracle.symmetry)
+    res = solve(inst, deadline=deadline, sym=a.symmetry)
     assert res.status == OPTIMAL
     return res.size, res.witness
 
@@ -262,7 +268,7 @@ def mixed_metric_dimension(
             k += 1
             continue
         inst = replace(a.mixed, forced=a.forced.forced, excluded=excl)
-        res = min_hitting_set(inst, cutoff=k, lower_bound=k, deadline=deadline, sym=a.oracle.symmetry)
+        res = min_hitting_set(inst, cutoff=k, lower_bound=k, deadline=deadline, sym=a.symmetry)
         if res.status == OPTIMAL:
             return res.size, res.witness
         # CUTOFF_EXCEEDED, or INFEASIBLE when the level-k exclusion swallowed

@@ -14,8 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .symmetry import GraphSymmetry
-
 # distance-table entry of a vertex that BFS has not reached
 _UNREACHED = np.iinfo(np.uint16).max
 
@@ -163,19 +161,16 @@ class DistanceOracle:
 
     dv[w][x] is the vertex distance, dmix[w][i] the distance from vertex w
     to flat item i (dmix[:, :n] equals dv, dmix[:, n+e] is the min over the
-    endpoints of edge e).  symmetry finds the automorphism orbits on first
-    use and keeps them, so every solve on the graph shares them.  Immutable
-    after construction.
+    endpoints of edge e).  Immutable after construction.
     """
 
-    __slots__ = ("graph", "dv", "dmix", "diameter", "symmetry")
+    __slots__ = ("graph", "dv", "dmix", "diameter")
 
     def __init__(self, graph: Graph, dv: np.ndarray, dmix: np.ndarray):
         self.graph = graph
         self.dv = dv
         self.dmix = dmix
         self.diameter = int(dv.max()) if graph.n > 0 else 0
-        self.symmetry = GraphSymmetry(graph, dv)
 
 
 def distances(G: Graph) -> DistanceOracle:

@@ -1,5 +1,6 @@
-"""Vertex orbits of a graph's automorphism group, and the orbital branches
-of the exact solves' optimality proofs.
+"""Vertex orbits of a graph's automorphism group and of its vertex
+stabilizers, which the exact solves' optimality proofs branch on
+(cover._split).
 
 Orbits are found by colour refinement and individualization (McKay and
 Piperno, "Practical graph isomorphism II", 2014).  A colouring is refined
@@ -23,31 +24,6 @@ stabilizer's, which lie inside the equitable cells, so when they are as
 many as the cells they are the stabilizer's orbits.  Otherwise the search
 runs, starting from their merges.
 
-Every automorphism maps each pair-cover family of the graph (vertex, edge
-and mixed pairs, the N2 side sets) onto itself, and the forced and degree-
-excluded vertices of the mixed search are unions of orbits.  So a cover of
-size <= k exists if and only if, for some i, one exists that contains the
-representative of orbit O_i and avoids O_1 .. O_{i-1} (Ostrowski, Linderoth,
-Rossi and Smriglio, "Orbital branching", Math. Prog. 2011).  Branch i
-forces a representative and excludes orbits of a larger group, which the
-representative's stabilizer maps onto themselves, so each branch splits
-again by the orbits of that stabilizer.  Where a branch's stabilizer has
-too many orbits for that, it splits once on the set the kernel would
-branch on, less the elements that share an orbit with an earlier one.
-GraphSymmetry.split makes one level of branches.  The search that uses
-them lives in cover: min_hitting_set_size, min_hitting_set and
-lex_min_hitting_set take a GraphSymmetry as sym=, and the search splits a
-branch only when it reaches it.
-
-The witness pass of cover.lex_min_hitting_set uses the GraphSymmetry
-twice.  After it refutes a candidate c it refutes every later candidate in
-c's orbit under the automorphisms that map the prefix, and the other
-vertices below c, each onto itself (orbits(classes=...)), which cannot hold
-the lex-min witness either.  And it proves each large trial by the same
-search as the values, split under the automorphisms that fix the prefix,
-the candidate and the elements the trial bans.  The witness is the same
-with symmetry as without it.
-
 The orbits that a proof has found also serve the covering LP
 (found_orbits), which then needs one variable per orbit.
 """
@@ -57,21 +33,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .cover import CoverInstance, CoverResult, _bits_of, _mask_of
+from .cover import _bits_of, _mask_of
 
 # refinements one orbit computation may spend searching for automorphisms,
 # per vertex; a search cut off here merges nothing
 _SEARCH_BUDGET_PER_VERTEX = 40
-# below this many free elements the kernel's search is cheaper than finding
-# orbits, so split keeps such an instance whole: splitting every instance
-# of the connected graphs of order 5 to 7 raised their p90 exact-report
-# time by about a quarter
-_MIN_SPLIT_ELEMENTS = 12
-# split searches for orbits only to split on the kernel's branching set
-# when at least this many sets are left: on the selected graphs, smaller
-# families took the kernel a few hundred nodes at most, fewer than the
-# split saved in the time of its orbit search
-_SET_SPLIT_MIN_SETS = 32
 
 
 def is_automorphism(graph, perm) -> bool:
@@ -221,66 +187,6 @@ class GraphSymmetry:
         """orbits() if some proof has already computed them, else None;
         never searches."""
         return self._orbits.get(((), ()))
-
-    def split(self, inst: CoverInstance, fixed: tuple[int, ...]) -> list[tuple[CoverInstance, tuple | None]] | None:
-        """One level of orbital branches of inst under the stabilizer of
-        fixed, each paired with the fixed tuple under which it may split
-        again (None where it may not), or None to keep inst whole.
-
-        The branches split on the orbits of the free elements (those in
-        some set of inst left unhit by its forced elements) when there are
-        at most as many orbits as the kernel's first branching has children
-        (the size of the smallest of those sets): the i-th forces the
-        representative (lowest vertex) rep of orbit O_i, excludes
-        O_1 .. O_{i-1} and may split again under the stabilizer of
-        (*fixed, rep).  When there are more orbits, the branches split on
-        the kernel's own branching set instead (_split_set), and are not
-        split again: splitting those again cost more orbit searches than
-        their kernel calls saved.  For that split the orbits are searched
-        for only below the top (fixed not empty) and with at least
-        _SET_SPLIT_MIN_SETS sets left; at the top they serve it only when
-        the orbital split's own check found them.
-
-        None when inst is infeasible or has no set left unhit, and unless
-        there are at least _MIN_SPLIT_ELEMENTS free elements, the orbits
-        were found, and the forced and excluded sets are unions of the
-        orbits found under the stabilizer of fixed.  The last condition
-        holds when the orbits found are exact, because each excluded orbit
-        came from a larger group.  A cut-off automorphism search can leave
-        them finer, and then the automorphisms found need not map an
-        excluded set onto itself.
-        """
-        masks = inst._prepared
-        if isinstance(masks, CoverResult) or not masks:
-            return None
-        free = 0
-        for m in masks:
-            free |= m
-        if free.bit_count() < _MIN_SPLIT_ELEMENTS:
-            return None
-        pick = masks[0]  # the kernel's: masks are in _reduce_family's order
-        limit = pick.bit_count() + 1
-        orbits = self.orbits_within(free, fixed, limit)
-        if orbits is None:
-            # too many orbits for an orbital split.  Below the top the group
-            # is not trivial, so the orbits are searched for unless the
-            # cheap invariants tell pick's elements apart; at the top, where
-            # most graphs have a trivial group, they are not
-            if not fixed or len(masks) < _SET_SPLIT_MIN_SETS:
-                return None
-            if self.orbits_within(pick, fixed, pick.bit_count()) is None:
-                return None
-        if any(o & inst.forced not in (0, o) or o & inst.excluded not in (0, o) for o in self.orbits(fixed)):
-            return None
-        if orbits is None or len(orbits) >= limit:
-            return _split_set(inst, masks, self.orbits(fixed))
-        branches = []
-        passed = 0
-        for orbit in orbits:
-            rep = (orbit & -orbit).bit_length() - 1
-            branches.append((inst._branch(masks, rep, passed), (*fixed, rep)))
-            passed |= orbit
-        return branches
 
     def _find_orbits(
         self, fixed: tuple[int, ...], classes: tuple[int, ...], parent: list[int]
@@ -456,30 +362,3 @@ def _stabilizer(gens: np.ndarray, point: int) -> np.ndarray:
         rows.update(dict.fromkeys(raw[s : s + width] for s in range(0, len(raw), width)))
     kept = list(rows)[1:]
     return np.frombuffer(b"".join(kept), dtype=gens.dtype).reshape(len(kept), n)
-
-
-def _split_set(inst: CoverInstance, masks: list[int], orbits: list[int]) -> list[tuple[CoverInstance, None]] | None:
-    """The kernel's first branching of inst, whose sets left unhit by its
-    forced elements are masks, less the children that an automorphism maps
-    into an earlier one, or None when it drops none; each child is paired
-    with None, as it is not split again.
-
-    The kernel branches on S, the first of masks: child i forces s_i, the
-    i-th element of S in ascending order, and excludes s_1 .. s_{i-1}.
-    orbits are those of a group that maps inst's family, forced set and
-    excluded set onto themselves.  A cover in child j, whose s_j shares an
-    orbit with an earlier s_i, is mapped by an automorphism that takes s_j
-    to s_i onto an equally small cover holding s_i, which lies in child i
-    or an earlier one, and so on while that child is dropped too; so child
-    j goes.
-    """
-    branches = []
-    seen = 0  # the orbits of the elements passed so far
-    passed = 0
-    for e in _bits_of(masks[0]):
-        if not seen >> e & 1:
-            branches.append((inst._branch(masks, e, passed), None))
-        seen |= next(o for o in orbits if o >> e & 1)
-        passed |= 1 << e
-    return branches if len(branches) < masks[0].bit_count() else None
-

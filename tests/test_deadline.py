@@ -12,9 +12,8 @@ import mixdim.cover as cover
 from mixdim.bounds import bounds_report, edge_side_sets
 from mixdim.cli import EXIT_INVALID, main
 from mixdim.cover import CoverInstance, SolveTimeout, min_hitting_set_size
-from mixdim.dims import mixed_metric_dimension
+from mixdim.dims import GraphAnalysis, mixed_metric_dimension
 from mixdim.families import generate_named
-from mixdim.graphs import distances
 
 STEP = 10.0
 BUDGET = 25.0  # two solves fit, three do not
@@ -81,10 +80,10 @@ def test_witness_trial_branches_share_one_deadline(monkeypatch):
     real = time.monotonic
     monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
     G = generate_named("johnson", 9, 2)
-    oracle = distances(G)
-    closer_u, closer_v = edge_side_sets(oracle)
+    a = GraphAnalysis(G)
+    closer_u, closer_v = edge_side_sets(a.oracle)
     inst = CoverInstance.build(G.n, closer_u + closer_v)
-    size = min_hitting_set_size(inst, sym=oracle.symmetry).size
+    size = min_hitting_set_size(inst, sym=a.symmetry).size
     kernel = cover._kernel(G.n)
     calls = []
 
@@ -96,5 +95,5 @@ def test_witness_trial_branches_share_one_deadline(monkeypatch):
     monkeypatch.setattr(cover, "_kernel", lambda universe: slow_kernel)
     masks = inst._prepared
     with pytest.raises(SolveTimeout):
-        cover._lex_min_witness(masks, size, G.n, time.monotonic() + 1.5 * STEP, oracle.symmetry)
+        cover._lex_min_witness(masks, size, G.n, time.monotonic() + 1.5 * STEP, a.symmetry)
     assert len(calls) == 2

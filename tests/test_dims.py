@@ -8,6 +8,7 @@ import networkx as nx
 
 import pytest
 
+import mixdim.cover as cover
 from mixdim.cover import min_hitting_set
 from mixdim.dims import (
     EDGE_PAIRS,
@@ -24,7 +25,6 @@ from mixdim.dims import (
 )
 from mixdim.families import FamilySpec, generate, generate_named, parse_graph6
 from mixdim.graphs import GraphError, build_graph, distances, item_to_flat
-from mixdim.symmetry import GraphSymmetry
 from mixdim.tables import SELECTED_GRAPHS
 
 from bruteforce import (
@@ -176,14 +176,14 @@ ORBIT_SPLIT_GRAPHS = (FamilySpec("clebsch"), FamilySpec("gen_petersen", (8, 3)),
 @pytest.mark.parametrize("spec", ORBIT_SPLIT_GRAPHS, ids=FamilySpec.label)
 def test_orbit_split_dimensions_match_brute_force(spec, backend, monkeypatch):
     splits = []
-    split = GraphSymmetry.split
+    split = cover._split
 
-    def counted(self, inst, fixed):
-        out = split(self, inst, fixed)
+    def counted(inst, sym, fixed):
+        out = split(inst, sym, fixed)
         splits.append(out is not None)
         return out
 
-    monkeypatch.setattr(GraphSymmetry, "split", counted)
+    monkeypatch.setattr(cover, "_split", counted)
     G = generate(spec)
     for universe, solver in ((VERTEX_PAIRS, metric_dimension), (EDGE_PAIRS, edge_metric_dimension)):
         splits.clear()

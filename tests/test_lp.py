@@ -11,7 +11,7 @@ from mixdim.bounds import bounds_report, lb_l4
 from mixdim.cover import _bits_of, min_hitting_set
 from mixdim.dims import GraphAnalysis
 from mixdim.families import connected_graphs_of_order, encode_graph6, generate, generate_named
-from mixdim.graphs import build_graph, distances
+from mixdim.graphs import build_graph
 from mixdim.lp import CoveringLP, LPError, ceil_with_tolerance, solve_covering_lp, solve_covering_lp_primal
 from mixdim.tables import SELECTED_GRAPHS
 
@@ -144,7 +144,7 @@ def _trivial_group_graphs():
     while len(found) < 4:
         n = rng.randint(9, 14)
         g = build_graph(n, random_connected_graph(rng, n))
-        if len(distances(g).symmetry.orbits()) == n:
+        if len(GraphAnalysis(g).symmetry.orbits()) == n:
             found.append(pytest.param(g, id=f"random-{len(found)}"))
     return found
 
@@ -164,7 +164,7 @@ def test_orbit_program_matches_plain_and_highs(g):
     a = GraphAnalysis(g)
     inst = a.mixed
     lp = CoveringLP(g.n, inst.masks, inst.masks)
-    orbits = a.oracle.symmetry.orbits()
+    orbits = a.symmetry.orbits()
     plain = solve_covering_lp(lp)
     value, y = solve_covering_lp_primal(lp, orbits)
     assert value == pytest.approx(plain, abs=1e-7)

@@ -61,7 +61,7 @@ def nx_orbits(G, fixed=(), autos=None):
 
 
 def orbits(G, fixed=()):
-    return sorted(tuple(b for b in range(G.n) if m >> b & 1) for m in distances(G).symmetry.orbits(fixed))
+    return sorted(tuple(b for b in range(G.n) if m >> b & 1) for m in GraphAnalysis(G).symmetry.orbits(fixed))
 
 
 @pytest.mark.parametrize("order", range(1, 8))
@@ -100,7 +100,7 @@ def test_refine_matches_reference():
     # from the uniform colouring, from each of its single-vertex
     # individualizations and from each of those of the equitable colouring
     for G in _refine_graphs():
-        sym = distances(G).symmetry
+        sym = GraphAnalysis(G).symmetry
         uniform = np.zeros(G.n, dtype=np.intp)
         base = sym.cells()
         starts = [uniform, *(_individualize(c, v) for c in (uniform, base) for v in range(G.n))]
@@ -145,7 +145,7 @@ def test_every_colour_preserving_merge_lies_in_one_networkx_orbit(G, labels, ver
         colour = [labels[v] if v not in fixed else 3 for v in range(G.n)]
         truth = nx_coloured_orbits(G, colour)
         where = {v: i for i, o in enumerate(truth) for v in o}
-        found = distances(G).symmetry.orbits(fixed, classes)
+        found = GraphAnalysis(G).symmetry.orbits(fixed, classes)
         assert sum(found) == (1 << G.n) - 1
         assert all(len({where[v] for v in range(G.n) if o >> v & 1}) == 1 for o in found), (fixed, classes)
 
@@ -155,7 +155,7 @@ def test_colour_classes_of_the_hypercube():
     # automorphisms fixing 0 and mapping {1, 2} onto itself fix or swap the
     # two lowest coordinates, so 3, 4 and 7 stay alone and 5, 6 share an
     # orbit
-    sym = distances(generate_named("hypercube", 3)).symmetry
+    sym = GraphAnalysis(generate_named("hypercube", 3)).symmetry
     assert sym.orbits(classes=(0b1, 0b110)) == [0b1, 0b110, 0b1000, 0b10000, 0b1100000, 0b10000000]
     assert sym.orbits(classes=(0b1, 0b110)) == sym.orbits((0,), (0b110,))
 
@@ -163,7 +163,7 @@ def test_colour_classes_of_the_hypercube():
 @pytest.mark.parametrize("sel", [s for s in SELECTED_GRAPHS if s.family is not None], ids=lambda s: s.name)
 def test_selected_graphs_are_vertex_transitive(sel):
     G = generate(sel.family)
-    assert distances(G).symmetry.orbits() == [(1 << G.n) - 1]
+    assert GraphAnalysis(G).symmetry.orbits() == [(1 << G.n) - 1]
 
 
 def test_rook_stabilizer_orbits():
@@ -219,7 +219,7 @@ def test_symmetric_instance_is_split(monkeypatch):
     G = generate_named("rook", 6)
     a = GraphAnalysis(G)
     calls = _counting(monkeypatch)
-    assert min_hitting_set_size(a.instance(VERTEX_PAIRS), sym=a.oracle.symmetry).size == 7
+    assert min_hitting_set_size(a.instance(VERTEX_PAIRS), sym=a.symmetry).size == 7
     # one orbit, so vertex 0 is forced; then every branch splits again under
     # the stabilizer of the vertices it forces, while the split rule holds
     assert tuple(cover._bits_of(inst.forced) for inst in calls) == (
@@ -239,7 +239,7 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
     # the stabilizer of its representative does not map onto itself, so
     # that branch is not split again
     monkeypatch.setattr(symmetry, "_SEARCH_BUDGET_PER_VERTEX", 1)
-    monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
+    monkeypatch.setattr(cover, "_MIN_SPLIT_ELEMENTS", 0)
     G = generate_named("kneser", 7, 2)
     a = GraphAnalysis(G)
     sym = GraphSymmetry(G, a.oracle.dv)
@@ -328,7 +328,7 @@ def test_trivial_group_is_one_plain_call(monkeypatch):
     G = build_graph(H.number_of_nodes(), H.edges)
     a = GraphAnalysis(G)
     calls = _counting(monkeypatch)
-    res = min_hitting_set_size(a.instance(EDGE_PAIRS), sym=a.oracle.symmetry)
+    res = min_hitting_set_size(a.instance(EDGE_PAIRS), sym=a.symmetry)
     assert calls == [a.instance(EDGE_PAIRS)]
     assert res == min_hitting_set_size(a.instance(EDGE_PAIRS))
 
@@ -378,8 +378,8 @@ def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
     # split every instance, however small, so the golden graphs of order
     # at most 6 take the orbital path too, and split on the kernel's
     # branching set wherever there are too many orbits
-    monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
-    monkeypatch.setattr(symmetry, "_SET_SPLIT_MIN_SETS", 0)
+    monkeypatch.setattr(cover, "_MIN_SPLIT_ELEMENTS", 0)
+    monkeypatch.setattr(cover, "_SPLIT_MIN_SETS", 0)
     sym = GraphSymmetry(G, distances(G).dv)
     for name, inst in _families(G):
         plain = min_hitting_set_size(inst)
@@ -399,8 +399,8 @@ def test_no_branch_past_the_cutoff_is_solved(G, monkeypatch):
     # every branch of a level forces one vertex more than the instance it
     # splits, so the search ends a level at its first branch that forces more
     # vertices than the cutoff, which only falls as sizes are found
-    monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
-    monkeypatch.setattr(symmetry, "_SET_SPLIT_MIN_SETS", 0)
+    monkeypatch.setattr(cover, "_MIN_SPLIT_ELEMENTS", 0)
+    monkeypatch.setattr(cover, "_SPLIT_MIN_SETS", 0)
     sym = GraphSymmetry(G, distances(G).dv)
     handed = []
     solve = cover._leaf
@@ -497,8 +497,7 @@ def _all_gates_open(monkeypatch):
     symmetric path."""
     monkeypatch.setattr(cover, "_ORBIT_MIN_NODES", 0)
     monkeypatch.setattr(cover, "_SPLIT_MIN_SETS", 0)
-    monkeypatch.setattr(symmetry, "_MIN_SPLIT_ELEMENTS", 0)
-    monkeypatch.setattr(symmetry, "_SET_SPLIT_MIN_SETS", 0)
+    monkeypatch.setattr(cover, "_MIN_SPLIT_ELEMENTS", 0)
 
 
 def _assert_witnesses_match_plain(G):
@@ -535,21 +534,21 @@ def _split_counts(monkeypatch):
     under a nonempty fixed tuple that forces nothing: each orbital branch
     forces its representative."""
     counts = {"set": 0, "trial": 0}
-    split_set = symmetry._split_set
-    split = GraphSymmetry.split
+    split_set = cover._split_set
+    split = cover._split
 
     def counted_set(*args):
         out = split_set(*args)
         counts["set"] += out is not None
         return out
 
-    def counted_split(self, inst, fixed):
-        out = split(self, inst, fixed)
+    def counted_split(inst, sym, fixed):
+        out = split(inst, sym, fixed)
         counts["trial"] += bool(fixed) and not inst.forced and out is not None
         return out
 
-    monkeypatch.setattr(symmetry, "_split_set", counted_set)
-    monkeypatch.setattr(GraphSymmetry, "split", counted_split)
+    monkeypatch.setattr(cover, "_split_set", counted_set)
+    monkeypatch.setattr(cover, "_split", counted_split)
     return counts
 
 
@@ -566,7 +565,7 @@ def test_selected_graph_witnesses_match_plain(sel, backend, monkeypatch):
     counts = _split_counts(monkeypatch)
     G = generate(sel.family)
     a = GraphAnalysis(G)
-    sym = a.oracle.symmetry
+    sym = a.symmetry
     closer_u, closer_v = edge_side_sets(a.oracle)
     rep = bounds_report(G, compute_exact=True)
     excl = excluded_vertices(G, rep.beta_m)
@@ -595,10 +594,10 @@ def test_small_graphs_take_the_new_paths(monkeypatch):
 def johnson_n2():
     """(graph, its orbits, its N2 side-set instance, the optimum)."""
     G = generate_named("johnson", 9, 2)
-    oracle = distances(G)
-    closer_u, closer_v = edge_side_sets(oracle)
+    a = GraphAnalysis(G)
+    closer_u, closer_v = edge_side_sets(a.oracle)
     inst = CoverInstance.build(G.n, closer_u + closer_v)
-    return G, oracle.symmetry, inst, min_hitting_set_size(inst, sym=oracle.symmetry).size
+    return G, a.symmetry, inst, min_hitting_set_size(inst, sym=a.symmetry).size
 
 
 @pytest.mark.parametrize(("with_sym", "calls", "nodes"), [(False, 26, 38696), (True, 12, 5257)])
