@@ -11,10 +11,9 @@ optional forced and excluded elements, also masks.  min_hitting_set
 returns the exact optimum together with the lexicographically smallest
 minimum witness, a "greater than cutoff" verdict or an infeasibility
 verdict holding the mask of a set that cannot be hit, and raises
-SolveTimeout once its deadline has passed.  It is two steps that callers
-may also take apart: min_hitting_set_size proves the optimum (or the
-verdict) without a witness, and lex_min_hitting_set finds the witness at
-a proven size.
+SolveTimeout once its deadline has passed.  It proves the optimum with a
+minimum cover (or the verdict), then turns that cover into the lex-min
+witness (_lex_min_witness); min_hitting_set_size is the proof alone.
 
 One search, _search, proves every size: the optimum, and each trial of the
 witness pass.  Given the automorphism group of a graph on the universe
@@ -316,7 +315,7 @@ def min_hitting_set_size(
 ) -> CoverResult:
     """min_hitting_set without the witness: the same status and size, with
     witness None.  Raises SolveTimeout past the absolute time.monotonic()
-    deadline.  With sym (see lex_min_hitting_set) the size is proved by
+    deadline.  With sym (see min_hitting_set) the size is proved by
     orbital branching (_search)."""
     return _search(inst, sym, None if sym is None else (), cutoff, lower_bound, deadline)[0]
 
@@ -335,11 +334,22 @@ def min_hitting_set(
     instance; the search then stops as soon as a matching solution is
     found.  With a cutoff c, an optimum above c yields CUTOFF_EXCEEDED.
     The search and the witness share deadline, an absolute
-    time.monotonic() value; past it SolveTimeout is raised.  sym (see
-    lex_min_hitting_set) serves both and never changes the result.
+    time.monotonic() value; past it SolveTimeout is raised.
+
+    sym, when given, holds the automorphism orbits of a graph on inst's
+    universe (a symmetry.GraphSymmetry); every automorphism must map inst's
+    family, forced set and excluded set onto themselves.  The search
+    branches on its orbits, and the witness pass rules out candidates by
+    them and splits large trials (_lex_min_witness); sym never changes the
+    result.
     """
-    res = min_hitting_set_size(inst, cutoff, lower_bound, deadline, sym)
-    return lex_min_hitting_set(inst, res.size, deadline, sym) if res.ok else res
+    res, found, _ = _search(inst, sym, None if sym is None else (), cutoff, lower_bound, deadline)
+    if not res.ok:
+        return res
+    rest = _lex_min_witness(inst._prepared, found & ~inst.forced, inst.universe_size, deadline, sym)
+    witness = rest | inst.forced
+    _validate_witness(inst, witness)
+    return CoverResult(OPTIMAL, res.size, _bits_of(witness))
 
 
 def _search(inst: CoverInstance, sym, fixed, cutoff, lower_bound, deadline) -> tuple[CoverResult, int, int]:
@@ -493,31 +503,6 @@ def _leaf(inst: CoverInstance, cutoff, lower_bound, deadline) -> tuple[CoverResu
     return CoverResult(OPTIMAL, base + size), mask | inst.forced, nodes
 
 
-def lex_min_hitting_set(
-    inst: CoverInstance,
-    size: int,
-    deadline: float | None = None,
-    sym=None,
-) -> CoverResult:
-    """The lexicographically smallest hitting set of inst among those of
-    the given size, which must be inst's proven optimum; raises
-    SolveTimeout past the absolute time.monotonic() deadline.
-
-    sym, when given, holds the automorphism orbits of a graph on inst's
-    universe (a symmetry.GraphSymmetry); every automorphism must map inst's
-    family, forced set and excluded set onto themselves.  It rules out
-    candidates by symmetry and splits large trials (_lex_min_witness), and
-    never changes the witness.  An infeasible inst gets its INFEASIBLE verdict."""
-    masks = inst._prepared
-    if isinstance(masks, CoverResult):
-        return masks
-    chosen = 0
-    if masks:
-        chosen = _lex_min_witness(masks, size - inst.forced.bit_count(), inst.universe_size, deadline, sym)
-    _validate_witness(inst, chosen | inst.forced)
-    return CoverResult(OPTIMAL, size, _bits_of(chosen | inst.forced))
-
-
 # the witness pass looks for a refuted candidate's orbit only after a
 # kernel call of at least this many nodes: an orbit search costs about as
 # much as a few hundred nodes.  Searching after every refutation raised
@@ -568,13 +553,14 @@ def _orbit_mates(sym, bit: int, chosen: int, candidates: int) -> int:
 
 def _lex_min_witness(
     masks: list[int],
-    size: int,
+    witness: int,
     universe: int,
     deadline: float | None,
     sym=None,
 ) -> int:
     """The lexicographically smallest hitting set of the reduced family
-    masks among those of its optimal size, as a mask.
+    masks among those of its optimal size, as a mask; witness is a minimum
+    hitting set of masks, the size proof's own cover.
 
     For equal-size sets R1 and R2 disjoint from the forced set F,
     sorted(F | R1) < sorted(F | R2) exactly when sorted(R1) < sorted(R2):
@@ -594,13 +580,13 @@ def _lex_min_witness(
     its reduction, and again once it is reduced, where it is the kernel's
     own test at its root node, which spares the greedy start and the call.
 
-    A known witness, a minimum cover whose smallest members are the prefix,
-    spares the kernel call for its next member: that member extends the
-    prefix, so only the smaller candidates need a test.  The witness starts
-    as the greedy cover when that has the optimal size, and each kernel
-    call that finds a completion replaces it.
+    The known witness, a minimum cover whose smallest members are the
+    prefix, spares the kernel call for its next member: that member extends
+    the prefix, so only the smaller candidates need a test.  It starts as
+    the proof's cover, and each kernel call that finds a completion
+    replaces it.
 
-    With sym (see lex_min_hitting_set), a rejected candidate c also rejects,
+    With sym (see min_hitting_set), a rejected candidate c also rejects,
     for the rest of the pass, every candidate c' in its orbit under the
     automorphisms that map the prefix P, and the other elements below c,
     each onto itself.  If the lex-minimum W held such a c', an automorphism
@@ -616,15 +602,12 @@ def _lex_min_witness(
     """
     chosen = 0
     banned = 0  # elements passed over, which no completion may use
-    g_size, witness = _cover_py.greedy_cover(masks)
-    if g_size != size:
-        witness = 0
-    for left in range(size - 1, -1, -1):  # members still to fix after this one
+    for left in range(witness.bit_count() - 1, -1, -1):  # members still to fix after this one
         live = 0
         for m in masks:
             live |= m
         rest = witness & ~chosen
-        known = rest & -rest  # the witness's next member, 0 when none is known
+        known = rest & -rest  # the witness's next member
         # every element below the largest chosen is chosen (in no unhit
         # set) or banned, so the candidates exceed the largest chosen
         candidates = live & ~banned

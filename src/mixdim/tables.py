@@ -117,11 +117,15 @@ class TableRow:
         return (self.m, self.beta, self.beta_e) + self.report.bound_tuple() + (self.beta_m,)
 
 
-def _diff_cells(computed: tuple[int, ...], expected: tuple[int, ...]) -> tuple[str, ...]:
+def _diff_cells(
+    columns: tuple[str, ...], computed: tuple[int | None, ...], expected: tuple[int, ...]
+) -> tuple[str, ...]:
+    """A flag for each of columns whose computed cell differs from the
+    published one; a cell computed as None (not solved) is not compared."""
     return tuple(
         f"{col}: computed {c} vs published {e}"
-        for col, c, e in zip(VALUE_COLUMNS, computed, expected)
-        if c != e
+        for col, c, e in zip(columns, computed, expected)
+        if c is not None and c != e
     )
 
 
@@ -192,7 +196,7 @@ def compare_order5(rows: list[TableRow]) -> tuple[int, list[TableRow]]:
         best = min(unmatched_exp, key=lambda j: sum(a != b for a, b in zip(values, expected[j])))
         unmatched_exp.remove(best)
         annotated[i] = replace(
-            rows[i], expected=expected[best], cell_flags=_diff_cells(values, expected[best])
+            rows[i], expected=expected[best], cell_flags=_diff_cells(VALUE_COLUMNS, values, expected[best])
         )
     return matches, [r for r in annotated if r is not None]
 
@@ -244,12 +248,7 @@ def selected_rows(
             out.append(TableRow(sel.name, G.n, G.m, None, None, None, None, status, expected))
             continue
         rep = replace(rep, label=sel.name)
-        computed = rep.bound_tuple() + (rep.beta_m if rep.beta_m is not None else -1,)
-        flags = tuple(
-            f"{col}: computed {c} vs published {e}"
-            for col, c, e in zip(VALUE_COLUMNS[3:], computed, expected)
-            if c != e and not (col == "betaM" and rep.beta_m is None)
-        )
+        flags = _diff_cells(VALUE_COLUMNS[3:], rep.bound_tuple() + (rep.beta_m,), expected)
         if rep.beta is not None and (rep.beta, rep.beta_e) != (sel.beta, sel.beta_e):
             flags += (
                 f"beta/betaE: computed {rep.beta}/{rep.beta_e} vs published {sel.beta}/{sel.beta_e}",

@@ -14,8 +14,8 @@ from mixdim.cover import (
     SolveTimeout,
     _reduce_family,
     greedy_hitting_set,
-    lex_min_hitting_set,
     min_hitting_set,
+    min_hitting_set_size,
 )
 
 from bruteforce import (
@@ -75,13 +75,14 @@ def test_greedy_matches_reference(width):
 
 
 def test_infeasible_names_a_set():
-    # every solve gives the same verdict, the witness pass at any size too
+    # every solve gives the same verdict, at any cutoff too
     inst = CoverInstance.build(3, masks([{0, 1}, {2}]), excluded=0b100)
     res = min_hitting_set(inst)
     assert res.status == INFEASIBLE
     assert res.infeasible_set == 0b100
     assert greedy_hitting_set(inst) == res
-    assert lex_min_hitting_set(inst, 2) == res
+    assert min_hitting_set(inst, cutoff=0) == res
+    assert min_hitting_set_size(inst) == res
 
 
 def test_empty_input_set_is_infeasible():
@@ -157,30 +158,47 @@ def cover_instances(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(cover_instances())
-def test_lex_min_witness_matches_brute_force(backend, case):
+@given(cover_instances(), st.data())
+def test_lex_min_witness_matches_brute_force(backend, case, data):
     u, sets, forced, excluded = case
     fmask, xmask = masks([forced, excluded])
-    res = min_hitting_set(CoverInstance.build(u, masks(sets), forced=fmask, excluded=xmask))
+    inst = CoverInstance.build(u, masks(sets), forced=fmask, excluded=xmask)
     expected = brute_hitting_set(u, sets, forced, excluded)
     if any(not s - excluded for s in sets):
-        assert (res.status, expected) == (INFEASIBLE, None)
-    else:
-        assert (res.status, res.size, res.witness) == (OPTIMAL, *expected)
+        assert (min_hitting_set(inst).status, expected) == (INFEASIBLE, None)
+        return
+    # a valid lower bound or a cutoff the optimum meets can stop the proof
+    # at another minimum cover, from which the witness pass starts
+    size = expected[0]
+    lower_bound = data.draw(st.integers(0, size), label="lower_bound")
+    cutoff = data.draw(st.none() | st.integers(size, size + 2), label="cutoff")
+    res = min_hitting_set(inst, cutoff, lower_bound)
+    assert (res.status, res.size, res.witness) == (OPTIMAL, *expected)
 
 
-def test_greedy_witness_needs_no_kernel_call(monkeypatch):
-    # greedy takes 0, then 3: already the lex-min cover of size 2
-    family = masks([{0, 1}, {0, 2}, {3, 4}, {3, 5}])
+def test_proof_cover_spares_the_witness_pass(backend, monkeypatch):
+    # the edges of the path 3-2-0-1-4: greedy takes 0 first and needs three
+    # vertices, while the size proof's kernel call finds {1, 2}, already the
+    # lex-min cover, so the witness pass starting from it calls no kernel
+    inst = CoverInstance.build(5, masks([{0, 1}, {0, 2}, {1, 4}, {2, 3}]))
+    assert _cover_py.greedy_cover(inst._prepared)[0] == 3
+    pick = cover._kernel
     calls = []
 
-    def kernel(*args):
-        calls.append(args)
-        return _cover_py.solve(*args)
+    def counted_kernel(universe):
+        solve = pick(universe)
 
-    monkeypatch.setattr(cover, "_kernel", lambda universe: kernel)
-    assert cover._lex_min_witness(family, 2, 6, None) == 0b1001
-    assert calls == []
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        return counted
+
+    monkeypatch.setattr(cover, "_kernel", counted_kernel)
+    assert min_hitting_set_size(inst).size == 2
+    assert len(calls) == 1
+    assert min_hitting_set(inst).witness == (1, 2)
+    assert len(calls) == 2
 
 
 def test_monotone_in_sets():

@@ -11,7 +11,7 @@ import pytest
 import mixdim.cover as cover
 from mixdim.bounds import bounds_report, edge_side_sets
 from mixdim.cli import EXIT_INVALID, main
-from mixdim.cover import CoverInstance, SolveTimeout, min_hitting_set_size
+from mixdim.cover import CoverInstance, SolveTimeout
 from mixdim.dims import GraphAnalysis, mixed_metric_dimension
 from mixdim.families import generate_named
 
@@ -24,7 +24,7 @@ def solves(monkeypatch):
     """Each solve of an instance that is not split (cover._leaf): the
     forced-structure bound, every orbital branch of a size proof and every
     witness-pass trial, advances the clock by STEP; returns the list of
-    instances solved."""
+    their arguments (inst, cutoff, lower_bound, deadline)."""
     calls = []
     offset = [0.0]
     real = time.monotonic
@@ -33,7 +33,7 @@ def solves(monkeypatch):
 
     def slow(*args):
         offset[0] += STEP
-        calls.append(args[0])
+        calls.append(args)
         return leaf(*args)
 
     monkeypatch.setattr(cover, "_leaf", slow)
@@ -59,7 +59,9 @@ def test_mixed_levels_share_one_deadline(solves):
 def test_bounds_report_solves_share_one_deadline(solves):
     with pytest.raises(SolveTimeout):
         bounds_report(petersen(), compute_exact=True, timeout=BUDGET)
-    assert len(solves) <= 3  # stops at the first solve past the deadline
+    # stops at the first solve past the deadline.  The forced-structure
+    # bound's solve carries none, so it advances the clock without a check
+    assert len([args for args in solves if args[3] is not None]) <= 3
 
 
 def test_cli_dims_deadline_covers_beta_and_beta_e(solves, capsys):
@@ -83,7 +85,7 @@ def test_witness_trial_branches_share_one_deadline(monkeypatch):
     a = GraphAnalysis(G)
     closer_u, closer_v = edge_side_sets(a.oracle)
     inst = CoverInstance.build(G.n, closer_u + closer_v)
-    size = min_hitting_set_size(inst, sym=a.symmetry).size
+    proof = cover._search(inst, a.symmetry, (), None, 0, None)[1]
     kernel = cover._kernel(G.n)
     calls = []
 
@@ -95,5 +97,5 @@ def test_witness_trial_branches_share_one_deadline(monkeypatch):
     monkeypatch.setattr(cover, "_kernel", lambda universe: slow_kernel)
     masks = inst._prepared
     with pytest.raises(SolveTimeout):
-        cover._lex_min_witness(masks, size, G.n, time.monotonic() + 1.5 * STEP, a.symmetry)
+        cover._lex_min_witness(masks, proof, G.n, time.monotonic() + 1.5 * STEP, a.symmetry)
     assert len(calls) == 2

@@ -20,7 +20,7 @@ from mixdim.cover import (
     OPTIMAL,
     CoverInstance,
     SolveTimeout,
-    lex_min_hitting_set,
+    min_hitting_set,
     min_hitting_set_size,
 )
 from mixdim.dims import EDGE_PAIRS, VERTEX_PAIRS, GraphAnalysis, excluded_vertices
@@ -256,7 +256,7 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
 
 @pytest.mark.parametrize(
     ("name", "params", "nodes"),
-    [("rook", (6,), 8035), ("gq24", (), 35782), ("johnson", (9, 2), 7352), ("clebsch", (), 755)],
+    [("rook", (6,), 8035), ("gq24", (), 35782), ("johnson", (9, 2), 7352), ("clebsch", (), 736)],
 )
 def test_exact_report_node_counts(name, params, nodes, monkeypatch):
     # every Python-kernel node of an exact report: value proofs, orbital
@@ -505,8 +505,7 @@ def _assert_witnesses_match_plain(G):
     for name, inst in _families(G):
         plain = min_hitting_set_size(inst)
         if plain.ok:
-            size = min_hitting_set_size(inst, sym=sym).size
-            assert lex_min_hitting_set(inst, size, sym=sym) == lex_min_hitting_set(inst, plain.size), name
+            assert min_hitting_set(inst, sym=sym) == min_hitting_set(inst), name
 
 
 @pytest.mark.parametrize("G", VERDICT_GRAPHS)
@@ -553,8 +552,15 @@ def _split_counts(monkeypatch):
 
 
 # the selected graphs whose exact reports split on the kernel's branching
-# set and split witness-pass trials at the default gates
-SPLIT_AT_DEFAULT_GATES = ("Rook's graph", "Hamming H(2,6)", "9-triangular graph", "Generalized quadrangle")
+# set at the default gates, each with whether they split witness-pass
+# trials too: GQ(2,4)'s passes, started from the proofs' covers, reach no
+# trial large enough to split
+SPLIT_AT_DEFAULT_GATES = {
+    "Rook's graph": True,
+    "Hamming H(2,6)": True,
+    "9-triangular graph": True,
+    "Generalized quadrangle": False,
+}
 
 
 @pytest.mark.parametrize("sel", [s for s in SELECTED_GRAPHS if s.family is not None], ids=lambda s: s.name)
@@ -575,10 +581,11 @@ def test_selected_graph_witnesses_match_plain(sel, backend, monkeypatch):
         (mixed, rep.beta_m, rep.beta_m_witness),
     ]
     for inst, size, witness in families:
-        assert lex_min_hitting_set(inst, size, sym=sym).witness == witness
-        assert lex_min_hitting_set(inst, size).witness == witness
+        for res in (min_hitting_set(inst, sym=sym), min_hitting_set(inst)):
+            assert (res.status, res.size, res.witness) == (OPTIMAL, size, witness)
     if sel.name in SPLIT_AT_DEFAULT_GATES:
-        assert counts["set"] and counts["trial"]
+        assert counts["set"]
+        assert bool(counts["trial"]) == SPLIT_AT_DEFAULT_GATES[sel.name]
 
 
 def test_small_graphs_take_the_new_paths(monkeypatch):
@@ -592,12 +599,17 @@ def test_small_graphs_take_the_new_paths(monkeypatch):
 
 @pytest.fixture(scope="module")
 def johnson_n2():
-    """(graph, its orbits, its N2 side-set instance, the optimum)."""
+    """(graph, its orbits, its N2 side-set instance)."""
     G = generate_named("johnson", 9, 2)
     a = GraphAnalysis(G)
     closer_u, closer_v = edge_side_sets(a.oracle)
-    inst = CoverInstance.build(G.n, closer_u + closer_v)
-    return G, a.symmetry, inst, min_hitting_set_size(inst, sym=a.symmetry).size
+    return G, a.symmetry, CoverInstance.build(G.n, closer_u + closer_v)
+
+
+def _proof_cover(inst, sym):
+    """The minimum cover that min_hitting_set's size proof finds, less the
+    forced elements: where its witness pass starts."""
+    return cover._search(inst, sym, None if sym is None else (), None, 0, None)[1] & ~inst.forced
 
 
 @pytest.mark.parametrize(("with_sym", "calls", "nodes"), [(False, 26, 38696), (True, 12, 5257)])
@@ -606,7 +618,9 @@ def test_johnson_n2_witness_pass(johnson_n2, backend, with_sym, calls, nodes, mo
     # automorphisms that keep the prefix and the rest below it, and the
     # trials of at least _SPLIT_MIN_SETS sets are split by orbital
     # branching, each branch one kernel call
-    G, sym, inst, size = johnson_n2
+    G, sym, inst = johnson_n2
+    sym = sym if with_sym else None
+    proof = _proof_cover(inst, sym)
     kernel = cover._kernel(G.n)
     made = []
 
@@ -617,7 +631,7 @@ def test_johnson_n2_witness_pass(johnson_n2, backend, with_sym, calls, nodes, mo
 
     monkeypatch.setattr(cover, "_kernel", lambda universe: counted)
     masks = inst._prepared
-    chosen = cover._lex_min_witness(masks, size, G.n, None, sym if with_sym else None)
+    chosen = cover._lex_min_witness(masks, proof, G.n, None, sym)
     assert cover._bits_of(chosen) == (0, 1, 8, 21, 22, 26, 33, 34, 35)
     assert (len(made), sum(made)) == (calls, nodes)
 
@@ -629,7 +643,9 @@ def test_witness_pass_times_out_after_costly_refutation(johnson_n2, backend, mon
     offset = [0.0]
     real = time.monotonic
     monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
-    G, _sym, inst, size = johnson_n2
+    G, _sym, inst = johnson_n2
+    sym = GraphSymmetry(G, distances(G).dv)
+    proof = _proof_cover(inst, sym)
     search = cover._search
     depth = [0]
 
@@ -650,9 +666,8 @@ def test_witness_pass_times_out_after_costly_refutation(johnson_n2, backend, mon
     mates = cover._orbit_mates
     monkeypatch.setattr(cover, "_orbit_mates", lambda *args: searched.append(args[1]) or mates(*args))
     masks = inst._prepared
-    sym = GraphSymmetry(G, distances(G).dv)
     with pytest.raises(SolveTimeout):
-        cover._lex_min_witness(masks, size, G.n, time.monotonic() + 60.0, sym)
+        cover._lex_min_witness(masks, proof, G.n, time.monotonic() + 60.0, sym)
     assert len(searched) == 1
 
 
