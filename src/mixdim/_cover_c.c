@@ -6,10 +6,20 @@
  * of its earlier siblings from every set).  Both kernels visit the same
  * search tree and return identical results and node counts; this one
  * holds each set in one 64-bit word, so it takes universes of at most 64
- * elements.  With a
- * deadline, time.monotonic (looked up when solve is called) is read every
- * 4096 nodes, as in the Python kernel.  Uses the GCC/Clang bit builtins:
- * the extension is optional, and without it the Python kernel runs.
+ * elements.
+ *
+ * The two differ only in where a node's work happens.  Here a parent tests
+ * each child over its own sets before it copies the child's: the
+ * disjoint-set bound stops as soon as it refutes the child, which then
+ * counts as one node with no copy and no call.  The forced picks are taken
+ * before that test, as in the Python kernel: the root's singletons before
+ * the search starts, and below the root those of the last child, the only
+ * one with singletons, together with its branch element.  So a node's own
+ * sets hold no empty set and no singleton, and it only looks for the set
+ * to branch on.  With a deadline, time.monotonic (looked up when solve is
+ * called) is read every 4096 nodes, as in the Python kernel.  Uses the
+ * GCC/Clang bit builtins: the extension is optional, and without it the
+ * Python kernel runs.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -21,8 +31,9 @@ typedef unsigned long long u64;
 #define STATUS_TIMEOUT 2
 #define TIME_CHECK_MASK 0xFFFull /* _cover_py._TIME_CHECK_MASK */
 #define MAX_UNIVERSE 64
-/* child buffers per search: a branch adds one element and never starts
-   once the count reaches the best size, which is at most 64 */
+/* node buffers per search, one per depth: a node d levels down has at
+   least d elements and gets a copy of its sets only while that count is
+   below the best size, which the greedy start makes at most 64 */
 #define LEVELS (MAX_UNIVERSE + 1)
 
 typedef struct {
@@ -74,14 +85,10 @@ static int greedy(const u64 *masks, Py_ssize_t n, u64 *scratch, u64 *out)
     return size;
 }
 
-/* DFS over the n masks at masks (which it may overwrite); returns 1 when
-   the search should unwind (stop size reached, deadline passed or clock
-   error). */
-static int search(Search *st, u64 *masks, Py_ssize_t n, int level, u64 chosen, int count)
+/* Count one node; returns 1 when the search should unwind because the
+   deadline has passed or the clock raised. */
+static int count_node(Search *st)
 {
-    Py_ssize_t i, w;
-    int lb = 0, pick_pc = MAX_UNIVERSE + 1;
-    u64 acc = 0, pick = 0, keep = ~0ull, x, *child;
     st->nodes++;
     if (st->clock != NULL && !(st->nodes & TIME_CHECK_MASK)) {
         PyObject *now = PyObject_CallNoArgs(st->clock);
@@ -92,49 +99,47 @@ static int search(Search *st, u64 *masks, Py_ssize_t n, int level, u64 chosen, i
             return 1;
         }
     }
+    return 0;
+}
 
-    /* forced picks: sets with a single available element */
-    for (;;) {
-        u64 picks = 0;
-        for (i = 0; i < n; i++) {
-            u64 m = masks[i];
-            if (m == 0)
-                return 0; /* this branch cannot hit m */
-            if ((m & (m - 1)) == 0)
-                picks |= m;
+/* The root test of a node before its sets are copied: its sets are
+   m & keep for the n masks m that miss hit, with count elements chosen.
+   Pairwise-disjoint sets each need their own element, so 1 as soon as
+   they fill the room below the best size. */
+static int refuted(const Search *st, const u64 *masks, Py_ssize_t n, u64 hit, u64 keep, int count)
+{
+    int lb = 0, room = st->best_size - count;
+    u64 acc = 0;
+    Py_ssize_t i;
+    if (room <= 0)
+        return 1;
+    for (i = 0; i < n; i++) {
+        u64 m = masks[i] & keep;
+        if (!(masks[i] & hit) && !(m & acc)) {
+            if (++lb >= room)
+                return 1;
+            acc |= m;
         }
-        if (picks == 0)
-            break;
-        chosen |= picks;
-        count += __builtin_popcountll(picks);
-        for (i = w = 0; i < n; i++)
-            if (!(masks[i] & picks))
-                masks[w++] = masks[i];
-        n = w;
-        if (count >= st->best_size)
-            return 0;
-        if (n == 0)
-            break;
     }
+    return 0;
+}
 
-    if (count >= st->best_size)
-        return 0;
+/* DFS over the n masks at masks, none of them empty or a singleton;
+   returns 1 when the search should unwind (stop size reached, deadline
+   passed or clock error). */
+static int search(Search *st, const u64 *masks, Py_ssize_t n, int level, u64 chosen, int count)
+{
+    Py_ssize_t i, w;
+    int pick_pc = MAX_UNIVERSE + 1;
+    u64 pick = 0, keep = ~0ull, x, *child;
+    if (count_node(st))
+        return 1;
     if (n == 0) {
         st->best_size = count;
         st->best_mask = chosen;
         st->have_best = 1;
         return count <= st->stop_size;
     }
-
-    /* lower bound from pairwise-disjoint uncovered sets */
-    for (i = 0; i < n; i++) {
-        if (!(masks[i] & acc)) {
-            lb++;
-            acc |= masks[i];
-        }
-    }
-    if (count + lb >= st->best_size)
-        return 0;
 
     /* branch on the smallest set (ties: smallest mask value); keep clears
        the elements of earlier siblings, banned in later branches */
@@ -147,13 +152,30 @@ static int search(Search *st, u64 *masks, Py_ssize_t n, int level, u64 chosen, i
     }
     child = st->arena + (size_t)(level + 1) * (size_t)st->cap;
     for (x = pick; x; x &= x - 1) {
-        u64 bit = x & (~x + 1);
-        for (i = w = 0; i < n; i++) { /* branch-free: faster than testing each set */
-            child[w] = masks[i] & keep;
-            w += !(masks[i] & bit);
+        u64 bit = x & (~x + 1), hit = bit;
+        int size;
+        /* every set holds pick_pc or more elements, so only the last child,
+           which bans all of pick but bit, leaves sets with one element:
+           its forced picks, taken along with bit */
+        if (x == bit) {
+            for (i = 0; i < n; i++) {
+                u64 m = masks[i] & keep;
+                if (!(masks[i] & bit) && !(m & (m - 1)))
+                    hit |= m;
+            }
         }
-        if (search(st, child, w, level + 1, chosen | bit, count + 1))
-            return 1;
+        size = count + __builtin_popcountll(hit);
+        if (refuted(st, masks, n, hit, keep, size)) {
+            if (count_node(st))
+                return 1;
+        } else {
+            for (i = w = 0; i < n; i++) { /* branch-free: faster than testing each set */
+                child[w] = masks[i] & keep;
+                w += !(masks[i] & hit);
+            }
+            if (search(st, child, w, level + 1, chosen | hit, size))
+                return 1;
+        }
         keep ^= bit;
     }
     return 0;
@@ -165,7 +187,7 @@ static PyObject *solve(PyObject *Py_UNUSED(self), PyObject *args)
     PyObject *masks_obj, *cutoff_obj, *deadline, *seq, *result = NULL;
     long cutoff = 0;
     Py_ssize_t n, i;
-    u64 *buf = NULL, g_mask = 0;
+    u64 *buf = NULL, g_mask = 0, picks = 0;
     Search st;
 
     if (!PyArg_ParseTuple(args, "iOOiO:solve", &universe, &masks_obj, &cutoff_obj, &stop_size, &deadline))
@@ -190,7 +212,7 @@ static PyObject *solve(PyObject *Py_UNUSED(self), PyObject *args)
     st.stop_size = stop_size;
     st.deadline = deadline;
     st.cap = n;
-    /* LEVELS search buffers, then the greedy's scratch */
+    /* LEVELS node buffers, the root's first, then the greedy's scratch */
     buf = PyMem_Malloc((size_t)(LEVELS + 1) * (size_t)n * sizeof(u64));
     if (buf == NULL) {
         PyErr_NoMemory();
@@ -224,7 +246,20 @@ static PyObject *solve(PyObject *Py_UNUSED(self), PyObject *args)
             goto done;
         }
     }
-    search(&st, buf, n, 0, 0, 0);
+    /* the root's singletons are its forced picks */
+    for (i = 0; i < n; i++)
+        if (!(buf[i] & (buf[i] - 1)))
+            picks |= buf[i];
+    size = __builtin_popcountll(picks);
+    if (refuted(&st, buf, n, picks, ~0ull, size)) {
+        count_node(&st);
+    } else {
+        Py_ssize_t w = 0;
+        for (i = 0; i < n; i++)
+            if (!(buf[i] & picks))
+                buf[w++] = buf[i];
+        search(&st, buf, w, 0, picks, size);
+    }
     if (st.stopped < 0)
         goto done; /* the clock raised: propagate its exception */
     if (st.stopped)

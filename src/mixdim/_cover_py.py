@@ -12,9 +12,24 @@ split on its elements in ascending index order, banning each element in
 the later branches.  Lower bound: size of a greedily collected family of
 pairwise-disjoint uncovered sets.  Singleton sets force their element.
 
-Each node reads its sets in one scan that finds all of these at once: an
-empty set, the singletons, the disjoint-set bound and the set to branch
-on.  Only forced picks, which drop the sets they hit, make it scan again.
+A node is entered with its parent's sets, the elements its branch takes
+(hit) and the elements still allowed (keep), and makes one pass over them:
+it drops the sets that hit meets, strips the rest to keep, collects them as
+its own sets and finds the set to branch on.  The disjoint-set bound counts
+in the same pass and refutes the node as soon as it reaches the room below
+the best size (best_size - count), so a refuted node never finishes its
+scan or its list.  The compiled twin runs the same test in the parent,
+before it copies the child's sets.
+
+The bound counts after the forced picks, never before them: a count over
+the sets before the picks can reach the room where the count after them
+does not, and would cut a node the tree holds.  The root's singletons are
+taken before the search starts.  Below the root only a node's last child
+meets singletons: every set holds at least as many elements as the set
+branched on, and only the last child bans all of that set but one element.
+Its singletons come from the parent's other sets of that size that hold
+all the banned elements, so the parent adds their remaining elements to
+that child's hit.  No node's own sets hold an empty set or a singleton.
 """
 from __future__ import annotations
 
@@ -75,12 +90,15 @@ class _Search:
         self.nodes = 0
         self.timed_out = False
 
-    def run(self, masks: list[int], chosen: int, count: int) -> bool:
-        """DFS; returns True when the search should unwind (stop or timeout).
+    def run(self, masks: list[int], hit: int, keep: int, chosen: int, count: int) -> bool:
+        """Visit one node; returns True when the search should unwind (stop
+        or timeout).
 
-        masks hold only available elements: the caller strips the elements
-        banned on this path (earlier siblings of each branch taken), so a
-        set's mask is what the compiled twin computes as m & ~banned.
+        The node's sets are m & keep for the masks m of its parent that miss
+        hit; chosen holds the count elements taken on the way here, hit
+        included.  keep clears the elements banned on this path (earlier
+        siblings of each branch taken), which the compiled twin computes as
+        m & ~banned.
         """
         self.nodes += 1
         if self.deadline is not None and not self.nodes & _TIME_CHECK_MASK:
@@ -88,62 +106,59 @@ class _Search:
                 self.timed_out = True
                 return True
 
-        # one scan of masks finds a zero set (smallest size 0), forced picks
-        # (size 1), the disjoint-set bound and the set to branch on; only
-        # forced picks, which shrink masks, make it scan again
-        while True:
-            lb = 0
-            acc = 0
-            pick = -1
-            pick_pc = 1 << 62
-            for m in masks:
+        # one pass builds the node's sets, finds the set to branch on
+        # (fewest elements, ties to the smallest mask) with all the sets of
+        # its size, and counts pairwise-disjoint sets, each needing its own
+        # element: room of them refute the node where the pass stands
+        room = self.best_size - count
+        if room <= 0:
+            return False
+        lb = 0
+        acc = 0
+        pick = -1
+        pick_pc = 1 << 62
+        ties: list[int] = []
+        sets: list[int] = []
+        for m in masks:
+            if not m & hit:
+                m &= keep
+                sets.append(m)
                 if not m & acc:
                     lb += 1
+                    if lb >= room:
+                        return False
                     acc |= m
                 pc = m.bit_count()
-                if pc < pick_pc or (pc == pick_pc and m < pick):
-                    pick = m
-                    pick_pc = pc
-            if pick_pc > 1:
-                break
-            if pick_pc == 0:
-                return False  # this branch cannot hit that set
-            picks = 0
-            for m in masks:
-                if m & (m - 1) == 0:
-                    picks |= m
-            chosen |= picks
-            count += picks.bit_count()
-            # masks never meet chosen: each branch dropped the sets it hit
-            masks = [m for m in masks if not m & picks]
-            if count >= self.best_size:
-                return False
-            if not masks:
-                break
-
-        if count >= self.best_size:
-            return False
-        if not masks:
+                if pc <= pick_pc:
+                    if pc < pick_pc:
+                        pick = m
+                        pick_pc = pc
+                        ties = [m]
+                    else:
+                        ties.append(m)
+                        if m < pick:
+                            pick = m
+        if not sets:
             self.best_size = count
             self.best_mask = chosen
             return count <= self.stop_size
-        # lb counts pairwise-disjoint sets, each needing its own element
-        if count + lb >= self.best_size:
-            return False
 
-        # branch on the smallest set (ties: smallest mask value), banning
-        # each element in its later siblings: keep clears the banned ones,
-        # so the first child needs no clearing
-        bit = pick & -pick
-        if self.run([m for m in masks if not m & bit], chosen | bit, count + 1):
-            return True
-        keep = ~bit
-        x = pick ^ bit
+        # branch on pick, banning each element in its later siblings: keep
+        # clears the banned ones.  The last child bans all of pick but its
+        # own element, so each other set of pick's size that holds the
+        # banned ones keeps one element there, which that child must take
+        keep = -1
+        x = pick
         while x:
             bit = x & -x
             x ^= bit
-            child = [m & keep for m in masks if not m & bit]
-            if self.run(child, chosen | bit, count + 1):
+            hit = bit
+            if not x:
+                banned = pick ^ bit
+                for t in ties:
+                    if t & banned == banned and t != pick:
+                        hit |= t ^ banned
+            if self.run(sets, hit, keep, chosen | hit, count + hit.bit_count()):
                 return True
             keep ^= bit
         return False
@@ -175,7 +190,12 @@ def solve(
         search.best_mask = g_mask
         if g_size <= stop_size:
             return STATUS_OPTIMAL, g_size, g_mask, 0
-    search.run(masks, 0, 0)
+    # the root's singletons are its forced picks
+    picks = 0
+    for m in masks:
+        if m & (m - 1) == 0:
+            picks |= m
+    search.run(masks, picks, -1, picks, picks.bit_count())
     if search.timed_out:
         return STATUS_TIMEOUT, 0, 0, search.nodes
     if search.best_mask < 0 or (cutoff is not None and search.best_size > cutoff):

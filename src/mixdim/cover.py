@@ -133,8 +133,9 @@ def _rows_of_masks(masks: Sequence[int], width: int) -> np.ndarray:
     return rows
 
 
-# below this many distinct masks the plain loop beats numpy's call overhead
-_VECTOR_REDUCE_MIN = 64
+# below this many distinct masks the plain loop beats numpy's call overhead:
+# replayed benchmark families cross over between 256 and 400 masks
+_VECTOR_REDUCE_MIN = 256
 
 
 def _reduce_family(masks: Iterable[int]) -> list[int]:

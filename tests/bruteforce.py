@@ -309,14 +309,45 @@ def reference_greedy_cover(masks):
 
 
 class _ReferenceSearch:
+    """The kernels' search tree, written plainly: each node tests its sets
+    for an empty set, takes its forced picks, then counts the disjoint-set
+    bound over what is left.
+
+    It also counts two paths, so tests can check that their cases take
+    them.  sibling_refuted counts nodes the bound refutes after an earlier
+    sibling lowered the best size below what their parent started with.
+    bound_before_forced counts nodes whose disjoint sets, counted in list
+    order before the forced picks, fill the room below the best size before
+    a later singleton or empty set; forced_rescued counts those among them
+    that the bound after the picks does not refute, where a search that
+    stopped at that point would cut the tree."""
+
     def __init__(self, best_size, stop_size):
         self.best_size = best_size
         self.best_mask = -1
         self.stop_size = stop_size
         self.nodes = 0
+        self.sibling_refuted = 0
+        self.bound_before_forced = 0
+        self.forced_rescued = 0
 
-    def run(self, masks, chosen, count, banned):
+    def _bound_before_forced(self, masks, count, banned):
+        room = self.best_size - count
+        avail = [m & ~banned for m in masks]
+        lb = 0
+        acc = 0
+        for i, a in enumerate(avail):
+            if not a & acc:
+                lb += 1
+                acc |= a
+                if lb >= room:
+                    return any(b & (b - 1) == 0 for b in avail[i + 1 :])
+        return False
+
+    def run(self, masks, chosen, count, banned, parent_best=None):
         self.nodes += 1
+        early = self._bound_before_forced(masks, count, banned)
+        self.bound_before_forced += early
         while True:
             picks = 0
             for m in masks:
@@ -331,17 +362,12 @@ class _ReferenceSearch:
             count += picks.bit_count()
             masks = [m for m in masks if not m & chosen]
             if count >= self.best_size:
-                return False
+                return self._refuted(parent_best)
             if not masks:
                 break
 
         if count >= self.best_size:
-            return False
-        if not masks:
-            self.best_size = count
-            self.best_mask = chosen
-            return count <= self.stop_size
-
+            return self._refuted(parent_best)
         lb = 0
         acc = 0
         for m in masks:
@@ -350,7 +376,12 @@ class _ReferenceSearch:
                 lb += 1
                 acc |= avail
         if count + lb >= self.best_size:
-            return False
+            return self._refuted(parent_best)
+        self.forced_rescued += early
+        if not masks:
+            self.best_size = count
+            self.best_mask = chosen
+            return count <= self.stop_size
 
         pick = -1
         pick_pc = 1 << 62
@@ -360,22 +391,30 @@ class _ReferenceSearch:
             if pc < pick_pc or (pc == pick_pc and avail < pick):
                 pick = avail
                 pick_pc = pc
+        entry_best = self.best_size
         local_banned = banned
         x = pick
         while x:
             bit = x & -x
             x ^= bit
             child = [m for m in masks if not m & bit]
-            if self.run(child, chosen | bit, count + 1, local_banned):
+            if self.run(child, chosen | bit, count + 1, local_banned, entry_best):
                 return True
             local_banned |= bit
         return False
 
+    def _refuted(self, parent_best):
+        if parent_best is not None and self.best_size < parent_best:
+            self.sibling_refuted += 1
+        return False
 
-def reference_cover_search(universe, masks, cutoff, stop_size):
+
+def reference_cover_search(universe, masks, cutoff, stop_size, paths=None):
     """(status, size, mask, nodes) with the kernel's status codes
     (0 optimal, 1 above cutoff); nodes is 0 when greedy already met
-    stop_size and no search ran.  masks must be nonempty and reduced."""
+    stop_size and no search ran.  masks must be nonzero; the package
+    passes reduced families, and the kernels give this tree on any family.
+    paths, a collections.Counter, gains the search's path counts."""
     if not masks:
         return 0, 0, 0, 0
     sentinel = (cutoff + 1) if cutoff is not None else universe + 1
@@ -387,6 +426,12 @@ def reference_cover_search(universe, masks, cutoff, stop_size):
         if g_size <= stop_size:
             return 0, g_size, g_mask, 0
     search.run(masks, 0, 0, 0)
+    if paths is not None:
+        paths.update(
+            sibling_refuted=search.sibling_refuted,
+            bound_before_forced=search.bound_before_forced,
+            forced_rescued=search.forced_rescued,
+        )
     if search.best_mask < 0 or (cutoff is not None and search.best_size > cutoff):
         return 1, 0, 0, search.nodes
     return 0, search.best_size, search.best_mask, search.nodes

@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 
@@ -346,18 +347,43 @@ def _kernel_case(rng, universe):
     return _reduce_family(sets), cutoff, stop_size
 
 
+def _unreduced_case(rng):
+    """A universe and a family of 2 to 4 elements a set, a few singletons
+    among them, with no supersets removed: a singleton then shares its
+    element with larger sets, as forced picks below the root do."""
+    universe = rng.randint(6, 20)
+    sets = []
+    for _ in range(rng.randint(universe, 3 * universe)):
+        k = 1 if rng.random() < 0.05 else rng.randint(2, 4)
+        sets.append(sum(1 << b for b in rng.sample(range(universe), k)))
+    return universe, list(dict.fromkeys(sets))
+
+
 def test_python_search_matches_reference_tree():
     # both kernels return the reference's answers and node counts; the
     # reference bans elements per node instead of stripping them from the
-    # sets.  The compiled kernel, when built, takes universes up to 64
+    # sets, and takes each node's forced picks before its bound in plain
+    # steps.  The cases take the paths that the reference counts: nodes
+    # refuted after an earlier sibling lowered the best size, and nodes
+    # whose disjoint sets fill the room before a later singleton, a few of
+    # which the count after the forced picks keeps.  The unreduced cases,
+    # which the kernels take as well, reach those most often.  The compiled
+    # kernel, when built, takes universes up to 64
     compiled = cover._cover_c
     rng = random.Random(5)
     universes = [rng.randint(2, 16) for _ in range(200)] + [70, 90]
+    cases = [(universe, *_kernel_case(rng, universe)) for universe in universes]
+    rng = random.Random(2)
+    cases += [(*_unreduced_case(rng), None, 0) for _ in range(400)]
+    # {0, 1} {1, 2, 3} {2, 4} {3, 5} {0}, greedy cover 3: before the forced
+    # pick of 0, three sets are disjoint and would refute the root; after
+    # it, {1, 2, 3} meets both others, and the root branches (3 nodes)
+    cases.append((6, [0b11, 0b1110, 0b10100, 0b101000, 0b1], None, 0))
     statuses = set()
     total_nodes = 0
-    for universe in universes:
-        masks, cutoff, stop_size = _kernel_case(rng, universe)
-        want = reference_cover_search(universe, masks, cutoff, stop_size)
+    paths = collections.Counter()
+    for universe, masks, cutoff, stop_size in cases:
+        want = reference_cover_search(universe, masks, cutoff, stop_size, paths)
         assert _cover_py.solve(universe, masks, cutoff, stop_size, None) == want
         if compiled is not None and universe <= 64:
             assert compiled.solve(universe, masks, cutoff, stop_size, None) == want
@@ -365,6 +391,9 @@ def test_python_search_matches_reference_tree():
         total_nodes += want[3]
     assert statuses == {_cover_py.STATUS_OPTIMAL, _cover_py.STATUS_CUTOFF}
     assert total_nodes > 1000
+    assert paths["sibling_refuted"] > 100
+    assert paths["bound_before_forced"] > 100
+    assert paths["forced_rescued"] > 0
 
 
 def _reference_reduction(masks):
