@@ -1,109 +1,33 @@
 """Exact solver and lower bounds for the vertex, edge and mixed metric
-dimension of connected simple graphs."""
+dimension of connected simple graphs.
 
-from .bounds import (
-    BoundsReport,
-    bounds_report,
-    edge_side_sets,
-    lb_l1,
-    lb_l2,
-    lb_l3,
-    lb_l4,
-    lb_n1,
-    lb_n2,
-    lb_n3,
-)
-from .cover import (
-    CoverInstance,
-    CoverResult,
-    SolveTimeout,
-    available_backends,
-    greedy_hitting_set,
-    min_hitting_set,
-)
-from .dims import (
-    ForcedStructure,
-    all_min_mixed_bases,
-    edge_metric_dimension,
-    excluded_vertices,
-    forced_vertices,
-    metric_dimension,
-    mixed_metric_dimension,
-    verify_mixed_resolving,
-)
-from .families import (
-    FamilySpec,
-    connected_graphs_of_order,
-    encode_graph6,
-    generate,
-    generate_named,
-    parse_family_spec,
-    parse_graph6,
-    strongly_regular_params,
-)
-from .graphs import (
-    DisconnectedGraphError,
-    DistanceOracle,
-    Graph,
-    GraphError,
-    MixedItem,
-    build_graph,
-    distances,
-    item_distance,
-    resolving_vector,
-)
-from .lp import CoveringLP, LPError, ceil_with_tolerance, solve_covering_lp
-from .torus import TorusCase, torus_candidate, torus_theorem_check
+The top level holds what the command line, the library quick start and the
+benchmark reach; every other name lives in its own module."""
+
+from .bounds import BoundsReport, bounds_report
+from .cover import SolveTimeout, available_backends
+from .dims import edge_metric_dimension, metric_dimension, mixed_metric_dimension
+from .families import connected_graphs_of_order, encode_graph6, generate_named, parse_graph6
+from .graphs import DisconnectedGraphError, Graph, GraphError, build_graph
+from .torus import torus_theorem_check
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundsReport",
-    "CoverInstance",
-    "CoverResult",
-    "CoveringLP",
     "DisconnectedGraphError",
-    "DistanceOracle",
-    "FamilySpec",
-    "ForcedStructure",
     "Graph",
     "GraphError",
-    "LPError",
-    "MixedItem",
     "SolveTimeout",
-    "TorusCase",
-    "all_min_mixed_bases",
     "available_backends",
     "bounds_report",
     "build_graph",
-    "ceil_with_tolerance",
     "connected_graphs_of_order",
-    "distances",
     "edge_metric_dimension",
-    "edge_side_sets",
     "encode_graph6",
-    "excluded_vertices",
-    "forced_vertices",
-    "generate",
     "generate_named",
-    "greedy_hitting_set",
-    "item_distance",
-    "lb_l1",
-    "lb_l2",
-    "lb_l3",
-    "lb_l4",
-    "lb_n1",
-    "lb_n2",
-    "lb_n3",
     "metric_dimension",
-    "min_hitting_set",
     "mixed_metric_dimension",
-    "parse_family_spec",
     "parse_graph6",
-    "resolving_vector",
-    "solve_covering_lp",
-    "strongly_regular_params",
-    "torus_candidate",
     "torus_theorem_check",
-    "verify_mixed_resolving",
 ]

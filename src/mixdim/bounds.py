@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import OPTIMAL, CoverInstance, _masks_of_columns, deadline_after, min_hitting_set
+from .cover import OPTIMAL, CoverInstance, deadline_after, min_hitting_set
 from .dims import GraphAnalysis, _ceil_log2, exact_dimensions
 from .graphs import DistanceOracle, Graph, GraphError, distances
 from .lp import CoveringLP, ceil_with_tolerance, solve_covering_lp
+from .masks import masks_of_columns
 
 
 def lb_l1(G: Graph) -> int:
@@ -67,7 +68,7 @@ def edge_side_sets(oracle: DistanceOracle) -> tuple[list[int], list[int]]:
     # distances are symmetric: column u of dv is the distance profile of u
     du = oracle.dv[:, ends[:, 0]]
     dw = oracle.dv[:, ends[:, 1]]
-    masks = _masks_of_columns(np.concatenate((du < dw, du > dw), axis=1))
+    masks = masks_of_columns(np.concatenate((du < dw, du > dw), axis=1))
     return masks[: len(ends)], masks[len(ends) :]
 
 

@@ -1,10 +1,7 @@
 """Exact minimum hitting set / set cover engine.
 
-Every set passed between the package's modules is an int mask, bit e set
-for element e (bit v for vertex v in a graph), and every family of sets a
-list of masks; only the witnesses that answers return are sorted tuples.
-This module owns that format.  _masks_of_columns and _rows_of_masks
-convert between masks and boolean matrices, for every width.
+Sets and families are int masks and lists of masks, in the format of
+mixdim.masks.
 
 A CoverInstance is a family of masks over a small integer universe, plus
 optional forced and excluded elements, also masks.  min_hitting_set
@@ -45,11 +42,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from . import _cover_py
+from .masks import bits_of, reduce_family, sets_of
 
 try:
     from . import _cover_c  # type: ignore[attr-defined]
@@ -75,113 +71,6 @@ def _kernel(universe: int):
     if _cover_c is not None and universe <= _COMPILED_MAX_UNIVERSE:
         return _cover_c.solve
     return _cover_py.solve
-
-
-def _mask_of(elements: Iterable[int]) -> int:
-    mask = 0
-    for e in elements:
-        mask |= 1 << e
-    return mask
-
-
-def _bits_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
-
-
-def _sets_of(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(_bits_of(m)) for m in masks)
-
-
-# bits per word of the codec: one little-endian uint64
-_WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
-
-
-def _masks_of_columns(bits: np.ndarray) -> list[int]:
-    """Column j of a boolean matrix as a mask: bit i set when bits[i, j].
-
-    The columns are packed eight rows to a byte, so the temporaries take
-    one bit per entry, and each block of 64 rows is read as one uint64
-    word per column; wider columns shift the later words into place."""
-    n, cols = bits.shape
-    words = max(1, -(-n // _WORD_BITS))
-    octets = np.zeros((cols, 8 * words), dtype=np.uint8)
-    octets[:, : -(-n // 8)] = np.packbits(bits, axis=0, bitorder="little").T
-    packed = octets.view("<u8")
-    masks = packed[:, 0].tolist()
-    for k in range(1, words):
-        lo = k * _WORD_BITS
-        masks = [m | w << lo for m, w in zip(masks, packed[:, k].tolist())]
-    return masks
-
-
-def _rows_of_masks(masks: Sequence[int], width: int) -> np.ndarray:
-    """Boolean matrix with one row per mask: row j holds bits 0..width-1
-    of masks[j].  Each word's bits are unpacked from its eight bytes, so
-    the temporaries take one byte per bit."""
-    rows = np.zeros((len(masks), width), dtype=bool)
-    for lo in range(0, width, _WORD_BITS):
-        words = np.array([m >> lo & _WORD_MASK for m in masks], dtype="<u8")
-        count = min(width - lo, _WORD_BITS)
-        octets = words.view(np.uint8).reshape(-1, 8)
-        rows[:, lo : lo + count] = np.unpackbits(octets, axis=1, count=count, bitorder="little")
-    return rows
-
-
-# below this many distinct masks the plain loop beats numpy's call overhead:
-# replayed benchmark families cross over between 256 and 400 masks
-_VECTOR_REDUCE_MIN = 256
-
-
-def _reduce_family(masks: Iterable[int]) -> list[int]:
-    """Deduplicate and drop supersets (hitting a subset hits its supersets).
-
-    Deterministic output order: ascending (popcount, mask value).  Masks
-    must be nonnegative.  Families of 64-bit masks are deduplicated in a
-    uint64 array, a fraction of the memory of a set of ints.
-    """
-    masks = masks if isinstance(masks, (list, tuple)) else list(masks)
-    uniq = None
-    if len(masks) >= _VECTOR_REDUCE_MIN:
-        try:
-            arr = np.fromiter(masks, dtype=np.uint64, count=len(masks))
-        except OverflowError:  # a mask wider than 64 bits
-            pass
-        else:
-            arr.sort()
-            arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
-            if arr.size >= _VECTOR_REDUCE_MIN:
-                return _reduce_family_uint64(arr)
-            uniq = arr.tolist()
-    kept: list[int] = []
-    # a stable sort by popcount of the ascending masks: (popcount, value) order
-    for m in sorted(sorted(set(masks)) if uniq is None else uniq, key=int.bit_count):
-        for km in kept:
-            if km & m == km:
-                break
-        else:
-            kept.append(m)
-    return kept
-
-
-def _reduce_family_uint64(arr: np.ndarray) -> list[int]:
-    """_reduce_family for distinct 64-bit masks in ascending order: the
-    front mask of the array in (popcount, value) order is always kept
-    (nothing before it is its subset) and drops its supersets from the
-    rest in one vector operation."""
-    arr = arr[np.argsort(np.bitwise_count(arr), kind="stable")]
-    kept = []
-    while arr.size:
-        m = arr[0]
-        kept.append(m)
-        rest = arr[1:]
-        arr = rest[(rest & m) != m]
-    return [int(m) for m in kept]
 
 
 @dataclass(frozen=True)
@@ -220,11 +109,11 @@ class CoverInstance:
         if min(forced, excluded) < 0 or (forced | excluded) >> universe_size:
             raise ValueError(f"forced or excluded mask outside universe 0..{universe_size - 1}")
         if forced & excluded:
-            raise ValueError(f"forced and excluded overlap: {list(_bits_of(forced & excluded))}")
+            raise ValueError(f"forced and excluded overlap: {list(bits_of(forced & excluded))}")
         if 0 in original:  # reduce the rest: 0 is a subset of every set
-            reduced = [0, *_reduce_family([m for m in original if m])]
+            reduced = [0, *reduce_family([m for m in original if m])]
         else:
-            reduced = _reduce_family(original)
+            reduced = reduce_family(original)
         return cls(universe_size, tuple(reduced), forced, excluded, original)
 
     @cached_property
@@ -241,7 +130,7 @@ class CoverInstance:
             if not r & fmask:
                 residual.append(r)
         # dropping sets keeps a reduced family reduced; trimming elements may not
-        return _reduce_family(residual) if xmask else residual
+        return reduce_family(residual) if xmask else residual
 
     def _branch(self, residual: list[int], element: int, passed: int) -> "CoverInstance":
         """self with element forced and the elements of passed excluded.
@@ -256,23 +145,19 @@ class CoverInstance:
         if passed:
             if 0 in masks:
                 return branch
-            masks = _reduce_family(masks)
+            masks = reduce_family(masks)
         branch.__dict__["_prepared"] = masks  # the cached_property's slot
         return branch
 
     @cached_property
     def sets(self) -> tuple[frozenset[int], ...]:
         """masks as frozensets; read only by perfbench's tracer."""
-        return _sets_of(self.masks)
+        return sets_of(self.masks)
 
     @cached_property
     def original_sets(self) -> tuple[frozenset[int], ...]:
         """original_masks as frozensets; read only by perfbench's tracer."""
-        return _sets_of(self.original_masks)
-
-    @property
-    def num_sets(self) -> int:
-        return len(self.masks)
+        return sets_of(self.original_masks)
 
 
 @dataclass(frozen=True)
@@ -304,7 +189,7 @@ def _validate_witness(inst: CoverInstance, wmask: int) -> None:
         raise RuntimeError("internal error: witness touches excluded elements")
     for m in inst.original_masks or inst.masks:
         if m and not m & wmask:
-            raise RuntimeError(f"internal error: witness fails to hit {list(_bits_of(m))}")
+            raise RuntimeError(f"internal error: witness fails to hit {list(bits_of(m))}")
 
 
 def min_hitting_set_size(
@@ -350,7 +235,7 @@ def min_hitting_set(
     rest = _lex_min_witness(inst._prepared, found & ~inst.forced, inst.universe_size, deadline, sym)
     witness = rest | inst.forced
     _validate_witness(inst, witness)
-    return CoverResult(OPTIMAL, res.size, _bits_of(witness))
+    return CoverResult(OPTIMAL, res.size, bits_of(witness))
 
 
 def _search(inst: CoverInstance, sym, fixed, cutoff, lower_bound, deadline) -> tuple[CoverResult, int, int]:
@@ -429,7 +314,7 @@ def _split(inst: CoverInstance, sym, fixed: tuple[int, ...]) -> list[tuple[Cover
         free |= m
     if free.bit_count() < _MIN_SPLIT_ELEMENTS:
         return None
-    pick = masks[0]  # the kernel's: masks are in _reduce_family's order
+    pick = masks[0]  # the kernel's: masks are in reduce_family's order
     limit = pick.bit_count() + 1
     orbits = sym.orbits_within(free, fixed, limit)
     if orbits is None:
@@ -472,7 +357,7 @@ def _split_set(inst: CoverInstance, masks: list[int], orbits: list[int]) -> list
     branches = []
     seen = 0  # the orbits of the elements passed so far
     passed = 0
-    for e in _bits_of(masks[0]):
+    for e in bits_of(masks[0]):
         if not seen >> e & 1:
             branches.append((inst._branch(masks, e, passed), None))
         seen |= next(o for o in orbits if o >> e & 1)
@@ -546,7 +431,7 @@ def _orbit_mates(sym, bit: int, chosen: int, candidates: int) -> int:
     classes = (chosen, (bit - 1) & ~chosen)
     cells = sym.cells(classes=classes)
     c = bit.bit_length() - 1
-    if all(cells[v] != cells[c] for v in _bits_of(candidates)):
+    if all(cells[v] != cells[c] for v in bits_of(candidates)):
         return 0
     orbit = next(o for o in sym.orbits(classes=classes) if o & bit)
     return orbit & candidates
@@ -623,7 +508,7 @@ def _lex_min_witness(
             if _exceeds(residual, left):
                 banned |= bit
                 continue
-            residual = _reduce_family(residual)
+            residual = reduce_family(residual)
             # the kernel would refute at its root, after a greedy start
             if _exceeds(residual, left):
                 banned |= bit
@@ -632,7 +517,7 @@ def _lex_min_witness(
             trial.__dict__["_prepared"] = residual  # the cached_property's slot
             fixed = None
             if sym is not None and len(residual) >= _SPLIT_MIN_SETS:
-                fixed = _bits_of(chosen | bit | trial_banned)
+                fixed = bits_of(chosen | bit | trial_banned)
             res, completion, nodes = _search(trial, sym, fixed, left, left, deadline)
             if res.ok:
                 witness = chosen | bit | completion
@@ -649,14 +534,3 @@ def _lex_min_witness(
         masks = [m for m in masks if not m & bit]
     return chosen
 
-
-def greedy_hitting_set(inst: CoverInstance) -> CoverResult:
-    """Valid (not necessarily minimum) hitting set by max-coverage greedy,
-    ties broken by smallest element index.  Honors forced and excluded."""
-    masks = inst._prepared
-    if isinstance(masks, CoverResult):
-        return masks
-    mask = (_cover_py.greedy_cover(masks)[1] if masks else 0) | inst.forced
-    _validate_witness(inst, mask)
-    witness = _bits_of(mask)
-    return CoverResult(OPTIMAL, len(witness), witness)

@@ -23,13 +23,12 @@ from .cover import (
     INFEASIBLE,
     OPTIMAL,
     CoverInstance,
-    _mask_of,
-    _masks_of_columns,
     deadline_after,
     min_hitting_set,
     min_hitting_set_size,
 )
 from .graphs import DistanceOracle, Graph, GraphError, MixedItem, _check_landmarks, distances, flat_to_item
+from .masks import mask_of, masks_of_columns
 from .symmetry import GraphSymmetry
 
 VERTEX_PAIRS = "vertex"
@@ -60,7 +59,7 @@ def distinguisher_masks(oracle: DistanceOracle) -> list[int]:
         pairs = np.arange(lo, min(lo + block, total))
         # row a of a pair: the rows past 0 that start at or before it
         a = starts[1:].searchsorted(pairs, side="right")
-        masks.extend(_masks_of_columns((dm[a] != dm[pairs + shift[a]]).T))
+        masks.extend(masks_of_columns((dm[a] != dm[pairs + shift[a]]).T))
     return masks
 
 
@@ -102,7 +101,7 @@ def forced_vertices(G: Graph) -> ForcedStructure:
             simplicial |= 1 << v
         if len(nbrs) == 1:
             leaves |= 1 << v
-    forced = _mask_of(itertools.chain.from_iterable(true_pairs)) | simplicial
+    forced = mask_of(itertools.chain.from_iterable(true_pairs)) | simplicial
     return ForcedStructure(forced, tuple(true_pairs), tuple(false_pairs), simplicial, leaves)
 
 
@@ -121,7 +120,7 @@ def excluded_vertices(G: Graph, k: int) -> int:
     if k < 1:
         raise ValueError("candidate dimension must be >= 1")
     threshold = (1 << (k - 1)) - 1
-    return _mask_of(v for v, nbrs in enumerate(G.adj) if len(nbrs) > threshold)
+    return mask_of(v for v, nbrs in enumerate(G.adj) if len(nbrs) > threshold)
 
 
 def _ceil_log2(x: int) -> int:
@@ -210,7 +209,7 @@ def _pair_dimension(
     automorphism orbits; raises SolveTimeout past the absolute
     time.monotonic() deadline."""
     inst = a.instance(universe)
-    if inst.num_sets == 0:
+    if not inst.masks:
         # a single item resolves itself; by convention a generator is nonempty
         return 1, (0,)
     res = solve(inst, deadline=deadline, sym=a.symmetry)

@@ -264,10 +264,8 @@ def strongly_regular_params(G: Graph) -> tuple[int, int, int, int] | None:
     k = G.max_degree
     if G.min_degree != k:
         return None
-    A = np.zeros((n, n), dtype=np.int64)
-    for u, v in G.edges:
-        A[u, v] = A[v, u] = 1
-    common = A @ A
+    A = _adjacency(G)
+    common = A.astype(np.int64) @ A  # common neighbours; a bool product would cap them at 1
     lams = {int(common[u, v]) for u, v in G.edges}
     mus = {
         int(common[u, v])

@@ -2,7 +2,7 @@
 0 <= y <= 1, solved exactly enough for integral lower bounds.
 
 Rows are int masks, bit v for variable v, as everywhere in the package;
-cover._rows_of_masks expands them into the 0/1 constraint matrix, which
+masks.rows_of_masks expands them into the 0/1 constraint matrix, which
 also serves the final check when the rows handed in are the reduced ones.
 The upper bounds y <= 1 are dropped: with 0/1 constraint coefficients any
 optimum can be capped at 1 without losing feasibility, so the value is
@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cover import _bits_of, _reduce_family, _rows_of_masks, _sets_of
+from .masks import bits_of, reduce_family, rows_of_masks, sets_of
 
 ABS_TOL = 1e-7
 CEIL_TOL = 1e-6
@@ -60,12 +60,12 @@ class CoveringLP:
             raise LPError("covering program has an empty row (infeasible)")
         if original and (min(original) < 0 or max(original) >> num_vars):
             raise LPError(f"row mask outside variable range 0..{num_vars - 1}")
-        return cls(num_vars, tuple(_reduce_family(original)), original)
+        return cls(num_vars, tuple(reduce_family(original)), original)
 
     @cached_property
     def rows(self) -> tuple[frozenset[int], ...]:
         """masks as frozensets; read only by perfbench's tracer."""
-        return _sets_of(self.masks)
+        return sets_of(self.masks)
 
 
 def solve_covering_lp_primal(lp: CoveringLP, orbits: Sequence[int] | None = None) -> tuple[float, np.ndarray]:
@@ -80,10 +80,10 @@ def solve_covering_lp_primal(lp: CoveringLP, orbits: Sequence[int] | None = None
     if not lp.masks:
         return 0.0, np.zeros(m)
     if orbits is None:
-        incidence = _rows_of_masks(lp.masks, m)
+        incidence = rows_of_masks(lp.masks, m)
         value, y = _packing_dual_simplex(incidence)
         if lp.original_masks is not lp.masks:
-            incidence = _rows_of_masks(lp.original_masks, m)
+            incidence = rows_of_masks(lp.original_masks, m)
         total = float(y.sum())
         check = incidence @ y
     else:
@@ -96,13 +96,13 @@ def solve_covering_lp_primal(lp: CoveringLP, orbits: Sequence[int] | None = None
         check = counts @ z
         y = np.empty(m)
         for o, zo in zip(orbits, z.tolist()):
-            y[list(_bits_of(o))] = zo
+            y[list(bits_of(o))] = zo
     if abs(total - value) > 1e-6 * max(1.0, abs(value)):
         raise LPError(f"primal recovery mismatch: sum(y)={total} vs optimum {value}")
     bad = (check < 1.0 - ABS_TOL).nonzero()[0]
     if bad.size:
         if orbits is None:
-            raise LPError(f"recovered selection violates row {list(_bits_of(lp.original_masks[bad[0]]))}")
+            raise LPError(f"recovered selection violates row {list(bits_of(lp.original_masks[bad[0]]))}")
         raise LPError(f"recovered selection violates the row of orbit counts {counts[bad[0]]}")
     return value, y
 

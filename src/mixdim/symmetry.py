@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cover import _bits_of, _mask_of
+from .masks import bits_of, mask_of
 
 # refinements one orbit computation may spend searching for automorphisms,
 # per vertex; a search cut off here merges nothing
@@ -121,11 +121,11 @@ class GraphSymmetry:
         for i, v in enumerate(fixed):
             colors[v] = i + 1
         color = len(fixed)
-        rest = ~_mask_of(fixed)
+        rest = ~mask_of(fixed)
         for mask in classes:
             if mask & rest:
                 color += 1
-                colors[list(_bits_of(mask & rest))] = color
+                colors[list(bits_of(mask & rest))] = color
         return colors - 1 if colors.all() else colors
 
     def cells(self, fixed: tuple[int, ...] = (), classes: tuple[int, ...] = ()) -> np.ndarray:
@@ -269,7 +269,7 @@ class GraphSymmetry:
         equitable cells.  Otherwise the orbits are found, however many."""
         if limit <= 1:  # relevant meets at least one orbit
             return None
-        vertices = list(_bits_of(relevant))
+        vertices = list(bits_of(relevant))
         degree = self.graph.degree
         profiles = self._dv[list(fixed)][:, vertices].T.tolist()
         if len({(degree(v), *p) for v, p in zip(vertices, profiles)}) >= limit:

@@ -1,4 +1,4 @@
-"""The mask codec of mixdim.cover, and the families built with it, at every
+"""The mask codec of mixdim.masks, and the families built with it, at every
 width: below, at and above one 64-bit word, and below and above 63 bits."""
 import itertools
 import random
@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import mixdim.dims as dims
 from mixdim.bounds import edge_side_sets
-from mixdim.cover import _masks_of_columns, _rows_of_masks
 from mixdim.dims import EDGE_PAIRS, MIXED_PAIRS, VERTEX_PAIRS, GraphAnalysis, distinguisher_masks
 from mixdim.graphs import build_graph
+from mixdim.masks import masks_of_columns, rows_of_masks
 
 from bruteforce import item_vectors, masks, random_connected_graph, reference_distinguisher_masks, side_sets
 
@@ -30,16 +30,16 @@ def mask_families(draw):
 @example((129, [(1 << 129) - 1, 1 << 128, 1 << 127, 1 << 64]))
 def test_masks_rows_masks_round_trip(case):
     width, family = case
-    rows = _rows_of_masks(family, width)
+    rows = rows_of_masks(family, width)
     assert rows.dtype == bool and rows.shape == (len(family), width)
     assert [[bool(m >> e & 1) for e in range(width)] for m in family] == rows.tolist()
-    assert _masks_of_columns(rows.T) == family
+    assert masks_of_columns(rows.T) == family
 
 
 def test_codec_empty_shapes():
-    assert _rows_of_masks([], 5).shape == (0, 5)
-    assert _rows_of_masks([0, 0], 0).shape == (2, 0)
-    assert _masks_of_columns(_rows_of_masks([0, 0], 0).T) == [0, 0]
+    assert rows_of_masks([], 5).shape == (0, 5)
+    assert rows_of_masks([0, 0], 0).shape == (2, 0)
+    assert masks_of_columns(rows_of_masks([0, 0], 0).T) == [0, 0]
 
 
 def _wide_graph(n):

@@ -13,11 +13,10 @@ from mixdim.cover import (
     OPTIMAL,
     CoverInstance,
     SolveTimeout,
-    _reduce_family,
-    greedy_hitting_set,
     min_hitting_set,
     min_hitting_set_size,
 )
+from mixdim.masks import reduce_family
 
 from bruteforce import (
     masks,
@@ -50,9 +49,9 @@ def test_fig1_side_set_instance():
 
 
 def test_greedy_examples():
-    assert greedy_hitting_set(CoverInstance.build(3, masks([{0, 1}, {1, 2}]))).witness == (1,)
-    res = greedy_hitting_set(CoverInstance.build(3, masks([{0}, {1}, {2}])))
-    assert (res.size, res.witness) == (3, (0, 1, 2))
+    # the kernels' greedy start: (size, mask of the chosen elements)
+    assert _cover_py.greedy_cover(CoverInstance.build(3, masks([{0, 1}, {1, 2}]))._prepared) == (1, 0b010)
+    assert _cover_py.greedy_cover(CoverInstance.build(3, masks([{0}, {1}, {2}]))._prepared) == (3, 0b111)
 
 
 def test_greedy_never_beats_optimum():
@@ -61,7 +60,9 @@ def test_greedy_never_beats_optimum():
         u = rng.randint(2, 10)
         sets = [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 12))]
         inst = CoverInstance.build(u, masks(sets))
-        assert greedy_hitting_set(inst).size >= min_hitting_set(inst).size
+        size, chosen = _cover_py.greedy_cover(inst._prepared)
+        assert size == chosen.bit_count() and all(m & chosen for m in inst.original_masks)
+        assert size >= min_hitting_set(inst).size
 
 
 @pytest.mark.parametrize("width", range(1, 131))
@@ -81,7 +82,6 @@ def test_infeasible_names_a_set():
     res = min_hitting_set(inst)
     assert res.status == INFEASIBLE
     assert res.infeasible_set == 0b100
-    assert greedy_hitting_set(inst) == res
     assert min_hitting_set(inst, cutoff=0) == res
     assert min_hitting_set_size(inst) == res
 
@@ -281,7 +281,7 @@ def test_witness_raises_past_deadline(backend, monkeypatch):
 
 # cyclic windows {i, i+1, i+3} mod 40: about 200,000 search nodes, so the
 # kernel reads the clock at nodes 4096, 8192, ...
-WINDOWS_40 = _reduce_family(1 << i | 1 << (i + 1) % 40 | 1 << (i + 3) % 40 for i in range(40))
+WINDOWS_40 = reduce_family(1 << i | 1 << (i + 1) % 40 | 1 << (i + 3) % 40 for i in range(40))
 
 
 def test_kernel_times_out(backend, monkeypatch):
@@ -344,7 +344,7 @@ def _kernel_case(rng, universe):
         sets.append(sum(1 << b for b in rng.sample(range(universe), k)))
     cutoff = rng.choice([None, rng.randint(1, universe)])
     stop_size = rng.choice([0, 0, rng.randint(1, universe)])
-    return _reduce_family(sets), cutoff, stop_size
+    return reduce_family(sets), cutoff, stop_size
 
 
 def _unreduced_case(rng):
@@ -420,20 +420,20 @@ def _random_family(rng, universe, size):
     return fam
 
 
-@pytest.mark.parametrize("universe", [5, 20, 63, 64, 65, 100])
+@pytest.mark.parametrize("universe", [5, 20, 63, 64, 65, 100, 128, 256])
 @pytest.mark.parametrize("size", [1, 10, 63, 64, 300])
 def test_reduce_family_matches_reference(universe, size):
     rng = random.Random(universe * 1000 + size)
     for _ in range(5):
         fam = _random_family(rng, universe, size)
-        assert _reduce_family(fam) == _reference_reduction(fam)
-        assert _reduce_family(iter(fam)) == _reference_reduction(fam)
+        assert reduce_family(fam) == _reference_reduction(fam)
+        assert reduce_family(iter(fam)) == _reference_reduction(fam)
 
 
 def test_reduce_family_top_bit():
     # bit 63 is the sign bit of int64: it must survive the 64-bit sweep
     top = 1 << 63
     fam = [top | 1 << i for i in range(63)] + [top]
-    assert _reduce_family(fam) == [top]
+    assert reduce_family(fam) == [top]
     fam = [(top | 1 << i) for i in range(63)] + [1 << i for i in range(1, 63)]
-    assert _reduce_family(fam) == _reference_reduction(fam)
+    assert reduce_family(fam) == _reference_reduction(fam)

@@ -8,11 +8,12 @@ from scipy.optimize import linprog
 
 from mixdim import lp as lp_module
 from mixdim.bounds import bounds_report, lb_l4
-from mixdim.cover import _bits_of, min_hitting_set
+from mixdim.cover import min_hitting_set
 from mixdim.dims import GraphAnalysis
 from mixdim.families import connected_graphs_of_order, encode_graph6, generate, generate_named
 from mixdim.graphs import build_graph
 from mixdim.lp import CoveringLP, LPError, ceil_with_tolerance, solve_covering_lp, solve_covering_lp_primal
+from mixdim.masks import bits_of
 from mixdim.tables import SELECTED_GRAPHS
 
 from bruteforce import masks, mixed_pair_rows, random_connected_graph
@@ -168,12 +169,12 @@ def test_orbit_program_matches_plain_and_highs(g):
     plain = solve_covering_lp(lp)
     value, y = solve_covering_lp_primal(lp, orbits)
     assert value == pytest.approx(plain, abs=1e-7)
-    assert value == pytest.approx(_scipy_optimum(g.n, [_bits_of(m) for m in inst.masks]), abs=1e-7)
+    assert value == pytest.approx(_scipy_optimum(g.n, [bits_of(m) for m in inst.masks]), abs=1e-7)
     # the selection is constant on every orbit and covers every row
-    assert all(len({y[v] for v in _bits_of(o)}) == 1 for o in orbits)
+    assert all(len({y[v] for v in bits_of(o)}) == 1 for o in orbits)
     assert float(y.sum()) == pytest.approx(value, abs=1e-7)
     for m in inst.original_masks:
-        assert sum(y[v] for v in _bits_of(m)) >= 1 - 1e-7
+        assert sum(y[v] for v in bits_of(m)) >= 1 - 1e-7
 
 
 def test_orbit_program_of_a_built_program():
@@ -194,4 +195,4 @@ def test_hypercube_7_program_is_solved_over_orbits():
     assert bounds_report(g).l4 == 2
     inst = GraphAnalysis(g).mixed
     assert len(inst.masks) == 560
-    assert _scipy_optimum(g.n, [_bits_of(m) for m in inst.masks]) == pytest.approx(2.0, abs=1e-7)
+    assert _scipy_optimum(g.n, [bits_of(m) for m in inst.masks]) == pytest.approx(2.0, abs=1e-7)

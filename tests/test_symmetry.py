@@ -26,6 +26,7 @@ from mixdim.cover import (
 from mixdim.dims import EDGE_PAIRS, VERTEX_PAIRS, GraphAnalysis, excluded_vertices
 from mixdim.families import generate, generate_named, parse_graph6
 from mixdim.graphs import build_graph, distances
+from mixdim.masks import bits_of
 from mixdim.symmetry import GraphSymmetry, _individualize, is_automorphism
 from mixdim.tables import SELECTED_GRAPHS
 
@@ -222,7 +223,7 @@ def test_symmetric_instance_is_split(monkeypatch):
     assert min_hitting_set_size(a.instance(VERTEX_PAIRS), sym=a.symmetry).size == 7
     # one orbit, so vertex 0 is forced; then every branch splits again under
     # the stabilizer of the vertices it forces, while the split rule holds
-    assert tuple(cover._bits_of(inst.forced) for inst in calls) == (
+    assert tuple(bits_of(inst.forced) for inst in calls) == (
         (0, 4, 7, 14, 21), (0, 7, 10, 14, 21), (0, 7, 14, 16, 21), (0, 7, 14, 21, 22),
         (0, 7, 14, 21, 28), (0, 1, 7, 14, 21), (0, 2, 7, 14, 21), (0, 3, 7, 14, 21),
         (0, 7, 8, 14, 21), (0, 7, 9, 14, 21), (0, 7, 14, 15, 21),
@@ -441,19 +442,19 @@ def test_derived_orbits_match_networkx(G, monkeypatch):
     # keeps its key
     autos = list(GraphMatcher(_nx(G), _nx(G)).isomorphisms_iter())
     sym = GraphSymmetry(G, distances(G).dv)
-    assert sorted(map(cover._bits_of, sym.orbits())) == nx_orbits(G, (), autos)
+    assert sorted(map(bits_of, sym.orbits())) == nx_orbits(G, (), autos)
     searches = _count_searches(monkeypatch)
     keys = []
     for chain in _chains(G.n):
         for i in range(1, len(chain) + 1):
             keys.append((chain[:i], ()))
-            assert sorted(map(cover._bits_of, sym.orbits(chain[:i]))) == nx_orbits(G, chain[:i], autos), chain[:i]
+            assert sorted(map(bits_of, sym.orbits(chain[:i]))) == nx_orbits(G, chain[:i], autos), chain[:i]
         for i in range(len(chain)):
             chosen = sum(1 << v for v in chain[:i])
             classes = (chosen, (1 << chain[i]) - 1 & ~chosen)
             keys.append(((), classes))
-            keep = [p for p in autos if all(c >> p[v] & 1 for c in classes for v in cover._bits_of(c))]
-            assert sorted(map(cover._bits_of, sym.orbits(classes=classes))) == nx_orbits(G, (), keep), classes
+            keep = [p for p in autos if all(c >> p[v] & 1 for c in classes for v in bits_of(c))]
+            assert sorted(map(bits_of, sym.orbits(classes=classes))) == nx_orbits(G, (), keep), classes
     assert len(searches) < len(keys)
     for (fixed, classes), rows in sym._gens.items():
         colour = sym._initial(fixed, classes)
@@ -480,9 +481,9 @@ def test_search_runs_where_the_certificate_fails(monkeypatch):
         truth = nx_orbits(G, (v,), autos)
         where = {w: i for i, o in enumerate(truth) for w in o}
         found = sym.orbits((v,))
-        assert all(len({where[w] for w in cover._bits_of(o)}) == 1 for o in found)
+        assert all(len({where[w] for w in bits_of(o)}) == 1 for o in found)
         # the search started from the known merges
-        orbit_of = {w: i for i, o in enumerate(found) for w in cover._bits_of(o)}
+        orbit_of = {w: i for i, o in enumerate(found) for w in bits_of(o)}
         assert all(orbit_of[w] == orbit_of[r] for w, r in enumerate(known.tolist()))
     assert searches == [((v,), ()) for v in range(G.n)]
 
@@ -632,7 +633,7 @@ def test_johnson_n2_witness_pass(johnson_n2, backend, with_sym, calls, nodes, mo
     monkeypatch.setattr(cover, "_kernel", lambda universe: counted)
     masks = inst._prepared
     chosen = cover._lex_min_witness(masks, proof, G.n, None, sym)
-    assert cover._bits_of(chosen) == (0, 1, 8, 21, 22, 26, 33, 34, 35)
+    assert bits_of(chosen) == (0, 1, 8, 21, 22, 26, 33, 34, 35)
     assert (len(made), sum(made)) == (calls, nodes)
 
 
