@@ -8,6 +8,7 @@ and discrepancy logs to stderr.  Exit codes: 0 success, 1 invalid input,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 from .bounds import bounds_report
@@ -35,9 +36,10 @@ def _log(msg: str) -> None:
 
 def _emit_table(header: list[str], rows: list[list[str]], fmt: str) -> None:
     if fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
+        # a label may hold a comma (Kneser (7,2)): the writer quotes it
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
         print("| " + " | ".join(header) + " |")
         print("|" + "|".join("---" for _ in header) + "|")
@@ -98,15 +100,9 @@ _TABLE_HEADER = ["graph", "n"] + list(VALUE_COLUMNS)
 
 
 def _table_row_cells(row) -> list[str]:
-    vals = row.value_tuple()
-    if vals is not None:
-        return [row.label, str(row.n)] + [str(v) for v in vals]
-    cells = [row.label, str(row.n), str(row.m), _opt(row.beta), _opt(row.beta_e)]
-    if row.report is not None:
-        cells += [str(v) for v in row.report.bound_tuple()]
-    else:
-        cells += ["-"] * 7
-    cells.append(_opt(row.beta_m) if row.status == "ok" else row.status)  # "timeout" or "unavailable"
+    cells = [row.label, str(row.n)] + [_opt(v) for v in row.values]
+    if row.status != "ok":  # "timeout" or "unavailable" in place of betaM
+        cells[-1] = row.status
     return cells
 
 
@@ -126,17 +122,13 @@ def cmd_table_order5(args) -> int:
 
 
 def cmd_table_selected(args) -> int:
-    rows = selected_rows(
-        timeout=args.timeout,
-        skip_large=args.skip_large,
-        exact_all=args.exact_all,
-    )
+    rows = selected_rows(timeout=args.timeout)
     _emit_table(_TABLE_HEADER, [_table_row_cells(r) for r in rows], args.format)
     clean = sum(1 for r in rows if not r.cell_flags and r.status == "ok")
     _log(f"selected-graphs comparison: {clean}/{len(rows)} fully clean rows")
     for r in rows:
-        if r.status == "timeout":
-            shown = "bounds reported" if r.report is not None else "the bounds timed out too"
+        if r.status == "timeout":  # values[3] is L1, None when the bounds timed out
+            shown = "bounds reported" if r.values[3] is not None else "the bounds timed out too"
             _log(f"  {r.label}: exact solve hit the {args.timeout:g}s guard; {shown}")
         for flag in r.cell_flags:
             _log(f"  {r.label}: {flag}")
@@ -212,10 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_timeout(t5)
     t5.set_defaults(fn=cmd_table_order5)
 
-    ts = sub.add_parser("table-selected", help="recompute the selected-graphs comparison")
+    ts = sub.add_parser("table-selected", help="recompute the selected-graphs comparison, every row solved exactly")
     ts.add_argument("--format", choices=("csv", "md"), default="csv")
-    ts.add_argument("--skip-large", action="store_true", help="never solve n = 36 rows exactly")
-    ts.add_argument("--exact-all", action="store_true", help="attempt exact dimensions on every row")
     _add_timeout(ts)
     ts.set_defaults(fn=cmd_table_selected)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bounds import BoundsReport, bounds_report
+from .bounds import bounds_report
 from .cover import SolveTimeout
 from .families import FamilySpec, connected_graphs_of_order, encode_graph6, generate
 from .graphs import Graph
@@ -43,9 +43,6 @@ ORDER5_EXPECTED: tuple[tuple[int, ...], ...] = (
     (20, 9, 3, 4, 2, 3, 5, 5, 3, 5, 2, 5),
     (21, 10, 4, 4, 2, 3, 5, 5, 4, 5, 3, 5),
 )
-
-# largest order whose exact dimensions table-selected computes by default
-EXACT_MAX_N = 27
 
 VALUE_COLUMNS = ("E", "beta", "betaE", "L1", "L2", "L3", "L4", "N1", "N2", "N3", "betaM")
 
@@ -98,23 +95,15 @@ SELECTED_BOUNDS_EXPECTED: tuple[tuple[int, ...], ...] = (
 @dataclass(frozen=True)
 class TableRow:
     """One computed comparison row plus its per-cell diff against the
-    published values (empty flags = clean match)."""
+    published values (empty flags = clean match).  values and expected are
+    in VALUE_COLUMNS order; a value not computed is None."""
 
     label: str
     n: int
-    m: int
-    report: BoundsReport | None
-    beta: int | None
-    beta_e: int | None
-    beta_m: int | None
+    values: tuple[int | None, ...]
     status: str  # "ok" | "timeout" | "unavailable"
     expected: tuple[int, ...] | None = None
     cell_flags: tuple[str, ...] = ()
-
-    def value_tuple(self) -> tuple[int, ...] | None:
-        if self.report is None or self.beta is None:
-            return None
-        return (self.m, self.beta, self.beta_e) + self.report.bound_tuple() + (self.beta_m,)
 
 
 def _diff_cells(
@@ -129,42 +118,27 @@ def _diff_cells(
     )
 
 
-def _report(G: Graph, exact: bool, label: str, timeout: float | None) -> tuple[BoundsReport | None, str]:
-    """(bounds_report of G, the row status): "ok"; or "timeout" with the
-    bounds alone when the exact report runs past timeout, or with no report
-    when the bounds do too."""
+def _row(G: Graph, label: str, timeout: float | None) -> TableRow:
+    """The comparison row of G, from its exact bounds_report: status "ok";
+    or "timeout" with the bounds alone when the exact report runs past
+    timeout, or with |E| alone when the bounds do too."""
+    status = "ok"
     try:
-        return bounds_report(G, compute_exact=exact, label=label, timeout=timeout), "ok"
+        rep = bounds_report(G, compute_exact=True, label=label, timeout=timeout)
     except SolveTimeout:
-        if not exact:  # the bounds alone ran past timeout
-            return None, "timeout"
-    try:
-        return bounds_report(G, compute_exact=False, label=label, timeout=timeout), "timeout"
-    except SolveTimeout:
-        return None, "timeout"
+        status = "timeout"
+        try:
+            rep = bounds_report(G, compute_exact=False, label=label, timeout=timeout)
+        except SolveTimeout:
+            return TableRow(label, G.n, (G.m,) + (None,) * 10, status)
+    return TableRow(label, G.n, (G.m, rep.beta, rep.beta_e, *rep.bound_tuple(), rep.beta_m), status)
 
 
 def order5_rows(timeout: float | None = None) -> list[TableRow]:
     """Recompute every Table-7 column for the 21 connected order-5 graphs.
     A graph whose exact solve runs past timeout gives a row with status
     "timeout", as in selected_rows."""
-    rows = []
-    for g in connected_graphs_of_order(5):
-        label = encode_graph6(g)
-        rep, status = _report(g, True, label, timeout)
-        rows.append(
-            TableRow(
-                label=label,
-                n=g.n,
-                m=g.m,
-                report=rep,
-                beta=rep and rep.beta,
-                beta_e=rep and rep.beta_e,
-                beta_m=rep and rep.beta_m,
-                status=status,
-            )
-        )
-    return rows
+    return [_row(g, encode_graph6(g), timeout) for g in connected_graphs_of_order(5)]
 
 
 def compare_order5(rows: list[TableRow]) -> tuple[int, list[TableRow]]:
@@ -180,8 +154,7 @@ def compare_order5(rows: list[TableRow]) -> tuple[int, list[TableRow]]:
     annotated: list[TableRow | None] = [None] * len(rows)
     leftovers = []
     for i, row in enumerate(rows):
-        values = row.value_tuple()
-        hit = next((j for j in unmatched_exp if expected[j] == values), None)
+        hit = next((j for j in unmatched_exp if expected[j] == row.values), None)
         if hit is not None:
             unmatched_exp.remove(hit)
             annotated[i] = replace(row, expected=expected[hit])
@@ -189,8 +162,8 @@ def compare_order5(rows: list[TableRow]) -> tuple[int, list[TableRow]]:
             leftovers.append(i)
     matches = len(rows) - len(leftovers)
     for i in leftovers:
-        values = rows[i].value_tuple()
-        if values is None:
+        values = rows[i].values
+        if None in values:
             annotated[i] = replace(rows[i], cell_flags=("no exact values to compare: the solve timed out",))
             continue
         best = min(unmatched_exp, key=lambda j: sum(a != b for a, b in zip(values, expected[j])))
@@ -201,36 +174,28 @@ def compare_order5(rows: list[TableRow]) -> tuple[int, list[TableRow]]:
     return matches, [r for r in annotated if r is not None]
 
 
-def selected_rows(
-    timeout: float | None = 1800.0,
-    skip_large: bool = False,
-    exact_all: bool = False,
-) -> list[TableRow]:
+def selected_rows(timeout: float | None = 1800.0) -> list[TableRow]:
     """Recompute the selected-graphs comparison (Tables 8 and 9).
 
-    Exact dimensions run for graphs with n <= EXACT_MAX_N (everything when
-    exact_all is set); skip_large drops the n = 36 rows from exact solving
-    no matter what.  Rows that exceed the per-graph timeout carry status
-    "timeout" and the bounds alone, or no report when those run past a
-    second timeout too; the unavailable published row has no graph to
-    compute.  A graph equal to one computed before is not solved again.
+    Every row with a graph is solved exactly.  Rows that exceed the
+    per-graph timeout carry status "timeout" and the bounds alone, or no
+    bounds when those run past a second timeout too; the unavailable
+    published row has no graph to compute and keeps its published |E|,
+    beta and betaE.  A graph equal to one computed before is not solved
+    again.
     """
     out = []
     # Hamming H(2,6) is generated with the very edge list of Rook's graph 6:
-    # an equal graph reuses the report computed first, under its own label
-    done: dict[tuple[Graph, bool], tuple[BoundsReport | None, str]] = {}
+    # an equal graph reuses the row computed first, under its own label
+    done: dict[Graph, TableRow] = {}
     for sel, t9 in zip(SELECTED_GRAPHS, SELECTED_BOUNDS_EXPECTED):
-        expected = t9[1:]
+        expected = (sel.m, sel.beta, sel.beta_e, *t9[1:])
         if sel.family is None:
             out.append(
                 TableRow(
                     label=sel.name,
                     n=sel.n,
-                    m=sel.m,
-                    report=None,
-                    beta=sel.beta,
-                    beta_e=sel.beta_e,
-                    beta_m=None,
+                    values=expected[:3] + (None,) * 8,
                     status="unavailable",
                     expected=expected,
                     cell_flags=("unavailable: adjacency unspecified in the published source",),
@@ -238,33 +203,9 @@ def selected_rows(
             )
             continue
         G = generate(sel.family)
-        want_exact = exact_all or G.n <= EXACT_MAX_N
-        if skip_large and G.n >= 36:
-            want_exact = False
-        if (G, want_exact) not in done:
-            done[G, want_exact] = _report(G, want_exact, sel.name, timeout)
-        rep, status = done[G, want_exact]
-        if rep is None:
-            out.append(TableRow(sel.name, G.n, G.m, None, None, None, None, status, expected))
-            continue
-        rep = replace(rep, label=sel.name)
-        flags = _diff_cells(VALUE_COLUMNS[3:], rep.bound_tuple() + (rep.beta_m,), expected)
-        if rep.beta is not None and (rep.beta, rep.beta_e) != (sel.beta, sel.beta_e):
-            flags += (
-                f"beta/betaE: computed {rep.beta}/{rep.beta_e} vs published {sel.beta}/{sel.beta_e}",
-            )
-        out.append(
-            TableRow(
-                label=sel.name,
-                n=G.n,
-                m=G.m,
-                report=rep,
-                beta=rep.beta,
-                beta_e=rep.beta_e,
-                beta_m=rep.beta_m,
-                status=status,
-                expected=expected,
-                cell_flags=flags,
-            )
-        )
+        if G not in done:
+            done[G] = _row(G, sel.name, timeout)
+        row = done[G]
+        flags = _diff_cells(VALUE_COLUMNS, row.values, expected)
+        out.append(replace(row, label=sel.name, expected=expected, cell_flags=flags))
     return out

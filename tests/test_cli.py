@@ -1,9 +1,13 @@
+import csv
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import mixdim.tables as tables
+from mixdim.bounds import bounds_report
 from mixdim.cli import EXIT_DISCONNECTED, EXIT_INVALID, EXIT_OK, main
+from mixdim.cover import SolveTimeout
 
 
 def run_cli(*argv):
@@ -151,8 +155,8 @@ def test_table_order5_survives_timed_out_bounds():
 
 
 def test_table_selected_fast_subset():
-    # small timeout exercises the guard path without hour-long solves
-    code, out, err = run_cli("table-selected", "--skip-large", "--timeout", "120")
+    # every row is solved exactly, each under a small guard
+    code, out, err = run_cli("table-selected", "--timeout", "120")
     assert code == EXIT_OK
     lines = out.splitlines()
     assert len(lines) == 13
@@ -172,6 +176,33 @@ def test_table_selected_survives_timed_out_bounds():
     assert "Petersen graph,10,15,-,-,-,-,-,-,-,-,-,timeout" in lines
     assert "Petersen graph: exact solve hit the 1e-09s guard; the bounds timed out too" in err
     assert "bounds reported" not in err
+
+
+def test_table_selected_csv_has_one_field_per_column():
+    # three labels hold a comma, e.g. "Kneser (7,2)": they are quoted, so a
+    # CSV reader finds the header's 13 fields on every row
+    code, out, _ = run_cli("table-selected", "--timeout", "1e-9")
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 13
+    assert {len(row) for row in rows} == {len(rows[0])} == {13}
+    assert [row[0] for row in rows if "," in row[0]] == ["Kneser (7,2)", "Hamming H(2,6)", "Hamming H(3,3)"]
+
+
+def test_table_selected_logs_bounds_kept_after_a_timeout(monkeypatch):
+    # every exact solve times out but the bounds do not: each row prints its
+    # bounds, "timeout" in the betaM cell, and the log says so
+    def stub(G, compute_exact=False, label="", timeout=None):
+        if compute_exact:
+            raise SolveTimeout("exact solve ran past its deadline")
+        return bounds_report(G, label=label, timeout=timeout)
+
+    monkeypatch.setattr(tables, "bounds_report", stub)
+    code, out, err = run_cli("table-selected", "--timeout", "5")
+    assert code == EXIT_OK
+    assert "Petersen graph,10,15,-,-,2,3,0,4,3,4,4,timeout" in out.splitlines()
+    assert "Petersen graph: exact solve hit the 5s guard; bounds reported" in err
+    assert "the bounds timed out too" not in err
 
 
 def test_timeout_must_be_positive(capsys):
