@@ -19,6 +19,12 @@ with one variable per orbit, weighted by the orbit's size, and one row per
 distinct vector of per-orbit counts.  The value is the same, and the 7-cube's
 560 rows over 128 variables, where the dense tableau stalls, become one row
 over one variable.
+
+Many programs need no tableau at all.  _packing_lower_bound returns the
+better of two feasible packings, a lower bound on the optimum by weak
+duality, and any integer cover is an upper bound: bounds._lp_bound returns
+the cover's size for L4 when the two leave it the only integer the
+ceiling can take, and runs the simplex otherwise.
 """
 from __future__ import annotations
 
@@ -105,6 +111,27 @@ def solve_covering_lp_primal(lp: CoveringLP, orbits: Sequence[int] | None = None
             raise LPError(f"recovered selection violates row {list(bits_of(lp.original_masks[bad[0]]))}")
         raise LPError(f"recovered selection violates the row of orbit counts {counts[bad[0]]}")
     return value, y
+
+
+def _packing_lower_bound(masks: Sequence[int], num_vars: int) -> float:
+    """A lower bound on the covering optimum over rows masks: the larger of
+    two feasible solutions of its packing dual (weak duality).  The
+    disjoint packing puts 1 on each row that misses the rows taken before
+    it, in the order given; the degree packing puts 1/max(f(e) for e in r)
+    on row r, where f(e) counts the rows that hold variable e, so the rows
+    that hold e weigh at most f(e) * 1/f(e) = 1 in all."""
+    taken = disjoint = 0
+    for r in masks:
+        if not r & taken:
+            taken |= r
+            disjoint += 1
+    rows = [bits_of(r) for r in masks]
+    f = [0] * num_vars
+    for row in rows:
+        for v in row:
+            f[v] += 1
+    degree = sum(1.0 / max(f[v] for v in row) for row in rows)
+    return max(disjoint, degree)
 
 
 def _orbit_rows(masks: Sequence[int], orbits: Sequence[int]) -> np.ndarray:

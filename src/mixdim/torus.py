@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import lb_n1
+from .cover import deadline_after
 from .dims import GraphAnalysis, mixed_metric_dimension, verify_mixed_resolving
 from .families import generate_named
 from .graphs import GraphError, MixedItem
@@ -87,8 +88,11 @@ def torus_theorem_check(m: int, n: int, exact: bool = False, timeout: float | No
 
     Upper bound: the parity-case witness verifies as a mixed resolving set.
     Lower bound: 4-regularity gives 1 + ceil(log2(5)) = 4.  With exact=True
-    the dimension is also recomputed by the exact solver.
+    the dimension is also recomputed by the exact solver; timeout is then
+    one deadline for the whole call, the distances and the witness check
+    included.
     """
+    deadline = deadline_after(timeout)
     cand = torus_candidate(m, n)
     G = generate_named("torus", m, n)
     a = GraphAnalysis(G)
@@ -96,7 +100,7 @@ def torus_theorem_check(m: int, n: int, exact: bool = False, timeout: float | No
     degree_bound = lb_n1(G)  # 4-regular, so 1 + ceil(log2(5)) = 4
     exact_val = None
     if exact:
-        exact_val, _ = mixed_metric_dimension(G, timeout=timeout, analysis=a)
+        exact_val, _ = mixed_metric_dimension(G, analysis=a, deadline=deadline)
     return TorusReport(
         m=m,
         n=n,

@@ -9,11 +9,13 @@ import time
 import pytest
 
 import mixdim.cover as cover
+import mixdim.dims as dims
 from mixdim.bounds import bounds_report, edge_side_sets
 from mixdim.cli import EXIT_INVALID, main
 from mixdim.cover import CoverInstance, SolveTimeout
 from mixdim.dims import GraphAnalysis, mixed_metric_dimension
 from mixdim.families import generate_named
+from mixdim.torus import torus_theorem_check
 
 STEP = 10.0
 BUDGET = 25.0  # two solves fit, three do not
@@ -70,6 +72,24 @@ def test_cli_dims_deadline_covers_beta_and_beta_e(solves, capsys):
     assert main(["dims", "--family", "path:5", "--timeout", str(BUDGET)]) == EXIT_INVALID
     assert "past its deadline" in capsys.readouterr().err
     assert len(solves) == 4
+
+
+def test_torus_check_deadline_covers_its_distances(monkeypatch):
+    # the torus's all-pairs BFS advances the clock past the budget, and the
+    # exact solve that follows it must see the call's deadline as passed
+    offset = [0.0]
+    real = time.monotonic
+    monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
+    bfs = dims.distances
+
+    def slow_bfs(G):
+        offset[0] += 2 * BUDGET
+        return bfs(G)
+
+    monkeypatch.setattr(dims, "distances", slow_bfs)
+    assert torus_theorem_check(3, 3, exact=True, timeout=10 * BUDGET).exact == 4
+    with pytest.raises(SolveTimeout):
+        torus_theorem_check(3, 3, exact=True, timeout=BUDGET)
 
 
 def test_witness_trial_branches_share_one_deadline(monkeypatch):

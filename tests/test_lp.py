@@ -7,8 +7,9 @@ import pytest
 from scipy.optimize import linprog
 
 from mixdim import lp as lp_module
-from mixdim.bounds import bounds_report, lb_l4
-from mixdim.cover import min_hitting_set
+from mixdim._cover_py import greedy_cover
+from mixdim.bounds import _lp_bound, bounds_report, lb_l4
+from mixdim.cover import CoverInstance, min_hitting_set
 from mixdim.dims import GraphAnalysis
 from mixdim.families import connected_graphs_of_order, encode_graph6, generate, generate_named
 from mixdim.graphs import build_graph
@@ -112,15 +113,46 @@ def test_bland_rule_matches_reference_solver(monkeypatch):
         assert mine == pytest.approx(_scipy_optimum(u, rows), abs=1e-7)
 
 
-@pytest.mark.parametrize("order", [5, 6])
-def test_l4_matches_highs_on_every_small_graph(order):
-    # rows from the brute-force BFS, not from mixdim's pair masks
-    for g in connected_graphs_of_order(order):
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    """The incidence matrix of every tableau that lp builds from here on."""
+    calls = []
+    simplex = lp_module._packing_dual_simplex
+
+    def counted(incidence, costs=None):
+        calls.append(incidence)
+        return simplex(incidence, costs)
+
+    monkeypatch.setattr(lp_module, "_packing_dual_simplex", counted)
+    return calls
+
+
+def _random_corpus_graphs():
+    """Seeded random connected graphs of order 8 to 24, two of each order,
+    each a random spanning tree plus about 8% of the other vertex pairs."""
+    rng = random.Random(4242)
+    return [build_graph(n, random_connected_graph(rng, n, 0.08)) for n in range(8, 25) for _ in range(2)]
+
+
+@pytest.mark.parametrize("order", [5, 6, "random"])
+def test_l4_matches_highs_on_every_small_graph(order, simplex_calls):
+    # rows from the brute-force BFS, not from mixdim's pair masks; tier-1
+    # cannot afford the enumeration of order 7, so random graphs of order
+    # 8 to 24 stand in for larger programs
+    graphs = _random_corpus_graphs() if order == "random" else connected_graphs_of_order(order)
+    reached = 0
+    for g in graphs:
         rows = mixed_pair_rows(g.n, g.edges)
         reference = _scipy_optimum(g.n, rows)
         value = solve_covering_lp(CoveringLP.build(g.n, masks(rows)))
         assert value == pytest.approx(reference, abs=1e-7), encode_graph6(g)
-        assert lb_l4(g) == bounds_report(g).l4 == math.ceil(reference - 1e-6), encode_graph6(g)
+        before = len(simplex_calls)
+        assert lb_l4(g) == math.ceil(reference - 1e-6), encode_graph6(g)
+        reached += len(simplex_calls) > before
+        assert bounds_report(g).l4 == lb_l4(g), encode_graph6(g)
+    # the bracket decides some programs and leaves the others to the
+    # simplex, so both of _lp_bound's branches meet the oracle
+    assert 0 < reached < len(graphs)
 
 
 def test_lp_below_integer_cover_on_order5():
@@ -129,6 +161,48 @@ def test_lp_below_integer_cover_on_order5():
         lp_val = solve_covering_lp(CoveringLP.build(5, inst.masks))
         cover = min_hitting_set(inst)
         assert lp_val <= cover.size + 1e-9
+
+
+# --- the bracket: packings below, the greedy cover above -------------------
+
+
+def test_bracket_matches_the_simplex_on_orders_5_and_6(simplex_calls):
+    graphs = [*connected_graphs_of_order(5), *connected_graphs_of_order(6)]
+    assert len(graphs) == 133
+    reached = 0
+    for g in graphs:
+        a = GraphAnalysis(g)
+        inst = a.mixed
+        lp = CoveringLP(g.n, inst.masks, inst.masks)
+        for orbits in (None, a.symmetry.orbits()):
+            before = len(simplex_calls)
+            value = _lp_bound(inst, orbits)
+            reached += len(simplex_calls) > before
+            assert value == ceil_with_tolerance(solve_covering_lp(lp, orbits)), encode_graph6(g)
+    # each undecided graph reaches the simplex once with its orbits and once without
+    assert reached == 2 * 16
+
+
+def test_bracket_leaves_k4_edges_to_the_simplex(simplex_calls):
+    # the packings reach g - 1 exactly, so without the margin the bracket
+    # would answer the greedy cover's 3 for an optimum of 2
+    rows = [1 << u | 1 << v for u, v in itertools.combinations(range(4), 2)]
+    inst = CoverInstance.build(4, rows)
+    assert len(inst.masks) == 6
+    assert greedy_cover(list(inst.masks))[0] == 3
+    assert lp_module._packing_lower_bound(inst.masks, 4) == pytest.approx(2.0)
+    assert solve_covering_lp(CoveringLP.build(4, rows)) == pytest.approx(2.0)
+    simplex_calls.clear()
+    assert _lp_bound(inst, None) == 2
+    assert len(simplex_calls) == 1
+
+
+def test_packing_lower_bound_parts():
+    # disjoint packing: {0, 1} and {2, 3} of the three rows; degree
+    # packing: each of the triangle's vertices lies on two rows, 3 * 1/2
+    assert lp_module._packing_lower_bound([0b0011, 0b0110, 0b1100], 4) == 2
+    assert lp_module._packing_lower_bound([0b011, 0b110, 0b101], 3) == pytest.approx(1.5)
+    assert lp_module._packing_lower_bound([], 3) == 0
 
 
 # --- the program over automorphism orbits ------------------------------------
