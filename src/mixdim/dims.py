@@ -31,10 +31,6 @@ from .graphs import DistanceOracle, Graph, GraphError, MixedItem, _check_landmar
 from .masks import mask_of, masks_of_columns
 from .symmetry import GraphSymmetry
 
-VERTEX_PAIRS = "vertex"
-EDGE_PAIRS = "edge"
-MIXED_PAIRS = "mixed"
-
 MAX_ENUMERATE_BASES_N = 10
 
 
@@ -131,11 +127,13 @@ class GraphAnalysis:
     """What the exact solves and the bounds of one graph share, each field
     computed on first use: the distance oracle, the automorphism group
     that proves the exact values, the forced structure, the distinguisher
-    mask of every mixed item pair and the reduced mixed pair-cover
-    instance.
+    mask of every mixed item pair and the reduced pair-cover instances of
+    the mixed, vertex and edge pairs.
 
     Vertex pairs and edge pairs are sub-families of the mixed pairs, so
-    their instances are cut from mixed_masks instead of recomputed.
+    vertex_pairs and edge_pairs are cut from mixed_masks instead of
+    recomputed; each instance's original_masks are its pairs' masks in
+    distinguisher_masks order.
     """
 
     def __init__(self, G: Graph):
@@ -169,25 +167,23 @@ class GraphAnalysis:
         # a tuple is kept as the instance's original_masks without a copy
         return CoverInstance.build(self.graph.n, self.mixed_masks)
 
-    def instance(self, universe: str) -> CoverInstance:
-        """The hitting-set instance whose solutions are exactly the
-        resolving sets of the item universe; its original_masks are the
-        universe's pair masks in distinguisher_masks order."""
-        if universe == MIXED_PAIRS:
-            return self.mixed
-        masks = self.mixed_masks
-        n = self.graph.n
-        items = n + self.graph.m
-        # mixed pairs (a, b), a < b, row by row: row a starts here
-        start = [a * (2 * items - a - 1) // 2 for a in range(n + 1)]
-        if universe == EDGE_PAIRS:
-            family = masks[start[n]:]
-        elif universe == VERTEX_PAIRS:
-            rows = (masks[start[a] : start[a] + n - 1 - a] for a in range(n - 1))
-            family = tuple(itertools.chain.from_iterable(rows))
-        else:
-            raise ValueError(f"unknown pair universe {universe!r}")
-        return CoverInstance.build(n, family)
+    @cached_property
+    def vertex_pairs(self) -> CoverInstance:
+        """The instance whose solutions are the resolving sets: the first
+        n - 1 - a pairs of each row a of the mixed pairs (a, b), a < b."""
+        n, items = self.graph.n, self.graph.n + self.graph.m
+        family, start = [], 0
+        for a in range(n - 1):
+            family.extend(self.mixed_masks[start : start + n - 1 - a])
+            start += items - 1 - a
+        return CoverInstance.build(n, tuple(family))
+
+    @cached_property
+    def edge_pairs(self) -> CoverInstance:
+        """The instance whose solutions are the edge resolving sets: the
+        last m(m - 1)/2 mixed pairs, those of two edges."""
+        m = self.graph.m
+        return CoverInstance.build(self.graph.n, self.mixed_masks[len(self.mixed_masks) - m * (m - 1) // 2 :])
 
     @cached_property
     def forced_lower_bound(self) -> int:
@@ -202,13 +198,12 @@ class GraphAnalysis:
 
 
 def _pair_dimension(
-    a: GraphAnalysis, universe: str, solve, deadline: float | None
+    a: GraphAnalysis, inst: CoverInstance, solve, deadline: float | None
 ) -> tuple[int, tuple[int, ...] | None]:
     """(size, witness) of solve, min_hitting_set or min_hitting_set_size,
-    on the pair-cover instance of universe, proved with the graph's
+    on inst, one of a's pair-cover instances, proved with the graph's
     automorphism orbits; raises SolveTimeout past the absolute
     time.monotonic() deadline."""
-    inst = a.instance(universe)
     if not inst.masks:
         # a single item resolves itself; by convention a generator is nonempty
         return 1, (0,)
@@ -221,14 +216,16 @@ def metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple
     """Exact metric dimension and its lexicographically smallest basis."""
     if G.n < 2:
         raise GraphError("metric dimension needs at least 2 vertices")
-    return _pair_dimension(GraphAnalysis(G), VERTEX_PAIRS, min_hitting_set, deadline_after(timeout))
+    a = GraphAnalysis(G)
+    return _pair_dimension(a, a.vertex_pairs, min_hitting_set, deadline_after(timeout))
 
 
 def edge_metric_dimension(G: Graph, timeout: float | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact edge metric dimension and its lexicographically smallest basis."""
     if G.n < 2:
         raise GraphError("edge metric dimension needs at least 2 vertices")
-    return _pair_dimension(GraphAnalysis(G), EDGE_PAIRS, min_hitting_set, deadline_after(timeout))
+    a = GraphAnalysis(G)
+    return _pair_dimension(a, a.edge_pairs, min_hitting_set, deadline_after(timeout))
 
 
 def mixed_metric_dimension(
@@ -295,8 +292,8 @@ def exact_dimensions(
     if G.n < 2:
         raise GraphError("exact dimensions need at least 2 vertices")
     a = analysis or GraphAnalysis(G)
-    beta = _pair_dimension(a, VERTEX_PAIRS, min_hitting_set_size, deadline)[0]
-    beta_e = _pair_dimension(a, EDGE_PAIRS, min_hitting_set_size, deadline)[0]
+    beta = _pair_dimension(a, a.vertex_pairs, min_hitting_set_size, deadline)[0]
+    beta_e = _pair_dimension(a, a.edge_pairs, min_hitting_set_size, deadline)[0]
     start = max(lower_bound, beta, beta_e)
     beta_m, witness = mixed_metric_dimension(G, analysis=a, deadline=deadline, lower_bound=start)
     if beta_m < start:

@@ -13,12 +13,14 @@ reduced costs of the slack columns and re-verified by substitution.
 Dantzig pivoting with a permanent switch to Bland's rule after a run of
 degenerate pivots guarantees termination.
 
-Given the orbits of a group that maps the rows onto themselves, such as a
-graph's automorphism orbits on its pair-cover rows, the program is solved
-with one variable per orbit, weighted by the orbit's size, and one row per
-distinct vector of per-orbit counts.  The value is the same, and the 7-cube's
-560 rows over 128 variables, where the dense tableau stalls, become one row
-over one variable.
+The program is solved over the orbits of a group that maps the rows onto
+themselves, such as a graph's automorphism orbits on its pair-cover rows:
+one variable per orbit, weighted by the orbit's size, and one row per
+distinct vector of per-orbit counts.  The value is the same, and the
+7-cube's 560 rows over 128 variables, where the dense tableau stalls,
+become one row over one variable.  With no group given the orbits are the
+single variables, whose program is the plain one: its rows are the
+incidence rows in order and its costs are all ones.
 
 Many programs need no tableau at all.  _packing_lower_bound returns the
 better of two feasible packings, a lower bound on the optimum by weak
@@ -77,39 +79,42 @@ class CoveringLP:
 def solve_covering_lp_primal(lp: CoveringLP, orbits: Sequence[int] | None = None) -> tuple[float, np.ndarray]:
     """Optimal objective and an optimal fractional selection vector y.
 
-    orbits, when given, are the orbits (variable masks that partition
-    0 .. num_vars - 1) of a group of permutations that maps the rows onto
-    themselves.  Averaging an optimum over the group keeps it optimal, so
-    some optimum is constant on each orbit, and the program is solved with
-    one variable per orbit (_orbit_rows): y is that optimum."""
+    orbits are the orbits (variable masks that partition 0 .. num_vars - 1)
+    of a group of permutations that maps the rows onto themselves; None
+    stands for the trivial group, whose orbits are the single variables.
+    Averaging an optimum over the group keeps it optimal, so some optimum
+    is constant on each orbit, and the program is solved with one variable
+    per orbit: y is that optimum."""
     m = lp.num_vars
     if not lp.masks:
         return 0.0, np.zeros(m)
     if orbits is None:
-        incidence = rows_of_masks(lp.masks, m)
-        value, y = _packing_dual_simplex(incidence)
-        if lp.original_masks is not lp.masks:
-            incidence = rows_of_masks(lp.original_masks, m)
-        total = float(y.sum())
-        check = incidence @ y
-    else:
-        counts = _orbit_rows(lp.masks, orbits)
-        sizes = np.array([o.bit_count() for o in orbits], dtype=float)
-        value, z = _packing_dual_simplex(counts, sizes)
-        if lp.original_masks is not lp.masks:
-            counts = _orbit_rows(lp.original_masks, orbits)
-        total = float(sizes @ z)
-        check = counts @ z
-        y = np.empty(m)
-        for o, zo in zip(orbits, z.tolist()):
-            y[list(bits_of(o))] = zo
+        orbits = [1 << v for v in range(m)]
+    # members lists the variables orbit by orbit
+    members = np.array([v for o in orbits for v in bits_of(o)])
+    sizes = np.array([o.bit_count() for o in orbits])
+    incidence = rows_of_masks(lp.masks, m)
+    rows = incidence[:, members]
+    if len(orbits) < m:  # over single variables both steps change nothing
+        # row r becomes r's number of variables in each orbit, the sum of
+        # y over r when y is constant on each orbit; a count is at most m,
+        # so below 256 variables it takes a byte, as an incidence entry does
+        rows = np.add.reduceat(rows, np.cumsum(sizes) - sizes, axis=1, dtype=np.min_scalar_type(m))
+        # rows that the group relates become equal; the first of each stays,
+        # told apart by its bytes, since np.unique(axis=0) loads numpy.ma
+        keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+        rows = rows[np.sort(np.unique(keys, return_index=True)[1])]
+    value, z = _packing_dual_simplex(rows, sizes.astype(float))
+    y = np.empty(m)
+    y[members] = np.repeat(z, sizes)
+    total = float(y.sum())
     if abs(total - value) > 1e-6 * max(1.0, abs(value)):
         raise LPError(f"primal recovery mismatch: sum(y)={total} vs optimum {value}")
-    bad = (check < 1.0 - ABS_TOL).nonzero()[0]
+    if lp.original_masks is not lp.masks:
+        incidence = rows_of_masks(lp.original_masks, m)
+    bad = (incidence @ y < 1.0 - ABS_TOL).nonzero()[0]
     if bad.size:
-        if orbits is None:
-            raise LPError(f"recovered selection violates row {list(bits_of(lp.original_masks[bad[0]]))}")
-        raise LPError(f"recovered selection violates the row of orbit counts {counts[bad[0]]}")
+        raise LPError(f"recovered selection violates row {list(bits_of(lp.original_masks[bad[0]]))}")
     return value, y
 
 
@@ -134,20 +139,11 @@ def _packing_lower_bound(masks: Sequence[int], num_vars: int) -> float:
     return max(disjoint, degree)
 
 
-def _orbit_rows(masks: Sequence[int], orbits: Sequence[int]) -> np.ndarray:
-    """The distinct rows of the program over orbit variables, in ascending
-    order: row r becomes, for each orbit O, the number of r's variables in
-    O, since sum(y[v] for v in r) is that sum when y is constant on each
-    orbit.  Rows that one permutation of the group relates become equal."""
-    rows = {tuple((r & o).bit_count() for o in orbits) for r in masks}
-    return np.array(sorted(rows), dtype=float)
-
-
-def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray) -> tuple[float, np.ndarray]:
     """Optimum of the packing dual of the covering program min costs.y,
-    incidence y >= 1, y >= 0 (costs all ones when None), and the covering
-    solution y read off its slack columns.  The tableau lives only here, so
-    it is freed before the caller checks y."""
+    incidence y >= 1, y >= 0, and the covering solution y read off its
+    slack columns.  The tableau lives only here, so it is freed before the
+    caller checks y."""
     R, m = incidence.shape
     # packing dual: maximize 1.x  s.t.  incidence^T x + s = costs
     ncols = R + m
@@ -155,7 +151,7 @@ def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray | None = None
     basis = np.arange(R, R + m)
     T[:m, :R] = incidence.T
     T[basis - R, basis] = 1.0  # the slack columns, an identity
-    T[:m, ncols] = 1.0 if costs is None else costs
+    T[:m, ncols] = costs
     T[m, :R] = -1.0  # reduced costs z_j - c_j with the all-slack basis
     # views that follow the pivots
     obj, rhs = T[m, :ncols], T[:m, ncols]

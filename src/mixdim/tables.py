@@ -121,7 +121,8 @@ def _diff_cells(
 def _row(G: Graph, label: str, timeout: float | None) -> TableRow:
     """The comparison row of G, from its exact bounds_report: status "ok";
     or "timeout" with the bounds alone when the exact report runs past
-    timeout, or with |E| alone when the bounds do too."""
+    timeout, or with |E| alone when the bounds do too.  The bounds-only
+    report gets a fresh timeout, so one row may take up to twice timeout."""
     status = "ok"
     try:
         rep = bounds_report(G, compute_exact=True, label=label, timeout=timeout)

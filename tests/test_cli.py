@@ -130,6 +130,15 @@ def test_torus_rejects_small():
     assert "torus needs m, n >= 3" in err
 
 
+def test_torus_rejects_a_pair_with_a_sweep():
+    # the sweep would check other pairs than the one asked for
+    for pair in (("--m", "3", "--n", "4"), ("--m", "3"), ("--n", "4")):
+        code, out, err = run_cli("torus", *pair, "--max", "3")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "not both" in err
+
+
 def test_table_order5():
     code, out, err = run_cli("table-order5")
     assert code == EXIT_OK

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mixdim.dims as dims
 from mixdim.bounds import edge_side_sets
-from mixdim.dims import EDGE_PAIRS, MIXED_PAIRS, VERTEX_PAIRS, GraphAnalysis, distinguisher_masks
+from mixdim.dims import GraphAnalysis, distinguisher_masks
 from mixdim.graphs import build_graph
 from mixdim.masks import masks_of_columns, rows_of_masks
 
@@ -47,17 +47,25 @@ def _wide_graph(n):
     return build_graph(n, random_connected_graph(random.Random(n), n, extra_edge_prob=0.02))
 
 
+def _pair_instances(analysis):
+    """Each pair-cover instance of the analysis with its items: the
+    vertices, the edges, then both."""
+    n, m = analysis.graph.n, analysis.graph.m
+    yield analysis.vertex_pairs, range(n)
+    yield analysis.edge_pairs, range(n, n + m)
+    yield analysis.mixed, range(n + m)
+
+
 @pytest.mark.parametrize("n", range(63, 71))
 def test_wide_graph_families_match_brute_force(n):
     g = _wide_graph(n)
     analysis = GraphAnalysis(g)
     vecs = item_vectors(n, g.edges, range(n))
-    items = {VERTEX_PAIRS: range(n), EDGE_PAIRS: range(n, n + g.m), MIXED_PAIRS: range(n + g.m)}
-    for universe, cols in items.items():
+    for inst, cols in _pair_instances(analysis):
         want = masks(
             [w for w in range(n) if vecs[a][w] != vecs[b][w]] for a, b in itertools.combinations(cols, 2)
         )
-        assert analysis.instance(universe).original_masks == tuple(want), universe
+        assert inst.original_masks == tuple(want), cols
     closer_u, closer_v = zip(*side_sets(n, g.edges))
     assert edge_side_sets(analysis.oracle) == (masks(closer_u), masks(closer_v))
 
@@ -73,10 +81,9 @@ def test_pair_mask_blocks_match_row_by_row_reference(n, monkeypatch):
         g = build_graph(n, random_connected_graph(random.Random(n), n))
     analysis = GraphAnalysis(g)
     dmix = analysis.oracle.dmix
-    items = {VERTEX_PAIRS: range(n), EDGE_PAIRS: range(n, n + g.m), MIXED_PAIRS: range(n + g.m)}
-    for universe, cols in items.items():
+    for inst, cols in _pair_instances(analysis):
         want = reference_distinguisher_masks(dmix, list(cols))
-        assert analysis.instance(universe).original_masks == tuple(want), universe
+        assert inst.original_masks == tuple(want), cols
     total = len(want)  # the mixed pairs
     sizes = {1, 2, 7} if total < 3000 else {97}
     for pairs in sorted(sizes | {max(total - 1, 1), max(total, 1), total + 1}):

@@ -11,9 +11,6 @@ import pytest
 import mixdim.cover as cover
 from mixdim.cover import min_hitting_set
 from mixdim.dims import (
-    EDGE_PAIRS,
-    MIXED_PAIRS,
-    VERTEX_PAIRS,
     GraphAnalysis,
     all_min_mixed_bases,
     edge_metric_dimension,
@@ -43,13 +40,13 @@ def fig1():
 
 
 def test_pair_instance_p3_mixed():
-    inst = GraphAnalysis(build_graph(3, [(0, 1), (1, 2)])).instance(MIXED_PAIRS)
+    inst = GraphAnalysis(build_graph(3, [(0, 1), (1, 2)])).mixed
     assert all(inst.masks)
     assert min_hitting_set(inst).size == 2
 
 
 def test_pair_instance_k2_vertex():
-    inst = GraphAnalysis(parse_graph6("A_")).instance(VERTEX_PAIRS)
+    inst = GraphAnalysis(parse_graph6("A_")).vertex_pairs
     assert inst.original_masks == (0b11,)
 
 
@@ -150,11 +147,11 @@ def test_dimensions_match_enumeration_on_random_graphs():
         edges = random_connected_graph(rng, n)
         g = build_graph(n, edges)
         for universe, solver in (
-            (VERTEX_PAIRS, metric_dimension),
-            (EDGE_PAIRS, edge_metric_dimension),
-            (MIXED_PAIRS, mixed_metric_dimension),
+            ("vertex", metric_dimension),
+            ("edge", edge_metric_dimension),
+            ("mixed", mixed_metric_dimension),
         ):
-            if universe == EDGE_PAIRS and g.m < 2:
+            if universe == "edge" and g.m < 2:
                 continue
             expected_size, expected_witnesses = min_dimension(n, edges, universe)
             size, witness = solver(g)
@@ -185,7 +182,7 @@ def test_orbit_split_dimensions_match_brute_force(spec, backend, monkeypatch):
 
     monkeypatch.setattr(cover, "_split", counted)
     G = generate(spec)
-    for universe, solver in ((VERTEX_PAIRS, metric_dimension), (EDGE_PAIRS, edge_metric_dimension)):
+    for universe, solver in (("vertex", metric_dimension), ("edge", edge_metric_dimension)):
         splits.clear()
         assert solver(G) == _brute_lex_min(spec, universe)
         assert any(splits), universe

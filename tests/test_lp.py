@@ -1,11 +1,18 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import mixdim
 from mixdim import lp as lp_module
 from mixdim._cover_py import greedy_cover
 from mixdim.bounds import _lp_bound, bounds_report, lb_l4
@@ -14,7 +21,7 @@ from mixdim.dims import GraphAnalysis
 from mixdim.families import connected_graphs_of_order, encode_graph6, generate, generate_named
 from mixdim.graphs import build_graph
 from mixdim.lp import CoveringLP, LPError, ceil_with_tolerance, solve_covering_lp, solve_covering_lp_primal
-from mixdim.masks import bits_of
+from mixdim.masks import bits_of, rows_of_masks
 from mixdim.tables import SELECTED_GRAPHS
 
 from bruteforce import masks, mixed_pair_rows, random_connected_graph
@@ -119,7 +126,7 @@ def simplex_calls(monkeypatch):
     calls = []
     simplex = lp_module._packing_dual_simplex
 
-    def counted(incidence, costs=None):
+    def counted(incidence, costs):
         calls.append(incidence)
         return simplex(incidence, costs)
 
@@ -249,6 +256,58 @@ def test_orbit_program_matches_plain_and_highs(g):
     assert float(y.sum()) == pytest.approx(value, abs=1e-7)
     for m in inst.original_masks:
         assert sum(y[v] for v in bits_of(m)) >= 1 - 1e-7
+
+
+def test_singleton_program_is_the_plain_program(simplex_calls):
+    # with no orbits the simplex gets the incidence rows in order, so the
+    # plain program's tableau and pivots are those of the orbit program
+    # over single variables
+    for g in [*connected_graphs_of_order(5), *connected_graphs_of_order(6)]:
+        inst = GraphAnalysis(g).mixed
+        lp = CoveringLP(g.n, inst.masks, inst.masks)
+        simplex_calls.clear()
+        solve_covering_lp(lp)
+        [rows] = simplex_calls
+        assert np.array_equal(rows, rows_of_masks(lp.masks, g.n)), encode_graph6(g)
+
+
+def test_exact_reports_leave_numpy_ma_unloaded():
+    # np.unique(axis=0) imports numpy.ma, about 1.6 MB of resident memory:
+    # the orbit rows and the stabilizer generators are told apart by their
+    # bytes instead.  Clebsch's N2 proof finds its one vertex orbit, so its
+    # L4 runs the orbit program; Frucht's group is trivial, so its L4 runs
+    # the program over single variables
+    frucht = sorted(nx.frucht_graph().edges)
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import numpy
+        if "numpy.ma" in sys.modules:
+            sys.exit(3)
+        import mixdim.lp as lp
+        from mixdim.bounds import bounds_report
+        from mixdim.families import generate_named
+        from mixdim.graphs import build_graph
+
+        widths = []
+        simplex = lp._packing_dual_simplex
+        def counted(rows, *costs):
+            widths.append(rows.shape[1])
+            return simplex(rows, *costs)
+        lp._packing_dual_simplex = counted
+        bounds_report(generate_named("clebsch"), compute_exact=True)
+        bounds_report(build_graph(12, {frucht!r}), compute_exact=True)
+        assert widths == [1, 12], widths
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    src = str(Path(mixdim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    if run.returncode == 3:
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
 
 
 def test_orbit_program_of_a_built_program():

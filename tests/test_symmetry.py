@@ -23,7 +23,7 @@ from mixdim.cover import (
     min_hitting_set,
     min_hitting_set_size,
 )
-from mixdim.dims import EDGE_PAIRS, VERTEX_PAIRS, GraphAnalysis, excluded_vertices
+from mixdim.dims import GraphAnalysis, excluded_vertices
 from mixdim.families import generate, generate_named, parse_graph6
 from mixdim.graphs import build_graph, distances
 from mixdim.masks import bits_of
@@ -220,7 +220,7 @@ def test_symmetric_instance_is_split(monkeypatch):
     G = generate_named("rook", 6)
     a = GraphAnalysis(G)
     calls = _counting(monkeypatch)
-    assert min_hitting_set_size(a.instance(VERTEX_PAIRS), sym=a.symmetry).size == 7
+    assert min_hitting_set_size(a.vertex_pairs, sym=a.symmetry).size == 7
     # one orbit, so vertex 0 is forced; then every branch splits again under
     # the stabilizer of the vertices it forces, while the split rule holds
     assert tuple(bits_of(inst.forced) for inst in calls) == (
@@ -244,7 +244,7 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
     G = generate_named("kneser", 7, 2)
     a = GraphAnalysis(G)
     sym = GraphSymmetry(G, a.oracle.dv)
-    inst = a.instance(VERTEX_PAIRS)
+    inst = a.vertex_pairs
     plain = min_hitting_set_size(inst)
     calls = _counting(monkeypatch)
     assert min_hitting_set_size(inst, sym=sym) == plain
@@ -329,9 +329,9 @@ def test_trivial_group_is_one_plain_call(monkeypatch):
     G = build_graph(H.number_of_nodes(), H.edges)
     a = GraphAnalysis(G)
     calls = _counting(monkeypatch)
-    res = min_hitting_set_size(a.instance(EDGE_PAIRS), sym=a.symmetry)
-    assert calls == [a.instance(EDGE_PAIRS)]
-    assert res == min_hitting_set_size(a.instance(EDGE_PAIRS))
+    res = min_hitting_set_size(a.edge_pairs, sym=a.symmetry)
+    assert calls == [a.edge_pairs]
+    assert res == min_hitting_set_size(a.edge_pairs)
 
 
 # --- orbital verdicts against plain ones -----------------------------------
@@ -359,8 +359,8 @@ def _families(G):
     and edge pairs, the N2 side sets and each mixed level up to betaM with
     its forced and excluded sets."""
     a = GraphAnalysis(G)
-    yield "vertex", a.instance(VERTEX_PAIRS)
-    yield "edge", a.instance(EDGE_PAIRS)
+    yield "vertex", a.vertex_pairs
+    yield "edge", a.edge_pairs
     closer_u, closer_v = edge_side_sets(a.oracle)
     yield "n2", CoverInstance.build(G.n, closer_u + closer_v)
     forced = a.forced.forced
