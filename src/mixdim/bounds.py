@@ -7,20 +7,19 @@ structure, L4 = ceiling of the covering-LP relaxation of the mixed
 pair-cover instance.  Three newer ones: N1 = 1 + ceil(log2(min degree + 1)),
 N2 = the exact minimum hitting set of the per-edge side sets, and N3 = the
 smallest k with |V|+|E| <= D^k + k*(max degree + 1), counting how many
-distance vectors k landmarks can tell apart.
+distance vectors k landmarks can tell apart.  N2 bounds betaM because the
+side set of u in the edge e = uv, the vertices strictly closer to u than
+to v, is the set of vertices that tell v from e: the mixed pair (v, e).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._cover_py import greedy_cover
 from .cover import OPTIMAL, CoverInstance, deadline_after, min_hitting_set
 from .dims import GraphAnalysis, _ceil_log2, exact_dimensions
-from .graphs import DistanceOracle, Graph, GraphError, distances
+from .graphs import Graph, GraphError
 from .lp import CoveringLP, _packing_lower_bound, ceil_with_tolerance, solve_covering_lp
-from .masks import masks_of_columns
 
 
 def lb_l1(G: Graph) -> int:
@@ -85,18 +84,6 @@ def lb_n1(G: Graph) -> int:
     return 1 + _ceil_log2(G.min_degree + 1)
 
 
-def edge_side_sets(oracle: DistanceOracle) -> tuple[list[int], list[int]]:
-    """The side sets of every edge uv (u < v, in oracle.graph.edges order)
-    as bitmasks: (vertices strictly closer to u, vertices strictly closer
-    to v).  u always sits in the first set and v in the second."""
-    ends = np.array(oracle.graph.edges, dtype=np.intp).reshape(-1, 2)
-    # distances are symmetric: column u of dv is the distance profile of u
-    du = oracle.dv[:, ends[:, 0]]
-    dw = oracle.dv[:, ends[:, 1]]
-    masks = masks_of_columns(np.concatenate((du < dw, du > dw), axis=1))
-    return masks[: len(ends)], masks[len(ends) :]
-
-
 def lb_n2(
     G: Graph,
     analysis: GraphAnalysis | None = None,
@@ -104,22 +91,22 @@ def lb_n2(
 ) -> tuple[int, tuple[int, ...]]:
     """Exact minimum hitting set over the 2m edge side sets, with its
     lex-min witness; the size is proved with the graph's automorphism
-    orbits.  Raises SolveTimeout past the absolute time.monotonic()
-    deadline.  analysis, when given, must belong to G."""
+    orbits.  The side set of u in e = uv is the mixed pair (v, e), so the
+    family is analysis.edge_sides.  Raises SolveTimeout past the absolute
+    time.monotonic() deadline.  analysis, when given, must belong to G."""
     a = analysis or GraphAnalysis(G)
-    closer_u, closer_v = edge_side_sets(a.oracle)
-    inst = CoverInstance.build(G.n, closer_u + closer_v)
-    res = min_hitting_set(inst, deadline=deadline, sym=a.symmetry)
+    res = min_hitting_set(a.edge_sides, deadline=deadline, sym=a.symmetry)
     assert res.status == OPTIMAL
     return res.size, res.witness
 
 
-def lb_n3(G: Graph, oracle: DistanceOracle | None = None) -> int:
-    """Smallest k such that D^k + k*(max degree + 1) reaches |V|+|E|."""
+def lb_n3(G: Graph, analysis: GraphAnalysis | None = None) -> int:
+    """Smallest k such that D^k + k*(max degree + 1) reaches |V|+|E|.
+    analysis, when given, must belong to G."""
     if G.n < 2:
         raise GraphError("bound needs at least 2 vertices")
     items = G.n + G.m
-    D = (oracle or distances(G)).diameter
+    D = (analysis or GraphAnalysis(G)).oracle.diameter
     cap = G.max_degree + 1
     k = 1
     while D ** k + k * cap < items:
@@ -129,11 +116,7 @@ def lb_n3(G: Graph, oracle: DistanceOracle | None = None) -> int:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """All seven lower bounds for one graph, optional exact dimensions.
-
-    best is the max of the seven bounds; it is a convenience of this tool,
-    not a quantity from the comparison tables.
-    """
+    """All seven lower bounds for one graph, optional exact dimensions."""
 
     label: str
     n: int
@@ -150,10 +133,6 @@ class BoundsReport:
     beta_e: int | None = None
     beta_m: int | None = None
     beta_m_witness: tuple[int, ...] | None = None
-
-    @property
-    def best(self) -> int:
-        return max(self.l1, self.l2, self.l3, self.l4, self.n1, self.n2, self.n3)
 
     def bound_tuple(self) -> tuple[int, int, int, int, int, int, int]:
         return (self.l1, self.l2, self.l3, self.l4, self.n1, self.n2, self.n3)
@@ -194,7 +173,7 @@ def bounds_report(
         l4=l4,
         n1=n1,
         n2=n2_val,
-        n3=lb_n3(G, a.oracle),
+        n3=lb_n3(G, a),
         n2_witness=n2_wit,
         beta=beta,
         beta_e=beta_e,

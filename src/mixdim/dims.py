@@ -39,14 +39,20 @@ MAX_ENUMERATE_BASES_N = 10
 _PAIR_BLOCK_ENTRIES = 1 << 15
 
 
+def _pair_number(a, b, items):
+    """The number of the pair (a, b), a < b, among the pairs of the items
+    0 .. items - 1 in row-major order; a and b are ints or numpy arrays."""
+    return a * (2 * items - a - 1) // 2 + b - a - 1
+
+
 def distinguisher_masks(oracle: DistanceOracle) -> list[int]:
     """Bitmask of distinguishing vertices for every unordered mixed item
-    pair, pairs (a, b), a < b, in row-major order."""
+    pair, pairs (a, b), a < b, in row-major order (_pair_number)."""
     # one row of distances per item: a block gathers whole rows
     dm = np.ascontiguousarray(oracle.dmix.T)
     items, n = dm.shape
     rows = np.arange(items)
-    starts = rows * (2 * items - rows - 1) // 2  # pair number of (a, a + 1)
+    starts = _pair_number(rows, rows + 1, items)  # pair number of (a, a + 1)
     shift = rows + 1 - starts  # b - pair number, on row a
     total = items * (items - 1) // 2
     block = max(1, _PAIR_BLOCK_ENTRIES // n)
@@ -127,13 +133,14 @@ class GraphAnalysis:
     """What the exact solves and the bounds of one graph share, each field
     computed on first use: the distance oracle, the automorphism group
     that proves the exact values, the forced structure, the distinguisher
-    mask of every mixed item pair and the reduced pair-cover instances of
-    the mixed, vertex and edge pairs.
+    mask of every mixed item pair, the reduced pair-cover instances of
+    the mixed, vertex and edge pairs and N2's edge side sets.
 
-    Vertex pairs and edge pairs are sub-families of the mixed pairs, so
-    vertex_pairs and edge_pairs are cut from mixed_masks instead of
-    recomputed; each instance's original_masks are its pairs' masks in
-    distinguisher_masks order.
+    Vertex pairs, edge pairs and the side sets are sub-families of the
+    mixed pairs, so vertex_pairs, edge_pairs and edge_sides are cut from
+    mixed_masks instead of recomputed: the side set of u in the edge
+    e = uv is the mixed pair (v, e).  Each pair instance's original_masks
+    are its pairs' masks in distinguisher_masks order.
     """
 
     def __init__(self, G: Graph):
@@ -172,18 +179,27 @@ class GraphAnalysis:
         """The instance whose solutions are the resolving sets: the first
         n - 1 - a pairs of each row a of the mixed pairs (a, b), a < b."""
         n, items = self.graph.n, self.graph.n + self.graph.m
-        family, start = [], 0
+        family = []
         for a in range(n - 1):
+            start = _pair_number(a, a + 1, items)
             family.extend(self.mixed_masks[start : start + n - 1 - a])
-            start += items - 1 - a
         return CoverInstance.build(n, tuple(family))
 
     @cached_property
     def edge_pairs(self) -> CoverInstance:
         """The instance whose solutions are the edge resolving sets: the
-        last m(m - 1)/2 mixed pairs, those of two edges."""
-        m = self.graph.m
-        return CoverInstance.build(self.graph.n, self.mixed_masks[len(self.mixed_masks) - m * (m - 1) // 2 :])
+        mixed pairs from (n, n + 1) on, those of two edges."""
+        n = self.graph.n
+        return CoverInstance.build(n, self.mixed_masks[_pair_number(n, n + 1, n + self.graph.m) :])
+
+    @cached_property
+    def edge_sides(self) -> CoverInstance:
+        """N2's instance: for each edge e = uv of graph.edges (u < v, item
+        n + i) the vertices strictly closer to u, then for each edge those
+        strictly closer to v, that is the mixed pairs (v, e), then (u, e)."""
+        n, edges = self.graph.n, self.graph.edges
+        sides = [_pair_number(e[end], n + i, n + len(edges)) for end in (1, 0) for i, e in enumerate(edges)]
+        return CoverInstance.build(n, [self.mixed_masks[p] for p in sides])
 
     @cached_property
     def forced_lower_bound(self) -> int:

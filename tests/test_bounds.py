@@ -2,12 +2,10 @@ import random
 
 import pytest
 
-import mixdim.bounds
 import mixdim.dims as dims
 import mixdim.graphs
 from mixdim.bounds import (
     bounds_report,
-    edge_side_sets,
     lb_l1,
     lb_l2,
     lb_l3,
@@ -16,8 +14,9 @@ from mixdim.bounds import (
     lb_n2,
     lb_n3,
 )
+from mixdim.dims import GraphAnalysis
 from mixdim.families import generate_named, parse_graph6
-from mixdim.graphs import build_graph, distances
+from mixdim.graphs import build_graph
 
 from bruteforce import masks, random_connected_graph, side_sets
 
@@ -62,15 +61,22 @@ def test_n1_examples():
         assert lb_n1(g) == 1 + (r).bit_length()
 
 
+def _side_sets(g):
+    """(closer to u, closer to v) of every edge uv of g, in g.edges order,
+    read from GraphAnalysis(g).edge_sides."""
+    sides = GraphAnalysis(g).edge_sides.original_masks
+    return sides[: g.m], sides[g.m :]
+
+
 def test_side_sets_path3():
-    closer_u, closer_v = edge_side_sets(distances(build_graph(3, [(0, 1), (1, 2)])))
+    closer_u, closer_v = _side_sets(build_graph(3, [(0, 1), (1, 2)]))
     assert closer_u[0] == 0b001
     assert closer_v[0] == 0b110
 
 
 def test_side_sets_hypercube_halfspace():
     g = generate_named("hypercube", 5)
-    closer_u, _ = edge_side_sets(distances(g))
+    closer_u, _ = _side_sets(g)
     for (u, v), less in zip(g.edges, closer_u):
         t = (u ^ v).bit_length() - 1
         assert less == sum(1 << w for w in range(32) if (w >> t) & 1 == (u >> t) & 1)
@@ -81,13 +87,13 @@ def test_side_sets_contain_endpoints():
     for _ in range(15):
         n = rng.randint(2, 9)
         g = build_graph(n, random_connected_graph(rng, n))
-        closer_u, closer_v = edge_side_sets(distances(g))
+        closer_u, closer_v = _side_sets(g)
         for (u, v), less, greater in zip(g.edges, closer_u, closer_v):
             assert less >> u & 1 and greater >> v & 1
             assert not less & greater
         # matches the scratch-BFS recomputation
         want = side_sets(n, g.edges)
-        assert (closer_u, closer_v) == tuple(masks(sides) for sides in zip(*want))
+        assert (closer_u, closer_v) == tuple(tuple(masks(sides)) for sides in zip(*want))
 
 
 def test_n2_examples():
@@ -100,7 +106,7 @@ def test_n2_witness_hits_both_sides_of_every_edge():
     g = generate_named("gen_petersen", 5, 2)
     value, witness = lb_n2(g)
     wmask = sum(1 << w for w in witness)
-    for less, greater in zip(*edge_side_sets(distances(g))):
+    for less, greater in zip(*_side_sets(g)):
         assert less & wmask and greater & wmask
 
 
@@ -113,8 +119,9 @@ def test_n3_examples():
 def test_n3_is_minimal():
     for g in (fig1(), generate_named("complete", 5), generate_named("gen_petersen", 5, 2),
               generate_named("path", 5)):
-        o = distances(g)
-        k = lb_n3(g, o)
+        a = GraphAnalysis(g)
+        o = a.oracle
+        k = lb_n3(g, a)
         items = g.n + g.m
         cap = g.max_degree + 1
         assert o.diameter ** k + k * cap >= items
@@ -127,7 +134,7 @@ def test_degree_bounds_build_no_distance_oracle(monkeypatch):
         raise AssertionError("a degree bound computed all-pairs distances")
 
     g = generate_named("torus", 15, 15)
-    monkeypatch.setattr(mixdim.bounds, "distances", no_bfs)
+    monkeypatch.setattr(dims, "distances", no_bfs)
     monkeypatch.setattr(mixdim.graphs, "distances", no_bfs)
     assert (lb_l1(g), lb_l2(g), lb_n1(g)) == (2, 3, 4)
     with pytest.raises(AssertionError):
@@ -146,7 +153,6 @@ def test_bounds_report_fig1():
     rep = bounds_report(fig1(), compute_exact=True, label="fig1")
     assert rep.bound_tuple() == (2, 2, 5, 5, 3, 5, 2)
     assert (rep.beta, rep.beta_e, rep.beta_m) == (3, 4, 5)
-    assert rep.best == 5
 
 
 def test_bounds_report_petersen():

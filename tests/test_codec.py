@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mixdim.dims as dims
-from mixdim.bounds import edge_side_sets
 from mixdim.dims import GraphAnalysis, distinguisher_masks
 from mixdim.graphs import build_graph
 from mixdim.masks import masks_of_columns, rows_of_masks
@@ -67,7 +66,7 @@ def test_wide_graph_families_match_brute_force(n):
         )
         assert inst.original_masks == tuple(want), cols
     closer_u, closer_v = zip(*side_sets(n, g.edges))
-    assert edge_side_sets(analysis.oracle) == (masks(closer_u), masks(closer_v))
+    assert analysis.edge_sides.original_masks == tuple(masks(closer_u) + masks(closer_v))
 
 
 @pytest.mark.parametrize("n", [2, 5, 16, 30, *range(63, 71)])

@@ -10,9 +10,9 @@ import pytest
 
 import mixdim.cover as cover
 import mixdim.dims as dims
-from mixdim.bounds import bounds_report, edge_side_sets
+from mixdim.bounds import bounds_report
 from mixdim.cli import EXIT_INVALID, main
-from mixdim.cover import CoverInstance, SolveTimeout
+from mixdim.cover import SolveTimeout
 from mixdim.dims import GraphAnalysis, mixed_metric_dimension
 from mixdim.families import generate_named
 from mixdim.torus import torus_theorem_check
@@ -103,8 +103,7 @@ def test_witness_trial_branches_share_one_deadline(monkeypatch):
     monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
     G = generate_named("johnson", 9, 2)
     a = GraphAnalysis(G)
-    closer_u, closer_v = edge_side_sets(a.oracle)
-    inst = CoverInstance.build(G.n, closer_u + closer_v)
+    inst = a.edge_sides
     proof = cover._search(inst, a.symmetry, (), None, 0, None)[1]
     kernel = cover._kernel(G.n)
     calls = []

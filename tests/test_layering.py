@@ -1,7 +1,7 @@
 """The package's import layers, read from the sources: the mask format and
 the graph container import nothing from the package, the covering LP and
-the symmetry module import nothing from the search engine, and every
-top-level name resolves."""
+the symmetry module import nothing from the search engine, only dims turns
+distances into masks, and every top-level name resolves."""
 import ast
 from pathlib import Path
 
@@ -48,6 +48,28 @@ def test_leaf_modules_import_nothing_from_the_package(module):
 @pytest.mark.parametrize("module", ["lp", "symmetry"])
 def test_lp_and_symmetry_do_not_import_the_search(module):
     assert "mixdim.cover" not in _package_imports(module)
+
+
+def _names(module: str) -> set[str]:
+    """Every identifier that src/mixdim/<module>.py names in its code:
+    variables, attributes, imported names and definitions."""
+    out = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+def test_only_dims_turns_distances_into_masks():
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    assert "masks_of_columns" in _names("dims")  # the reader sees the one use
+    assert [m for m in modules if m not in ("masks", "dims") and "masks_of_columns" in _names(m)] == []
 
 
 def test_every_public_name_resolves():

@@ -14,7 +14,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 import mixdim._cover_py as _cover_py
 import mixdim.cover as cover
 import mixdim.symmetry as symmetry
-from mixdim.bounds import bounds_report, edge_side_sets, lb_n2
+from mixdim.bounds import bounds_report, lb_n2
 from mixdim.cover import (
     CUTOFF_EXCEEDED,
     OPTIMAL,
@@ -361,8 +361,7 @@ def _families(G):
     a = GraphAnalysis(G)
     yield "vertex", a.vertex_pairs
     yield "edge", a.edge_pairs
-    closer_u, closer_v = edge_side_sets(a.oracle)
-    yield "n2", CoverInstance.build(G.n, closer_u + closer_v)
+    yield "n2", a.edge_sides
     forced = a.forced.forced
     for k in range(2, G.n + 1):
         excl = excluded_vertices(G, k)
@@ -573,12 +572,11 @@ def test_selected_graph_witnesses_match_plain(sel, backend, monkeypatch):
     G = generate(sel.family)
     a = GraphAnalysis(G)
     sym = a.symmetry
-    closer_u, closer_v = edge_side_sets(a.oracle)
     rep = bounds_report(G, compute_exact=True)
     excl = excluded_vertices(G, rep.beta_m)
     mixed = replace(a.mixed, forced=a.forced.forced, excluded=excl)
     families = [
-        (CoverInstance.build(G.n, closer_u + closer_v), rep.n2, rep.n2_witness),
+        (a.edge_sides, rep.n2, rep.n2_witness),
         (mixed, rep.beta_m, rep.beta_m_witness),
     ]
     for inst, size, witness in families:
@@ -603,8 +601,7 @@ def johnson_n2():
     """(graph, its orbits, its N2 side-set instance)."""
     G = generate_named("johnson", 9, 2)
     a = GraphAnalysis(G)
-    closer_u, closer_v = edge_side_sets(a.oracle)
-    return G, a.symmetry, CoverInstance.build(G.n, closer_u + closer_v)
+    return G, a.symmetry, a.edge_sides
 
 
 def _proof_cover(inst, sym):
