@@ -13,13 +13,14 @@ to v, is the set of vertices that tell v from e: the mixed pair (v, e).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._cover_py import greedy_cover
 from .cover import OPTIMAL, CoverInstance, deadline_after, min_hitting_set
 from .dims import GraphAnalysis, _ceil_log2, exact_dimensions
 from .graphs import Graph, GraphError
-from .lp import CoveringLP, _packing_lower_bound, ceil_with_tolerance, solve_covering_lp
+from .lp import CoveringLP, LPError, _packing_lower_bound, solve_covering_lp
 
 
 def lb_l1(G: Graph) -> int:
@@ -51,32 +52,27 @@ def lb_l4(G: Graph) -> int:
 # exact-corpus (seeds 1 and 11), and costs up to 15 times their simplex,
 # 21 ms against 1.4 ms over the orbits on rook(6)'s 2,748 rows
 _BRACKET_MAX_ROWS = 32
-# how far the better packing must pass g - 1: far above the tolerance of
-# ceil_with_tolerance and the simplex's error, so that g is what it would
-# return on the simplex's value
-_BRACKET_MARGIN = 1e-3
 
 
 def _lp_bound(inst: CoverInstance, orbits: list[int] | None) -> int:
-    """L4 from the reduced mixed pair-cover instance: its rows are the
-    covering program's rows, already reduced.
-
-    A program of at most _BRACKET_MAX_ROWS rows is first bracketed by weak
-    duality: its optimum lies between any feasible packing
-    (lp._packing_lower_bound) and g, the size of the greedy cover.  When
-    the packing passes g - 1 by _BRACKET_MARGIN, the ceiling is g and no
-    tableau is built.  Otherwise the simplex solves the program; orbits,
-    automorphism orbits of the graph or None, give it one variable per
-    orbit."""
+    """L4 from the reduced mixed pair-cover instance, whose rows are the
+    covering program's: ceil(lb) when ceil(lb) = ceil(ub) for the value lb
+    of a feasible packing and ub of a feasible cover (weak duality), first
+    for lp._packing_lower_bound and the greedy cover on at most
+    _BRACKET_MAX_ROWS rows, then for lp.solve_covering_lp's exact pair over
+    orbits (automorphism orbits or None).  Undecided raises LPError."""
     masks = inst.masks
     if masks[:1] == (0,):
         raise GraphError("mixed pair instance has an undistinguished pair")
     if len(masks) <= _BRACKET_MAX_ROWS:
         g = greedy_cover(list(masks))[0]
-        if _packing_lower_bound(masks, inst.universe_size) > g - 1 + _BRACKET_MARGIN:
+        if math.ceil(_packing_lower_bound(masks, inst.universe_size)) == g:
             return g
-    lp = CoveringLP(inst.universe_size, masks, masks)
-    return ceil_with_tolerance(solve_covering_lp(lp, orbits))
+    lb, ub = solve_covering_lp(CoveringLP(inst.universe_size, masks), orbits)
+    if math.ceil(lb) != math.ceil(ub):
+        program = f"rows {list(masks)} over {inst.universe_size} variables, orbits {orbits}"
+        raise LPError(f"packing {lb} and cover {ub} leave L4 undecided on {program}")
+    return math.ceil(lb)
 
 
 def lb_n1(G: Graph) -> int:

@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     to.add_argument("--n", type=int)
     to.add_argument("--max", type=int, help="sweep all 3 <= m,n <= max, in place of --m and --n")
     to.add_argument("--exact", action="store_true")
-    _add_timeout(to)
+    _add_timeout(to, "seconds for each graph's --exact solve, from the start of its check; unused without --exact")
     to.add_argument("--format", choices=("csv", "md"), default="csv")
     to.set_defaults(fn=cmd_torus)
 

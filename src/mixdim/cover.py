@@ -78,7 +78,7 @@ class CoverInstance:
     """Normalized hitting-set instance over bitmask sets.
 
     masks holds the reduced family (deduplicated, no supersets, ascending
-    popcount then value, with 0 first when some input set was empty); the
+    popcount then value, so just (0,) when some input set was empty); the
     family handed in is kept in original_masks for post-hoc witness checks.
     forced and excluded are element masks, like the sets.  The reduction
     ignores them, so instances that differ only in those share their family
@@ -110,11 +110,7 @@ class CoverInstance:
             raise ValueError(f"forced or excluded mask outside universe 0..{universe_size - 1}")
         if forced & excluded:
             raise ValueError(f"forced and excluded overlap: {list(bits_of(forced & excluded))}")
-        if 0 in original:  # reduce the rest: 0 is a subset of every set
-            reduced = [0, *reduce_family([m for m in original if m])]
-        else:
-            reduced = reduce_family(original)
-        return cls(universe_size, tuple(reduced), forced, excluded, original)
+        return cls(universe_size, tuple(reduce_family(original)), forced, excluded, original)
 
     @cached_property
     def _prepared(self) -> list[int] | CoverResult:

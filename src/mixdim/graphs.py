@@ -8,6 +8,7 @@ uv is min(d(w,u), d(w,v)).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -36,13 +37,12 @@ class Graph:
     Immutable after construction; safe for concurrent reads.
     """
 
-    __slots__ = ("n", "edges", "adj", "_edge_ids")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]], adj: Sequence[frozenset[int]]):
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.adj: tuple[frozenset[int], ...] = tuple(adj)
-        self._edge_ids = {e: i for i, e in enumerate(self.edges)}
 
     @property
     def m(self) -> int:
@@ -65,10 +65,10 @@ class Graph:
     def edge_id(self, u: int, v: int) -> int:
         """Index of edge uv in the sorted edge list."""
         key = (u, v) if u < v else (v, u)
-        try:
-            return self._edge_ids[key]
-        except KeyError:
-            raise GraphError(f"no edge {key} in graph") from None
+        i = bisect_left(self.edges, key)
+        if self.edges[i : i + 1] != (key,):
+            raise GraphError(f"no edge {key} in graph")
+        return i
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges

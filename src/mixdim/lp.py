@@ -1,17 +1,22 @@
 """Covering linear program: minimize sum(y) subject to sum(y[v] for v in row) >= 1,
-0 <= y <= 1, solved exactly enough for integral lower bounds.
+0 <= y <= 1, bounded on both sides in exact arithmetic.
 
 Rows are int masks, bit v for variable v, as everywhere in the package;
-masks.rows_of_masks expands them into the 0/1 constraint matrix, which
-also serves the final check when the rows handed in are the reduced ones.
-The upper bounds y <= 1 are dropped: with 0/1 constraint coefficients any
+masks.rows_of_masks expands them into the 0/1 constraint matrix.  The
+upper bounds y <= 1 are dropped: with 0/1 constraint coefficients any
 optimum can be capped at 1 without losing feasibility, so the value is
 unchanged.  The solver runs a dense tableau simplex on the packing dual
 (maximize sum(x), incidence^T x <= 1, x >= 0), whose all-slack basis is
-feasible from the start; the covering solution is recovered from the
-reduced costs of the slack columns and re-verified by substitution.
-Dantzig pivoting with a permanent switch to Bland's rule after a run of
-degenerate pivots guarantees termination.
+feasible from the start.  Dantzig pivoting with a permanent switch to
+Bland's rule after a run of degenerate pivots guarantees termination.
+
+No float is trusted.  The packing is read off the final basis B and the
+cover off the reduced costs of the slack columns; by Cramer's rule both
+are integer vectors over |det B|, the product of the pivots.  Integer
+products check them, and scale each until it is feasible, so
+solve_covering_lp returns values lb <= optimum <= ub exactly; L4 is
+their common ceiling (bounds._lp_bound), which _packing_lower_bound and
+a greedy cover often fix without a tableau.
 
 The program is solved over the orbits of a group that maps the rows onto
 themselves, such as a graph's automorphism orbits on its pair-cover rows:
@@ -21,17 +26,12 @@ distinct vector of per-orbit counts.  The value is the same, and the
 become one row over one variable.  With no group given the orbits are the
 single variables, whose program is the plain one: its rows are the
 incidence rows in order and its costs are all ones.
-
-Many programs need no tableau at all.  _packing_lower_bound returns the
-better of two feasible packings, a lower bound on the optimum by weak
-duality, and any integer cover is an upper bound: bounds._lp_bound returns
-the cover's size for L4 when the two leave it the only integer the
-ceiling can take, and runs the simplex otherwise.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -39,27 +39,26 @@ import numpy as np
 
 from .masks import bits_of, reduce_family, rows_of_masks, sets_of
 
-ABS_TOL = 1e-7
-CEIL_TOL = 1e-6
 _PIVOT_EPS = 1e-9
 _DEGENERATE_STREAK = 64
 _UPDATE_ELEMENTS = 1 << 15
+# common denominators below this keep every checked product inside int64
+_INT64_DENOMINATOR = 1 << 31
 
 
 class LPError(RuntimeError):
-    """Infeasible covering program (empty row) or solver failure."""
+    """Infeasible covering program (empty row), solver failure, or a
+    packing and a cover whose ceilings differ, so that L4 is undecided."""
 
 
 @dataclass(frozen=True)
 class CoveringLP:
     """Normalized covering program over bitmask rows (bit v for variable v):
     rows deduplicated, dominated rows (supersets) removed, every row
-    nonempty.  original_masks are the rows handed in, against which the
-    solution is re-verified."""
+    nonempty."""
 
     num_vars: int
     masks: tuple[int, ...]
-    original_masks: tuple[int, ...]
 
     @classmethod
     def build(cls, num_vars: int, masks: Iterable[int]) -> "CoveringLP":
@@ -68,7 +67,7 @@ class CoveringLP:
             raise LPError("covering program has an empty row (infeasible)")
         if original and (min(original) < 0 or max(original) >> num_vars):
             raise LPError(f"row mask outside variable range 0..{num_vars - 1}")
-        return cls(num_vars, tuple(reduce_family(original)), original)
+        return cls(num_vars, tuple(reduce_family(original)))
 
     @cached_property
     def rows(self) -> tuple[frozenset[int], ...]:
@@ -76,51 +75,65 @@ class CoveringLP:
         return sets_of(self.masks)
 
 
-def solve_covering_lp_primal(lp: CoveringLP, orbits: Sequence[int] | None = None) -> tuple[float, np.ndarray]:
-    """Optimal objective and an optimal fractional selection vector y.
+def solve_covering_lp(lp: CoveringLP, orbits: Sequence[int] | None = None) -> tuple[Fraction, Fraction]:
+    """Exact bounds lb <= optimum <= ub: lb the value of a checked packing
+    and ub that of a checked cover, both read off the simplex's final basis.
 
     orbits are the orbits (variable masks that partition 0 .. num_vars - 1)
     of a group of permutations that maps the rows onto themselves; None
     stands for the trivial group, whose orbits are the single variables.
     Averaging an optimum over the group keeps it optimal, so some optimum
     is constant on each orbit, and the program is solved with one variable
-    per orbit: y is that optimum."""
+    per orbit."""
     m = lp.num_vars
     if not lp.masks:
-        return 0.0, np.zeros(m)
-    if orbits is None:
-        orbits = [1 << v for v in range(m)]
-    # members lists the variables orbit by orbit
-    members = np.array([v for o in orbits for v in bits_of(o)])
-    sizes = np.array([o.bit_count() for o in orbits])
-    incidence = rows_of_masks(lp.masks, m)
-    rows = incidence[:, members]
-    if len(orbits) < m:  # over single variables both steps change nothing
+        return Fraction(0), Fraction(0)
+    rows = rows_of_masks(lp.masks, m)
+    sizes = np.ones(m, dtype=np.int64)
+    if orbits is not None and len(orbits) < m:  # over single variables this changes nothing
+        # members lists the variables orbit by orbit
+        members = np.array([v for o in orbits for v in bits_of(o)])
+        sizes = np.array([o.bit_count() for o in orbits])
         # row r becomes r's number of variables in each orbit, the sum of
         # y over r when y is constant on each orbit; a count is at most m,
         # so below 256 variables it takes a byte, as an incidence entry does
-        rows = np.add.reduceat(rows, np.cumsum(sizes) - sizes, axis=1, dtype=np.min_scalar_type(m))
+        rows = np.add.reduceat(rows[:, members], np.cumsum(sizes) - sizes, axis=1, dtype=np.min_scalar_type(m))
         # rows that the group relates become equal; the first of each stays,
         # told apart by its bytes, since np.unique(axis=0) loads numpy.ma
         keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
         rows = rows[np.sort(np.unique(keys, return_index=True)[1])]
-    value, z = _packing_dual_simplex(rows, sizes.astype(float))
-    y = np.empty(m)
-    y[members] = np.repeat(z, sizes)
-    total = float(y.sum())
-    if abs(total - value) > 1e-6 * max(1.0, abs(value)):
-        raise LPError(f"primal recovery mismatch: sum(y)={total} vs optimum {value}")
-    if lp.original_masks is not lp.masks:
-        incidence = rows_of_masks(lp.original_masks, m)
-    bad = (incidence @ y < 1.0 - ABS_TOL).nonzero()[0]
-    if bad.size:
-        raise LPError(f"recovered selection violates row {list(bits_of(lp.original_masks[bad[0]]))}")
-    return value, y
+    d, solution = _over_one_denominator(*_packing_dual_simplex(rows, sizes))
+    x, y = solution[: len(rows)], solution[len(rows) :]
+    # the packing, scaled down until no orbit holds more than its size
+    caps, load = np.multiply(sizes, d, dtype=x.dtype), x @ rows
+    over = load > caps
+    lb = Fraction(int(x.sum()), d)
+    if over.any():
+        lb *= min(Fraction(int(c), int(f)) for c, f in zip(caps[over], load[over]))
+    # the cover, scaled up until every row sums to at least 1
+    worst = int((rows @ y).min())
+    if worst <= 0:
+        raise LPError(f"the simplex's cover misses a row of the program over {m} variables")
+    return lb, Fraction(int(sizes @ y), min(worst, d))
 
 
-def _packing_lower_bound(masks: Sequence[int], num_vars: int) -> float:
-    """A lower bound on the covering optimum over rows masks: the larger of
-    two feasible solutions of its packing dual (weak duality).  The
+def _over_one_denominator(solution: np.ndarray, det: float) -> tuple[int, np.ndarray]:
+    """d and the integer vector d*solution for d = |det|, the basis
+    determinant; from 2**31 on, the lcm of the entries' denominators under
+    Fraction.limit_denominator(10**6), with Python ints past 2**31 too."""
+    solution = solution.clip(0)
+    if 0.5 <= abs(det) < _INT64_DENOMINATOR:
+        d = round(abs(det))
+        return d, np.rint(solution * d).astype(np.int64)
+    snapped = [Fraction(float(v)).limit_denominator(10**6) for v in solution]
+    d = math.lcm(*(f.denominator for f in snapped))
+    dtype = np.int64 if d < _INT64_DENOMINATOR else object
+    return d, np.array([f.numerator * (d // f.denominator) for f in snapped], dtype=dtype)
+
+
+def _packing_lower_bound(masks: Sequence[int], num_vars: int) -> Fraction:
+    """A lower bound on the covering optimum over rows masks, exactly: the
+    larger of two feasible solutions of its packing dual (weak duality).  The
     disjoint packing puts 1 on each row that misses the rows taken before
     it, in the order given; the degree packing puts 1/max(f(e) for e in r)
     on row r, where f(e) counts the rows that hold variable e, so the rows
@@ -135,15 +148,16 @@ def _packing_lower_bound(masks: Sequence[int], num_vars: int) -> float:
     for row in rows:
         for v in row:
             f[v] += 1
-    degree = sum(1.0 / max(f[v] for v in row) for row in rows)
-    return max(disjoint, degree)
+    peaks = [max(f[v] for v in row) for row in rows]
+    common = math.lcm(*peaks)
+    return Fraction(max(disjoint * common, sum(common // p for p in peaks)), common)
 
 
-def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Optimum of the packing dual of the covering program min costs.y,
-    incidence y >= 1, y >= 0, and the covering solution y read off its
-    slack columns.  The tableau lives only here, so it is freed before the
-    caller checks y."""
+def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, float]:
+    """An optimal basic packing x, dual to min costs.y, incidence y >= 1,
+    y >= 0, followed by the cover y read off its slack columns, and the
+    final basis's determinant, the product of the pivots.  The tableau
+    lives only here, so it is freed before the caller checks x and y."""
     R, m = incidence.shape
     # packing dual: maximize 1.x  s.t.  incidence^T x + s = costs
     ncols = R + m
@@ -163,6 +177,7 @@ def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray) -> tuple[flo
 
     bland = False
     degenerate_run = 0
+    det = 1.0
     max_iter = 2000 + 40 * (m + R)
     for _ in range(max_iter):
         if bland:
@@ -188,6 +203,7 @@ def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray) -> tuple[flo
                 bland = True
         else:
             degenerate_run = 0
+        det *= float(T[leave, enter])
         row = T[leave] / T[leave, enter]
         for lo in range(0, m + 1, step):
             block = T[lo : lo + step]
@@ -196,17 +212,7 @@ def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray) -> tuple[flo
         basis[leave] = enter
     else:
         raise LPError("simplex iteration limit exceeded")
-    return float(T[m, ncols]), np.clip(T[m, R : R + m].copy(), 0.0, None)
-
-
-def solve_covering_lp(lp: CoveringLP, orbits: Sequence[int] | None = None) -> float:
-    """Optimal objective of the covering program, within 1e-7; orbits as
-    in solve_covering_lp_primal."""
-    return solve_covering_lp_primal(lp, orbits)[0]
-
-
-def ceil_with_tolerance(x: float) -> int:
-    """Smallest integer >= x - 1e-6; guards against float noise like 3.0000001."""
-    if x < 0:
-        raise ValueError(f"expected a nonnegative value, got {x}")
-    return math.ceil(x - CEIL_TOL)
+    solution = np.zeros(ncols)
+    solution[basis] = rhs
+    solution[R:] = T[m, R:ncols]  # the slacks' places hold the cover
+    return solution, det

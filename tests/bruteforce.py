@@ -231,23 +231,28 @@ def mixed_pair_rows(n, edges):
     ]
 
 
-def lp_bound_scipy(n, edges):
-    """Ceiling of the covering-LP optimum over mixed pair rows, via scipy."""
-    import math
-
+def lp_optimum_scipy(num_vars, rows):
+    """Optimum of the covering LP over rows (iterables of variables), via
+    scipy's HiGHS."""
     import numpy as np
     from scipy.optimize import linprog
 
-    rows = mixed_pair_rows(n, edges)
-    A = np.zeros((len(rows), n))
+    A = np.zeros((len(rows), num_vars))
     for r, row in enumerate(rows):
         for v in row:
             A[r, v] = 1.0
     res = linprog(
-        c=np.ones(n), A_ub=-A, b_ub=-np.ones(len(rows)), bounds=[(0, 1)] * n, method="highs"
+        c=np.ones(num_vars), A_ub=-A, b_ub=-np.ones(len(rows)), bounds=[(0, 1)] * num_vars, method="highs"
     )
     assert res.success
-    return math.ceil(res.fun - 1e-6)
+    return res.fun
+
+
+def lp_bound_scipy(n, edges):
+    """Ceiling of the covering-LP optimum over mixed pair rows, via scipy."""
+    import math
+
+    return math.ceil(lp_optimum_scipy(n, mixed_pair_rows(n, edges)) - 1e-6)
 
 
 def bounds_row(n, edges):

@@ -206,11 +206,14 @@ def test_criterion_6_property_suites():
         res = min_hitting_set(CoverInstance.build(u, bf.masks(sets)))
         assert (res.size, res.witness) == bf.min_hitting_set(u, sets)
 
-    # (f) LP relaxation never exceeds the integer cover optimum
+    # (f) LP relaxation, bracketed exactly at HiGHS's optimum, never exceeds
+    # the integer cover optimum
     for g in corpus:
         inst = GraphAnalysis(g).mixed
-        lp_val = solve_covering_lp(CoveringLP.build(g.n, inst.masks))
-        assert lp_val <= min_hitting_set(inst).size + 1e-9
+        lb, ub = solve_covering_lp(CoveringLP.build(g.n, inst.masks))
+        reference = bf.lp_optimum_scipy(g.n, bf.mixed_pair_rows(g.n, g.edges))
+        assert lb <= ub <= min_hitting_set(inst).size
+        assert abs(float(lb) - reference) < 1e-7 and abs(float(ub) - reference) < 1e-7
 
     # (g) graph6 roundtrip on every enumerated graph of order <= 6
     count = 0

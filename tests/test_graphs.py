@@ -102,6 +102,17 @@ def test_resolving_vector_examples():
     assert resolving_vector(oc, MixedItem.edge(c4.edge_id(1, 2)), [0, 3]) == (1, 1)
 
 
+def test_edge_id_is_the_index_in_the_sorted_edge_list():
+    g = generate_named("gen_petersen", 5, 2)
+    for i, (u, v) in enumerate(g.edges):
+        assert g.edge_id(u, v) == g.edge_id(v, u) == i
+    # a missing edge before, between and past the edges
+    for u, v in [(0, 2), (3, 0), (8, 9), (9, 9)]:
+        assert not g.has_edge(u, v)
+        with pytest.raises(GraphError, match="no edge"):
+            g.edge_id(u, v)
+
+
 def test_resolving_vector_rejects_bad_landmarks():
     o = distances(build_graph(3, [(0, 1), (1, 2)]))
     with pytest.raises(GraphError):

@@ -2,15 +2,16 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 import mixdim
 from mixdim import lp as lp_module
@@ -20,45 +21,45 @@ from mixdim.cover import CoverInstance, min_hitting_set
 from mixdim.dims import GraphAnalysis
 from mixdim.families import connected_graphs_of_order, encode_graph6, generate, generate_named
 from mixdim.graphs import build_graph
-from mixdim.lp import CoveringLP, LPError, ceil_with_tolerance, solve_covering_lp, solve_covering_lp_primal
+from mixdim.lp import CoveringLP, LPError, solve_covering_lp
 from mixdim.masks import bits_of, rows_of_masks
 from mixdim.tables import SELECTED_GRAPHS
 
-from bruteforce import masks, mixed_pair_rows, random_connected_graph
+from bruteforce import lp_optimum_scipy, masks, mixed_pair_rows, random_connected_graph
 
 FIG1_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
 
-def _scipy_optimum(num_vars, rows):
-    A = np.zeros((len(rows), num_vars))
-    for i, r in enumerate(rows):
-        for v in r:
-            A[i, v] = 1.0
-    res = linprog(
-        c=np.ones(num_vars),
-        A_ub=-A,
-        b_ub=-np.ones(len(rows)),
-        bounds=[(0, 1)] * num_vars,
-        method="highs",
-    )
-    assert res.success
-    return res.fun
+def _assert_at_highs(pair, num_vars, rows):
+    """Both sides of solve_covering_lp's pair lie at HiGHS's optimum over
+    rows, the packing value below the cover value."""
+    lb, ub = pair
+    reference = lp_optimum_scipy(num_vars, rows)
+    assert lb <= ub
+    assert float(lb) == pytest.approx(reference, abs=1e-7)
+    assert float(ub) == pytest.approx(reference, abs=1e-7)
 
 
 def test_k2_instance():
-    assert solve_covering_lp(CoveringLP.build(2, masks([{0}, {1}, {0, 1}]))) == pytest.approx(2.0)
+    rows = [{0}, {1}, {0, 1}]
+    pair = solve_covering_lp(CoveringLP.build(2, masks(rows)))
+    assert pair == (2, 2)
+    _assert_at_highs(pair, 2, rows)
 
 
 def test_symmetric_fractional_optimum():
     rows = list(itertools.combinations(range(3), 2))
-    assert solve_covering_lp(CoveringLP.build(3, masks(rows))) == pytest.approx(1.5)
+    pair = solve_covering_lp(CoveringLP.build(3, masks(rows)))
+    assert pair == (Fraction(3, 2), Fraction(3, 2))
+    _assert_at_highs(pair, 3, rows)
 
 
 def test_fig1_mixed_lp_in_interval():
     inst = GraphAnalysis(build_graph(5, FIG1_EDGES)).mixed
-    val = solve_covering_lp(CoveringLP.build(5, inst.masks))
-    assert 4.0 < val <= 5.0 + 1e-9
-    assert ceil_with_tolerance(val) == 5
+    lb, ub = solve_covering_lp(CoveringLP.build(5, inst.masks))
+    assert 4 < lb <= ub <= 5
+    assert math.ceil(lb) == math.ceil(ub) == 5
+    _assert_at_highs((lb, ub), 5, mixed_pair_rows(5, FIG1_EDGES))
 
 
 def test_empty_row_rejected():
@@ -73,24 +74,34 @@ def test_row_outside_variable_range_rejected():
         CoveringLP.build(3, [-1])
 
 
-def test_ceil_with_tolerance():
-    assert ceil_with_tolerance(3.0000001) == 3
-    assert ceil_with_tolerance(2.5) == 3
-    assert ceil_with_tolerance(0.0) == 0
-    with pytest.raises(ValueError):
-        ceil_with_tolerance(-0.5)
+def test_integer_optimum_is_returned_exactly():
+    # no float noise such as 3.0000001 reaches a ceiling: both sides of the
+    # pair are the integer optimum itself wherever HiGHS finds one
+    integral = 0
+    for g in connected_graphs_of_order(5):
+        rows = mixed_pair_rows(g.n, g.edges)
+        reference = lp_optimum_scipy(g.n, rows)
+        if abs(reference - round(reference)) < 1e-7:
+            assert solve_covering_lp(CoveringLP.build(g.n, masks(rows))) == (round(reference),) * 2, encode_graph6(g)
+            integral += 1
+    assert integral > 0
 
 
 def test_primal_is_feasible_and_matches_value():
+    # the cover read off the final basis, written over |det| of that basis,
+    # covers every row handed in and costs exactly the packing's value
     rng = random.Random(321)
     for _ in range(50):
         u = rng.randint(2, 12)
         rows = [frozenset(rng.sample(range(u), rng.randint(1, u))) for _ in range(rng.randint(1, 25))]
         lp = CoveringLP.build(u, masks(rows))
-        val, y = solve_covering_lp_primal(lp)
-        assert abs(float(y.sum()) - val) < 1e-6
-        for r in rows:
-            assert sum(y[v] for v in r) >= 1 - 1e-7
+        incidence = rows_of_masks(lp.masks, u)
+        d, solution = lp_module._over_one_denominator(*lp_module._packing_dual_simplex(incidence, np.ones(u)))
+        x, y = solution[: len(lp.masks)], solution[len(lp.masks) :]
+        assert all(sum(int(y[v]) for v in r) >= d for r in rows)
+        assert (x @ incidence <= d).all()
+        assert solve_covering_lp(lp) == (Fraction(int(x.sum()), d), Fraction(int(y.sum()), d))
+        assert x.sum() == y.sum()
 
 
 def _random_programs():
@@ -103,10 +114,9 @@ def _random_programs():
 
 def test_matches_reference_solver():
     for u, rows in _random_programs():
-        mine = solve_covering_lp(CoveringLP.build(u, masks(rows)))
         # reference solves the raw, unreduced rows: also checks that
         # dropping duplicates and dominated rows never moves the optimum
-        assert mine == pytest.approx(_scipy_optimum(u, rows), abs=1e-7)
+        _assert_at_highs(solve_covering_lp(CoveringLP.build(u, masks(rows))), u, rows)
 
 
 def test_bland_rule_matches_reference_solver(monkeypatch):
@@ -116,8 +126,7 @@ def test_bland_rule_matches_reference_solver(monkeypatch):
     programs = [*_random_programs()]
     programs += [(g.n, mixed_pair_rows(g.n, g.edges)) for g in connected_graphs_of_order(5)]
     for u, rows in programs:
-        mine = solve_covering_lp(CoveringLP.build(u, masks(rows)))
-        assert mine == pytest.approx(_scipy_optimum(u, rows), abs=1e-7)
+        _assert_at_highs(solve_covering_lp(CoveringLP.build(u, masks(rows))), u, rows)
 
 
 @pytest.fixture
@@ -150,11 +159,9 @@ def test_l4_matches_highs_on_every_small_graph(order, simplex_calls):
     reached = 0
     for g in graphs:
         rows = mixed_pair_rows(g.n, g.edges)
-        reference = _scipy_optimum(g.n, rows)
-        value = solve_covering_lp(CoveringLP.build(g.n, masks(rows)))
-        assert value == pytest.approx(reference, abs=1e-7), encode_graph6(g)
+        _assert_at_highs(solve_covering_lp(CoveringLP.build(g.n, masks(rows))), g.n, rows)
         before = len(simplex_calls)
-        assert lb_l4(g) == math.ceil(reference - 1e-6), encode_graph6(g)
+        assert lb_l4(g) == math.ceil(lp_optimum_scipy(g.n, rows) - 1e-6), encode_graph6(g)
         reached += len(simplex_calls) > before
         assert bounds_report(g).l4 == lb_l4(g), encode_graph6(g)
     # the bracket decides some programs and leaves the others to the
@@ -165,9 +172,99 @@ def test_l4_matches_highs_on_every_small_graph(order, simplex_calls):
 def test_lp_below_integer_cover_on_order5():
     for g in connected_graphs_of_order(5):
         inst = GraphAnalysis(g).mixed
-        lp_val = solve_covering_lp(CoveringLP.build(5, inst.masks))
-        cover = min_hitting_set(inst)
-        assert lp_val <= cover.size + 1e-9
+        pair = solve_covering_lp(CoveringLP.build(5, inst.masks))
+        _assert_at_highs(pair, 5, [bits_of(m) for m in inst.masks])
+        assert pair[1] <= min_hitting_set(inst).size
+
+
+# --- the checked certificates ------------------------------------------------
+
+
+@pytest.fixture
+def nudged(monkeypatch):
+    """nudged(packing, cover): from here on the simplex's packing and cover
+    reach the checks over a denominator 10**9 times theirs, the packing's
+    first entry raised by packing and the cover's last entry by cover, in
+    units of that denominator, so by at most 10**-9."""
+
+    def nudge(packing=0, cover=0):
+        snap = lp_module._over_one_denominator
+
+        def nudged_snap(solution, det):
+            d, v = snap(solution, det)
+            v = v * 10**9
+            v[0] += packing
+            v[-1] += cover
+            return d * 10**9, v
+
+        monkeypatch.setattr(lp_module, "_over_one_denominator", nudged_snap)
+
+    return nudge
+
+
+def test_packing_past_a_capacity_is_scaled_down(nudged):
+    # rows {0} and {1}: the packing 1 + 10**-9 on row {0} overloads
+    # variable 0, and scaling by 1 / (1 + 10**-9) makes it feasible
+    lp = CoveringLP.build(2, [0b01, 0b10])
+    assert solve_covering_lp(lp) == (2, 2)
+    nudged(packing=1)
+    lb, ub = solve_covering_lp(lp)
+    e = 10**9
+    assert lb == Fraction(2 * e + 1, e) * Fraction(e, e + 1) < 2
+    assert ub == 2
+
+
+def test_cover_short_of_a_row_is_scaled_up(nudged):
+    # rows {0} and {1}: the cover 1 - 10**-9 on variable 1 leaves row {1}
+    # short, and scaling by 1 / (1 - 10**-9) covers it
+    lp = CoveringLP.build(2, [0b01, 0b10])
+    nudged(cover=-1)
+    lb, ub = solve_covering_lp(lp)
+    e = 10**9
+    assert lb == 2
+    assert ub == Fraction(2 * e - 1, e - 1) > 2
+
+
+def test_cover_missing_a_row_raises(nudged):
+    # a cover that scaling cannot repair: variable 1 drops to 0, so row {1}
+    # sums to nothing
+    nudged(cover=-(10**9))
+    with pytest.raises(LPError, match="misses a row"):
+        solve_covering_lp(CoveringLP.build(2, [0b01, 0b10]))
+
+
+def test_undecided_pair_raises_naming_the_program(nudged):
+    # K4's edges: the optimum 2 is an integer, so a cover scaled up by
+    # 10**-9 puts the ceilings at 2 and 3, and _lp_bound will not guess
+    rows = [1 << u | 1 << v for u, v in itertools.combinations(range(4), 2)]
+    inst = CoverInstance.build(4, rows)
+    assert _lp_bound(inst, None) == 2
+    nudged(cover=-1)
+    with pytest.raises(LPError, match=re.escape(f"L4 undecided on rows {list(inst.masks)} over 4 variables")):
+        _lp_bound(inst, None)
+
+
+def test_large_determinant_snaps_to_small_denominators():
+    # past 2**31 the determinant is not used: the entries are snapped one by
+    # one, over the lcm of their denominators, in Python ints once that lcm
+    # is too large for int64 products
+    d, v = lp_module._over_one_denominator(np.array([1 / 3, 2 / 3, 0.5, -1e-12]), 2.0**40)
+    assert (d, v.tolist(), v.dtype) == (6, [2, 4, 3, 0], np.int64)
+    p, q = 999_983, 999_979  # primes, so their lcm is their product
+    d, v = lp_module._over_one_denominator(np.array([1 / p, 1 / q]), float("inf"))
+    assert (d, v.tolist(), v.dtype) == (p * q, [q, p], object)
+
+
+def test_python_int_vectors_give_the_same_pair(monkeypatch):
+    # a denominator past int64 puts the checks on Python ints
+    snap = lp_module._over_one_denominator
+
+    def huge(solution, det):
+        d, v = snap(solution, det)
+        return d * 2**70, v.astype(object) * 2**70
+
+    monkeypatch.setattr(lp_module, "_over_one_denominator", huge)
+    assert solve_covering_lp(CoveringLP.build(3, [0b011, 0b110, 0b101])) == (Fraction(3, 2), Fraction(3, 2))
 
 
 # --- the bracket: packings below, the greedy cover above -------------------
@@ -180,25 +277,26 @@ def test_bracket_matches_the_simplex_on_orders_5_and_6(simplex_calls):
     for g in graphs:
         a = GraphAnalysis(g)
         inst = a.mixed
-        lp = CoveringLP(g.n, inst.masks, inst.masks)
+        lp = CoveringLP(g.n, inst.masks)
         for orbits in (None, a.symmetry.orbits()):
             before = len(simplex_calls)
             value = _lp_bound(inst, orbits)
             reached += len(simplex_calls) > before
-            assert value == ceil_with_tolerance(solve_covering_lp(lp, orbits)), encode_graph6(g)
+            lb, ub = solve_covering_lp(lp, orbits)
+            assert value == math.ceil(lb) == math.ceil(ub), encode_graph6(g)
     # each undecided graph reaches the simplex once with its orbits and once without
     assert reached == 2 * 16
 
 
 def test_bracket_leaves_k4_edges_to_the_simplex(simplex_calls):
-    # the packings reach g - 1 exactly, so without the margin the bracket
-    # would answer the greedy cover's 3 for an optimum of 2
+    # the packings reach g - 1 = 2 exactly, so ceil(2) != 3 leaves the
+    # greedy cover's 3 undecided, and the simplex settles the optimum 2
     rows = [1 << u | 1 << v for u, v in itertools.combinations(range(4), 2)]
     inst = CoverInstance.build(4, rows)
     assert len(inst.masks) == 6
     assert greedy_cover(list(inst.masks))[0] == 3
-    assert lp_module._packing_lower_bound(inst.masks, 4) == pytest.approx(2.0)
-    assert solve_covering_lp(CoveringLP.build(4, rows)) == pytest.approx(2.0)
+    assert lp_module._packing_lower_bound(inst.masks, 4) == 2
+    assert solve_covering_lp(CoveringLP.build(4, rows)) == (2, 2)
     simplex_calls.clear()
     assert _lp_bound(inst, None) == 2
     assert len(simplex_calls) == 1
@@ -206,9 +304,11 @@ def test_bracket_leaves_k4_edges_to_the_simplex(simplex_calls):
 
 def test_packing_lower_bound_parts():
     # disjoint packing: {0, 1} and {2, 3} of the three rows; degree
-    # packing: each of the triangle's vertices lies on two rows, 3 * 1/2
+    # packing: each of the triangle's vertices lies on two rows, 3 * 1/2,
+    # an exact fraction
     assert lp_module._packing_lower_bound([0b0011, 0b0110, 0b1100], 4) == 2
-    assert lp_module._packing_lower_bound([0b011, 0b110, 0b101], 3) == pytest.approx(1.5)
+    triangle = lp_module._packing_lower_bound([0b011, 0b110, 0b101], 3)
+    assert type(triangle) is Fraction and triangle == Fraction(3, 2)
     assert lp_module._packing_lower_bound([], 3) == 0
 
 
@@ -245,17 +345,11 @@ ORBIT_LP_GRAPHS = [
 def test_orbit_program_matches_plain_and_highs(g):
     a = GraphAnalysis(g)
     inst = a.mixed
-    lp = CoveringLP(g.n, inst.masks, inst.masks)
-    orbits = a.symmetry.orbits()
+    lp = CoveringLP(g.n, inst.masks)
     plain = solve_covering_lp(lp)
-    value, y = solve_covering_lp_primal(lp, orbits)
-    assert value == pytest.approx(plain, abs=1e-7)
-    assert value == pytest.approx(_scipy_optimum(g.n, [bits_of(m) for m in inst.masks]), abs=1e-7)
-    # the selection is constant on every orbit and covers every row
-    assert all(len({y[v] for v in bits_of(o)}) == 1 for o in orbits)
-    assert float(y.sum()) == pytest.approx(value, abs=1e-7)
-    for m in inst.original_masks:
-        assert sum(y[v] for v in bits_of(m)) >= 1 - 1e-7
+    pair = solve_covering_lp(lp, a.symmetry.orbits())
+    assert pair == plain
+    _assert_at_highs(pair, g.n, [bits_of(m) for m in inst.original_masks])
 
 
 def test_singleton_program_is_the_plain_program(simplex_calls):
@@ -264,7 +358,7 @@ def test_singleton_program_is_the_plain_program(simplex_calls):
     # over single variables
     for g in [*connected_graphs_of_order(5), *connected_graphs_of_order(6)]:
         inst = GraphAnalysis(g).mixed
-        lp = CoveringLP(g.n, inst.masks, inst.masks)
+        lp = CoveringLP(g.n, inst.masks)
         simplex_calls.clear()
         solve_covering_lp(lp)
         [rows] = simplex_calls
@@ -311,13 +405,14 @@ def test_exact_reports_leave_numpy_ma_unloaded():
 
 
 def test_orbit_program_of_a_built_program():
-    # rows reduced by build are checked against the rows handed in; the
+    # build reduces the rows, and HiGHS solves them as handed in; the
     # cyclic shift maps the rows of all pairs of Z_6 at distance <= 2 onto
     # themselves
     rows = [frozenset({i, (i + d) % 6}) for i in range(6) for d in (1, 2)] + [frozenset(range(6))]
     lp = CoveringLP.build(6, masks(rows))
-    value = solve_covering_lp(lp, [0b111111])
-    assert value == pytest.approx(_scipy_optimum(6, rows), abs=1e-7) == pytest.approx(3.0)
+    pair = solve_covering_lp(lp, [0b111111])
+    assert pair == (3, 3)
+    _assert_at_highs(pair, 6, rows)
 
 
 def test_hypercube_7_program_is_solved_over_orbits():
@@ -328,4 +423,4 @@ def test_hypercube_7_program_is_solved_over_orbits():
     assert bounds_report(g).l4 == 2
     inst = GraphAnalysis(g).mixed
     assert len(inst.masks) == 560
-    assert _scipy_optimum(g.n, [bits_of(m) for m in inst.masks]) == pytest.approx(2.0, abs=1e-7)
+    assert lp_optimum_scipy(g.n, [bits_of(m) for m in inst.masks]) == pytest.approx(2.0, abs=1e-7)
