@@ -102,7 +102,7 @@ def lb_n3(G: Graph, analysis: GraphAnalysis | None = None) -> int:
     if G.n < 2:
         raise GraphError("bound needs at least 2 vertices")
     items = G.n + G.m
-    D = (analysis or GraphAnalysis(G)).oracle.diameter
+    D = int((analysis or GraphAnalysis(G)).table.max())  # the diameter
     cap = G.max_degree + 1
     k = 1
     while D ** k + k * cap < items:

@@ -158,7 +158,7 @@ def cmd_torus(args) -> int:
                 str(n),
                 rep.case,
                 "/".join(str(v) for v in rep.witness),
-                "yes" if rep.candidate_valid else f"NO {rep.collision}",
+                "yes" if rep.candidate_valid else "NO {} and {}".format(*rep.collision),
                 str(rep.degree_bound),
                 _opt(rep.exact),
             ]

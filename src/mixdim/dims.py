@@ -27,11 +27,9 @@ from .cover import (
     min_hitting_set,
     min_hitting_set_size,
 )
-from .graphs import DistanceOracle, Graph, GraphError, MixedItem, _check_landmarks, distances, flat_to_item
+from .graphs import Graph, GraphError, distances
 from .masks import mask_of, masks_of_columns
 from .symmetry import GraphSymmetry
-
-MAX_ENUMERATE_BASES_N = 10
 
 
 # distinguisher_masks compares about this many (vertex, pair) entries per
@@ -45,11 +43,12 @@ def _pair_number(a, b, items):
     return a * (2 * items - a - 1) // 2 + b - a - 1
 
 
-def distinguisher_masks(oracle: DistanceOracle) -> list[int]:
-    """Bitmask of distinguishing vertices for every unordered mixed item
-    pair, pairs (a, b), a < b, in row-major order (_pair_number)."""
+def distinguisher_masks(table: np.ndarray) -> list[int]:
+    """Bitmask of distinguishing vertices for every unordered item pair of
+    the distance table (graphs.distances), pairs (a, b), a < b, in
+    row-major order (_pair_number)."""
     # one row of distances per item: a block gathers whole rows
-    dm = np.ascontiguousarray(oracle.dmix.T)
+    dm = np.ascontiguousarray(table.T)
     items, n = dm.shape
     rows = np.arange(items)
     starts = _pair_number(rows, rows + 1, items)  # pair number of (a, a + 1)
@@ -131,7 +130,7 @@ def _ceil_log2(x: int) -> int:
 
 class GraphAnalysis:
     """What the exact solves and the bounds of one graph share, each field
-    computed on first use: the distance oracle, the automorphism group
+    computed on first use: the distance table, the automorphism group
     that proves the exact values, the forced structure, the distinguisher
     mask of every mixed item pair, the reduced pair-cover instances of
     the mixed, vertex and edge pairs and N2's edge side sets.
@@ -147,14 +146,15 @@ class GraphAnalysis:
         self.graph = G
 
     @cached_property
-    def oracle(self) -> DistanceOracle:
+    def table(self) -> np.ndarray:
+        """distances(self.graph), the vertex-to-item distance table."""
         return distances(self.graph)
 
     @cached_property
     def symmetry(self) -> GraphSymmetry:
         """The orbits of the graph's automorphism group and of its
         stabilizers, each found on first use and kept."""
-        return GraphSymmetry(self.graph, self.oracle.dv)
+        return GraphSymmetry(self.graph, self.table)
 
     @cached_property
     def forced(self) -> ForcedStructure:
@@ -162,8 +162,8 @@ class GraphAnalysis:
 
     @cached_property
     def mixed_masks(self) -> tuple[int, ...]:
-        """distinguisher_masks(self.oracle), in the same order."""
-        return tuple(distinguisher_masks(self.oracle))
+        """distinguisher_masks(self.table), in the same order."""
+        return tuple(distinguisher_masks(self.table))
 
     @cached_property
     def mixed(self) -> CoverInstance:
@@ -317,39 +317,23 @@ def exact_dimensions(
     return beta, beta_e, beta_m, witness
 
 
-def verify_mixed_resolving(
-    G: Graph,
-    landmarks,
-    oracle: DistanceOracle | None = None,
-) -> tuple[MixedItem, MixedItem] | None:
+def verify_mixed_resolving(G: Graph, landmarks, table: np.ndarray | None = None) -> tuple[int, int] | None:
     """None when every vertex and edge has a distinct distance vector over
-    the landmarks; otherwise the first colliding item pair in canonical
-    item order.  An empty landmark set, or a landmark that is not a vertex
-    of G, is a GraphError."""
+    the landmarks; otherwise the first colliding item pair (a, b), a < b,
+    as item numbers: b is the first item whose vector repeats, a the first
+    item with that vector.  table, when given, is distances(G).  An empty
+    landmark set, or a landmark that is not a vertex of G, is a GraphError:
+    numpy would read -1 as the last vertex."""
     S = list(landmarks)
     if not S:
         raise GraphError("landmark set must be nonempty")
-    _check_landmarks(G, S)
-    oracle = oracle if oracle is not None else distances(G)
+    for w in S:
+        if not 0 <= w < G.n:
+            raise GraphError(f"landmark vertex {w} outside 0..{G.n - 1}")
+    table = table if table is not None else distances(G)
     seen: dict[tuple[int, ...], int] = {}
-    for col, vec in enumerate(map(tuple, oracle.dmix[S].T.tolist())):
+    for item, vec in enumerate(map(tuple, table[S].T.tolist())):
         if vec in seen:
-            return flat_to_item(G, seen[vec]), flat_to_item(G, col)
-        seen[vec] = col
+            return seen[vec], item
+        seen[vec] = item
     return None
-
-
-def all_min_mixed_bases(G: Graph) -> list[tuple[int, ...]]:
-    """Every minimum mixed resolving set, by exhaustive enumeration
-    (guarded to n <= 10)."""
-    if G.n > MAX_ENUMERATE_BASES_N:
-        raise GraphError(
-            f"exhaustive basis enumeration is limited to n <= {MAX_ENUMERATE_BASES_N}, got n={G.n}"
-        )
-    a = GraphAnalysis(G)
-    size, _ = mixed_metric_dimension(G, analysis=a)
-    return [
-        comb
-        for comb in itertools.combinations(range(G.n), size)
-        if verify_mixed_resolving(G, comb, a.oracle) is None
-    ]

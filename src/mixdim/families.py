@@ -223,30 +223,35 @@ class FamilySpec:
         return self.name + ":" + "-".join(str(p) for p in self.params)
 
 
+def _generator(name: str, params: tuple[int, ...]):
+    """The generator of the family name, once name is known and params has
+    its arity; GraphError otherwise."""
+    if name not in _FAMILIES:
+        raise GraphError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
+    arity, fn = _FAMILIES[name]
+    if len(params) != arity:
+        raise GraphError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    return fn
+
+
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse "name" or "name:p1,p2,..." into a validated FamilySpec."""
     name, _, rest = text.partition(":")
     name = name.strip()
-    if name not in _FAMILIES:
-        raise GraphError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
     params: tuple[int, ...] = ()
     if rest:
         try:
             params = tuple(int(p) for p in rest.split(","))
         except ValueError:
             raise GraphError(f"family parameters must be integers, got {rest!r}") from None
-    arity = _FAMILIES[name][0]
-    if len(params) != arity:
-        raise GraphError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    _generator(name, params)
     return FamilySpec(name, params)
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the named family member; validates parameters and connectivity."""
-    arity, fn = _FAMILIES[spec.name]
-    if len(spec.params) != arity:
-        raise GraphError(f"family {spec.name!r} takes {arity} parameter(s)")
-    G = fn(*spec.params)
+    """Build the named family member; validates the name, the parameters
+    and connectivity."""
+    G = _generator(spec.name, spec.params)(*spec.params)
     if not is_connected(G):
         raise GraphError(f"family {spec.label()!r} produced a disconnected graph")
     return G
@@ -254,29 +259,6 @@ def generate(spec: FamilySpec) -> Graph:
 
 def generate_named(name: str, *params: int) -> Graph:
     return generate(FamilySpec(name, tuple(params)))
-
-
-def strongly_regular_params(G: Graph) -> tuple[int, int, int, int] | None:
-    """(v, k, lambda, mu) if G is strongly regular, else None."""
-    n = G.n
-    if n < 3:
-        return None
-    k = G.max_degree
-    if G.min_degree != k:
-        return None
-    A = _adjacency(G)
-    common = A.astype(np.int64) @ A  # common neighbours; a bool product would cap them at 1
-    lams = {int(common[u, v]) for u, v in G.edges}
-    mus = {
-        int(common[u, v])
-        for u in range(n)
-        for v in range(u + 1, n)
-        if not A[u, v]
-    }
-    if len(lams) > 1 or len(mus) != 1:
-        return None
-    lam = lams.pop() if lams else 0
-    return (n, k, lam, mus.pop())
 
 
 # ---------------------------------------------------------------------------

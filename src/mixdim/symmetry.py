@@ -52,13 +52,14 @@ class GraphSymmetry:
     """Orbits of one graph's automorphism group and of its vertex
     stabilizers, computed on first use and kept.
 
-    graph is a Graph and dv its distance matrix; nothing is computed at
-    construction.
+    graph is a Graph and table its vertex-to-item distance table
+    (graphs.distances), of which only the vertex columns are read; nothing
+    is computed at construction.
     """
 
-    def __init__(self, graph, dv: np.ndarray):
+    def __init__(self, graph, table: np.ndarray):
         self.graph = graph
-        self._dv = dv
+        self._dv = table[:, : graph.n]
         # keyed by (fixed, classes), the initial colouring (_initial)
         self._cells: dict[tuple, np.ndarray] = {}
         self._orbits: dict[tuple, list[int]] = {}

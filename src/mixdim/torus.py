@@ -15,7 +15,7 @@ from .bounds import lb_n1
 from .cover import deadline_after
 from .dims import GraphAnalysis, mixed_metric_dimension, verify_mixed_resolving
 from .families import generate_named
-from .graphs import GraphError, MixedItem
+from .graphs import GraphError
 
 CASE_ODD_ODD = "odd-odd"
 CASE_ODD_EVEN = "odd-even"
@@ -64,12 +64,15 @@ def torus_candidate(m: int, n: int) -> TorusCase:
 
 @dataclass(frozen=True)
 class TorusReport:
+    """collision, when the candidate is invalid, holds the first two items
+    with the same distance vector: a vertex number or an edge (u, v)."""
+
     m: int
     n: int
     case: str
     witness: tuple[int, ...]
     candidate_valid: bool
-    collision: tuple[MixedItem, MixedItem] | None
+    collision: tuple[int | tuple[int, int], int | tuple[int, int]] | None
     degree_bound: int
     exact: int | None
 
@@ -96,7 +99,9 @@ def torus_theorem_check(m: int, n: int, exact: bool = False, timeout: float | No
     cand = torus_candidate(m, n)
     G = generate_named("torus", m, n)
     a = GraphAnalysis(G)
-    collision = verify_mixed_resolving(G, cand.vertices, a.oracle)
+    collision = verify_mixed_resolving(G, cand.vertices, a.table)
+    if collision is not None:
+        collision = tuple(i if i < G.n else G.edges[i - G.n] for i in collision)
     degree_bound = lb_n1(G)  # 4-regular, so 1 + ceil(log2(5)) = 4
     exact_val = None
     if exact:

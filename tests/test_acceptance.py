@@ -13,7 +13,6 @@ from mixdim.bounds import bounds_report
 from mixdim.cover import CoverInstance, min_hitting_set
 from mixdim.dims import (
     GraphAnalysis,
-    all_min_mixed_bases,
     excluded_vertices,
     forced_vertices,
     mixed_metric_dimension,
@@ -183,7 +182,7 @@ def test_criterion_6_property_suites():
     for g in corpus:
         fs = forced_vertices(g)
         sides = GraphAnalysis(g).edge_sides.original_masks
-        bases = all_min_mixed_bases(g)
+        bases = bf.min_dimension(g.n, list(g.edges))[1]
         assert bases
         size = len(bases[0])
         excl = excluded_vertices(g, size)

@@ -120,13 +120,13 @@ def test_n3_is_minimal():
     for g in (fig1(), generate_named("complete", 5), generate_named("gen_petersen", 5, 2),
               generate_named("path", 5)):
         a = GraphAnalysis(g)
-        o = a.oracle
+        diameter = int(a.table.max())
         k = lb_n3(g, a)
         items = g.n + g.m
         cap = g.max_degree + 1
-        assert o.diameter ** k + k * cap >= items
+        assert diameter ** k + k * cap >= items
         if k > 1:
-            assert o.diameter ** (k - 1) + (k - 1) * cap < items
+            assert diameter ** (k - 1) + (k - 1) * cap < items
 
 
 def test_degree_bounds_build_no_distance_oracle(monkeypatch):
@@ -139,6 +139,16 @@ def test_degree_bounds_build_no_distance_oracle(monkeypatch):
     assert (lb_l1(g), lb_l2(g), lb_n1(g)) == (2, 3, 4)
     with pytest.raises(AssertionError):
         lb_n3(g)  # N3 reads the diameter
+
+
+def test_exact_bounds_report_runs_one_bfs(monkeypatch):
+    # every bound and exact solve of one report reads one distance table
+    calls = []
+    bfs = dims.distances
+    monkeypatch.setattr(dims, "distances", lambda G: calls.append(G) or bfs(G))
+    g = generate_named("gen_petersen", 5, 2)
+    assert bounds_report(g, compute_exact=True).beta_m == 6
+    assert calls == [g]
 
 
 def test_n1_at_least_l2():

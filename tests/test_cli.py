@@ -5,9 +5,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import mixdim.tables as tables
+import mixdim.torus
 from mixdim.bounds import bounds_report
 from mixdim.cli import EXIT_DISCONNECTED, EXIT_INVALID, EXIT_OK, main
 from mixdim.cover import SolveTimeout
+from mixdim.torus import CASE_ODD_ODD, TorusCase
 
 
 def run_cli(*argv):
@@ -118,6 +120,16 @@ def test_torus_sweep():
     code, out, _ = run_cli("torus", "--max", "5")
     assert code == EXIT_OK
     assert len(out.splitlines()) == 1 + 9  # header + 3..5 squared
+
+
+def test_torus_prints_the_colliding_items_of_an_invalid_candidate(monkeypatch):
+    # vertex 0 and the edge (0, 2) have the same vector over 0, 1, 3, 4
+    square = TorusCase(3, 3, CASE_ODD_ODD, ((0, 0), (0, 1), (1, 0), (1, 1)))
+    monkeypatch.setattr(mixdim.torus, "torus_candidate", lambda m, n: square)
+    code, out, err = run_cli("torus", "--m", "3", "--n", "3")
+    assert code == EXIT_DISCONNECTED
+    assert list(csv.reader(io.StringIO(out)))[1] == ["3", "3", "odd-odd", "0/1/3/4", "NO 0 and (0, 2)", "4", "-"]
+    assert "all candidates valid: False" in err
 
 
 def test_torus_rejects_small():

@@ -79,7 +79,7 @@ def test_pair_mask_blocks_match_row_by_row_reference(n, monkeypatch):
     else:
         g = build_graph(n, random_connected_graph(random.Random(n), n))
     analysis = GraphAnalysis(g)
-    dmix = analysis.oracle.dmix
+    dmix = analysis.table
     for inst, cols in _pair_instances(analysis):
         want = reference_distinguisher_masks(dmix, list(cols))
         assert inst.original_masks == tuple(want), cols
@@ -87,4 +87,4 @@ def test_pair_mask_blocks_match_row_by_row_reference(n, monkeypatch):
     sizes = {1, 2, 7} if total < 3000 else {97}
     for pairs in sorted(sizes | {max(total - 1, 1), max(total, 1), total + 1}):
         monkeypatch.setattr(dims, "_PAIR_BLOCK_ENTRIES", pairs * n)
-        assert distinguisher_masks(analysis.oracle) == want, pairs
+        assert distinguisher_masks(analysis.table) == want, pairs

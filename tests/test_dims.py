@@ -12,7 +12,6 @@ import mixdim.cover as cover
 from mixdim.cover import min_hitting_set
 from mixdim.dims import (
     GraphAnalysis,
-    all_min_mixed_bases,
     edge_metric_dimension,
     excluded_vertices,
     forced_vertices,
@@ -21,7 +20,7 @@ from mixdim.dims import (
     verify_mixed_resolving,
 )
 from mixdim.families import FamilySpec, generate, generate_named, parse_graph6
-from mixdim.graphs import GraphError, build_graph, distances, item_to_flat
+from mixdim.graphs import GraphError, build_graph, distances
 from mixdim.tables import SELECTED_GRAPHS
 
 from bruteforce import (
@@ -129,15 +128,15 @@ def test_excluded_vertices_threshold_above_max_degree():
     assert excluded_vertices(g, 3) == 0b110
 
 
-def test_all_min_mixed_bases_examples():
-    assert all_min_mixed_bases(build_graph(3, [(0, 1), (1, 2)])) == [(0, 2)]
-    assert all_min_mixed_bases(fig1()) == [(0, 1, 2, 3, 4)]
-    assert all_min_mixed_bases(generate_named("complete", 3)) == [(0, 1, 2)]
-
-
-def test_all_min_mixed_bases_scale_guard():
-    with pytest.raises(GraphError):
-        all_min_mixed_bases(generate_named("cycle", 11))
+def test_min_mixed_bases_examples():
+    # each graph has one minimum mixed basis, by exhaustive enumeration
+    for g, basis in (
+        (build_graph(3, [(0, 1), (1, 2)]), (0, 2)),
+        (fig1(), (0, 1, 2, 3, 4)),
+        (generate_named("complete", 3), (0, 1, 2)),
+    ):
+        assert min_dimension(g.n, list(g.edges)) == (len(basis), [basis])
+        assert mixed_metric_dimension(g) == (len(basis), basis)
 
 
 def test_dimensions_match_enumeration_on_random_graphs():
@@ -193,14 +192,14 @@ def test_witness_is_resolving_and_superset_closed():
     for _ in range(10):
         n = rng.randint(3, 8)
         g = build_graph(n, random_connected_graph(rng, n))
-        oracle = distances(g)
+        table = distances(g)
         size, witness = mixed_metric_dimension(g)
-        assert verify_mixed_resolving(g, witness, oracle) is None
+        assert verify_mixed_resolving(g, witness, table) is None
         extra = [v for v in range(n) if v not in witness]
         if extra:
-            assert verify_mixed_resolving(g, list(witness) + [extra[0]], oracle) is None
+            assert verify_mixed_resolving(g, list(witness) + [extra[0]], table) is None
         # the mixed dimension is at least 2, and fewer landmarks cannot resolve
-        assert verify_mixed_resolving(g, witness[1:], oracle) is not None
+        assert verify_mixed_resolving(g, witness[1:], table) is not None
     with pytest.raises(GraphError):
         verify_mixed_resolving(fig1(), [])
 
@@ -220,14 +219,12 @@ def test_verify_mixed_resolving_matches_enumeration():
     for _ in range(15):
         n = rng.randint(2, 7)
         g = build_graph(n, random_connected_graph(rng, n))
-        oracle = distances(g)
+        table = distances(g)
         for k in range(1, n + 1):
             for comb in itertools.combinations(range(n), k):
                 vecs = item_vectors(n, g.edges, comb)
                 first = next(((vecs.index(v), j) for j, v in enumerate(vecs) if vecs.index(v) < j), None)
-                collision = verify_mixed_resolving(g, comb, oracle)
-                got = None if collision is None else tuple(item_to_flat(g, item) for item in collision)
-                assert got == first
+                assert verify_mixed_resolving(g, comb, table) == first
 
 
 def test_disconnected_rejected():

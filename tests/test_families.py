@@ -14,7 +14,6 @@ from mixdim.families import (
     graph_from_code,
     parse_family_spec,
     parse_graph6,
-    strongly_regular_params,
 )
 from mixdim.graphs import GraphError, build_graph, is_connected
 
@@ -50,8 +49,13 @@ def test_paley_13():
     ],
 )
 def test_strongly_regular_families(spec, params):
+    # srg(v, k, lambda, mu) has intersection array {k, k - 1 - lambda; 1, mu}
     g = generate(parse_family_spec(spec))
-    assert strongly_regular_params(g) == params
+    h = nx.Graph(g.edges)
+    assert nx.is_strongly_regular(h)
+    v, k, lam, mu = params
+    assert g.n == v
+    assert nx.intersection_array(h) == ([k, k - 1 - lam], [1, mu])
 
 
 def test_gq24_common_neighbor_counts():
@@ -90,6 +94,14 @@ def test_generated_graphs_connected():
 def test_invalid_family_specs(spec):
     with pytest.raises(GraphError):
         generate(parse_family_spec(spec))
+
+
+def test_generate_named_checks_the_name_and_the_arity():
+    # library callers reach generate without parse_family_spec's checks
+    with pytest.raises(GraphError, match="unknown family 'petersen'; known: clebsch, complete"):
+        generate_named("petersen")
+    with pytest.raises(GraphError, match="family 'cycle' takes 1 parameter"):
+        generate_named("cycle")
 
 
 def test_family_labels():

@@ -243,7 +243,7 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
     monkeypatch.setattr(cover, "_MIN_SPLIT_ELEMENTS", 0)
     G = generate_named("kneser", 7, 2)
     a = GraphAnalysis(G)
-    sym = GraphSymmetry(G, a.oracle.dv)
+    sym = GraphSymmetry(G, a.table)
     inst = a.vertex_pairs
     plain = min_hitting_set_size(inst)
     calls = _counting(monkeypatch)
@@ -380,7 +380,7 @@ def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
     # branching set wherever there are too many orbits
     monkeypatch.setattr(cover, "_MIN_SPLIT_ELEMENTS", 0)
     monkeypatch.setattr(cover, "_SPLIT_MIN_SETS", 0)
-    sym = GraphSymmetry(G, distances(G).dv)
+    sym = GraphSymmetry(G, distances(G))
     for name, inst in _families(G):
         plain = min_hitting_set_size(inst)
         assert min_hitting_set_size(inst, sym=sym) == plain, name
@@ -401,7 +401,7 @@ def test_no_branch_past_the_cutoff_is_solved(G, monkeypatch):
     # vertices than the cutoff, which only falls as sizes are found
     monkeypatch.setattr(cover, "_MIN_SPLIT_ELEMENTS", 0)
     monkeypatch.setattr(cover, "_SPLIT_MIN_SETS", 0)
-    sym = GraphSymmetry(G, distances(G).dv)
+    sym = GraphSymmetry(G, distances(G))
     handed = []
     solve = cover._leaf
 
@@ -440,7 +440,7 @@ def test_derived_orbits_match_networkx(G, monkeypatch):
     # equal networkx's, and every stored row must be an automorphism that
     # keeps its key
     autos = list(GraphMatcher(_nx(G), _nx(G)).isomorphisms_iter())
-    sym = GraphSymmetry(G, distances(G).dv)
+    sym = GraphSymmetry(G, distances(G))
     assert sorted(map(bits_of, sym.orbits())) == nx_orbits(G, (), autos)
     searches = _count_searches(monkeypatch)
     keys = []
@@ -471,7 +471,7 @@ def test_search_runs_where_the_certificate_fails(monkeypatch):
     G = generate_named("kneser", 7, 2)
     H = _nx(G)
     autos = list(nx.vf2pp_all_isomorphisms(H, H))
-    sym = GraphSymmetry(G, distances(G).dv)
+    sym = GraphSymmetry(G, distances(G))
     assert sorted(o.bit_count() for o in sym.orbits()) == [6, 15]
     searches = _count_searches(monkeypatch)
     for v in range(G.n):
@@ -501,7 +501,7 @@ def _all_gates_open(monkeypatch):
 
 
 def _assert_witnesses_match_plain(G):
-    sym = GraphSymmetry(G, distances(G).dv)
+    sym = GraphSymmetry(G, distances(G))
     for name, inst in _families(G):
         plain = min_hitting_set_size(inst)
         if plain.ok:
@@ -642,7 +642,7 @@ def test_witness_pass_times_out_after_costly_refutation(johnson_n2, backend, mon
     real = time.monotonic
     monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
     G, _sym, inst = johnson_n2
-    sym = GraphSymmetry(G, distances(G).dv)
+    sym = GraphSymmetry(G, distances(G))
     proof = _proof_cover(inst, sym)
     search = cover._search
     depth = [0]

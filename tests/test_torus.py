@@ -2,13 +2,16 @@ import dataclasses
 
 import pytest
 
+import mixdim.dims as dims
+import mixdim.torus as torus
 from mixdim.dims import verify_mixed_resolving
 from mixdim.families import generate_named
-from mixdim.graphs import GraphError, ItemKind, build_graph
+from mixdim.graphs import GraphError, build_graph
 from mixdim.torus import (
     CASE_EVEN_EVEN,
     CASE_EVEN_ODD,
     CASE_ODD_ODD,
+    TorusCase,
     TorusReport,
     torus_candidate,
     torus_theorem_check,
@@ -47,11 +50,9 @@ def test_vertex_ids_match_coordinates():
 
 def test_verify_collision_on_path():
     g = build_graph(3, [(0, 1), (1, 2)])
-    collision = verify_mixed_resolving(g, [0])
-    assert collision is not None
-    a, b = collision
-    assert a.kind is ItemKind.VERTEX and a.index == 0
-    assert b.kind is ItemKind.EDGE and g.edges[b.index] == (0, 1)
+    # vertex 0 and the edge (0, 1), item 3, are both at distance 0 from 0
+    assert verify_mixed_resolving(g, [0]) == (0, 3)
+    assert g.edges[0] == (0, 1)
 
 
 def test_verify_full_vertex_set_fig1():
@@ -69,6 +70,25 @@ def test_theorem_check_exact_3x3():
     assert rep.candidate_valid
     assert rep.exact == 4
     assert rep.verdict == 4
+
+
+def test_exact_theorem_check_runs_one_bfs(monkeypatch):
+    # the witness check and the exact solve read one distance table
+    calls = []
+    bfs = dims.distances
+    monkeypatch.setattr(dims, "distances", lambda G: calls.append(G) or bfs(G))
+    assert torus_theorem_check(3, 4, exact=True).exact == 4
+    assert calls == [generate_named("torus", 3, 4)]
+
+
+def test_invalid_candidate_reports_colliding_items(monkeypatch):
+    # vertex 0 and the edge (0, 2) have the same vector over 0, 1, 3, 4
+    square = TorusCase(3, 3, CASE_ODD_ODD, ((0, 0), (0, 1), (1, 0), (1, 1)))
+    monkeypatch.setattr(torus, "torus_candidate", lambda m, n: square)
+    rep = torus_theorem_check(3, 3)
+    assert not rep.candidate_valid
+    assert rep.collision == (0, (0, 2))
+    assert rep.verdict is None
 
 
 def test_theorem_check_6x7():
