@@ -2,14 +2,15 @@
 
 Four from the literature: L1 = ceil(log2(max degree)) and
 L2 = 1 + ceil(log2(min degree)) (both bound the edge dimension, hence the
-mixed one), L3 = the exact optimum of the forced-vertex / twin-pair
-structure, L4 = ceiling of the covering-LP relaxation of the mixed
-pair-cover instance.  Three newer ones: N1 = 1 + ceil(log2(min degree + 1)),
-N2 = the exact minimum hitting set of the per-edge side sets, and N3 = the
-smallest k with |V|+|E| <= D^k + k*(max degree + 1), counting how many
-distance vectors k landmarks can tell apart.  N2 bounds betaM because the
-side set of u in the edge e = uv, the vertices strictly closer to u than
-to v, is the set of vertices that tell v from e: the mixed pair (v, e).
+mixed one), L3 = the least size of a vertex set holding the forced
+vertices and meeting every false-twin pair (a closed form), L4 = ceiling
+of the covering-LP relaxation of the mixed pair-cover instance.  Three
+newer ones: N1 = 1 + ceil(log2(min degree + 1)), N2 = the exact minimum
+hitting set of the per-edge side sets, and N3 = the smallest k with
+|V|+|E| <= D^k + k*(max degree + 1), counting how many distance vectors k
+landmarks can tell apart.  N2 bounds betaM because the side set of u in
+the edge e = uv, the vertices strictly closer to u than to v, is the set
+of vertices that tell v from e: the mixed pair (v, e).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from ._cover_py import greedy_cover
-from .cover import OPTIMAL, CoverInstance, deadline_after, min_hitting_set
+from .cover import OPTIMAL, CoverInstance, _check_deadline, deadline_after, min_hitting_set
 from .dims import GraphAnalysis, _ceil_log2, exact_dimensions
 from .graphs import Graph, GraphError
 from .lp import CoveringLP, LPError, _packing_lower_bound, solve_covering_lp
@@ -35,7 +36,7 @@ def lb_l2(G: Graph) -> int:
 
 def lb_l3(G: Graph) -> int:
     """Exact minimum of a set containing all forced vertices and meeting
-    every false-twin pair."""
+    every false-twin pair, in closed form."""
     return GraphAnalysis(G).forced_lower_bound
 
 
@@ -149,9 +150,13 @@ def bounds_report(
     a = GraphAnalysis(G)
     n2_val, n2_wit = lb_n2(G, a, deadline=deadline)
     l3 = a.forced_lower_bound
+    # past 64 vertices the mixed family's reduction and L4 take seconds each
+    mixed = a.mixed
+    _check_deadline(deadline)
     # the orbits that the N2 proof found, if it looked for them: finding
     # them for every graph would cost the many graphs without symmetry
-    l4 = _lp_bound(a.mixed, a.symmetry.found_orbits())
+    l4 = _lp_bound(mixed, a.symmetry.found_orbits())
+    _check_deadline(deadline)
     n1 = lb_n1(G)
     beta = beta_e = beta_m = None
     beta_m_witness = None

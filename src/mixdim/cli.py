@@ -44,7 +44,8 @@ def _emit_table(header: list[str], rows: list[list[str]], fmt: str) -> None:
         print("| " + " | ".join(header) + " |")
         print("|" + "|".join("---" for _ in header) + "|")
         for row in rows:
-            print("| " + " | ".join(row) + " |")
+            # a graph6 label may hold "|", which would end its cell
+            print("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |")
 
 
 def _input_graphs(args) -> list[tuple[str, Graph]]:

@@ -13,10 +13,12 @@ minimum cover (or the verdict), then turns that cover into the lex-min
 witness (_lex_min_witness); min_hitting_set_size is the proof alone.
 
 One search, _search, proves every size: the optimum, and each trial of the
-witness pass.  Given the automorphism group of a graph on the universe
-(sym=, a symmetry.GraphSymmetry), it splits an instance into orbital
+witness pass.  A search node is its residual family (the sets its forced
+elements leave unhit, less its excluded elements) with its forced and
+excluded masks.  Given the automorphism group of a graph on the universe
+(sym=, a symmetry.GraphSymmetry), the search splits a node into orbital
 branches one level at a time, as it reaches them (_split), and solves each
-instance it does not split by one kernel call (_leaf); without sym it makes
+node it does not split by one kernel call (_leaf); without sym it makes
 that one call.  Every automorphism maps each pair-cover family of the graph
 (vertex, edge and mixed pairs, the N2 side sets) onto itself, and the
 forced and degree-excluded vertices of the mixed search are unions of
@@ -40,7 +42,7 @@ module as one layer of the exact solves.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -113,37 +115,20 @@ class CoverInstance:
         return cls(universe_size, tuple(reduce_family(original)), forced, excluded, original)
 
     @cached_property
-    def _prepared(self) -> list[int] | CoverResult:
+    def _prepared(self) -> list[int] | int:
         """The residual masks: forced and excluded applied to the reduced
-        family, or an infeasibility verdict if some set has no hittable
-        element left.  Callers must not mutate the residual list."""
+        family, or, when some set has no hittable element left, that set's
+        mask.  Callers must not mutate the residual list."""
         fmask, xmask = self.forced, self.excluded
         residual = []
         for m in self.masks:
             r = m & ~xmask
             if r == 0:
-                return CoverResult(INFEASIBLE, infeasible_set=m)
+                return m
             if not r & fmask:
                 residual.append(r)
         # dropping sets keeps a reduced family reduced; trimming elements may not
         return reduce_family(residual) if xmask else residual
-
-    def _branch(self, residual: list[int], element: int, passed: int) -> "CoverInstance":
-        """self with element forced and the elements of passed excluded.
-        residual must be self's residual masks (_prepared), from which the
-        branch's are worked out instead of from the whole family: the
-        minimal masks of one family, so, reduced, the same list.  A branch
-        that leaves a mask empty works them out from the family, so that
-        its verdict names a set of the family."""
-        bit = 1 << element
-        branch = replace(self, forced=self.forced | bit, excluded=self.excluded | passed)
-        masks = [m & ~passed for m in residual if not m & bit]
-        if passed:
-            if 0 in masks:
-                return branch
-            masks = reduce_family(masks)
-        branch.__dict__["_prepared"] = masks  # the cached_property's slot
-        return branch
 
     @cached_property
     def sets(self) -> tuple[frozenset[int], ...]:
@@ -162,10 +147,6 @@ class CoverResult:
     size: int | None = None
     witness: tuple[int, ...] | None = None
     infeasible_set: int | None = None  # the mask of a set no element can hit
-
-    @property
-    def ok(self) -> bool:
-        return self.status == OPTIMAL
 
 
 def deadline_after(timeout: float | None) -> float | None:
@@ -199,7 +180,11 @@ def min_hitting_set_size(
     witness None.  Raises SolveTimeout past the absolute time.monotonic()
     deadline.  With sym (see min_hitting_set) the size is proved by
     orbital branching (_search)."""
-    return _search(inst, sym, None if sym is None else (), cutoff, lower_bound, deadline)[0]
+    residual = inst._prepared
+    if isinstance(residual, int):
+        return CoverResult(INFEASIBLE, infeasible_set=residual)
+    size = _search(inst.universe_size, residual, inst.forced, inst.excluded, sym, (), cutoff, lower_bound, deadline)[0]
+    return CoverResult(CUTOFF_EXCEEDED) if size is None else CoverResult(OPTIMAL, size)
 
 
 def min_hitting_set(
@@ -225,42 +210,51 @@ def min_hitting_set(
     them and splits large trials (_lex_min_witness); sym never changes the
     result.
     """
-    res, found, _ = _search(inst, sym, None if sym is None else (), cutoff, lower_bound, deadline)
-    if not res.ok:
-        return res
-    rest = _lex_min_witness(inst._prepared, found & ~inst.forced, inst.universe_size, deadline, sym)
+    residual = inst._prepared
+    if isinstance(residual, int):
+        return CoverResult(INFEASIBLE, infeasible_set=residual)
+    size, found, _ = _search(
+        inst.universe_size, residual, inst.forced, inst.excluded, sym, (), cutoff, lower_bound, deadline
+    )
+    if size is None:
+        return CoverResult(CUTOFF_EXCEEDED)
+    rest = _lex_min_witness(residual, found & ~inst.forced, inst.universe_size, deadline, sym)
     witness = rest | inst.forced
     _validate_witness(inst, witness)
-    return CoverResult(OPTIMAL, res.size, bits_of(witness))
+    return CoverResult(OPTIMAL, size, bits_of(witness))
 
 
-def _search(inst: CoverInstance, sym, fixed, cutoff, lower_bound, deadline) -> tuple[CoverResult, int, int]:
-    """(min_hitting_set_size's verdict, a cover of that size as a mask, or
-    0 when there is none; the kernel nodes spent).
+def _search(universe: int, masks: list[int], forced: int, excluded: int, sym, fixed, cutoff, lower_bound, deadline):
+    """(the minimum size of a cover of the node, or None above cutoff; such
+    a cover as a mask, or 0 when there is none; the kernel nodes spent).
+    The node is its residual family masks (reduced, no set empty) with its
+    forced and excluded masks; its covers hold every forced element.
 
-    fixed is None, or a tuple under whose stabilizer _split splits inst
-    one level into orbital branches, each solved the same way when the
-    search reaches it; an instance not split is one _leaf.  Every branch of
-    a level forces one element more than inst, so a level ends at its
-    first branch that forces more elements than the cutoff.  After each
-    branch that finds a cover the cutoff falls to one below its size, so
-    the last size found is the optimum; the search stops once a size is at
-    most lower_bound."""
-    branches = None if fixed is None else _split(inst, sym, fixed)
+    With sym, and fixed not None, _split splits the node one level into
+    orbital branches under the stabilizer of fixed, each solved the same
+    way when the search reaches it; a node not split is one _leaf.  Every
+    branch of a level forces one element more than the node, so a level
+    ends at its first branch that forces more elements than the cutoff.
+    After each branch that finds a cover the cutoff falls to one below its
+    size, so the last size found is the optimum; the search stops once a
+    size is at most lower_bound."""
+    branches = None if sym is None or fixed is None else _split(masks, forced, excluded, sym, fixed)
     if branches is None:
-        return _leaf(inst, cutoff, lower_bound, deadline)
+        return _leaf(universe, masks, forced, cutoff, lower_bound, deadline)
     best, found, nodes = None, 0, 0
-    for branch, below in branches:
-        if cutoff is not None and branch.forced.bit_count() > cutoff:
+    for child, child_forced, child_excluded, below in branches:
+        if cutoff is not None and child_forced.bit_count() > cutoff:
             break
-        res, mask, spent = _search(branch, sym, below, cutoff, lower_bound, deadline)
+        size, mask, spent = _search(
+            universe, child, child_forced, child_excluded, sym, below, cutoff, lower_bound, deadline
+        )
         nodes += spent
-        if res.ok:
-            best, found = res.size, mask
+        if size is not None:
+            best, found = size, mask
             if best <= lower_bound:
                 break
             cutoff = best - 1
-    return (CoverResult(CUTOFF_EXCEEDED) if best is None else CoverResult(OPTIMAL, best)), found, nodes
+    return best, found, nodes
 
 
 # below this many free elements the kernel's search is cheaper than finding
@@ -276,34 +270,35 @@ _MIN_SPLIT_ELEMENTS = 12
 _SPLIT_MIN_SETS = 32
 
 
-def _split(inst: CoverInstance, sym, fixed: tuple[int, ...]) -> list[tuple[CoverInstance, tuple | None]] | None:
-    """One level of orbital branches of inst under the stabilizer of fixed
-    in sym's group, each paired with the fixed tuple under which it may
-    split again (None where it may not), or None to keep inst whole.
+def _split(masks: list[int], forced: int, excluded: int, sym, fixed: tuple[int, ...]) -> list[tuple] | None:
+    """One level of orbital branches of the node (masks, forced, excluded;
+    see _search) under the stabilizer of fixed in sym's group, or None to
+    keep it whole.  Each branch is a node, then the fixed tuple under
+    which it may split again (None where it may not).
 
     The branches split on the orbits of the free elements (those in some
-    set of inst left unhit by its forced elements) when there are at most
-    as many orbits as the kernel's first branching has children (the size
-    of the smallest of those sets): the i-th forces the representative
-    (lowest vertex) rep of orbit O_i, excludes O_1 .. O_{i-1} and may split
-    again under the stabilizer of (*fixed, rep).  When there are more
-    orbits, the branches split on the kernel's own branching set instead
-    (_split_set), and are not split again: splitting those again cost more
-    orbit searches than their kernel calls saved.  For that split the
-    orbits are searched for only below the top (fixed not empty) and with
-    at least _SPLIT_MIN_SETS sets left; at the top they serve it only when
-    the orbital split's own check found them.
+    set of masks) when there are at most as many orbits as the kernel's
+    first branching has children (the size of the smallest set): the i-th
+    forces the representative (lowest vertex) rep of orbit O_i, excludes
+    O_1 .. O_{i-1} and may split again under the stabilizer of
+    (*fixed, rep).  A branch whose excluded orbits empty a set has no
+    cover and is dropped.  When there are more orbits, the branches split
+    on the kernel's own branching set instead (_split_set), and are not
+    split again: splitting those again cost more orbit searches than their
+    kernel calls saved.  For that split the orbits are searched for only
+    below the top (fixed not empty) and with at least _SPLIT_MIN_SETS sets
+    left; at the top they serve it only when the orbital split's own check
+    found them.
 
-    None when inst is infeasible or has no set left unhit, and unless
-    there are at least _MIN_SPLIT_ELEMENTS free elements, the orbits were
-    found, and the forced and excluded sets are unions of the orbits found
-    under the stabilizer of fixed.  The last condition holds when the
-    orbits found are exact, because each excluded orbit came from a larger
-    group.  A cut-off automorphism search can leave them finer, and then
-    the automorphisms found need not map an excluded set onto itself.
+    None when masks is empty, and unless there are at least
+    _MIN_SPLIT_ELEMENTS free elements, the orbits were found, and the
+    forced and excluded sets are unions of the orbits found under the
+    stabilizer of fixed.  The last condition holds when the orbits found
+    are exact, because each excluded orbit came from a larger group.  A
+    cut-off automorphism search can leave them finer, and then the
+    automorphisms found need not map an excluded set onto itself.
     """
-    masks = inst._prepared
-    if isinstance(masks, CoverResult) or not masks:
+    if not masks:
         return None
     free = 0
     for m in masks:
@@ -322,67 +317,76 @@ def _split(inst: CoverInstance, sym, fixed: tuple[int, ...]) -> list[tuple[Cover
             return None
         if sym.orbits_within(pick, fixed, pick.bit_count()) is None:
             return None
-    if any(o & inst.forced not in (0, o) or o & inst.excluded not in (0, o) for o in sym.orbits(fixed)):
+    if any(o & forced not in (0, o) or o & excluded not in (0, o) for o in sym.orbits(fixed)):
         return None
     if orbits is None or len(orbits) >= limit:
-        return _split_set(inst, masks, sym.orbits(fixed))
+        return _split_set(masks, forced, excluded, sym.orbits(fixed))
     branches = []
     passed = 0
     for orbit in orbits:
         rep = (orbit & -orbit).bit_length() - 1
-        branches.append((inst._branch(masks, rep, passed), (*fixed, rep)))
+        child = _child(masks, rep, passed)
+        if child is not None:
+            branches.append((child, forced | 1 << rep, excluded | passed, (*fixed, rep)))
         passed |= orbit
     return branches
 
 
-def _split_set(inst: CoverInstance, masks: list[int], orbits: list[int]) -> list[tuple[CoverInstance, None]] | None:
-    """The kernel's first branching of inst, whose sets left unhit by its
-    forced elements are masks, less the children that an automorphism maps
-    into an earlier one, or None when it drops none; each child is paired
-    with None, as it is not split again.
+def _split_set(masks: list[int], forced: int, excluded: int, orbits: list[int]) -> list[tuple] | None:
+    """The kernel's first branching of the node (masks, forced, excluded),
+    less the children that an automorphism maps into an earlier one, or
+    None when it drops none; each child as in _split, not split again.
 
     The kernel branches on S, the first of masks: child i forces s_i, the
-    i-th element of S in ascending order, and excludes s_1 .. s_{i-1}.
-    orbits are those of a group that maps inst's family, forced set and
-    excluded set onto themselves.  A cover in child j, whose s_j shares an
-    orbit with an earlier s_i, is mapped by an automorphism that takes s_j
-    to s_i onto an equally small cover holding s_i, which lies in child i
-    or an earlier one, and so on while that child is dropped too; so child
-    j goes.
+    i-th element of S in ascending order, and excludes s_1 .. s_{i-1},
+    which, S being a minimal set of the reduced family, hold no set
+    whole.  orbits are those of a group that maps the node's family,
+    forced set and excluded set onto themselves.  A cover in child j,
+    whose s_j shares an orbit with an earlier s_i, is mapped by an
+    automorphism that takes s_j to s_i onto an equally small cover holding
+    s_i, which lies in child i or an earlier one, and so on while that
+    child is dropped too; so child j goes.
     """
     branches = []
     seen = 0  # the orbits of the elements passed so far
     passed = 0
     for e in bits_of(masks[0]):
         if not seen >> e & 1:
-            branches.append((inst._branch(masks, e, passed), None))
+            branches.append((_child(masks, e, passed), forced | 1 << e, excluded | passed, None))
         seen |= next(o for o in orbits if o >> e & 1)
         passed |= 1 << e
     return branches if len(branches) < masks[0].bit_count() else None
 
 
-def _leaf(inst: CoverInstance, cutoff, lower_bound, deadline) -> tuple[CoverResult, int, int]:
-    """_search on an instance that is not split: one kernel call on its
-    residual, or none when it is infeasible, its forced elements exceed
-    the cutoff or they hit every set."""
-    masks = inst._prepared
-    if isinstance(masks, CoverResult):
-        return masks, 0, 0
+def _child(masks: list[int], element: int, passed: int) -> list[int] | None:
+    """The residual family of a branch of the node whose residual family is
+    masks that forces element and excludes passed, or None when passed
+    empties a set: the same list as from the whole family, reduced."""
+    bit = 1 << element
+    child = [m & ~passed for m in masks if not m & bit]
+    if not passed:
+        return child  # dropping sets keeps a reduced family reduced
+    return None if 0 in child else reduce_family(child)
+
+
+def _leaf(universe: int, masks: list[int], forced: int, cutoff, lower_bound, deadline) -> tuple[int | None, int, int]:
+    """_search on a node that is not split: one kernel call on its
+    residual family masks, or none when its forced elements exceed the
+    cutoff or they hit every set."""
     _check_deadline(deadline)
-    base = inst.forced.bit_count()
+    base = forced.bit_count()
     if cutoff is not None and base > cutoff:
-        return CoverResult(CUTOFF_EXCEEDED), 0, 0
+        return None, 0, 0
     if not masks:
-        return CoverResult(OPTIMAL, base), inst.forced, 0
+        return base, forced, 0
     res_cutoff = None if cutoff is None else cutoff - base
     res_stop = max(lower_bound - base, 0)
-    kernel = _kernel(inst.universe_size)
-    status, size, mask, nodes = kernel(inst.universe_size, masks, res_cutoff, res_stop, deadline)
+    status, size, mask, nodes = _kernel(universe)(universe, masks, res_cutoff, res_stop, deadline)
     if status == _cover_py.STATUS_TIMEOUT:
         raise SolveTimeout("exact solve ran past its deadline")
     if status == _cover_py.STATUS_CUTOFF:
-        return CoverResult(CUTOFF_EXCEEDED), 0, nodes
-    return CoverResult(OPTIMAL, base + size), mask | inst.forced, nodes
+        return None, 0, nodes
+    return base + size, mask | forced, nodes
 
 
 # the witness pass looks for a refuted candidate's orbit only after a
@@ -509,13 +513,9 @@ def _lex_min_witness(
             if _exceeds(residual, left):
                 banned |= bit
                 continue
-            trial = CoverInstance(universe, tuple(residual))
-            trial.__dict__["_prepared"] = residual  # the cached_property's slot
-            fixed = None
-            if sym is not None and len(residual) >= _SPLIT_MIN_SETS:
-                fixed = bits_of(chosen | bit | trial_banned)
-            res, completion, nodes = _search(trial, sym, fixed, left, left, deadline)
-            if res.ok:
+            fixed = bits_of(chosen | bit | trial_banned) if len(residual) >= _SPLIT_MIN_SETS else None
+            size, completion, nodes = _search(universe, residual, 0, 0, sym, fixed, left, left, deadline)
+            if size is not None:
                 witness = chosen | bit | completion
                 break
             banned |= bit

@@ -203,14 +203,16 @@ class GraphAnalysis:
 
     @cached_property
     def forced_lower_bound(self) -> int:
-        """L3: the minimum size of a vertex set containing every forced
-        vertex and meeting every false-twin pair (an exact tiny hitting
-        set)."""
+        """L3, the minimum size of a vertex set containing every forced
+        vertex and meeting every false-twin pair: |F| + sum over C of
+        max(0, |C \\ F| - 1), F the forced set and C the classes of vertices
+        with equal open neighbourhoods, whose pairs are the false-twin
+        pairs.  A set meets every pair of C exactly when it misses at most
+        one vertex of C, and the classes are disjoint.  The count is of the
+        vertices of C \\ F with a false twin below them outside F."""
         fs = self.forced
-        pairs = [1 << u | 1 << v for u, v in fs.false_twin_pairs]
-        res = min_hitting_set_size(CoverInstance.build(self.graph.n, pairs, forced=fs.forced))
-        assert res.status == OPTIMAL
-        return res.size
+        later = mask_of(v for u, v in fs.false_twin_pairs if not (fs.forced >> u | fs.forced >> v) & 1)
+        return fs.forced.bit_count() + later.bit_count()
 
 
 def _pair_dimension(

@@ -22,7 +22,9 @@ Algorithms", 2003); a key with classes takes every known automorphism that
 keeps its colouring.  The orbits of known automorphisms lie inside the
 stabilizer's, which lie inside the equitable cells, so when they are as
 many as the cells they are the stabilizer's orbits.  Otherwise the search
-runs, starting from their merges.
+runs, starting from their merges.  Either way a key's orbits are read off
+its generators alone, the known automorphisms and those its search found
+(_orbit_roots), so every orbit is that of a recorded group.
 
 The orbits that a proof has found also serve the covering LP
 (found_orbits), which then needs one variable per orbit.
@@ -147,18 +149,16 @@ class GraphSymmetry:
         Their orbits lie inside the stabilizer's, which lie inside the
         equitable cells; so when they are as many as the cells, they are
         the stabilizer's orbits, and no search is made.  Otherwise the
-        search starts from their merges."""
+        search starts from their merges.  The orbits are those of the known
+        and found automorphisms together."""
         key = (fixed, classes)
         if key not in self._orbits:
-            known = self._known(fixed, classes)
-            roots = _orbit_roots(known).tolist()
-            found: list[list[int]] = []
-            if len(set(roots)) > int(self.cells(fixed, classes).max()) + 1:
-                roots, found = self._find_orbits(fixed, classes, roots)
-            self._orbits[key] = _masks_of_roots(roots)
-            found_rows = np.array(found, dtype=known.dtype).reshape(-1, self.graph.n)
+            known = gens = self._known(fixed, classes)
+            if (_orbit_roots(known) == np.arange(self.graph.n)).sum() > int(self.cells(fixed, classes).max()) + 1:
+                gens = np.concatenate((known, self._find_orbits(fixed, classes, known)))
+            self._orbits[key] = _masks_of_roots(_orbit_roots(gens).tolist())
             # a classes key keeps only what it found: the rest is stored already
-            self._gens[key] = found_rows if classes else np.concatenate((known, found_rows))
+            self._gens[key] = gens[len(known) :] if classes else gens
         return self._orbits[key]
 
     def _known(self, fixed: tuple[int, ...], classes: tuple[int, ...]) -> np.ndarray:
@@ -189,44 +189,35 @@ class GraphSymmetry:
         never searches."""
         return self._orbits.get(((), ()))
 
-    def _find_orbits(
-        self, fixed: tuple[int, ...], classes: tuple[int, ...], parent: list[int]
-    ) -> tuple[list[int], list[list[int]]]:
-        """(each vertex's orbit root, the automorphisms found) after a
-        budgeted search for automorphisms that keep _initial(fixed,
-        classes), starting from the orbits that parent already joins (a
-        union-find forest, each vertex's parent)."""
-        n = self.graph.n
+    def _find_orbits(self, fixed: tuple[int, ...], classes: tuple[int, ...], known: np.ndarray) -> np.ndarray:
+        """The automorphisms, one per row, that a budgeted search finds
+        keeping _initial(fixed, classes), starting from the orbits of
+        known, automorphisms that keep it too: a vertex in the orbit of a
+        cell's earlier root, under known and the automorphisms found so
+        far, is not tried."""
         base = self.cells(fixed, classes)
         initial = self._initial(fixed, classes)
-        found = []
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        budget = [_SEARCH_BUDGET_PER_VERTEX * n]
+        found = known[:0]
+        orbit = _orbit_roots(known).tolist()
+        budget = [_SEARCH_BUDGET_PER_VERTEX * self.graph.n]
         for color in range(int(base.max()) + 1):
             members = np.flatnonzero(base == color).tolist()
             if len(members) < 2:
                 continue
             roots: list[tuple[int, np.ndarray, bytes]] = []
             for v in members:
-                if any(find(v) == find(r) for r, _c, _t in roots):
+                if any(orbit[v] == orbit[r] for r, _c, _t in roots):
                     continue
                 cv, tv = self._refine(_individualize(base, v))
                 for r, cr, tr in roots:
                     perm = self._match(cr, tr, cv, tv, initial, budget)
                     if perm is not None:
-                        found.append(perm)
-                        for x, y in enumerate(perm):
-                            parent[find(x)] = find(y)
+                        found = np.concatenate((found, np.array([perm], dtype=found.dtype)))
+                        orbit = _orbit_roots(np.concatenate((known, found))).tolist()
                         break
                 else:
                     roots.append((v, cv, tv))
-        return [find(v) for v in range(n)], found
+        return found
 
     def _match(self, c1, t1, c2, t2, initial, budget) -> list[int] | None:
         """An automorphism that keeps the colour of every vertex under the

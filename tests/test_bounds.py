@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 import mixdim.dims as dims
@@ -18,7 +19,7 @@ from mixdim.dims import GraphAnalysis
 from mixdim.families import generate_named, parse_graph6
 from mixdim.graphs import build_graph
 
-from bruteforce import masks, random_connected_graph, side_sets
+from bruteforce import l3_value, masks, random_connected_graph, side_sets
 
 FIG1_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
@@ -44,6 +45,20 @@ def test_l3_examples():
     assert lb_l3(generate_named("complete", 5)) == 5
     assert lb_l3(generate_named("gen_petersen", 5, 2)) == 0
     assert lb_l3(fig1()) == 5
+
+
+def test_l3_closed_form_matches_brute_force():
+    # every connected graph of order 5 to 7 (networkx's atlas): the closed
+    # form against the smallest set, found by enumeration, that holds the
+    # forced vertices and meets every false-twin pair
+    graphs = [
+        build_graph(H.number_of_nodes(), H.edges)
+        for H in nx.graph_atlas_g()
+        if 5 <= H.number_of_nodes() and nx.is_connected(H)
+    ]
+    assert len(graphs) == 21 + 112 + 853
+    for G in graphs:
+        assert lb_l3(G) == l3_value(G.n, list(G.edges)), G.edges
 
 
 def test_l4_examples():

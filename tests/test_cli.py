@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -66,6 +67,19 @@ def test_markdown_format():
     lines = out.splitlines()
     assert lines[0].startswith("| graph |")
     assert "| path:3 | 3 | 2 | 1 | 1 | 2 |" in lines
+
+
+def test_markdown_escapes_a_bar_in_a_label():
+    # 40 of the 853 order-7 graph6 codes hold "|", which would end a cell
+    code, out, _ = run_cli("bounds", "--graph6", "F?@|o", "--format", "md")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    cells = [len(re.split(r"(?<!\\)\|", line)) for line in lines]
+    assert cells == [cells[0]] * len(lines)
+    assert lines[2].startswith("| F?@\\|o | 7 |")
+    # CSV needs no escape
+    code, out, _ = run_cli("bounds", "--graph6", "F?@|o")
+    assert out.splitlines()[1].startswith("F?@|o,7,")
 
 
 def test_file_input(tmp_path):

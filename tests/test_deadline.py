@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import mixdim.bounds as bounds
 import mixdim.cover as cover
 import mixdim.dims as dims
 from mixdim.bounds import bounds_report
@@ -23,10 +24,10 @@ BUDGET = 25.0  # two solves fit, three do not
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Each solve of an instance that is not split (cover._leaf): the
-    forced-structure bound, every orbital branch of a size proof and every
-    witness-pass trial, advances the clock by STEP; returns the list of
-    their arguments (inst, cutoff, lower_bound, deadline)."""
+    """Each solve of a node that is not split (cover._leaf): every orbital
+    branch of a size proof and every witness-pass trial, advances the
+    clock by STEP; returns the list of their arguments (universe, masks,
+    forced, cutoff, lower_bound, deadline)."""
     calls = []
     offset = [0.0]
     real = time.monotonic
@@ -47,7 +48,7 @@ def petersen():
 
 
 def test_each_solve_fits_alone(solves):
-    # deepening from 3 to 6: four levels plus the forced-structure bound
+    # deepening from 3 to 6: four levels
     assert mixed_metric_dimension(petersen(), timeout=10 * BUDGET)[0] == 6
     assert len(solves) >= 3
 
@@ -61,17 +62,35 @@ def test_mixed_levels_share_one_deadline(solves):
 def test_bounds_report_solves_share_one_deadline(solves):
     with pytest.raises(SolveTimeout):
         bounds_report(petersen(), compute_exact=True, timeout=BUDGET)
-    # stops at the first solve past the deadline.  The forced-structure
-    # bound's solve carries none, so it advances the clock without a check
-    assert len([args for args in solves if args[3] is not None]) <= 3
+    # stops at the first solve past the deadline; every solve carries it
+    assert len([args for args in solves if args[5] is not None]) <= 3
 
 
 def test_cli_dims_deadline_covers_beta_and_beta_e(solves, capsys):
-    # betaM of path:5 takes two solves (forced-structure bound, level 2),
-    # which fit the budget alone; after beta and betaE the level runs past it
+    # betaM of path:5 takes one solve (level 2; L3 needs none), which fits
+    # the budget alone; after beta and betaE the level runs past it
     assert main(["dims", "--family", "path:5", "--timeout", str(BUDGET)]) == EXIT_INVALID
     assert "past its deadline" in capsys.readouterr().err
-    assert len(solves) == 4
+    assert len(solves) == 3
+
+
+def test_bounds_only_report_checks_its_deadline_after_l4(monkeypatch):
+    # L4 (and the reduction of the mixed family before it) never checks the
+    # deadline itself: a bounds-only report whose L4 runs past the budget
+    # raises instead of returning late
+    offset = [0.0]
+    real = time.monotonic
+    monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
+    lp_bound = bounds._lp_bound
+
+    def slow_lp_bound(*args):
+        offset[0] += 2 * BUDGET
+        return lp_bound(*args)
+
+    monkeypatch.setattr(bounds, "_lp_bound", slow_lp_bound)
+    assert bounds_report(petersen(), timeout=10 * BUDGET).l4 == 4
+    with pytest.raises(SolveTimeout):
+        bounds_report(petersen(), timeout=BUDGET)
 
 
 def test_torus_check_deadline_covers_its_distances(monkeypatch):
@@ -104,7 +123,7 @@ def test_witness_trial_branches_share_one_deadline(monkeypatch):
     G = generate_named("johnson", 9, 2)
     a = GraphAnalysis(G)
     inst = a.edge_sides
-    proof = cover._search(inst, a.symmetry, (), None, 0, None)[1]
+    proof = cover._search(G.n, inst._prepared, 0, 0, a.symmetry, (), None, 0, None)[1]
     kernel = cover._kernel(G.n)
     calls = []
 

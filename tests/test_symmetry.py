@@ -18,7 +18,6 @@ from mixdim.bounds import bounds_report, lb_n2
 from mixdim.cover import (
     CUTOFF_EXCEEDED,
     OPTIMAL,
-    CoverInstance,
     SolveTimeout,
     min_hitting_set,
     min_hitting_set_size,
@@ -191,13 +190,14 @@ def test_checker_rejects_non_automorphisms():
 
 
 def _counting(monkeypatch):
-    """Every instance solved without a split (cover._leaf) from here on."""
+    """Every node solved without a split (cover._leaf) from here on, as its
+    (residual family, forced mask)."""
     calls = []
     leaf = cover._leaf
 
-    def counted(*args):
-        calls.append(args[0])
-        return leaf(*args)
+    def counted(universe, masks, forced, *args):
+        calls.append((masks, forced))
+        return leaf(universe, masks, forced, *args)
 
     monkeypatch.setattr(cover, "_leaf", counted)
     return calls
@@ -208,29 +208,59 @@ def _count_searches(monkeypatch):
     keys = []
     find = GraphSymmetry._find_orbits
 
-    def counted(self, fixed, classes, parent):
+    def counted(self, fixed, classes, known):
         keys.append((fixed, classes))
-        return find(self, fixed, classes, parent)
+        return find(self, fixed, classes, known)
 
     monkeypatch.setattr(GraphSymmetry, "_find_orbits", counted)
     return keys
+
+
+def _dropping(monkeypatch):
+    """The forced vertices, as a tuple, of every branch that _split drops
+    from here on because its excluded orbits empty a set."""
+    dropped = []
+    parent = [0]
+    split, child = cover._split, cover._child
+
+    def recorded_split(masks, forced, *args):
+        parent[0] = forced  # _child runs inside _split, which does not recurse
+        return split(masks, forced, *args)
+
+    def recorded_child(masks, element, passed):
+        out = child(masks, element, passed)
+        if out is None:
+            dropped.append(bits_of(parent[0] | 1 << element))
+        return out
+
+    monkeypatch.setattr(cover, "_split", recorded_split)
+    monkeypatch.setattr(cover, "_child", recorded_child)
+    return dropped
 
 
 def test_symmetric_instance_is_split(monkeypatch):
     G = generate_named("rook", 6)
     a = GraphAnalysis(G)
     calls = _counting(monkeypatch)
+    dropped = _dropping(monkeypatch)
     assert min_hitting_set_size(a.vertex_pairs, sym=a.symmetry).size == 7
     # one orbit, so vertex 0 is forced; then every branch splits again under
     # the stabilizer of the vertices it forces, while the split rule holds
-    assert tuple(bits_of(inst.forced) for inst in calls) == (
+    assert tuple(bits_of(forced) for _masks, forced in calls) == (
         (0, 4, 7, 14, 21), (0, 7, 10, 14, 21), (0, 7, 14, 16, 21), (0, 7, 14, 21, 22),
-        (0, 7, 14, 21, 28), (0, 1, 7, 14, 21), (0, 2, 7, 14, 21), (0, 3, 7, 14, 21),
-        (0, 7, 8, 14, 21), (0, 7, 9, 14, 21), (0, 7, 14, 15, 21),
-        (0, 3, 7, 14), (0, 7, 9, 14), (0, 7, 14, 15), (0, 1, 7, 14), (0, 2, 7, 14), (0, 7, 8, 14),
-        (0, 2, 7), (0, 7, 8), (0, 1, 7),
+        (0, 7, 14, 21, 28),
+        (0, 3, 7, 14), (0, 7, 9, 14), (0, 7, 14, 15),
+        (0, 2, 7), (0, 7, 8),
         (0, 1),
     )
+    # the other branches of those levels exclude orbits that empty a set:
+    # each is dropped where it is built, without a _leaf call
+    assert sorted(dropped) == sorted((
+        (0, 1, 7, 14, 21), (0, 2, 7, 14, 21), (0, 3, 7, 14, 21), (0, 7, 8, 14, 21),
+        (0, 7, 9, 14, 21), (0, 7, 14, 15, 21),
+        (0, 1, 7, 14), (0, 2, 7, 14), (0, 7, 8, 14),
+        (0, 1, 7),
+    ))
 
 
 def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
@@ -252,7 +282,7 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
     assert (big.bit_count(), small.bit_count()) == (15, 6)
     first, rep = ((o & -o).bit_length() - 1 for o in (big, small))
     whole = replace(inst, forced=1 << rep, excluded=big)
-    assert [c for c in calls if not c.forced >> first & 1] == [whole]
+    assert [c for c in calls if not c[1] >> first & 1] == [(whole._prepared, whole.forced)]
 
 
 @pytest.mark.parametrize(
@@ -306,7 +336,7 @@ def test_hypercube_n2_builds_branches_as_it_reaches_them(monkeypatch):
     # whole tree, built before any branch was solved, took 9,169 branches
     # and 8,766 size calls, nearly all of them refuted by the cutoff at once
     made = {"branches": 0, "solves": 0}
-    branch = CoverInstance._branch
+    branch = cover._child
     solve = cover._leaf
 
     def counted_branch(*args):
@@ -317,7 +347,7 @@ def test_hypercube_n2_builds_branches_as_it_reaches_them(monkeypatch):
         made["solves"] += 1
         return solve(*args)
 
-    monkeypatch.setattr(CoverInstance, "_branch", counted_branch)
+    monkeypatch.setattr(cover, "_child", counted_branch)
     monkeypatch.setattr(cover, "_leaf", counted_solve)
     assert lb_n2(generate_named("hypercube", 7)) == (2, (0, 127))
     assert made["branches"] <= 694
@@ -330,7 +360,7 @@ def test_trivial_group_is_one_plain_call(monkeypatch):
     a = GraphAnalysis(G)
     calls = _counting(monkeypatch)
     res = min_hitting_set_size(a.edge_pairs, sym=a.symmetry)
-    assert calls == [a.edge_pairs]
+    assert calls == [(a.edge_pairs._prepared, 0)]
     assert res == min_hitting_set_size(a.edge_pairs)
 
 
@@ -369,7 +399,7 @@ def _families(G):
             continue
         inst = replace(a.mixed, forced=forced, excluded=excl)
         yield f"mixed level {k}", inst
-        if min_hitting_set_size(inst, cutoff=k).ok:
+        if min_hitting_set_size(inst, cutoff=k).status == OPTIMAL:
             break
 
 
@@ -384,7 +414,7 @@ def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
     for name, inst in _families(G):
         plain = min_hitting_set_size(inst)
         assert min_hitting_set_size(inst, sym=sym) == plain, name
-        if not plain.ok:
+        if plain.status != OPTIMAL:
             continue
         for cutoff in range(plain.size - 2, plain.size + 1):
             for lower_bound in {0, max(cutoff, 0)}:
@@ -405,16 +435,16 @@ def test_no_branch_past_the_cutoff_is_solved(G, monkeypatch):
     handed = []
     solve = cover._leaf
 
-    def recorded(inst, cutoff, *args):
-        handed.append((inst.forced.bit_count(), cutoff))
-        return solve(inst, cutoff, *args)
+    def recorded(universe, masks, forced, cutoff, *args):
+        handed.append((forced.bit_count(), cutoff))
+        return solve(universe, masks, forced, cutoff, *args)
 
     # the plain solves run unrecorded, before the hook
     cases = [(inst, min_hitting_set_size(inst)) for _name, inst in _families(G)]
     monkeypatch.setattr(cover, "_leaf", recorded)
     for inst, plain in cases:
         base = inst.forced.bit_count()
-        cutoffs = [None] + ([] if not plain.ok else list(range(max(plain.size - 2, base), plain.size + 1)))
+        cutoffs = [None] + ([] if plain.status != OPTIMAL else list(range(max(plain.size - 2, base), plain.size + 1)))
         for cutoff in cutoffs:
             min_hitting_set_size(inst, cutoff, sym=sym)
     assert handed
@@ -504,7 +534,7 @@ def _assert_witnesses_match_plain(G):
     sym = GraphSymmetry(G, distances(G))
     for name, inst in _families(G):
         plain = min_hitting_set_size(inst)
-        if plain.ok:
+        if plain.status == OPTIMAL:
             assert min_hitting_set(inst, sym=sym) == min_hitting_set(inst), name
 
 
@@ -528,10 +558,10 @@ def test_small_graph_witnesses_match_plain(backend, monkeypatch, G):
 
 
 def _split_counts(monkeypatch):
-    """How many instances _split_set split, and how many witness-pass
-    trials were split, from here on.  A trial is the one instance split
-    under a nonempty fixed tuple that forces nothing: each orbital branch
-    forces its representative."""
+    """How many nodes _split_set split, and how many witness-pass trials
+    were split, from here on.  A trial is the one node split under a
+    nonempty fixed tuple that forces nothing: each orbital branch forces
+    its representative."""
     counts = {"set": 0, "trial": 0}
     split_set = cover._split_set
     split = cover._split
@@ -541,9 +571,9 @@ def _split_counts(monkeypatch):
         counts["set"] += out is not None
         return out
 
-    def counted_split(inst, sym, fixed):
-        out = split(inst, sym, fixed)
-        counts["trial"] += bool(fixed) and not inst.forced and out is not None
+    def counted_split(masks, forced, excluded, sym, fixed):
+        out = split(masks, forced, excluded, sym, fixed)
+        counts["trial"] += bool(fixed) and not forced and out is not None
         return out
 
     monkeypatch.setattr(cover, "_split_set", counted_set)
@@ -607,7 +637,9 @@ def johnson_n2():
 def _proof_cover(inst, sym):
     """The minimum cover that min_hitting_set's size proof finds, less the
     forced elements: where its witness pass starts."""
-    return cover._search(inst, sym, None if sym is None else (), None, 0, None)[1] & ~inst.forced
+    top = None if sym is None else ()
+    found = cover._search(inst.universe_size, inst._prepared, inst.forced, inst.excluded, sym, top, None, 0, None)[1]
+    return found & ~inst.forced
 
 
 @pytest.mark.parametrize(("with_sym", "calls", "nodes"), [(False, 26, 38696), (True, 12, 5257)])
@@ -655,7 +687,7 @@ def test_witness_pass_times_out_after_costly_refutation(johnson_n2, backend, mon
             out = search(*args)
         finally:
             depth[0] -= 1
-        if not depth[0] and not out[0].ok and out[2] >= cover._ORBIT_MIN_NODES:
+        if not depth[0] and out[0] is None and out[2] >= cover._ORBIT_MIN_NODES:
             offset[0] += 120.0
         return out
 
