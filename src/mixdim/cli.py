@@ -3,7 +3,7 @@
 Subcommands: dims, bounds, table-order5, table-selected, torus, enumerate.
 Tables go to stdout (CSV by default, Markdown with --format md), progress
 and discrepancy logs to stderr.  Exit codes: 0 success, 1 invalid input,
-2 disconnected graph or infeasible instance.
+2 a disconnected graph, or a torus witness that does not resolve (torus).
 """
 from __future__ import annotations
 

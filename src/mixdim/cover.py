@@ -19,7 +19,11 @@ excluded masks.  Given the automorphism group of a graph on the universe
 (sym=, a symmetry.GraphSymmetry), the search splits a node into orbital
 branches one level at a time, as it reaches them (_split), and solves each
 node it does not split by one kernel call (_leaf); without sym it makes
-that one call.  Every automorphism maps each pair-cover family of the graph
+that one call.  Each node with a cutoff meets one root test first, the
+kernel's own (_exceeds): a residual family holding more pairwise-disjoint
+sets than the room its cutoff leaves has no cover within the cutoff, so
+the node is refuted with no split and no kernel call.  Every automorphism
+maps each pair-cover family of the graph
 (vertex, edge and mixed pairs, the N2 side sets) onto itself, and the
 forced and degree-excluded vertices of the mixed search are unions of
 orbits.  So a cover of size <= k exists if and only if, for some i, one
@@ -47,7 +51,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import _cover_py
-from .masks import bits_of, reduce_family, sets_of
+from .masks import bits_of, reduce_family
 
 try:
     from . import _cover_c  # type: ignore[attr-defined]
@@ -130,15 +134,15 @@ class CoverInstance:
         # dropping sets keeps a reduced family reduced; trimming elements may not
         return reduce_family(residual) if xmask else residual
 
-    @cached_property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        """masks as frozensets; read only by perfbench's tracer."""
-        return sets_of(self.masks)
+    @property
+    def sets(self) -> tuple[int, ...]:
+        """masks itself; read only by perfbench's tracer, for its length."""
+        return self.masks
 
-    @cached_property
-    def original_sets(self) -> tuple[frozenset[int], ...]:
-        """original_masks as frozensets; read only by perfbench's tracer."""
-        return sets_of(self.original_masks)
+    @property
+    def original_sets(self) -> tuple[int, ...]:
+        """original_masks itself; read only by perfbench's tracer, for its length."""
+        return self.original_masks
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,10 @@ def _search(universe: int, masks: list[int], forced: int, excluded: int, sym, fi
     ends at its first branch that forces more elements than the cutoff.
     After each branch that finds a cover the cutoff falls to one below its
     size, so the last size found is the optimum; the search stops once a
-    size is at most lower_bound."""
+    size is at most lower_bound.  A node with a cutoff is first tested at
+    its root (_exceeds), with the room left past its forced elements."""
+    if cutoff is not None and _exceeds(masks, cutoff - forced.bit_count()):
+        return None, 0, 0
     branches = None if sym is None or fixed is None else _split(masks, forced, excluded, sym, fixed)
     if branches is None:
         return _leaf(universe, masks, forced, cutoff, lower_bound, deadline)
@@ -370,13 +377,11 @@ def _child(masks: list[int], element: int, passed: int) -> list[int] | None:
 
 
 def _leaf(universe: int, masks: list[int], forced: int, cutoff, lower_bound, deadline) -> tuple[int | None, int, int]:
-    """_search on a node that is not split: one kernel call on its
-    residual family masks, or none when its forced elements exceed the
-    cutoff or they hit every set."""
+    """_search on a node that is neither split nor refuted at its root:
+    one kernel call on its residual family masks, or none when its forced
+    elements hit every set."""
     _check_deadline(deadline)
     base = forced.bit_count()
-    if cutoff is not None and base > cutoff:
-        return None, 0, 0
     if not masks:
         return base, forced, 0
     res_cutoff = None if cutoff is None else cutoff - base
@@ -463,8 +468,7 @@ def _lex_min_witness(
     singleton sets force more members than remain, or when the sets those
     leave unhit hold more pairwise-disjoint sets than the members left
     (_exceeds).  The test runs on the trial family as built, which spares
-    its reduction, and again once it is reduced, where it is the kernel's
-    own test at its root node, which spares the greedy start and the call.
+    its reduction, and _search's root test repeats it once it is reduced.
 
     The known witness, a minimum cover whose smallest members are the
     prefix, spares the kernel call for its next member: that member extends
@@ -509,10 +513,6 @@ def _lex_min_witness(
                 banned |= bit
                 continue
             residual = reduce_family(residual)
-            # the kernel would refute at its root, after a greedy start
-            if _exceeds(residual, left):
-                banned |= bit
-                continue
             fixed = bits_of(chosen | bit | trial_banned) if len(residual) >= _SPLIT_MIN_SETS else None
             size, completion, nodes = _search(universe, residual, 0, 0, sym, fixed, left, left, deadline)
             if size is not None:

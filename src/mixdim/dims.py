@@ -5,14 +5,13 @@ A vertex w distinguishes items x, y when d(w,x) != d(w,y).  Each dimension
 is the optimum of a hitting-set instance: one constraint per item pair,
 the mask of the vertices that distinguish it (bit v for vertex v, the form
 of every vertex set here).  The mixed search forces vertices that belong
-to every mixed resolving set (members of true-twin pairs and simplicial
+to every mixed resolving set (members of true-twin classes and simplicial
 vertices, hence leaves) and excludes those whose degree is too large for
 the candidate size k (deg_v > 2^(k-1) - 1).  A GraphAnalysis holds what
 one graph's solves and bounds share, computed once.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -66,11 +65,14 @@ def distinguisher_masks(table: np.ndarray) -> list[int]:
 
 @dataclass(frozen=True)
 class ForcedStructure:
-    """Vertices every mixed resolving set must contain, as masks, plus twin pairs."""
+    """Vertices every mixed resolving set must contain, and the twin
+    classes, all as masks.  A twin class holds two or more vertices with
+    equal closed (true_twins) or equal open (false_twins) neighbourhoods;
+    each kind is in ascending order of the classes' lowest vertices."""
 
     forced: int
-    true_twin_pairs: tuple[tuple[int, int], ...]
-    false_twin_pairs: tuple[tuple[int, int], ...]
+    true_twins: tuple[int, ...]
+    false_twins: tuple[int, ...]
     simplicial: int
     leaves: int
 
@@ -80,8 +82,8 @@ def forced_vertices(G: Graph) -> ForcedStructure:
 
     True twins (equal closed neighborhoods) and simplicial vertices (the
     neighborhood induces a clique; degree-1 vertices are the special case)
-    belong to every mixed resolving set; each false-twin pair (equal open
-    neighborhoods) must be intersected.
+    belong to every mixed resolving set; a mixed resolving set misses at
+    most one vertex of each false-twin class (equal open neighborhoods).
     """
     open_masks = [0] * G.n
     for u, v in G.edges:
@@ -90,8 +92,8 @@ def forced_vertices(G: Graph) -> ForcedStructure:
     closed_masks = [m | 1 << v for v, m in enumerate(open_masks)]
     # no pair has both equal open and equal closed neighbourhoods: u would
     # be its own neighbour
-    false_pairs = _pairs_of_equal(open_masks)
-    true_pairs = _pairs_of_equal(closed_masks)
+    false_twins = _classes_of_equal(open_masks)
+    true_twins = _classes_of_equal(closed_masks)
     simplicial = leaves = 0
     for v, nbrs in enumerate(G.adj):
         # N(v) is a clique when every neighbour a sees all of N[v]
@@ -102,17 +104,17 @@ def forced_vertices(G: Graph) -> ForcedStructure:
             simplicial |= 1 << v
         if len(nbrs) == 1:
             leaves |= 1 << v
-    forced = mask_of(itertools.chain.from_iterable(true_pairs)) | simplicial
-    return ForcedStructure(forced, tuple(true_pairs), tuple(false_pairs), simplicial, leaves)
+    forced = sum(true_twins) | simplicial  # the classes are disjoint
+    return ForcedStructure(forced, true_twins, false_twins, simplicial, leaves)
 
 
-def _pairs_of_equal(masks: list[int]) -> list[tuple[int, int]]:
-    """Every pair (u, v), u < v, with masks[u] == masks[v], in
-    lexicographic order."""
-    groups: dict[int, list[int]] = {}
+def _classes_of_equal(masks: list[int]) -> tuple[int, ...]:
+    """The mask of each class of two or more vertices v with equal
+    masks[v], in ascending order of the classes' lowest vertices."""
+    classes: dict[int, int] = {}
     for v, m in enumerate(masks):
-        groups.setdefault(m, []).append(v)
-    return sorted(pair for group in groups.values() for pair in itertools.combinations(group, 2))
+        classes[m] = classes.get(m, 0) | 1 << v
+    return tuple(c for c in classes.values() if c & (c - 1))
 
 
 def excluded_vertices(G: Graph, k: int) -> int:
@@ -205,14 +207,11 @@ class GraphAnalysis:
     def forced_lower_bound(self) -> int:
         """L3, the minimum size of a vertex set containing every forced
         vertex and meeting every false-twin pair: |F| + sum over C of
-        max(0, |C \\ F| - 1), F the forced set and C the classes of vertices
-        with equal open neighbourhoods, whose pairs are the false-twin
-        pairs.  A set meets every pair of C exactly when it misses at most
-        one vertex of C, and the classes are disjoint.  The count is of the
-        vertices of C \\ F with a false twin below them outside F."""
-        fs = self.forced
-        later = mask_of(v for u, v in fs.false_twin_pairs if not (fs.forced >> u | fs.forced >> v) & 1)
-        return fs.forced.bit_count() + later.bit_count()
+        max(0, |C \\ F| - 1), F the forced set and C the false-twin
+        classes.  A set meets every pair of C exactly when it misses at
+        most one vertex of C, and the classes are disjoint."""
+        F = self.forced.forced
+        return F.bit_count() + sum(max(0, (c & ~F).bit_count() - 1) for c in self.forced.false_twins)
 
 
 def _pair_dimension(

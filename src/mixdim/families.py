@@ -47,6 +47,8 @@ def _complete_bipartite(a: int, b: int) -> Graph:
 
 def _star(leaves: int) -> Graph:
     # center is vertex 0, leaves are 1..leaves
+    if leaves < 1:
+        raise GraphError("star needs >= 1 leaf")
     return _complete_bipartite(1, leaves)
 
 

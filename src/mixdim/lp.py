@@ -32,12 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .masks import bits_of, reduce_family, rows_of_masks, sets_of
+from .masks import bits_of, reduce_family, rows_of_masks
 
 _PIVOT_EPS = 1e-9
 _DEGENERATE_STREAK = 64
@@ -69,10 +68,10 @@ class CoveringLP:
             raise LPError(f"row mask outside variable range 0..{num_vars - 1}")
         return cls(num_vars, tuple(reduce_family(original)))
 
-    @cached_property
-    def rows(self) -> tuple[frozenset[int], ...]:
-        """masks as frozensets; read only by perfbench's tracer."""
-        return sets_of(self.masks)
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """masks itself; read only by perfbench's tracer, for its length."""
+        return self.masks
 
 
 def solve_covering_lp(lp: CoveringLP, orbits: Sequence[int] | None = None) -> tuple[Fraction, Fraction]:

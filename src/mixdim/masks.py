@@ -30,10 +30,6 @@ def bits_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def sets_of(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(bits_of(m)) for m in masks)
-
-
 # bits per word of the codec: one little-endian uint64
 _WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1

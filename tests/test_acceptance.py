@@ -190,7 +190,8 @@ def test_criterion_6_property_suites():
             bset = set(basis)
             bmask = sum(1 << x for x in bset)
             assert fs.forced & ~bmask == 0
-            assert all(set(p) & bset for p in fs.false_twin_pairs)
+            # it misses at most one vertex of each false-twin class
+            assert all((c & ~bmask).bit_count() <= 1 for c in fs.false_twins)
             assert not bmask & excl
             # the basis meets both side sets of every edge
             assert all(side & bmask for side in sides)

@@ -119,6 +119,28 @@ def test_cutoff_verdict():
     assert (res.size, res.witness) == (4, (0, 1, 2, 3))
 
 
+def test_node_refuted_at_its_root_calls_no_kernel(monkeypatch):
+    # three pairwise-disjoint sets need three elements: with cutoff 2 the
+    # search refutes the node at its root, and with cutoff 3 the kernel
+    # solves it.  A forced element takes one unit of the cutoff's room
+    family = masks([{0, 1}, {2, 3}, {4, 5}])
+    pick = cover._kernel
+    calls = []
+
+    def counted_kernel(universe):
+        calls.append(universe)
+        return pick(universe)
+
+    monkeypatch.setattr(cover, "_kernel", counted_kernel)
+    assert cover._search(7, family, 0, 0, None, (), 2, 0, None) == (None, 0, 0)
+    assert cover._search(7, family, 1 << 6, 0, None, (), 3, 0, None) == (None, 0, 0)
+    assert min_hitting_set(CoverInstance.build(6, family), cutoff=2).status == CUTOFF_EXCEEDED
+    assert calls == []
+    assert cover._search(7, family, 0, 0, None, (), 3, 0, None)[0] == 3
+    assert cover._search(7, family, 1 << 6, 0, None, (), 4, 0, None)[0] == 4
+    assert len(calls) == 2
+
+
 def test_exactness_vs_enumeration(backend):
     rng = random.Random(987654)
     for _ in range(150):

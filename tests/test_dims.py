@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import random
@@ -21,6 +20,7 @@ from mixdim.dims import (
 )
 from mixdim.families import FamilySpec, generate, generate_named, parse_graph6
 from mixdim.graphs import GraphError, build_graph, distances
+from mixdim.masks import bits_of
 from mixdim.tables import SELECTED_GRAPHS
 
 from bruteforce import (
@@ -91,19 +91,27 @@ def test_forced_vertices_star():
     assert fs.leaves == 0b11110
 
 
+def _twin_pairs(classes):
+    """Every pair (u, v), u < v, of one twin class, in lexicographic order."""
+    return tuple(sorted(pair for c in classes for pair in itertools.combinations(bits_of(c), 2)))
+
+
 def test_forced_vertices_fig1():
     fs = forced_vertices(fig1())
     assert fs.forced == 0b11111
-    assert fs.true_twin_pairs == ((1, 2),)
+    assert fs.true_twins == (0b110,)
+    assert _twin_pairs(fs.true_twins) == ((1, 2),)
     assert fs.simplicial == 0b11001
     # a pair is never classified as both kinds of twin
-    assert not set(fs.true_twin_pairs) & set(fs.false_twin_pairs)
+    assert not set(_twin_pairs(fs.true_twins)) & set(_twin_pairs(fs.false_twins))
 
 
 def test_forced_vertices_match_pairwise_reference():
     # every connected graph of order at most 7 (networkx's atlas) and every
-    # selected graph: the mask grouping gives the pairwise definition's
-    # fields, pair order included
+    # selected graph: the twin classes hold the pairwise definition's
+    # pairs, pair order included, and the other fields are its own.  Each
+    # kind of class is in ascending order of its lowest vertex, and a
+    # vertex is in at most one class of each kind
     graphs = [
         build_graph(H.number_of_nodes(), H.edges)
         for H in nx.graph_atlas_g()
@@ -112,8 +120,14 @@ def test_forced_vertices_match_pairwise_reference():
     assert len(graphs) == 996
     graphs += [generate(sel.family) for sel in SELECTED_GRAPHS if sel.family is not None]
     for G in graphs:
-        got = dataclasses.astuple(forced_vertices(G))
+        fs = forced_vertices(G)
+        got = (fs.forced, _twin_pairs(fs.true_twins), _twin_pairs(fs.false_twins), fs.simplicial, fs.leaves)
         assert got == reference_forced_vertices(G.n, G.edges), G.edges
+        for classes in (fs.true_twins, fs.false_twins):
+            assert all(c.bit_count() >= 2 for c in classes), G.edges
+            lowest = [c & -c for c in classes]
+            assert lowest == sorted(lowest), G.edges
+            assert sum(classes) == functools.reduce(int.__or__, classes, 0), G.edges
 
 
 def test_excluded_vertices_path5():

@@ -96,6 +96,11 @@ def test_invalid_family_specs(spec):
         generate(parse_family_spec(spec))
 
 
+def test_star_without_leaves_names_the_star():
+    with pytest.raises(GraphError, match="^star needs >= 1 leaf$"):
+        generate(parse_family_spec("star:0"))
+
+
 def test_generate_named_checks_the_name_and_the_arity():
     # library callers reach generate without parse_family_spec's checks
     with pytest.raises(GraphError, match="unknown family 'petersen'; known: clebsch, complete"):

@@ -238,21 +238,52 @@ def _dropping(monkeypatch):
     return dropped
 
 
+def _refuting(monkeypatch):
+    """The forced vertices, as a tuple, of every node that _search refutes
+    at its root from here on: it neither splits nor solves the node."""
+    refuted = []
+    reached = [0]  # the _split and _leaf calls so far
+    search = cover._search
+
+    def reaching(fn):
+        def counted(*args):
+            reached[0] += 1
+            return fn(*args)
+
+        return counted
+
+    def recorded(universe, masks, forced, *args):
+        before = reached[0]
+        out = search(universe, masks, forced, *args)
+        if reached[0] == before:
+            refuted.append(bits_of(forced))
+        return out
+
+    monkeypatch.setattr(cover, "_split", reaching(cover._split))
+    monkeypatch.setattr(cover, "_leaf", reaching(cover._leaf))
+    monkeypatch.setattr(cover, "_search", recorded)
+    return refuted
+
+
 def test_symmetric_instance_is_split(monkeypatch):
     G = generate_named("rook", 6)
     a = GraphAnalysis(G)
     calls = _counting(monkeypatch)
     dropped = _dropping(monkeypatch)
+    refuted = _refuting(monkeypatch)
     assert min_hitting_set_size(a.vertex_pairs, sym=a.symmetry).size == 7
     # one orbit, so vertex 0 is forced; then every branch splits again under
-    # the stabilizer of the vertices it forces, while the split rule holds
+    # the stabilizer of the vertices it forces, while the split rule holds.
+    # The leaves that reach the kernel:
     assert tuple(bits_of(forced) for _masks, forced in calls) == (
-        (0, 4, 7, 14, 21), (0, 7, 10, 14, 21), (0, 7, 14, 16, 21), (0, 7, 14, 21, 22),
-        (0, 7, 14, 21, 28),
-        (0, 3, 7, 14), (0, 7, 9, 14), (0, 7, 14, 15),
+        (0, 4, 7, 14, 21), (0, 7, 10, 14, 21),
+        (0, 3, 7, 14), (0, 7, 9, 14),
         (0, 2, 7), (0, 7, 8),
         (0, 1),
     )
+    # and the nodes whose residual family holds more pairwise-disjoint sets
+    # than the cutoff leaves room for, refuted at their root
+    assert tuple(refuted) == ((0, 7, 14, 16, 21), (0, 7, 14, 21, 22), (0, 7, 14, 21, 28), (0, 7, 14, 15))
     # the other branches of those levels exclude orbits that empty a set:
     # each is dropped where it is built, without a _leaf call
     assert sorted(dropped) == sorted((
@@ -287,7 +318,7 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
 
 @pytest.mark.parametrize(
     ("name", "params", "nodes"),
-    [("rook", (6,), 8035), ("gq24", (), 35782), ("johnson", (9, 2), 7352), ("clebsch", (), 736)],
+    [("rook", (6,), 8019), ("gq24", (), 35764), ("johnson", (9, 2), 7345), ("clebsch", (), 728)],
 )
 def test_exact_report_node_counts(name, params, nodes, monkeypatch):
     # every Python-kernel node of an exact report: value proofs, orbital
@@ -306,6 +337,40 @@ def test_exact_report_node_counts(name, params, nodes, monkeypatch):
     monkeypatch.setattr(_cover_py, "solve", counted)
     bounds_report(generate_named(name, *params), compute_exact=True)
     assert total[0] == nodes
+
+
+def test_witness_trial_branches_refuted_at_their_root_call_no_kernel(monkeypatch):
+    # Clebsch's exact report splits witness-pass trials into orbital
+    # branches; the kernel is handed none whose residual family its own root
+    # test refutes (two such calls of one node each before the search made
+    # that test at every node)
+    monkeypatch.setattr(cover, "_cover_c", None)
+    kernel, witness = cover._kernel, cover._lex_min_witness
+    inside = [False]
+    trials = []
+
+    def recorded_kernel(universe):
+        solve = kernel(universe)
+
+        def recorded(u, masks, cutoff, *args):
+            if inside[0]:
+                trials.append((masks, cutoff))
+            return solve(u, masks, cutoff, *args)
+
+        return recorded
+
+    def marked(*args):
+        inside[0] = True
+        try:
+            return witness(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(cover, "_kernel", recorded_kernel)
+    monkeypatch.setattr(cover, "_lex_min_witness", marked)
+    bounds_report(generate_named("clebsch"), compute_exact=True)
+    assert trials
+    assert [len(masks) for masks, cutoff in trials if cover._exceeds(masks, cutoff)] == []
 
 
 @pytest.mark.parametrize(
