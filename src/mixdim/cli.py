@@ -21,7 +21,9 @@ from .torus import torus_theorem_check
 
 EXIT_OK = 0
 EXIT_INVALID = 1
-EXIT_DISCONNECTED = 2
+# a disconnected graph, which no landmark set resolves, or a torus witness
+# that does not resolve its torus
+EXIT_UNRESOLVED = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,7 +168,7 @@ def cmd_torus(args) -> int:
         )
     _emit_table(header, rows, args.format)
     _log(f"torus check: {len(pairs)} pair(s), all candidates valid: {all_valid}")
-    return EXIT_OK if all_valid else EXIT_DISCONNECTED
+    return EXIT_OK if all_valid else EXIT_UNRESOLVED
 
 
 def cmd_enumerate(args) -> int:
@@ -234,7 +236,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DisconnectedGraphError as exc:
         _log(f"error: {exc}")
-        return EXIT_DISCONNECTED
+        return EXIT_UNRESOLVED
     except (ValueError, OSError, SolveTimeout) as exc:  # GraphError is a ValueError
         _log(f"error: {exc}")
         return EXIT_INVALID

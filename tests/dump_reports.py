@@ -10,7 +10,9 @@ The inputs are those perfbench/workloads.py builds: exact-corpus for seeds
 enumerations of orders 5 to 7, then an exact bounds_report on each of their
 986 graphs) and torus-sweep (169 torus_theorem_check calls).  A last run,
 named, makes a bounds_report without exact values on the graphs whose N2
-proofs split deepest (NAMED): the workloads barely reach those splits.
+proofs split deepest (NAMED): the workloads barely reach those splits.  It
+also reports on random graphs past 64 vertices (NAMED_RANDOM), whose mixed
+families keep thousands of minimal sets of two mask words.
 The standalone run calls each public function that no workload calls
 alone (STANDALONE) on every selected graph that has an adjacency.
 Each line holds the workload, the seed, the call's label and its answer: a
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -50,6 +53,8 @@ NAMED = (
     ("torus", 8, 8),
     ("hamming", 3, 4),
 )
+# (seed, n): workloads.random_connected_graph(random.Random(seed), n)
+NAMED_RANDOM = ((5, 66), (5, 72))
 STANDALONE = (metric_dimension, edge_metric_dimension, lb_l3, lb_l4, lb_n2, lb_n3)
 
 
@@ -108,6 +113,10 @@ def main(argv=None) -> int:
     for name, *params in NAMED:
         label = f"{name}:{','.join(map(str, params))}"
         emit({"workload": "named", "label": label}, bounds_report(generate_named(name, *params), label=label))
+    for seed, n in NAMED_RANDOM:
+        label = f"random:{seed},{n}"
+        G = workloads.random_connected_graph(random.Random(seed), n)
+        emit({"workload": "named", "label": label}, bounds_report(G, label=label))
     for sel in SELECTED_GRAPHS:
         if sel.family is not None:
             G = generate(sel.family)

@@ -8,7 +8,7 @@ import pytest
 import mixdim.tables as tables
 import mixdim.torus
 from mixdim.bounds import bounds_report
-from mixdim.cli import EXIT_DISCONNECTED, EXIT_INVALID, EXIT_OK, main
+from mixdim.cli import EXIT_INVALID, EXIT_OK, EXIT_UNRESOLVED as EXIT_DISCONNECTED, main
 from mixdim.cover import SolveTimeout
 from mixdim.torus import CASE_ODD_ODD, TorusCase
 

@@ -1,6 +1,8 @@
 import collections
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,7 +18,8 @@ from mixdim.cover import (
     min_hitting_set,
     min_hitting_set_size,
 )
-from mixdim.masks import reduce_family
+from mixdim.dims import GraphAnalysis
+from mixdim.masks import _VECTOR_REDUCE_MIN, reduce_family
 
 from bruteforce import (
     masks,
@@ -24,6 +27,9 @@ from bruteforce import (
     reference_cover_search,
     reference_greedy_cover,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 # side sets of the 5-vertex/7-edge reference graph, deduplicated by hand
@@ -419,8 +425,37 @@ def test_python_search_matches_reference_tree():
 
 
 def _reference_reduction(masks):
+    """The masks of which no other mask of the family is a subset, in
+    (popcount, value) order.  The masks within m are the family indices
+    that every element outside m leaves out: one big-int set of indices
+    per element, so that families of tens of thousands stay quick."""
     uniq = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
-    return [m for m in uniq if not any(o != m and o & m == o for o in uniq)]
+    width = max(uniq, default=0).bit_length()
+    # lacking[e]: bit i set when uniq[i] lacks element e
+    lacking = [
+        int("".join("0" if m >> e & 1 else "1" for m in reversed(uniq)), 2) for e in range(width)
+    ]
+    kept = []
+    for i, m in enumerate(uniq):
+        within = (1 << len(uniq)) - 1
+        for e in range(width):
+            if not m >> e & 1:
+                within &= lacking[e]
+        if within == 1 << i:
+            kept.append(m)
+    return kept
+
+
+def test_reference_reduction_is_the_definition():
+    rng = random.Random(11)
+    for universe in (1, 5, 63, 64, 65, 130):
+        for size in (1, 10, 40):
+            fam = _random_family(rng, universe, size)
+            if size == 40:
+                fam.append(0)  # the empty set, a subset of every mask
+            uniq = sorted(set(fam), key=lambda m: (bin(m).count("1"), m))
+            want = [m for m in uniq if not any(o != m and o & m == o for o in uniq)]
+            assert _reference_reduction(fam) == want
 
 
 def _random_family(rng, universe, size):
@@ -450,6 +485,38 @@ def test_reduce_family_matches_reference(universe, size):
         fam = _random_family(rng, universe, size)
         assert reduce_family(fam) == _reference_reduction(fam)
         assert reduce_family(iter(fam)) == _reference_reduction(fam)
+
+
+def _wide_family(rng, universe, size):
+    """_random_family's masks, masks that share one of a few low words and
+    differ only above bit 63, and few-bit patterns moved whole into a
+    random word, so that equal popcounts fall in different words."""
+    lows = [rng.getrandbits(64) & rng.getrandbits(64) for _ in range(4)]
+    fam = _random_family(rng, universe, size // 3)
+    while len(fam) < size:
+        pattern = sum(1 << b for b in rng.sample(range(min(universe, 64)), rng.randint(1, 6)))
+        fam.append(pattern << rng.choice([lo for lo in range(0, universe, 64) if pattern << lo >> universe == 0]))
+        high = rng.getrandbits(universe) & rng.getrandbits(universe) & rng.getrandbits(universe)
+        fam.append(rng.choice(lows) | high >> 64 << 64)
+    rng.shuffle(fam)
+    return fam[:size]
+
+
+@pytest.mark.parametrize("universe", [64, 65, 128, 200, 256])
+@pytest.mark.parametrize("size", [1000, 3000])
+def test_reduce_family_sweep_matches_reference(universe, size):
+    rng = random.Random(universe * 1000 + size)
+    for _ in range(2):
+        fam = _wide_family(rng, universe, size)
+        assert len(set(fam)) >= _VECTOR_REDUCE_MIN  # the sweep runs
+        assert max(fam).bit_length() == universe
+        assert reduce_family(fam) == _reference_reduction(fam)
+
+
+def test_reduce_family_wide_mixed_family():
+    # 43,956 mixed pairs over 66 vertices, 3,844 of them minimal
+    family = GraphAnalysis(workloads.random_connected_graph(random.Random(5), 66)).mixed_masks
+    assert reduce_family(family) == _reference_reduction(family)
 
 
 def test_reduce_family_top_bit():
