@@ -55,11 +55,18 @@ def test_torus_diameter_formula(m, n):
 
 
 def test_disconnected_reports_pair():
+    # the pair is vertex 0 and the first vertex it does not reach
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError) as exc:
         distances(g)
-    u, v = exc.value.pair
-    assert {u, v} <= {0, 1, 2, 3}
+    assert exc.value.pair == (0, 2)
+
+
+def test_disconnected_isolated_vertex_zero():
+    g = build_graph(4, [(1, 2), (2, 3)])
+    with pytest.raises(DisconnectedGraphError) as exc:
+        distances(g)
+    assert exc.value.pair == (0, 1)
 
 
 def test_item_distance_incident_edge_is_zero():
