@@ -1,5 +1,7 @@
 """Named graph family generators, the graph6 codec, and exhaustive
-enumeration of small connected graphs up to isomorphism.
+enumeration of small connected graphs up to isomorphism, grown from
+connected parents only: every connected graph on two or more vertices has
+a vertex whose removal leaves it connected (a leaf of a spanning tree).
 
 Every generator documents its vertex labeling so downstream results are
 reproducible.  All generators are deterministic and verify connectivity.
@@ -384,9 +386,11 @@ def connected_graphs_of_order(k: int) -> list[Graph]:
     """One canonical representative per isomorphism class of connected graphs
     on k vertices, sorted by (edge count, canonical code).
 
-    Classes are grown by vertex augmentation: every order-r graph arises by
-    attaching a new vertex to some order-(r-1) graph, so carrying all
-    isomorphism classes (connected or not) level by level is exhaustive.
+    Classes are grown by vertex augmentation.  A connected graph on r >= 2
+    vertices has a non-cut vertex, such as a leaf of a spanning tree, so it
+    arises by attaching a new vertex to a nonempty set of vertices of a
+    connected order-(r-1) graph.  Carrying only the connected classes level
+    by level is therefore exhaustive, and every attachment is connected.
     """
     if not 1 <= k <= MAX_ENUM_ORDER:
         raise GraphError(f"enumeration supports orders 1..{MAX_ENUM_ORDER}, got {k}")
@@ -396,7 +400,7 @@ def connected_graphs_of_order(k: int) -> list[Graph]:
         for code in codes:
             A = np.zeros((order, order), dtype=bool)
             A[: order - 1, : order - 1] = _adjacency(graph_from_code(order - 1, code))
-            for mask in range(1 << (order - 1)):
+            for mask in range(1, 1 << (order - 1)):
                 nbrs = [i for i in range(order - 1) if (mask >> i) & 1]
                 A[order - 1, :] = False
                 A[:, order - 1] = False
@@ -405,7 +409,5 @@ def connected_graphs_of_order(k: int) -> list[Graph]:
                 nxt.add(canonical_code_of_matrix(A))
         codes = nxt
     # each code is the minimum of its class, so it is the canonical code of
-    # the graph it decodes to
-    graphs = [(g.m, c, g) for c in codes if is_connected(g := graph_from_code(k, c))]
-    graphs.sort(key=lambda t: t[:2])
-    return [g for _, _, g in graphs]
+    # the graph it decodes to, and its set bits are that graph's edges
+    return [graph_from_code(k, c) for c in sorted(codes, key=lambda c: (c.bit_count(), c))]

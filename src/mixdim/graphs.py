@@ -110,7 +110,9 @@ def distances(G: Graph) -> np.ndarray:
     """The uint16 vertex-to-item distance table, one row per vertex and one
     column per item: its first n columns are the vertex distances and its
     maximum is the diameter.  BFS from every vertex; raises
-    DisconnectedGraphError naming an unreachable pair."""
+    DisconnectedGraphError naming vertex 0 and the first vertex it does not
+    reach.  A graph is connected when one vertex reaches all others, so only
+    the first search is checked."""
     n = G.n
     dv = np.full((n, n), _UNREACHED, dtype=np.uint16)
     for src in range(n):
@@ -123,9 +125,10 @@ def distances(G: Graph) -> np.ndarray:
                 if dv[src, w] == _UNREACHED:
                     dv[src, w] = du + 1
                     queue.append(w)
-        unreached = np.nonzero(dv[src] == _UNREACHED)[0]
-        if unreached.size:
-            raise DisconnectedGraphError(src, int(unreached[0]))
+        if src == 0:
+            unreached = np.nonzero(dv[0] == _UNREACHED)[0]
+            if unreached.size:
+                raise DisconnectedGraphError(0, int(unreached[0]))
     table = np.empty((n, n + G.m), dtype=np.uint16)
     table[:, :n] = dv
     ends = dv[:, np.array(G.edges, dtype=np.intp).reshape(-1, 2)]  # (n, m, 2)

@@ -188,6 +188,17 @@ def test_enumeration_exhaustive_small(k):
     assert got == expected
 
 
+def test_enumeration_order6_matches_atlas():
+    # networkx's atlas holds every graph of order at most 7
+    expected = {
+        canonical_code(build_graph(6, H.edges))
+        for H in nx.graph_atlas_g()
+        if H.number_of_nodes() == 6 and nx.is_connected(H)
+    }
+    assert len(expected) == 112
+    assert {canonical_code(g) for g in connected_graphs_of_order(6)} == expected
+
+
 def test_order5_pairwise_non_isomorphic():
     codes = [canonical_code(g) for g in connected_graphs_of_order(5)]
     assert len(set(codes)) == 21
