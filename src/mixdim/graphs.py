@@ -112,7 +112,7 @@ def distances(G: Graph) -> np.ndarray:
     maximum is the diameter.  BFS from every vertex; raises
     DisconnectedGraphError naming vertex 0 and the first vertex it does not
     reach.  A graph is connected when one vertex reaches all others, so only
-    the first search is checked."""
+    vertex 0's row is checked."""
     n = G.n
     dv = np.full((n, n), _UNREACHED, dtype=np.uint16)
     for src in range(n):
@@ -125,10 +125,9 @@ def distances(G: Graph) -> np.ndarray:
                 if dv[src, w] == _UNREACHED:
                     dv[src, w] = du + 1
                     queue.append(w)
-        if src == 0:
-            unreached = np.nonzero(dv[0] == _UNREACHED)[0]
-            if unreached.size:
-                raise DisconnectedGraphError(0, int(unreached[0]))
+    unreached = np.nonzero(dv[0] == _UNREACHED)[0]
+    if unreached.size:
+        raise DisconnectedGraphError(0, int(unreached[0]))
     table = np.empty((n, n + G.m), dtype=np.uint16)
     table[:, :n] = dv
     ends = dv[:, np.array(G.edges, dtype=np.intp).reshape(-1, 2)]  # (n, m, 2)
