@@ -19,22 +19,25 @@ excluded masks.  Given the automorphism group of a graph on the universe
 (sym=, a symmetry.GraphSymmetry), the search splits a node into orbital
 branches one level at a time, as it reaches them (_split), and solves each
 node it does not split by one kernel call (_leaf); without sym it makes
-that one call.  Each node with a cutoff meets one root test first, the
-kernel's own (_exceeds): a residual family holding more pairwise-disjoint
-sets than the room its cutoff leaves has no cover within the cutoff, so
-the node is refuted with no split and no kernel call.  Every automorphism
-maps each pair-cover family of the graph
-(vertex, edge and mixed pairs, the N2 side sets) onto itself, and the
-forced and degree-excluded vertices of the mixed search are unions of
-orbits.  So a cover of size <= k exists if and only if, for some i, one
-exists that contains the representative of orbit O_i and avoids
-O_1 .. O_{i-1} (Ostrowski, Linderoth, Rossi and Smriglio, "Orbital
-branching", Math. Prog. 2011).  Branch i forces a representative and
-excludes orbits of a larger group, which the representative's stabilizer
-maps onto themselves, so each branch splits again by the orbits of that
-stabilizer.  The witness pass also rules out candidates by the same
-orbits.  This module does not import symmetry: it only calls the cells,
-orbits and orbits_within methods of the object it is given.
+that one call.  Below the top, a node with many orbits splits by
+whichever has fewer branches: its orbital level, or the kernel's own
+first branching less the children an automorphism maps into earlier
+ones.  Each node with a cutoff meets one root test first, the kernel's
+own (_exceeds): a residual family holding more pairwise-disjoint sets
+than the room its cutoff leaves has no cover within the cutoff, so the
+node is refuted with no split and no kernel call.  Every automorphism
+maps each pair-cover family of the graph (vertex, edge and mixed pairs,
+the N2 side sets) onto itself, and the forced and degree-excluded
+vertices of the mixed search are unions of orbits.  So a cover of size
+<= k exists if and only if, for some i, one exists that contains the
+representative of orbit O_i and avoids O_1 .. O_{i-1} (Ostrowski,
+Linderoth, Rossi and Smriglio, "Orbital branching", Math. Prog. 2011).
+Branch i forces a representative and excludes orbits of a larger group,
+which the representative's stabilizer maps onto themselves, so each
+branch splits again by the orbits of that stabilizer.  The witness pass
+also rules out candidates by the same orbits.  This module does not
+import symmetry: it only calls the cells, orbits and orbits_within
+methods of the object it is given.
 
 Two interchangeable kernels do the search: a compiled extension
 (mixdim._cover_c, hand-written C, universes up to 64 elements) and a
@@ -284,18 +287,21 @@ def _split(masks: list[int], forced: int, excluded: int, sym, fixed: tuple[int, 
     which it may split again (None where it may not).
 
     The branches split on the orbits of the free elements (those in some
-    set of masks) when there are at most as many orbits as the kernel's
-    first branching has children (the size of the smallest set): the i-th
-    forces the representative (lowest vertex) rep of orbit O_i, excludes
-    O_1 .. O_{i-1} and may split again under the stabilizer of
-    (*fixed, rep).  A branch whose excluded orbits empty a set has no
-    cover and is dropped.  When there are more orbits, the branches split
-    on the kernel's own branching set instead (_split_set), and are not
-    split again: splitting those again cost more orbit searches than their
-    kernel calls saved.  For that split the orbits are searched for only
-    below the top (fixed not empty) and with at least _SPLIT_MIN_SETS sets
-    left; at the top they serve it only when the orbital split's own check
-    found them.
+    set of masks), largest first, when there are at most as many orbits as
+    the kernel's first branching has children (the size of the smallest
+    set, pick): the i-th forces the representative (lowest vertex) rep of
+    orbit O_i, excludes O_1 .. O_{i-1} and may split again under the
+    stabilizer of (*fixed, rep).  A branch whose excluded orbits empty a
+    set has no cover and is dropped.  When there are more orbits, the
+    branches split on the kernel's own branching set instead (_split_set),
+    and are not split again: splitting those again cost more orbit
+    searches than their kernel calls saved.  Below the top (fixed not
+    empty) the orbital branches still win when, once the dropped ones are
+    left out, they are no more than _split_set keeps, one per orbit that
+    meets pick: the orbit count only bounds the branches a split leaves.
+    For the set split the orbits are searched for only below the top and
+    with at least _SPLIT_MIN_SETS sets left; at the top they serve it only
+    when the orbital split's own check found them.
 
     None when masks is empty, and unless there are at least
     _MIN_SPLIT_ELEMENTS free elements, the orbits were found, and the
@@ -324,16 +330,25 @@ def _split(masks: list[int], forced: int, excluded: int, sym, fixed: tuple[int, 
             return None
         if sym.orbits_within(pick, fixed, pick.bit_count()) is None:
             return None
-    if any(o & forced not in (0, o) or o & excluded not in (0, o) for o in sym.orbits(fixed)):
+    stabilizer_orbits = sym.orbits(fixed)
+    if any(o & forced not in (0, o) or o & excluded not in (0, o) for o in stabilizer_orbits):
         return None
+    set_branches, most = None, limit
     if orbits is None or len(orbits) >= limit:
-        return _split_set(masks, forced, excluded, sym.orbits(fixed))
+        set_branches = _split_set(masks, forced, excluded, stabilizer_orbits)
+        if not fixed:
+            return set_branches
+        # below the top, the orbital level when it has no more branches
+        orbits = sorted((o for o in stabilizer_orbits if o & free), key=lambda m: (-m.bit_count(), m & -m))
+        most = pick.bit_count() if set_branches is None else len(set_branches)
     branches = []
     passed = 0
     for orbit in orbits:
         rep = (orbit & -orbit).bit_length() - 1
         child = _child(masks, rep, passed)
         if child is not None:
+            if len(branches) == most:
+                return set_branches
             branches.append((child, forced | 1 << rep, excluded | passed, (*fixed, rep)))
         passed |= orbit
     return branches

@@ -318,7 +318,7 @@ def test_branch_stays_whole_where_the_orbits_are_cut(monkeypatch):
 
 @pytest.mark.parametrize(
     ("name", "params", "nodes"),
-    [("rook", (6,), 8019), ("gq24", (), 35764), ("johnson", (9, 2), 7345), ("clebsch", (), 728)],
+    [("rook", (6,), 2430), ("gq24", (), 20808), ("johnson", (9, 2), 7255), ("clebsch", (), 781)],
 )
 def test_exact_report_node_counts(name, params, nodes, monkeypatch):
     # every Python-kernel node of an exact report: value proofs, orbital
@@ -419,6 +419,38 @@ def test_hypercube_n2_builds_branches_as_it_reaches_them(monkeypatch):
     assert made["solves"] <= 6
 
 
+@pytest.mark.parametrize(("name", "params"), [("rook", (6,)), ("gq24", ())])
+def test_split_below_the_top_takes_the_smaller_level(name, params, monkeypatch):
+    # below the top, a node whose stabilizer has more orbits than its
+    # smallest set has members still splits by orbital branches when they
+    # are no more than the kernel's branching set leaves, one per orbit
+    # that meets that set, and no split there leaves more branches than
+    # that; no split below the top leaves more than the set has members
+    splits = []
+    split = cover._split
+
+    def recorded(masks, forced, excluded, sym, fixed):
+        out = split(masks, forced, excluded, sym, fixed)
+        if fixed and out is not None:
+            free = 0
+            for m in masks:
+                free |= m
+            # the guard has computed these orbits, so no search is added
+            orbits = [o for o in sym.orbits(fixed) if o & free]
+            meeting = sum(1 for o in orbits if o & masks[0])
+            splits.append((masks[0].bit_count(), len(orbits), meeting, out))
+        return out
+
+    monkeypatch.setattr(cover, "_split", recorded)
+    bounds_report(generate_named(name, *params), compute_exact=True)
+    assert splits
+    assert all(len(out) <= (pick if orbits <= pick else meeting) for pick, orbits, meeting, out in splits)
+    assert any(
+        orbits > pick + 1 and out and all(below is not None for *_node, below in out)
+        for pick, orbits, _meeting, out in splits
+    )
+
+
 def test_trivial_group_is_one_plain_call(monkeypatch):
     H = nx.frucht_graph()
     G = build_graph(H.number_of_nodes(), H.edges)
@@ -487,6 +519,22 @@ def test_orbital_verdicts_match_plain(G, backend, monkeypatch):
                 got = min_hitting_set_size(inst, cutoff, lower_bound, sym=sym)
                 assert got == expect, (name, cutoff, lower_bound)
                 assert got.status == (CUTOFF_EXCEEDED if cutoff < plain.size else OPTIMAL)
+
+
+@pytest.mark.parametrize(
+    ("name", "params"),
+    [("gq24", ()), ("rook", (6,)), ("kneser", (7, 2)), ("clebsch", ()), ("johnson", (9, 2))],
+)
+def test_selected_value_proofs_match_plain(name, params, backend):
+    # the value proofs of the larger selected graphs at the default gates,
+    # where the orbital and kernel-set splits compete below the top,
+    # against one plain kernel call each
+    a = GraphAnalysis(generate_named(name, *params))
+    mixed = replace(a.mixed, forced=a.forced.forced)
+    for family, inst in (("vertex", a.vertex_pairs), ("edge", a.edge_pairs), ("mixed", mixed)):
+        plain = min_hitting_set_size(inst)
+        assert plain.status == OPTIMAL
+        assert min_hitting_set_size(inst, sym=a.symmetry) == plain, family
 
 
 @pytest.mark.parametrize("G", VERDICT_GRAPHS)
