@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from ._cover_py import greedy_cover
 from .cover import OPTIMAL, CoverInstance, _check_deadline, deadline_after, min_hitting_set
@@ -55,13 +56,15 @@ def lb_l4(G: Graph) -> int:
 _BRACKET_MAX_ROWS = 32
 
 
-def _lp_bound(inst: CoverInstance, orbits: list[int] | None) -> int:
+def _lp_bound(inst: CoverInstance, orbits: list[int] | None, deadline: float | None = None) -> int:
     """L4 from the reduced mixed pair-cover instance, whose rows are the
     covering program's: ceil(lb) when ceil(lb) = ceil(ub) for the value lb
     of a feasible packing and ub of a feasible cover (weak duality), first
     for lp._packing_lower_bound and the greedy cover on at most
     _BRACKET_MAX_ROWS rows, then for lp.solve_covering_lp's exact pair over
-    orbits (automorphism orbits or None).  Undecided raises LPError."""
+    orbits (automorphism orbits or None).  Undecided raises LPError; the
+    simplex raises SolveTimeout within a batch of pivots past the absolute
+    time.monotonic() deadline."""
     masks = inst.masks
     if masks[:1] == (0,):
         raise GraphError("mixed pair instance has an undistinguished pair")
@@ -69,7 +72,7 @@ def _lp_bound(inst: CoverInstance, orbits: list[int] | None) -> int:
         g = greedy_cover(list(masks))[0]
         if math.ceil(_packing_lower_bound(masks, inst.universe_size)) == g:
             return g
-    lb, ub = solve_covering_lp(CoveringLP(inst.universe_size, masks), orbits)
+    lb, ub = solve_covering_lp(CoveringLP(inst.universe_size, masks), orbits, partial(_check_deadline, deadline))
     if math.ceil(lb) != math.ceil(ub):
         program = f"rows {list(masks)} over {inst.universe_size} variables, orbits {orbits}"
         raise LPError(f"packing {lb} and cover {ub} leave L4 undecided on {program}")
@@ -155,7 +158,7 @@ def bounds_report(
     _check_deadline(deadline)
     # the orbits that the N2 proof found, if it looked for them: finding
     # them for every graph would cost the many graphs without symmetry
-    l4 = _lp_bound(mixed, a.symmetry.found_orbits())
+    l4 = _lp_bound(mixed, a.symmetry.found_orbits(), deadline)
     _check_deadline(deadline)
     n1 = lb_n1(G)
     beta = beta_e = beta_m = None

@@ -1,7 +1,10 @@
 """Exact minimum hitting set / set cover engine.
 
 Sets and families are int masks and lists of masks, in the format of
-mixdim.masks.
+mixdim.masks.  A family handed to CoverInstance.build may also be word
+rows, as a graph's pair masks are: then, in a family of 256 or more
+sets, only its reduced sets become ints, and a witness is checked
+against every set handed in by one numpy test (_validate_witness).
 
 A CoverInstance is a family of masks over a small integer universe, plus
 optional forced and excluded elements, also masks.  min_hitting_set
@@ -51,10 +54,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import _cover_py
-from .masks import bits_of, reduce_family
+from .masks import _first_missed, _fits, _reduce_distinct, bits_of, reduce_family
 
 try:
     from . import _cover_c  # type: ignore[attr-defined]
@@ -88,18 +93,19 @@ class CoverInstance:
 
     masks holds the reduced family (deduplicated, no supersets, ascending
     popcount then value, so just (0,) when some input set was empty); the
-    family handed in is kept in original_masks for post-hoc witness checks.
-    forced and excluded are element masks, like the sets.  The reduction
-    ignores them, so instances that differ only in those share their family
-    (dataclasses.replace).  Empty input sets are legal at construction and
-    surface as an infeasibility verdict when solving.
+    family handed in, int masks or word rows, is kept in original_masks for
+    post-hoc witness checks.  forced and excluded are element masks, like
+    the sets.  The reduction ignores them, so instances that differ only
+    in those share their family (dataclasses.replace).  Empty input sets
+    are legal at construction and surface as an infeasibility verdict when
+    solving.
     """
 
     universe_size: int
     masks: tuple[int, ...]
     forced: int = 0
     excluded: int = 0
-    original_masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    original_masks: Sequence[int] | np.ndarray = field(default=(), compare=False, repr=False)
 
     @classmethod
     def build(
@@ -108,18 +114,26 @@ class CoverInstance:
         masks: Iterable[int],
         forced: int = 0,
         excluded: int = 0,
+        *,
+        distinct: tuple[list[np.ndarray], np.ndarray] | None = None,
     ) -> "CoverInstance":
-        """Reduce a family of bitmasks (bit e set for element e); forced and excluded are element masks."""
+        """Reduce a family of bitmasks (bit e set for element e), int masks
+        or a uint64 array of word rows (mixdim.masks); forced and excluded
+        are element masks.  distinct, when given, holds the family's
+        distinct masks as masks._distinct orders them, word arrays and
+        popcounts: GraphAnalysis cuts its four pair families from one sort
+        of their pairs, and only the sweep is left to do here."""
         if universe_size < 0:
             raise ValueError("universe size must be nonnegative")
-        original = tuple(masks)
-        if original and (min(original) < 0 or max(original) >> universe_size):
+        original = masks if isinstance(masks, np.ndarray) else tuple(masks)
+        if not _fits(original, universe_size):
             raise ValueError(f"set mask outside universe 0..{universe_size - 1}")
         if min(forced, excluded) < 0 or (forced | excluded) >> universe_size:
             raise ValueError(f"forced or excluded mask outside universe 0..{universe_size - 1}")
         if forced & excluded:
             raise ValueError(f"forced and excluded overlap: {list(bits_of(forced & excluded))}")
-        return cls(universe_size, tuple(reduce_family(original)), forced, excluded, original)
+        reduced = reduce_family(original) if distinct is None else _reduce_distinct(*distinct)
+        return cls(universe_size, tuple(reduced), forced, excluded, original)
 
     @cached_property
     def _prepared(self) -> list[int] | int:
@@ -143,7 +157,7 @@ class CoverInstance:
         return self.masks
 
     @property
-    def original_sets(self) -> tuple[int, ...]:
+    def original_sets(self) -> Sequence[int] | np.ndarray:
         """original_masks itself; read only by perfbench's tracer, for its length."""
         return self.original_masks
 
@@ -171,9 +185,9 @@ def _validate_witness(inst: CoverInstance, wmask: int) -> None:
         raise RuntimeError("internal error: witness misses forced elements")
     if wmask & inst.excluded:
         raise RuntimeError("internal error: witness touches excluded elements")
-    for m in inst.original_masks or inst.masks:
-        if m and not m & wmask:
-            raise RuntimeError(f"internal error: witness fails to hit {list(bits_of(m))}")
+    missed = _first_missed(inst.original_masks if len(inst.original_masks) else inst.masks, wmask)
+    if missed is not None:
+        raise RuntimeError(f"internal error: witness fails to hit {list(bits_of(missed))}")
 
 
 def min_hitting_set_size(
@@ -299,6 +313,8 @@ def _split(masks: list[int], forced: int, excluded: int, sym, fixed: tuple[int, 
     empty) the orbital branches still win when, once the dropped ones are
     left out, they are no more than _split_set keeps, one per orbit that
     meets pick: the orbit count only bounds the branches a split leaves.
+    That count needs no children, so _split_set's level is built only
+    when it is returned.
     For the set split the orbits are searched for only below the top and
     with at least _SPLIT_MIN_SETS sets left; at the top they serve it only
     when the orbital split's own check found them.
@@ -333,14 +349,14 @@ def _split(masks: list[int], forced: int, excluded: int, sym, fixed: tuple[int, 
     stabilizer_orbits = sym.orbits(fixed)
     if any(o & forced not in (0, o) or o & excluded not in (0, o) for o in stabilizer_orbits):
         return None
-    set_branches, most = None, limit
+    most = limit
     if orbits is None or len(orbits) >= limit:
-        set_branches = _split_set(masks, forced, excluded, stabilizer_orbits)
         if not fixed:
-            return set_branches
+            return _split_set(masks, forced, excluded, stabilizer_orbits)
         # below the top, the orbital level when it has no more branches
+        # than _split_set's, which keeps one per orbit that meets pick
         orbits = sorted((o for o in stabilizer_orbits if o & free), key=lambda m: (-m.bit_count(), m & -m))
-        most = pick.bit_count() if set_branches is None else len(set_branches)
+        most = sum(1 for o in orbits if o & pick)
     branches = []
     passed = 0
     for orbit in orbits:
@@ -348,7 +364,7 @@ def _split(masks: list[int], forced: int, excluded: int, sym, fixed: tuple[int, 
         child = _child(masks, rep, passed)
         if child is not None:
             if len(branches) == most:
-                return set_branches
+                return _split_set(masks, forced, excluded, stabilizer_orbits)
             branches.append((child, forced | 1 << rep, excluded | passed, (*fixed, rep)))
         passed |= orbit
     return branches

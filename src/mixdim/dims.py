@@ -8,7 +8,11 @@ of every vertex set here).  The mixed search forces vertices that belong
 to every mixed resolving set (members of true-twin classes and simplicial
 vertices, hence leaves) and excludes those whose degree is too large for
 the candidate size k (deg_v > 2^(k-1) - 1).  A GraphAnalysis holds what
-one graph's solves and bounds share, computed once.
+one graph's solves and bounds share, computed once.  Its pair masks stay
+uint64 word rows (mixdim.masks) from the distance table to the
+reduction: the mixed pairs are sorted and deduplicated once, each tagged
+with its family, and the vertex-pair, edge-pair and N2 side-set families
+are cut from that one order.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .cover import (
     min_hitting_set_size,
 )
 from .graphs import Graph, GraphError, distances
-from .masks import mask_of, masks_of_columns
+from .masks import _VECTOR_REDUCE_MIN, _distinct, _words_of_rows, _zero_words, mask_of
 from .symmetry import GraphSymmetry
 
 
@@ -36,16 +40,23 @@ from .symmetry import GraphSymmetry
 _PAIR_BLOCK_ENTRIES = 1 << 15
 
 
+# the family tag of each mixed pair (GraphAnalysis._distinct_pairs): two
+# vertices, two edges, a vertex and an edge at it (N2's side sets), and a
+# vertex and an edge not at it
+_VERTEX_TAG, _EDGE_TAG, _SIDE_TAG, _OTHER_TAG = range(4)
+
+
 def _pair_number(a, b, items):
     """The number of the pair (a, b), a < b, among the pairs of the items
     0 .. items - 1 in row-major order; a and b are ints or numpy arrays."""
     return a * (2 * items - a - 1) // 2 + b - a - 1
 
 
-def distinguisher_masks(table: np.ndarray) -> list[int]:
-    """Bitmask of distinguishing vertices for every unordered item pair of
-    the distance table (graphs.distances), pairs (a, b), a < b, in
-    row-major order (_pair_number)."""
+def distinguisher_masks(table: np.ndarray) -> np.ndarray:
+    """The mask of the distinguishing vertices of every unordered item pair
+    of the distance table (graphs.distances), as word rows (mixdim.masks):
+    row p is the pair (a, b), a < b, numbered p in row-major order
+    (_pair_number)."""
     # one row of distances per item: a block gathers whole rows
     dm = np.ascontiguousarray(table.T)
     items, n = dm.shape
@@ -54,12 +65,12 @@ def distinguisher_masks(table: np.ndarray) -> list[int]:
     shift = rows + 1 - starts  # b - pair number, on row a
     total = items * (items - 1) // 2
     block = max(1, _PAIR_BLOCK_ENTRIES // n)
-    masks: list[int] = []
+    masks = _zero_words(total, n)
     for lo in range(0, total, block):
         pairs = np.arange(lo, min(lo + block, total))
         # row a of a pair: the rows past 0 that start at or before it
         a = starts[1:].searchsorted(pairs, side="right")
-        masks.extend(masks_of_columns((dm[a] != dm[pairs + shift[a]]).T))
+        _words_of_rows(dm[a] != dm[pairs + shift[a]], out=masks[lo : lo + block])
     return masks
 
 
@@ -141,7 +152,8 @@ class GraphAnalysis:
     mixed pairs, so vertex_pairs, edge_pairs and edge_sides are cut from
     mixed_masks instead of recomputed: the side set of u in the edge
     e = uv is the mixed pair (v, e).  Each pair instance's original_masks
-    are its pairs' masks in distinguisher_masks order.
+    are its pairs' word rows in distinguisher_masks order, and the four
+    reductions share one sort of the mixed pairs (_distinct_pairs).
     """
 
     def __init__(self, G: Graph):
@@ -163,9 +175,60 @@ class GraphAnalysis:
         return forced_vertices(self.graph)
 
     @cached_property
-    def mixed_masks(self) -> tuple[int, ...]:
-        """distinguisher_masks(self.table), in the same order."""
-        return tuple(distinguisher_masks(self.table))
+    def mixed_masks(self) -> np.ndarray:
+        """distinguisher_masks(self.table): the word row of every mixed
+        pair, in pair order."""
+        return distinguisher_masks(self.table)
+
+    @cached_property
+    def _vertex_pair_numbers(self) -> np.ndarray:
+        """The numbers of the mixed pairs of two vertices, in pair order:
+        row a of the pairs holds n - 1 - a of them, then m pairs of a
+        vertex and an edge."""
+        n = self.graph.n
+        return np.arange(n * (n - 1) // 2) + np.repeat(np.arange(n - 1) * self.graph.m, np.arange(n - 1, 0, -1))
+
+    @cached_property
+    def _side_pair_numbers(self) -> np.ndarray:
+        """The numbers of the mixed pairs (v, e), then (u, e), for each
+        edge e = uv of graph.edges (u < v, item n + i)."""
+        n, edges = self.graph.n, self.graph.edges
+        return np.array(
+            [_pair_number(e[end], n + i, n + len(edges)) for end in (1, 0) for i, e in enumerate(edges)], dtype=np.intp
+        )
+
+    @cached_property
+    def _edge_pairs_start(self) -> int:
+        """The number of the mixed pair (n, n + 1), the first of two edges."""
+        n = self.graph.n
+        return _pair_number(n, n + 1, n + self.graph.m)
+
+    @cached_property
+    def _distinct_pairs(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """masks._distinct of the mixed pair masks, each pair tagged with
+        its family (_VERTEX_TAG, _EDGE_TAG, _SIDE_TAG or _OTHER_TAG): one
+        sort and deduplication serves every family."""
+        tags = np.full(len(self.mixed_masks), _OTHER_TAG, dtype=np.uint8)
+        tags[self._vertex_pair_numbers] = _VERTEX_TAG
+        tags[self._edge_pairs_start :] = _EDGE_TAG
+        tags[self._side_pair_numbers] = _SIDE_TAG
+        return _distinct(self.mixed_masks, tags)
+
+    def _instance(self, rows: np.ndarray, tag: int | None) -> CoverInstance:
+        """CoverInstance.build of the rows of the mixed pairs tagged tag, or
+        of every mixed pair when tag is None.  With at least
+        _VECTOR_REDUCE_MIN mixed pairs the family's distinct masks are cut
+        from the one (popcount, value) order of _distinct_pairs; below
+        that, numpy's call overhead outweighs the sorts it saves, and build
+        reduces the few rows with the plain loop."""
+        distinct = None
+        if len(self.mixed_masks) >= _VECTOR_REDUCE_MIN:
+            words, pop, members = self._distinct_pairs
+            if tag is not None:
+                keep = (members & 1 << tag).astype(bool)
+                words, pop = [w[keep] for w in words], pop[keep]
+            distinct = words, pop
+        return CoverInstance.build(self.graph.n, rows, distinct=distinct)
 
     @cached_property
     def mixed(self) -> CoverInstance:
@@ -173,35 +236,26 @@ class GraphAnalysis:
         excluded vertices: the family of every deepening level.  Pairs no
         vertex distinguishes become empty sets and surface as an
         infeasibility verdict when solving."""
-        # a tuple is kept as the instance's original_masks without a copy
-        return CoverInstance.build(self.graph.n, self.mixed_masks)
+        return self._instance(self.mixed_masks, None)
 
     @cached_property
     def vertex_pairs(self) -> CoverInstance:
         """The instance whose solutions are the resolving sets: the first
         n - 1 - a pairs of each row a of the mixed pairs (a, b), a < b."""
-        n, items = self.graph.n, self.graph.n + self.graph.m
-        family = []
-        for a in range(n - 1):
-            start = _pair_number(a, a + 1, items)
-            family.extend(self.mixed_masks[start : start + n - 1 - a])
-        return CoverInstance.build(n, tuple(family))
+        return self._instance(self.mixed_masks[self._vertex_pair_numbers], _VERTEX_TAG)
 
     @cached_property
     def edge_pairs(self) -> CoverInstance:
         """The instance whose solutions are the edge resolving sets: the
         mixed pairs from (n, n + 1) on, those of two edges."""
-        n = self.graph.n
-        return CoverInstance.build(n, self.mixed_masks[_pair_number(n, n + 1, n + self.graph.m) :])
+        return self._instance(self.mixed_masks[self._edge_pairs_start :], _EDGE_TAG)
 
     @cached_property
     def edge_sides(self) -> CoverInstance:
         """N2's instance: for each edge e = uv of graph.edges (u < v, item
         n + i) the vertices strictly closer to u, then for each edge those
         strictly closer to v, that is the mixed pairs (v, e), then (u, e)."""
-        n, edges = self.graph.n, self.graph.edges
-        sides = [_pair_number(e[end], n + i, n + len(edges)) for end in (1, 0) for i, e in enumerate(edges)]
-        return CoverInstance.build(n, [self.mixed_masks[p] for p in sides])
+        return self._instance(self.mixed_masks[self._side_pair_numbers], _SIDE_TAG)
 
     @cached_property
     def forced_lower_bound(self) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,10 @@ from .masks import bits_of, reduce_family, rows_of_masks
 _PIVOT_EPS = 1e-9
 _DEGENERATE_STREAK = 64
 _UPDATE_ELEMENTS = 1 << 15
+# pivots per call of a solve's check: a pivot of the largest programs
+# (tens of thousands of rows) takes milliseconds, of the small ones
+# microseconds, next to which the check's clock read is free
+_CHECK_PIVOTS = 16
 # common denominators below this keep every checked product inside int64
 _INT64_DENOMINATOR = 1 << 31
 
@@ -74,7 +78,9 @@ class CoveringLP:
         return self.masks
 
 
-def solve_covering_lp(lp: CoveringLP, orbits: Sequence[int] | None = None) -> tuple[Fraction, Fraction]:
+def solve_covering_lp(
+    lp: CoveringLP, orbits: Sequence[int] | None = None, check: Callable[[], None] | None = None
+) -> tuple[Fraction, Fraction]:
     """Exact bounds lb <= optimum <= ub: lb the value of a checked packing
     and ub that of a checked cover, both read off the simplex's final basis.
 
@@ -83,7 +89,9 @@ def solve_covering_lp(lp: CoveringLP, orbits: Sequence[int] | None = None) -> tu
     stands for the trivial group, whose orbits are the single variables.
     Averaging an optimum over the group keeps it optimal, so some optimum
     is constant on each orbit, and the program is solved with one variable
-    per orbit."""
+    per orbit.  check, when given, is called before the first pivot and
+    after every _CHECK_PIVOTS pivots; it stops the solve by raising, as
+    bounds does past a report's deadline."""
     m = lp.num_vars
     if not lp.masks:
         return Fraction(0), Fraction(0)
@@ -101,7 +109,7 @@ def solve_covering_lp(lp: CoveringLP, orbits: Sequence[int] | None = None) -> tu
         # told apart by its bytes, since np.unique(axis=0) loads numpy.ma
         keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
         rows = rows[np.sort(np.unique(keys, return_index=True)[1])]
-    d, solution = _over_one_denominator(*_packing_dual_simplex(rows, sizes))
+    d, solution = _over_one_denominator(*_packing_dual_simplex(rows, sizes, check))
     x, y = solution[: len(rows)], solution[len(rows) :]
     # the packing, scaled down until no orbit holds more than its size
     caps, load = np.multiply(sizes, d, dtype=x.dtype), x @ rows
@@ -152,11 +160,14 @@ def _packing_lower_bound(masks: Sequence[int], num_vars: int) -> Fraction:
     return Fraction(max(disjoint * common, sum(common // p for p in peaks)), common)
 
 
-def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, float]:
+def _packing_dual_simplex(
+    incidence: np.ndarray, costs: np.ndarray, check: Callable[[], None] | None = None
+) -> tuple[np.ndarray, float]:
     """An optimal basic packing x, dual to min costs.y, incidence y >= 1,
     y >= 0, followed by the cover y read off its slack columns, and the
     final basis's determinant, the product of the pivots.  The tableau
-    lives only here, so it is freed before the caller checks x and y."""
+    lives only here, so it is freed before the caller checks x and y.
+    check, when given, is called once per _CHECK_PIVOTS pivots."""
     R, m = incidence.shape
     # packing dual: maximize 1.x  s.t.  incidence^T x + s = costs
     ncols = R + m
@@ -178,7 +189,9 @@ def _packing_dual_simplex(incidence: np.ndarray, costs: np.ndarray) -> tuple[np.
     degenerate_run = 0
     det = 1.0
     max_iter = 2000 + 40 * (m + R)
-    for _ in range(max_iter):
+    for it in range(max_iter):
+        if check is not None and it % _CHECK_PIVOTS == 0:
+            check()
         if bland:
             negs = (obj < -_PIVOT_EPS).nonzero()[0]
             if negs.size == 0:

@@ -3,12 +3,15 @@
 A set is an int mask, bit e set for element e (bit v for vertex v in a
 graph), and a family of sets a list of masks; only the witnesses that
 answers return are sorted tuples.  mask_of and bits_of convert one set,
-masks_of_columns and rows_of_masks convert between masks and boolean
-matrices, for every width, and reduce_family keeps a family's minimal
-sets.  Inside numpy a wide mask is held as uint64 words, word k holding
-bits 64k to 64k + 63: the boolean matrices are packed a word at a time,
-and a large family is reduced as one uint64 array per word, at any
-width.  This module imports nothing from the rest of the package.
+rows_of_masks expands masks into a boolean matrix, for every width, and
+reduce_family keeps a family's minimal sets.  Inside numpy a mask is
+held as uint64 words, word k holding bits 64k to 64k + 63, and a family
+as word rows, one row of words per mask.  A graph's pair masks are
+packed from its distance comparisons straight into word rows
+(_words_of_rows), sorted and deduplicated once as rows (_distinct), and
+reduced as one uint64 array per word (_sweep), so that only the kept
+masks and the sweep's short tail become ints (_masks_of_words).  This
+module imports nothing from the rest of the package.
 """
 from __future__ import annotations
 
@@ -39,7 +42,8 @@ _WORD_MASK = (1 << _WORD_BITS) - 1
 
 
 def _masks_of_words(words: Sequence[np.ndarray]) -> list[int]:
-    """The masks whose word k is words[k], one uint64 array per word."""
+    """The masks whose word k is words[k], one uint64 array per word; the
+    masks of word rows are _masks_of_words(rows.T)."""
     masks = words[0].tolist()
     for k in range(1, len(words)):
         lo = k * _WORD_BITS
@@ -47,17 +51,30 @@ def _masks_of_words(words: Sequence[np.ndarray]) -> list[int]:
     return masks
 
 
-def masks_of_columns(bits: np.ndarray) -> list[int]:
-    """Column j of a boolean matrix as a mask: bit i set when bits[i, j].
+def _zero_words(count: int, width: int) -> np.ndarray:
+    """Word rows of count empty masks of width bits: at least one word."""
+    return np.zeros((count, max(1, -(-width // _WORD_BITS))), dtype="<u8")
 
-    The columns are packed eight rows to a byte, so the temporaries take
-    one bit per entry, and each block of 64 rows is read as one uint64
-    word per column; wider columns shift the later words into place."""
-    n, cols = bits.shape
-    words = max(1, -(-n // _WORD_BITS))
-    octets = np.zeros((cols, 8 * words), dtype=np.uint8)
-    octets[:, : -(-n // 8)] = np.packbits(bits, axis=0, bitorder="little").T
-    return _masks_of_words(octets.view("<u8").T)
+
+def _words_of_rows(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row j of a boolean matrix as word row j: bit i of the mask set when
+    bits[j, i].  The rows are packed eight columns to a byte, straight into
+    the bytes of out when given (_zero_words, one row per row of bits)."""
+    if out is None:
+        out = _zero_words(*bits.shape)
+    out.view(np.uint8)[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out
+
+
+def _words_of_masks(masks: Sequence[int]) -> np.ndarray:
+    """The word rows of nonnegative int masks: one row per mask, with as
+    many words as the widest mask needs, and at least one."""
+    try:
+        return np.fromiter(masks, dtype=np.uint64, count=len(masks))[:, None]
+    except OverflowError:  # a mask wider than 64 bits
+        count = -(-max(masks).bit_length() // _WORD_BITS)
+        data = b"".join(m.to_bytes(8 * count, "little") for m in masks)
+        return np.frombuffer(data, dtype="<u8").reshape(-1, count)
 
 
 def rows_of_masks(masks: Sequence[int], width: int) -> np.ndarray:
@@ -88,28 +105,37 @@ _SWEEP_TAIL = 64
 _SWEEP_ENTRIES = 1 << 14
 
 
-def reduce_family(masks: Iterable[int]) -> list[int]:
+def reduce_family(masks: Iterable[int] | np.ndarray) -> list[int]:
     """Deduplicate and drop supersets (hitting a subset hits its supersets).
 
-    Deterministic output order: ascending (popcount, mask value).  Masks
-    must be nonnegative.  A family of fewer than _VECTOR_REDUCE_MIN
-    distinct masks runs the plain loop over the kept masks.  A larger one,
-    at any width, is packed as uint64 words (one word below 2^64) and
-    swept a popcount level at a time in numpy (_sweep) until fewer than
-    _SWEEP_TAIL masks are left for the plain loop.
+    masks are nonnegative int masks, or a uint64 array of word rows, one
+    row per mask (_words_of_rows).  Deterministic output order: ascending
+    (popcount, mask value).  A family of fewer than _VECTOR_REDUCE_MIN
+    masks runs the plain loop over the kept masks.  A larger one, at any
+    width, is sorted and deduplicated as word rows (_distinct) and swept a
+    popcount level at a time in numpy (_reduce_distinct).
     """
+    if isinstance(masks, np.ndarray):
+        if len(masks) >= _VECTOR_REDUCE_MIN:
+            return _reduce_distinct(*_distinct(masks)[:2])
+        masks = _masks_of_words(masks.T)
     masks = masks if isinstance(masks, (list, tuple)) else list(masks)
-    if len(masks) >= _VECTOR_REDUCE_MIN:
-        words, pop = _distinct_words(masks)
-        if pop.size >= _VECTOR_REDUCE_MIN:
-            kept, rest = _sweep(words, pop)
-            # no mask of the rest is a superset of a kept one
-            return _masks_of_words(kept) + _minimal(_masks_of_words(rest))
-        ordered = _masks_of_words(words)
-    else:
+    if len(masks) < _VECTOR_REDUCE_MIN:
         # a stable sort by popcount of the ascending masks: (popcount, value) order
-        ordered = sorted(sorted(set(masks)), key=int.bit_count)
-    return _minimal(ordered)
+        return _minimal(sorted(sorted(set(masks)), key=int.bit_count))
+    return _reduce_distinct(*_distinct(_words_of_masks(masks))[:2])
+
+
+def _reduce_distinct(words: list[np.ndarray], pop: np.ndarray) -> list[int]:
+    """reduce_family of distinct masks in (popcount, value) order, given as
+    one uint64 array per word with their popcounts: the numpy sweep
+    (_sweep) until fewer than _SWEEP_TAIL masks are left for the plain
+    loop.  Only the kept masks and the sweep's tail become ints."""
+    if pop.size < _SWEEP_TAIL:
+        return _minimal(_masks_of_words(words))
+    kept, rest = _sweep(words, pop)
+    # no mask of the rest is a superset of a kept one
+    return _masks_of_words(kept) + _minimal(_masks_of_words(rest))
 
 
 def _minimal(ordered: list[int]) -> list[int]:
@@ -125,28 +151,63 @@ def _minimal(ordered: list[int]) -> list[int]:
     return kept
 
 
-def _distinct_words(masks: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
-    """The distinct masks in (popcount, value) order as uint64 word arrays,
-    word k holding bits 64k to 64k + 63 of every mask, and their popcounts."""
-    try:
-        words = [np.sort(np.fromiter(masks, dtype=np.uint64, count=len(masks)))]
-    except OverflowError:  # a mask wider than 64 bits
-        count = -(-max(masks).bit_length() // _WORD_BITS)
-        data = b"".join(m.to_bytes(8 * count, "little") for m in masks)
-        cols = np.frombuffer(data, dtype="<u8").reshape(-1, count).T
+def _distinct(
+    rows: np.ndarray, tags: np.ndarray | None = None
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
+    """The distinct word rows in (popcount, value) order as one uint64
+    array per word, word k holding bits 64k to 64k + 63 of every mask,
+    their popcounts and, given a uint8 tag below 8 per row, a uint8 mask
+    per distinct row of the tags its copies carry.  Only arrays of the
+    distinct rows outlive the call."""
+    cols = rows.T
+    if tags is None and len(cols) == 1:
+        words = [np.sort(cols[0])]
+    else:
         # value order: the last word is the primary key
-        words = list(cols.take(np.lexsort(cols), axis=1))
-    new = np.zeros(len(masks), dtype=bool)
-    new[0] = True
+        order = np.argsort(cols[0]) if len(cols) == 1 else np.lexsort(cols)
+        words = [w[order] for w in cols]
+        if tags is not None:
+            tags = np.left_shift(1, tags[order], dtype=np.uint8)
+        del order
+    first = np.zeros(len(words[0]), dtype=bool)  # the first copy of each row
+    first[:1] = True
     for w in words:
-        new[1:] |= w[1:] != w[:-1]
-    words = [w[new] for w in words]
+        first[1:] |= w[1:] != w[:-1]
+    starts = first.nonzero()[0]
+    del first
+    words = [w[starts] for w in words]
+    members = None if tags is None or not starts.size else np.bitwise_or.reduceat(tags, starts)
     # 16-bit popcounts (masks narrower than 2^16 bits) take numpy's radix sort
-    pop = np.zeros(len(words[0]), dtype=np.uint16)
+    pop = np.zeros(len(starts), dtype=np.uint16)
     for w in words:
         pop += np.bitwise_count(w)
     order = np.argsort(pop, kind="stable")
-    return [w[order] for w in words], pop[order]
+    return [w[order] for w in words], pop[order], None if members is None else members[order]
+
+
+def _fits(family: Sequence[int] | np.ndarray, width: int) -> bool:
+    """True when every mask of family (int masks or word rows) is
+    nonnegative and has no bit from width on."""
+    if not len(family):
+        return True
+    if isinstance(family, np.ndarray):
+        # the mask of the largest words: word k as long as the longest word k
+        return not int.from_bytes(family.max(axis=0).astype("<u8").tobytes(), "little") >> width
+    return min(family) >= 0 and not max(family) >> width
+
+
+def _first_missed(family: Sequence[int] | np.ndarray, mask: int) -> int | None:
+    """The first mask of family (int masks or word rows) that has no
+    element of mask, or None; one numpy test over the family."""
+    rows = family if isinstance(family, np.ndarray) else _words_of_masks(family)
+    if not len(rows):
+        return None
+    missed = None
+    for k, w in enumerate(rows.T):
+        word_missed = (w & np.uint64(mask >> k * _WORD_BITS & _WORD_MASK)) == 0
+        missed = word_missed if missed is None else missed & word_missed
+    first = int(missed.argmax())
+    return _masks_of_words(rows[first : first + 1].T)[0] if missed[first] else None
 
 
 def _sweep(words: list[np.ndarray], pop: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -20,6 +20,7 @@ from mixdim.dims import (
 from mixdim.families import connected_graphs_of_order, encode_graph6, generate_named, parse_graph6
 from mixdim.graphs import build_graph
 from mixdim.lp import CoveringLP, solve_covering_lp
+from mixdim.masks import _masks_of_words
 from mixdim.tables import compare_order5, order5_rows
 from mixdim.torus import torus_theorem_check
 
@@ -181,7 +182,7 @@ def test_criterion_6_property_suites():
     # (c) structure of every minimum mixed basis and (d) per-member degree rule
     for g in corpus:
         fs = forced_vertices(g)
-        sides = GraphAnalysis(g).edge_sides.original_masks
+        sides = _masks_of_words(GraphAnalysis(g).edge_sides.original_masks.T)
         bases = bf.min_dimension(g.n, list(g.edges))[1]
         assert bases
         size = len(bases[0])

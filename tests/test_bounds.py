@@ -18,6 +18,7 @@ from mixdim.bounds import (
 from mixdim.dims import GraphAnalysis
 from mixdim.families import generate_named, parse_graph6
 from mixdim.graphs import build_graph
+from mixdim.masks import _masks_of_words
 
 from bruteforce import l3_value, masks, random_connected_graph, side_sets
 
@@ -79,7 +80,7 @@ def test_n1_examples():
 def _side_sets(g):
     """(closer to u, closer to v) of every edge uv of g, in g.edges order,
     read from GraphAnalysis(g).edge_sides."""
-    sides = GraphAnalysis(g).edge_sides.original_masks
+    sides = tuple(_masks_of_words(GraphAnalysis(g).edge_sides.original_masks.T))
     return sides[: g.m], sides[g.m :]
 
 

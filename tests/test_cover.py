@@ -19,7 +19,7 @@ from mixdim.cover import (
     min_hitting_set_size,
 )
 from mixdim.dims import GraphAnalysis
-from mixdim.masks import _VECTOR_REDUCE_MIN, reduce_family
+from mixdim.masks import _VECTOR_REDUCE_MIN, _masks_of_words, reduce_family
 
 from bruteforce import (
     masks,
@@ -515,8 +515,9 @@ def test_reduce_family_sweep_matches_reference(universe, size):
 
 def test_reduce_family_wide_mixed_family():
     # 43,956 mixed pairs over 66 vertices, 3,844 of them minimal
-    family = GraphAnalysis(workloads.random_connected_graph(random.Random(5), 66)).mixed_masks
-    assert reduce_family(family) == _reference_reduction(family)
+    rows = GraphAnalysis(workloads.random_connected_graph(random.Random(5), 66)).mixed_masks
+    family = _masks_of_words(rows.T)
+    assert reduce_family(rows) == reduce_family(family) == _reference_reduction(family)
 
 
 def test_reduce_family_top_bit():

@@ -11,6 +11,7 @@ import pytest
 import mixdim.bounds as bounds
 import mixdim.cover as cover
 import mixdim.dims as dims
+import mixdim.lp as lp
 from mixdim.bounds import bounds_report
 from mixdim.cli import EXIT_INVALID, main
 from mixdim.cover import SolveTimeout
@@ -75,9 +76,8 @@ def test_cli_dims_deadline_covers_beta_and_beta_e(solves, capsys):
 
 
 def test_bounds_only_report_checks_its_deadline_after_l4(monkeypatch):
-    # L4 (and the reduction of the mixed family before it) never checks the
-    # deadline itself: a bounds-only report whose L4 runs past the budget
-    # raises instead of returning late
+    # a bounds-only report whose L4 runs past the budget raises instead of
+    # returning late
     offset = [0.0]
     real = time.monotonic
     monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
@@ -91,6 +91,46 @@ def test_bounds_only_report_checks_its_deadline_after_l4(monkeypatch):
     assert bounds_report(petersen(), timeout=10 * BUDGET).l4 == 4
     with pytest.raises(SolveTimeout):
         bounds_report(petersen(), timeout=BUDGET)
+
+
+def test_l4_simplex_checks_the_report_deadline(monkeypatch):
+    # the covering LP checks the report's deadline once per batch of
+    # pivots: a report whose simplex runs past the budget raises from
+    # inside it, before the simplex returns, instead of after L4
+    offset = [0.0]
+    real = time.monotonic
+    monkeypatch.setattr(time, "monotonic", lambda: real() + offset[0])
+    simplex = lp._packing_dual_simplex
+    finished = []
+
+    def slow_simplex(*args):
+        offset[0] += 2 * BUDGET
+        finished.append(simplex(*args))
+        return finished[-1]
+
+    monkeypatch.setattr(lp, "_packing_dual_simplex", slow_simplex)
+    assert bounds_report(petersen(), timeout=10 * BUDGET).l4 == 4
+    assert len(finished) == 1  # Petersen's L4 runs the simplex
+    with pytest.raises(SolveTimeout):
+        bounds_report(petersen(), timeout=BUDGET)
+    assert len(finished) == 1
+
+
+def test_simplex_checks_between_batches_of_pivots():
+    # Petersen's plain covering program takes more than one batch of
+    # pivots (lp._CHECK_PIVOTS): a check that raises at its second call
+    # stops the solve in its second batch
+    calls = []
+
+    def check():
+        calls.append(None)
+        if len(calls) == 2:
+            raise SolveTimeout("exact solve ran past its deadline")
+
+    program = lp.CoveringLP(10, GraphAnalysis(petersen()).mixed.masks)
+    with pytest.raises(SolveTimeout):
+        lp.solve_covering_lp(program, None, check)
+    assert len(calls) == 2
 
 
 def test_torus_check_deadline_covers_its_distances(monkeypatch):

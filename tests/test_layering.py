@@ -68,8 +68,8 @@ def _names(module: str) -> set[str]:
 
 def test_only_dims_turns_distances_into_masks():
     modules = sorted(p.stem for p in SRC.glob("*.py"))
-    assert "masks_of_columns" in _names("dims")  # the reader sees the one use
-    assert [m for m in modules if m not in ("masks", "dims") and "masks_of_columns" in _names(m)] == []
+    assert "_words_of_rows" in _names("dims")  # the reader sees the one use
+    assert [m for m in modules if m not in ("masks", "dims") and "_words_of_rows" in _names(m)] == []
 
 
 def test_every_public_name_resolves():

@@ -22,7 +22,7 @@ from mixdim.dims import GraphAnalysis
 from mixdim.families import connected_graphs_of_order, encode_graph6, generate, generate_named
 from mixdim.graphs import build_graph
 from mixdim.lp import CoveringLP, LPError, solve_covering_lp
-from mixdim.masks import bits_of, rows_of_masks
+from mixdim.masks import _masks_of_words, bits_of, rows_of_masks
 from mixdim.tables import SELECTED_GRAPHS
 
 from bruteforce import lp_optimum_scipy, masks, mixed_pair_rows, random_connected_graph
@@ -135,9 +135,9 @@ def simplex_calls(monkeypatch):
     calls = []
     simplex = lp_module._packing_dual_simplex
 
-    def counted(incidence, costs):
+    def counted(incidence, *args):
         calls.append(incidence)
-        return simplex(incidence, costs)
+        return simplex(incidence, *args)
 
     monkeypatch.setattr(lp_module, "_packing_dual_simplex", counted)
     return calls
@@ -349,7 +349,7 @@ def test_orbit_program_matches_plain_and_highs(g):
     plain = solve_covering_lp(lp)
     pair = solve_covering_lp(lp, a.symmetry.orbits())
     assert pair == plain
-    _assert_at_highs(pair, g.n, [bits_of(m) for m in inst.original_masks])
+    _assert_at_highs(pair, g.n, [bits_of(m) for m in _masks_of_words(inst.original_masks.T)])
 
 
 def test_singleton_program_is_the_plain_program(simplex_calls):

@@ -671,38 +671,41 @@ def test_small_graph_witnesses_match_plain(backend, monkeypatch, G):
 
 
 def _split_counts(monkeypatch):
-    """How many nodes _split_set split, and how many witness-pass trials
-    were split, from here on.  A trial is the one node split under a
-    nonempty fixed tuple that forces nothing: each orbital branch forces
+    """How many nodes _split split on the kernel's branching set, its
+    levels whose branches may not split again, and how many witness-pass
+    trials were split, from here on.  A trial is the one node split under
+    a nonempty fixed tuple that forces nothing: each orbital branch forces
     its representative."""
     counts = {"set": 0, "trial": 0}
-    split_set = cover._split_set
     split = cover._split
-
-    def counted_set(*args):
-        out = split_set(*args)
-        counts["set"] += out is not None
-        return out
 
     def counted_split(masks, forced, excluded, sym, fixed):
         out = split(masks, forced, excluded, sym, fixed)
+        counts["set"] += bool(out) and out[0][3] is None
         counts["trial"] += bool(fixed) and not forced and out is not None
         return out
 
-    monkeypatch.setattr(cover, "_split_set", counted_set)
     monkeypatch.setattr(cover, "_split", counted_split)
     return counts
 
 
-# the selected graphs whose exact reports split on the kernel's branching
-# set at the default gates, each with whether they split witness-pass
-# trials too: GQ(2,4)'s passes, started from the proofs' covers, reach no
-# trial large enough to split
+# whether each selected graph's exact report splits a node on the kernel's
+# branching set at the default gates, and whether it splits witness-pass
+# trials: GQ(2,4)'s proofs split every such node by orbits instead, and its
+# passes, started from the proofs' covers, reach no trial large enough to
+# split
 SPLIT_AT_DEFAULT_GATES = {
-    "Rook's graph": True,
-    "Hamming H(2,6)": True,
-    "9-triangular graph": True,
-    "Generalized quadrangle": False,
+    "Petersen graph": (False, False),
+    "Hamming H(3,3)": (False, False),
+    "Mobius-Kantor": (False, False),
+    "Paley graph": (False, False),
+    "Hypercube Q5": (False, False),
+    "Clebsch graph": (False, True),
+    "Kneser (7,2)": (True, True),
+    "Rook's graph": (True, True),
+    "Hamming H(2,6)": (True, True),
+    "9-triangular graph": (True, True),
+    "Generalized quadrangle": (False, False),
 }
 
 
@@ -725,9 +728,7 @@ def test_selected_graph_witnesses_match_plain(sel, backend, monkeypatch):
     for inst, size, witness in families:
         for res in (min_hitting_set(inst, sym=sym), min_hitting_set(inst)):
             assert (res.status, res.size, res.witness) == (OPTIMAL, size, witness)
-    if sel.name in SPLIT_AT_DEFAULT_GATES:
-        assert counts["set"]
-        assert bool(counts["trial"]) == SPLIT_AT_DEFAULT_GATES[sel.name]
+    assert (bool(counts["set"]), bool(counts["trial"])) == SPLIT_AT_DEFAULT_GATES[sel.name]
 
 
 def test_small_graphs_take_the_new_paths(monkeypatch):
